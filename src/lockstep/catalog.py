@@ -349,11 +349,6 @@ def get(name) -> s.Scenario:
     return get_entry(name).build()
 
 
-def catalog():
-    """Fresh copies of all catalog scenarios, in order."""
-    return [e.build() for e in CATALOG]
-
-
 @dataclass(frozen=True)
 class CheckRow:
     name: str

@@ -16,7 +16,7 @@ from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
 from .catalog import names as _catalog_names
 from .explorer import Bounds, explore, replay_with_checks, resolve_bounds
-from .kernel import KernelError, NotEnabledAtStep, System, Trace, event_from_doc
+from .kernel import KernelError, NotEnabledAtStep, System, Trace
 from .scenarios import ParseError, ValidationError, load_file
 
 EXIT_CLEAN = 0
@@ -84,8 +84,8 @@ def _load_system(args):
     return System(scenario)
 
 
-def _bounds(sys, args):
-    base = resolve_bounds(sys, None)
+def _bounds(args, base):
+    """The bounds the command line asks for; each one not given comes from ``base``."""
     depth = args.max_depth if args.max_depth is not None else base.max_depth
     states = args.max_states if args.max_states is not None else base.max_states
     return Bounds(max_depth=depth, max_states=states)
@@ -95,14 +95,15 @@ def _load_schedule(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     claim = None
+    where = "events"
     if isinstance(doc, dict) and "trace" in doc:
         claim = {"class": doc.get("class"), "state_hash": doc.get("state_hash")}
         doc = doc["trace"]
+        where = "trace.events"
     if not isinstance(doc, dict) or "events" not in doc:
         raise ValueError("schedule document needs an 'events' list "
                          "(a trace, or a violation containing one)")
-    events = tuple(event_from_doc(e) for e in doc["events"])
-    return events, claim
+    return Trace.from_doc(doc, where).events, claim
 
 
 def format_event(event):
@@ -156,7 +157,7 @@ def _print_report(report, fmt, out):
 
 def cmd_explore(args):
     sys = _load_system(args)
-    report = explore(sys, _bounds(sys, args))
+    report = explore(sys, _bounds(args, resolve_bounds(sys, None)))
     _print_report(report, args.format, _sys.stdout)
     if report.violations:
         return EXIT_VIOLATIONS
@@ -190,8 +191,7 @@ def cmd_replay(args):
     def show(k, ev, state):
         lines.append(f"[{k}] {format_event(ev)}")
 
-    final = sys.replay(events, on_step=show)  # NotEnabledAtStep -> exit 3
-    _, classes = replay_with_checks(sys, events)
+    final, classes = replay_with_checks(sys, events, on_step=show)  # stale -> exit 3
     observed = sorted(classes)
     final_hash = sys.state_hash(final)
 
@@ -237,8 +237,7 @@ def cmd_list(args):
 def cmd_catalog_check(args):
     bounds = None
     if args.max_depth is not None or args.max_states is not None:
-        bounds = Bounds(max_depth=args.max_depth or Bounds.max_depth,
-                        max_states=args.max_states or Bounds.max_states)
+        bounds = _bounds(args, Bounds())
     if args.only:
         unknown = [n for n in args.only if n not in _catalog_names()]
         if unknown:

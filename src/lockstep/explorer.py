@@ -8,6 +8,11 @@ number of maximal schedules can be counted exactly by memoized path
 counting. find_shortest() answers the same question breadth-first and
 therefore returns a minimal counterexample. random_walks() is the
 cheap cross-check: it must never find a class the exhaustive pass missed.
+The walks of one call share a lazily built graph of the states they stood
+on, so a revisited edge is neither applied nor checked again. That is
+sound because stepping and the monitors are pure functions of the states
+they are shown; the graph is never shared with explore(), so a fault in
+its memo cannot hide from the walks.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .kernel import System, Trace, store_get, store_has
+from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
 from .monitors import compile_monitors
 
 _IN_PROGRESS = object()
@@ -52,7 +57,8 @@ class Violation:
     @classmethod
     def from_doc(cls, doc):
         return cls(kind=doc["kind"], name=doc.get("name"), detail=doc.get("detail"),
-                   trace=Trace.from_doc(doc["trace"]), state_hash=doc["state_hash"])
+                   trace=Trace.from_doc(doc["trace"], "trace.events"),
+                   state_hash=doc["state_hash"])
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,16 @@ def resolve_bounds(sys: System, override) -> Bounds:
         return Bounds(max_depth=doc.get("max_depth", Bounds.max_depth),
                       max_states=doc.get("max_states", Bounds.max_states))
     return Bounds()
+
+
+_NO_CLASSES = frozenset()
+
+
+def _classes(hits):
+    """The class strings of a list of monitor hits."""
+    if not hits:  # most states and edges; one shared empty set keeps walk graphs small
+        return _NO_CLASSES
+    return frozenset(Violation(hk, hn, hd, Trace(()), "").cls for hk, hn, hd in hits)
 
 
 class _Checks:
@@ -292,50 +308,85 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     return None
 
 
+class _WalkNode:
+    """A state some walk stood on, with its outgoing edges filled as walks take them."""
+
+    __slots__ = ("state", "edges", "hits", "sink", "children")
+
+    def __init__(self, state, edges, hits, sink):
+        self.state = state
+        self.edges = edges                  # sys.enabled_actions(state)
+        self.hits = hits                    # classes checks.state reports here
+        self.sink = sink                    # classes checks.sink reports; () if edges
+        self.children = [None] * len(edges)  # edge index -> (child node, classes)
+
+
 def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
-    """Sample maximal schedules uniformly step-wise; collect violation classes."""
+    """Sample maximal schedules uniformly step-wise; collect violation classes.
+
+    The walks of one call share a graph of the states they stood on. Each
+    state's enabled actions, state hits and sink hits are computed when a
+    walk first reaches it, and an edge is applied and checked when a walk
+    first takes it; later walks follow the stored node. This returns what
+    recomputing every step would, because ``apply`` and the monitors are
+    pure functions of what they are shown, and it draws the same random
+    numbers. The graph lives for this call only, so the walks stay
+    independent of the exhaustive explorer's memo.
+    """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
     rng = random.Random(seed)
     classes = set()
+    nodes = {}           # state -> _WalkNode, for this call only
 
-    def collect(hits):
-        for hk, hn, hd in hits:
-            classes.add(Violation(hk, hn, hd, Trace(()), "").cls)
+    def node_for(state):
+        node = nodes.get(state)
+        if node is None:
+            hits = _classes(checks.state(state))
+            edges = sys.enabled_actions(state)
+            sink = () if edges else _classes(checks.sink(state))
+            node = nodes[state] = _WalkNode(state, edges, hits, sink)
+        return node
 
-    init = sys.initial_state()
+    root = node_for(sys.initial_state())
     for _ in range(walks):
-        state = init
-        collect(checks.state(state))
+        node = root
+        classes.update(root.hits)
         steps = 0
         while True:
-            edges = sys.enabled_actions(state)
+            edges = node.edges
             if not edges:
-                collect(checks.sink(state))
+                classes.update(node.sink)
                 break
             if steps >= b.max_depth:
                 break
-            ev = edges[rng.randrange(len(edges))]
-            post = sys.apply(state, ev)
-            collect(checks.event(state, ev, post))
-            collect(checks.state(post))
-            state = post
+            i = rng.randrange(len(edges))
+            child = node.children[i]
+            if child is None:
+                ev = edges[i]
+                post = sys.apply(node.state, ev)
+                hits = _classes(checks.event(node.state, ev, post))
+                nxt = node_for(post)
+                child = node.children[i] = (nxt, (hits | nxt.hits) if hits else nxt.hits)
+            node, hits = child
+            classes.update(hits)
             steps += 1
     return WalkSummary(walks=walks, classes=frozenset(classes))
 
 
-def replay_with_checks(scenario, events):
+def replay_with_checks(scenario, events, on_step=None):
     """Replay a schedule and report the violation classes present at its end.
 
     Returns (final_state, classes). Classes cover the final transition, the
     final state, and, where the schedule ends in a state with no enabled
-    action, the deadlock/terminal checks.
+    action, the deadlock/terminal checks. ``on_step(k, event, state)`` is
+    called after each step, as in ``System.replay``.
     """
     sys = as_system(scenario)
     if isinstance(events, Trace):
         events = events.events
-    return _replay_collect(sys, tuple(events))
+    return _replay_collect(sys, tuple(events), on_step)
 
 
 def verify_violation(scenario, violation: Violation) -> bool:
@@ -346,16 +397,9 @@ def verify_violation(scenario, violation: Violation) -> bool:
     return violation.cls in classes and sys.state_hash(final) == violation.state_hash
 
 
-def _replay_collect(sys, events):
-    from .kernel import NotEnabledAtStep
-
+def _replay_collect(sys, events, on_step=None):
     checks = _Checks(sys)
     classes = set()
-
-    def collect(hits):
-        for hk, hn, hd in hits:
-            classes.add(Violation(hk, hn, hd, Trace(()), "").cls)
-
     state = sys.initial_state()
     last = len(events) - 1
     for k, ev in enumerate(events):
@@ -364,11 +408,13 @@ def _replay_collect(sys, events):
             raise NotEnabledAtStep(k, ev, enabled)
         post = sys.apply(state, ev)
         if k == last:
-            collect(checks.event(state, ev, post))
+            classes.update(_classes(checks.event(state, ev, post)))
         state = post
-    collect(checks.state(state))
+        if on_step is not None:
+            on_step(k, ev, state)
+    classes.update(_classes(checks.state(state)))
     if not sys.enabled_actions(state):
-        collect(checks.sink(state))
+        classes.update(_classes(checks.sink(state)))
     return state, classes
 
 

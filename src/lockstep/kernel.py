@@ -90,8 +90,12 @@ class Trace:
         return {"events": [event_to_doc(e) for e in self.events]}
 
     @classmethod
-    def from_doc(cls, doc):
-        return cls(tuple(event_from_doc(e) for e in doc["events"]))
+    def from_doc(cls, doc, path="events"):
+        """Parse ``{"events": [...]}``; ``path`` names the list in error messages."""
+        events = doc.get("events") if isinstance(doc, dict) else None
+        if not isinstance(events, list):
+            raise ValueError(f"{path}: expected a list of events, got {events!r}")
+        return cls(tuple(event_from_doc(e, f"{path}[{k}]") for k, e in enumerate(events)))
 
 
 def label_to_doc(label):
@@ -117,23 +121,44 @@ def label_to_doc(label):
     raise ValueError(f"unknown action label: {label!r}")
 
 
-def label_from_doc(doc):
+def _doc_int(doc, key, path):
+    v = doc.get(key)
+    if type(v) is not int:  # a JSON boolean is not an id, index or word
+        raise ValueError(f"{path}.{key}: expected an integer, got {v!r}")
+    return v
+
+
+def _doc_words(doc, key, path, allow_none=False):
+    v = doc.get(key)
+    if v is None and allow_none:
+        return None
+    if not isinstance(v, list) or any(type(w) is not int for w in v):
+        raise ValueError(f"{path}.{key}: expected a list of integers, got {v!r}")
+    return tuple(v)
+
+
+def label_from_doc(doc, path="action"):
+    """Parse an action label; a ValueError names the JSON ``path`` at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an action object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "write":
-        return ("write", tuple(doc["value"]))
+        return ("write", _doc_words(doc, "value", path))
     if kind == "send":
-        v = doc.get("value")
-        return ("send", None if v is None else tuple(v), doc["receiver"])
+        return ("send", _doc_words(doc, "value", path, allow_none=True),
+                _doc_int(doc, "receiver", path))
     if kind == "read_word":
-        return ("read_word", doc["index"])
+        return ("read_word", _doc_int(doc, "index", path))
     if kind == "write_word":
-        return ("write_word", doc["index"], doc["word"])
+        return ("write_word", _doc_int(doc, "index", path), _doc_int(doc, "word", path))
     if kind == "update":
-        fn = ("add", doc["k"]) if doc["fn"] == "add" else (doc["fn"],)
-        return ("update", fn)
+        fn = doc.get("fn")
+        if not isinstance(fn, str):
+            raise ValueError(f"{path}.fn: expected a function name, got {fn!r}")
+        return ("update", ("add", _doc_int(doc, "k", path)) if fn == "add" else (fn,))
     if kind in ("lock", "unlock", "read", "check", "local"):
         return (kind,)
-    raise ValueError(f"unknown action label document: {doc!r}")
+    raise ValueError(f"{path}.kind: unknown action label kind {kind!r}")
 
 
 def event_to_doc(event):
@@ -141,8 +166,15 @@ def event_to_doc(event):
     return {"process": pid, "action": label_to_doc(label), "mechanism": mech}
 
 
-def event_from_doc(doc):
-    return (doc["process"], label_from_doc(doc["action"]), doc.get("mechanism"))
+def event_from_doc(doc, path="event"):
+    """Parse one event; a ValueError names the JSON ``path`` at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an event object, got {doc!r}")
+    mech = doc.get("mechanism")
+    if mech is not None and not isinstance(mech, str):
+        raise ValueError(f"{path}.mechanism: expected a mechanism id, got {mech!r}")
+    pid = _doc_int(doc, "process", path)
+    return (pid, label_from_doc(doc.get("action"), f"{path}.action"), mech)
 
 
 def _norm_label(label):

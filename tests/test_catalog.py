@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lockstep import catalog, machines
+from lockstep import machines
 from lockstep.catalog import CATALOG, catalog_check, entries, get, get_entry, names
 from lockstep.explorer import Bounds, explore, terminal_mechanism_states
 from lockstep.kernel import System
@@ -41,7 +41,6 @@ def reports():
 class TestShape:
     def test_fourteen_entries(self):
         assert len(CATALOG) == 14
-        assert len(catalog.catalog()) == 14
 
     def test_names_are_unique_and_consistent(self):
         ns = names()

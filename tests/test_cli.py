@@ -114,6 +114,20 @@ class TestRun:
                            "--schedule", str(path))
         assert code == ERROR and "events" in err
 
+    @pytest.mark.parametrize("event,where", [
+        (5, "events[0]"),
+        ({"process": 0, "action": {"kind": "write", "value": 5}, "mechanism": "cell"},
+         "events[0].action.value"),
+    ])
+    def test_malformed_event_exits_three_naming_its_path(self, capsys, tmp_path,
+                                                        event, where):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"events": [event]}))
+        code, _, err = run(capsys, "run", "--catalog", "torn-read-raw",
+                           "--schedule", str(path))
+        assert code == ERROR
+        assert err.startswith(f"error: {where}: ")
+
 
 class TestReplay:
     def test_confirms_a_recorded_violation(self, capsys, torn_schedule):
@@ -193,6 +207,14 @@ class TestCatalogCheck:
                            "--only", "register-lost-update")
         assert code == VIOLATIONS
         assert "FAIL" in out
+
+    def test_an_explicit_zero_depth_is_honoured(self, capsys):
+        code, out, _ = run(capsys, "catalog-check", "--format", "structured",
+                           "--max-depth", "0", "--only", "torn-read-raw")
+        row = json.loads(out)[0]
+        assert code == VIOLATIONS and row["ok"] is False
+        assert row["states_visited"] == 1 and row["schedules_complete"] is None
+        assert "exploration hit its bounds; the verdict is incomplete" in row["problems"]
 
     def test_structured(self, capsys):
         code, out, _ = run(capsys, "catalog-check", "--format", "structured",

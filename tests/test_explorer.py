@@ -1,16 +1,19 @@
 """Exploration tests: counting, witnesses, bounds, cross-validation."""
 
 import math
+import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import (Bounds, Violation, explore, find_shortest,
-                               random_walks, replay_with_checks, resolve_bounds,
-                               terminal_mechanism_states, terminal_variable_values,
-                               verify_violation)
+from lockstep.explorer import (Bounds, Violation, WalkSummary, _Checks, explore,
+                               find_shortest, random_walks, replay_with_checks,
+                               resolve_bounds, terminal_mechanism_states,
+                               terminal_variable_values, verify_violation)
 from lockstep.kernel import System
 
 from helpers import maximal_schedule_count, reachable
@@ -154,6 +157,66 @@ class TestRandomWalks:
     def test_walks_find_the_easy_violation(self):
         w = random_walks(catalog.get("deadlock-direct-duplex"), walks=50, seed=0)
         assert w.classes == {"deadlock"}
+
+
+def reference_walks(sys, walks, seed, bounds=None):
+    """The uncached walker that random_walks replaced: every step computes the
+    enabled actions, applies the chosen one and runs every monitor afresh."""
+    b = resolve_bounds(sys, bounds)
+    checks = _Checks(sys)
+    rng = random.Random(seed)
+    classes = set()
+
+    def collect(hits):
+        for hk, hn, hd in hits:
+            classes.add(Violation(hk, hn, hd, None, "").cls)
+
+    init = sys.initial_state()
+    for _ in range(walks):
+        state = init
+        collect(checks.state(state))
+        steps = 0
+        while True:
+            edges = sys.enabled_actions(state)
+            if not edges:
+                collect(checks.sink(state))
+                break
+            if steps >= b.max_depth:
+                break
+            ev = edges[rng.randrange(len(edges))]
+            post = sys.apply(state, ev)
+            collect(checks.event(state, ev, post))
+            collect(checks.state(post))
+            state = post
+            steps += 1
+    return WalkSummary(walks=walks, classes=frozenset(classes))
+
+
+class CountingSystem(System):
+    """Counts every apply per (state, action)."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.applied = Counter()
+
+    def apply(self, state, action):
+        self.applied[(state, action)] += 1
+        return super().apply(state, action)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_walks_match_the_uncached_reference(name):
+    # deadlock-direct-duplex deadlocks after 2 steps, so depth 2 puts a sink
+    # exactly at the cut-off, where the sink check must come first.
+    for seed in (5, 2026):
+        for bounds in (None, Bounds(max_depth=2), Bounds(max_depth=3)):
+            cached = CountingSystem(catalog.get(name))
+            reference = CountingSystem(catalog.get(name))
+            got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
+            assert got == reference_walks(reference, 200, seed, bounds)
+            # Each edge taken is applied once per call, and no edge no walk took.
+            assert all(n == 1 for n in cached.applied.values())
+            assert cached.applied.keys() == reference.applied.keys()
 
 
 class TestReplayChecks:

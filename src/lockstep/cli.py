@@ -100,9 +100,6 @@ def _load_schedule(path):
         claim = {"class": doc.get("class"), "state_hash": doc.get("state_hash")}
         doc = doc["trace"]
         where = "trace.events"
-    if not isinstance(doc, dict) or "events" not in doc:
-        raise ValueError("schedule document needs an 'events' list "
-                         "(a trace, or a violation containing one)")
     return Trace.from_doc(doc, where).events, claim
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
+from .kernel import System, Trace, store_get, store_has
 from .monitors import compile_monitors
 
 _IN_PROGRESS = object()
@@ -331,7 +331,10 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     recomputing every step would, because ``apply`` and the monitors are
     pure functions of what they are shown, and it draws the same random
     numbers. The graph lives for this call only, so the walks stay
-    independent of the exhaustive explorer's memo.
+    independent of the exhaustive explorer's memo. It holds at most
+    ``max_states`` states, as ``explore``'s memo does; once full it stops
+    growing, and a step it has not stored is applied and checked afresh
+    each time a walk takes it.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
@@ -346,7 +349,9 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
             hits = _classes(checks.state(state))
             edges = sys.enabled_actions(state)
             sink = () if edges else _classes(checks.sink(state))
-            node = nodes[state] = _WalkNode(state, edges, hits, sink)
+            node = _WalkNode(state, edges, hits, sink)
+            if len(nodes) < b.max_states:
+                nodes[state] = node
         return node
 
     root = node_for(sys.initial_state())
@@ -368,7 +373,9 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
                 post = sys.apply(node.state, ev)
                 hits = _classes(checks.event(node.state, ev, post))
                 nxt = node_for(post)
-                child = node.children[i] = (nxt, (hits | nxt.hits) if hits else nxt.hits)
+                child = (nxt, (hits | nxt.hits) if hits else nxt.hits)
+                if len(nodes) < b.max_states:  # then nxt is in the graph
+                    node.children[i] = child
             node, hits = child
             classes.update(hits)
             steps += 1
@@ -400,18 +407,18 @@ def verify_violation(scenario, violation: Violation) -> bool:
 def _replay_collect(sys, events, on_step=None):
     checks = _Checks(sys)
     classes = set()
-    state = sys.initial_state()
     last = len(events) - 1
-    for k, ev in enumerate(events):
-        enabled = sys.enabled_actions(state)
-        if ev not in enabled:
-            raise NotEnabledAtStep(k, ev, enabled)
-        post = sys.apply(state, ev)
+    prev = sys.initial_state()
+
+    def step(k, ev, post):
+        nonlocal prev
         if k == last:
-            classes.update(_classes(checks.event(state, ev, post)))
-        state = post
+            classes.update(_classes(checks.event(prev, ev, post)))
+        prev = post
         if on_step is not None:
-            on_step(k, ev, state)
+            on_step(k, ev, post)
+
+    state = sys.replay(events, on_step=step)
     classes.update(_classes(checks.state(state)))
     if not sys.enabled_actions(state):
         classes.update(_classes(checks.sink(state)))

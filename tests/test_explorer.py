@@ -193,30 +193,56 @@ def reference_walks(sys, walks, seed, bounds=None):
 
 
 class CountingSystem(System):
-    """Counts every apply per (state, action)."""
+    """Counts every apply per (state, action) and every enabled_actions per state."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.applied = Counter()
+        self.offered = Counter()
 
     def apply(self, state, action):
         self.applied[(state, action)] += 1
         return super().apply(state, action)
 
+    def enabled_actions(self, state):
+        self.offered[state] += 1
+        return super().enabled_actions(state)
+
+
+# deadlock-direct-duplex deadlocks after 2 steps, so depth 2 puts a sink
+# exactly at the cut-off, where the sink check must come first.
+# max_states=3 fills the walk graph at once, so most steps run uncached.
+WALK_CASES = [(seed, bounds) for seed in (5, 2026)
+              for bounds in (None, Bounds(max_depth=2), Bounds(max_depth=3))]
+WALK_CASES.append((5, Bounds(max_states=3)))
+
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_walks_match_the_uncached_reference(name):
-    # deadlock-direct-duplex deadlocks after 2 steps, so depth 2 puts a sink
-    # exactly at the cut-off, where the sink check must come first.
-    for seed in (5, 2026):
-        for bounds in (None, Bounds(max_depth=2), Bounds(max_depth=3)):
-            cached = CountingSystem(catalog.get(name))
-            reference = CountingSystem(catalog.get(name))
-            got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
-            assert got == reference_walks(reference, 200, seed, bounds)
-            # Each edge taken is applied once per call, and no edge no walk took.
-            assert all(n == 1 for n in cached.applied.values())
-            assert cached.applied.keys() == reference.applied.keys()
+    for seed, bounds in WALK_CASES:
+        cached = CountingSystem(catalog.get(name))
+        reference = CountingSystem(catalog.get(name))
+        got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
+        assert got == reference_walks(reference, 200, seed, bounds)
+        # No edge is applied that no walk took.
+        assert cached.applied.keys() == reference.applied.keys()
+        if bounds is None or bounds.max_states > 3:
+            # Each edge taken is applied, and each state reached offered its
+            # actions, once per call.
+            assert max(cached.applied.values(), default=1) == 1
+            assert max(cached.offered.values()) == 1
+
+
+def test_a_full_walk_graph_steps_afresh():
+    sys = CountingSystem(catalog.get("register-lost-update"))
+    reference = CountingSystem(catalog.get("register-lost-update"))
+    random_walks(sys, walks=50, seed=1, bounds=Bounds(max_states=3))
+    reference_walks(reference, 50, 1)
+    # States past the first three are not kept, so revisiting them recomputes.
+    assert any(n > 1 for n in sys.offered.values())
+    # Only a step between two kept states is served from the graph, and an
+    # acyclic walk takes at most two such steps.
+    assert sum(sys.applied.values()) >= sum(reference.applied.values()) - 2 * 50
 
 
 class TestReplayChecks:

@@ -86,6 +86,9 @@ def _load_system(args):
 
 def _bounds(args, base):
     """The bounds the command line asks for; each one not given comes from ``base``."""
+    for flag, value in (("--max-depth", args.max_depth), ("--max-states", args.max_states)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag}: expected a non-negative bound, got {value}")
     depth = args.max_depth if args.max_depth is not None else base.max_depth
     states = args.max_states if args.max_states is not None else base.max_states
     return Bounds(max_depth=depth, max_states=states)
@@ -98,6 +101,9 @@ def _load_schedule(path):
     where = "events"
     if isinstance(doc, dict) and "trace" in doc:
         claim = {"class": doc.get("class"), "state_hash": doc.get("state_hash")}
+        for key, value in claim.items():
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key}: expected a string, got {value!r}")
         doc = doc["trace"]
         where = "trace.events"
     return Trace.from_doc(doc, where).events, claim

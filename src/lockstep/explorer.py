@@ -32,6 +32,15 @@ class Bounds:
     max_states: int = 1_000_000
 
 
+def _class_of(kind, name, detail):
+    """The class string of a monitor hit ``(kind, name, detail)``."""
+    if kind == "monitor_assert":
+        return f"monitor_assert:{name}"
+    if kind == "lost_message" and detail in ("own-outgoing", "incoming"):
+        return f"lost_message:{detail}"
+    return kind
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -43,11 +52,7 @@ class Violation:
     @property
     def cls(self) -> str:
         """Stable class string used for dedup, expectations, and matching."""
-        if self.kind == "monitor_assert":
-            return f"monitor_assert:{self.name}"
-        if self.kind == "lost_message" and self.detail in ("own-outgoing", "incoming"):
-            return f"lost_message:{self.detail}"
-        return self.kind
+        return _class_of(self.kind, self.name, self.detail)
 
     def to_doc(self):
         return {"class": self.cls, "kind": self.kind, "name": self.name,
@@ -115,7 +120,7 @@ def _classes(hits):
     """The class strings of a list of monitor hits."""
     if not hits:  # most states and edges; one shared empty set keeps walk graphs small
         return _NO_CLASSES
-    return frozenset(Violation(hk, hn, hd, Trace(()), "").cls for hk, hn, hd in hits)
+    return frozenset(_class_of(*hit) for hit in hits)
 
 
 class _Checks:
@@ -238,10 +243,6 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     )
 
 
-def _matches(requested, hit_kind, hit_cls):
-    return hit_cls == requested or hit_kind == requested
-
-
 def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     """Breadth-first search for the shortest schedule hitting a violation class.
 
@@ -268,14 +269,14 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
             events.append(extra)
         return tuple(events)
 
-    def first_match(hits, events, state):
+    def first_match(hits, at, extra, state):
+        """The first hit of the requested class; its trace leads to ``at``, then ``extra``."""
         for hk, hn, hd in hits:
-            v = Violation(hk, hn, hd, Trace(events), sys.state_hash(state))
-            if _matches(kind, hk, v.cls):
-                return v
+            if kind in (hk, _class_of(hk, hn, hd)):
+                return Violation(hk, hn, hd, Trace(build(at, extra)), sys.state_hash(state))
         return None
 
-    v = first_match(checks.state(init), (), init)
+    v = first_match(checks.state(init), init, None, init)
     if v is not None:
         return v
 
@@ -286,7 +287,7 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
         qi += 1
         edges = sys.enabled_actions(state)
         if not edges:
-            v = first_match(checks.sink(state), build(state), state)
+            v = first_match(checks.sink(state), state, None, state)
             if v is not None:
                 return v
             continue
@@ -294,13 +295,13 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
             continue
         for ev in edges:
             post = sys.apply(state, ev)
-            v = first_match(checks.event(state, ev, post), build(state, ev), post)
+            v = first_match(checks.event(state, ev, post), state, ev, post)
             if v is not None:
                 return v
             if post not in parents:
                 parents[post] = (state, ev)
                 depth[post] = depth[state] + 1
-                v = first_match(checks.state(post), build(post), post)
+                v = first_match(checks.state(post), post, None, post)
                 if v is not None:
                     return v
                 if len(parents) <= b.max_states:
@@ -385,44 +386,38 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
 def replay_with_checks(scenario, events, on_step=None):
     """Replay a schedule and report the violation classes present at its end.
 
-    Returns (final_state, classes). Classes cover the final transition, the
-    final state, and, where the schedule ends in a state with no enabled
-    action, the deadlock/terminal checks. ``on_step(k, event, state)`` is
-    called after each step, as in ``System.replay``.
+    ``events`` is a Trace or an iterable of events. Returns (final_state,
+    classes). Classes cover the final transition, the final state, and,
+    where the schedule ends in a state with no enabled action, the
+    deadlock/terminal checks. ``on_step(k, event, state)`` is called after
+    each step, as in ``System.replay``.
     """
     sys = as_system(scenario)
-    if isinstance(events, Trace):
-        events = events.events
-    return _replay_collect(sys, tuple(events), on_step)
+    checks = _Checks(sys)
+    prev = sys.initial_state()
+    last = None  # (state before, event, state after) of the final step
+
+    def step(k, ev, post):
+        nonlocal prev, last
+        last = (prev, ev, post)
+        prev = post
+        if on_step is not None:
+            on_step(k, ev, post)
+
+    state = sys.replay(events, on_step=step)
+    classes = set(_classes(checks.event(*last))) if last else set()
+    classes.update(_classes(checks.state(state)))
+    if not sys.enabled_actions(state):
+        classes.update(_classes(checks.sink(state)))
+    return state, classes
 
 
 def verify_violation(scenario, violation: Violation) -> bool:
     """Replay a recorded violation; True iff its class recurs at the trace end
     and the final state hash matches."""
     sys = as_system(scenario)
-    final, classes = _replay_collect(sys, violation.trace.events)
+    final, classes = replay_with_checks(sys, violation.trace)
     return violation.cls in classes and sys.state_hash(final) == violation.state_hash
-
-
-def _replay_collect(sys, events, on_step=None):
-    checks = _Checks(sys)
-    classes = set()
-    last = len(events) - 1
-    prev = sys.initial_state()
-
-    def step(k, ev, post):
-        nonlocal prev
-        if k == last:
-            classes.update(_classes(checks.event(prev, ev, post)))
-        prev = post
-        if on_step is not None:
-            on_step(k, ev, post)
-
-    state = sys.replay(events, on_step=step)
-    classes.update(_classes(checks.state(state)))
-    if not sys.enabled_actions(state):
-        classes.update(_classes(checks.sink(state)))
-    return state, classes
 
 
 def terminal_variable_values(sys, report, pid, names):

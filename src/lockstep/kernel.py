@@ -14,10 +14,9 @@ direct channel appears as a single action carrying both parties: the label
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import machines
-from .machines import DuplexChannel, SharedRegister
 from .programs import LABEL_KIND, CompileContext, Program, compile_program
 
 
@@ -198,6 +197,8 @@ def _action_sort_key(action):
 
 # -- the engine --------------------------------------------------------------
 
+_UNBOUND = object()  # an op that binds no variable; None is a value a read can bind
+
 def _initial_mechanism(doc):
     kind = doc["kind"]
     if kind == "raw_cell":
@@ -366,85 +367,61 @@ class System:
     def apply(self, state, action) -> GlobalState:
         """Apply an action known to be enabled (no re-check; see step)."""
         p, label, mech_id = action
-        ins = self._instr_for(p, state.procs[p].pc, label, mech_id)
-        op = ins.op
         ps = state.procs[p]
-        mechs = state.mechs
-        new_proc = None
+        ins = self._instr_for(p, ps.pc, label, mech_id)
+        op = ins.op
+        if op == "send":
+            return self._apply_send(state, p, ins, label)
+        # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
+        pc, failed, v = ins.succ, ps.failed, _UNBOUND
+        m = m2 = None if ins.mech is None else state.mechs[ins.mech]
 
         if op == "local":
             v = self._value(ps.store, ins.expr, allow_none=True)
-            new_proc = replace(ps, pc=ins.succ, store=store_set(ps.store, ins.var, v))
         elif op == "assert_local":
-            got = store_get(ps.store, ins.var)
-            failed = ps.failed
-            if got != ins.expected and failed is None:
+            if store_get(ps.store, ins.var) != ins.expected and failed is None:
                 failed = f"p{p}.{ins.var}"
-            new_proc = replace(ps, pc=ins.succ, failed=failed)
-        elif op == "send":
-            return self._apply_send(state, p, ins, label)
-        else:
-            m = mechs[ins.mech]
-            if op == "write":
-                v = label[1]
-                m2 = m.write(p, v) if isinstance(m, DuplexChannel) else m.write(v)
-                new_proc = replace(ps, pc=ins.succ)
-            elif op == "read":
-                if isinstance(m, SharedRegister):
-                    v, m2 = m.content, m
-                else:
-                    v, m2 = m.read()
-                new_proc = replace(ps, pc=ins.succ, store=store_set(ps.store, ins.var, v))
-            elif op == "read_word":
-                m2 = m
-                w = m.words[ins.index]
-                new_proc = replace(ps, pc=ins.succ, store=store_set(ps.store, ins.var, w))
-            elif op == "wait_word":
-                m2 = m
-                new_proc = replace(ps, pc=ins.succ)
-            elif op == "if_word":
-                m2 = m
-                taken = m.words[ins.index] == ins.word
-                new_proc = replace(ps, pc=ins.succ if taken else ins.succ_else)
-            elif op == "write_word":
-                m2 = m.write_word(ins.index, label[2])
-                new_proc = replace(ps, pc=ins.succ)
-            elif op == "check":
-                m2 = m
-                tok = m.status_token(p)
-                new_proc = replace(ps, pc=ins.succ, store=store_set(ps.store, ins.var, tok))
-            elif op == "if_status":
-                m2 = m
-                taken = m.status_token(p) == "full"
-                new_proc = replace(ps, pc=ins.succ if taken else ins.succ_else)
-            elif op == "lock":
-                m2 = m.lock(p)
-                new_proc = replace(ps, pc=ins.succ)
-            elif op == "unlock":
-                m2 = m.unlock()
-                new_proc = replace(ps, pc=ins.succ)
-            elif op == "update":
-                m2 = m.update(ins.fn)
-                new_proc = replace(ps, pc=ins.succ)
-            else:  # pragma: no cover
-                raise KernelError(f"cannot apply op {op!r}")
-            if m2 is not m:
-                i = ins.mech
-                mechs = mechs[:i] + (m2,) + mechs[i + 1:]
+        elif op == "write":
+            m2 = m.write(p, label[1])
+        elif op == "read":
+            v, m2 = m.read(p)
+        elif op == "read_word":
+            v = m.words[ins.index]
+        elif op == "if_word":
+            if m.words[ins.index] != ins.word:
+                pc = ins.succ_else
+        elif op == "write_word":
+            m2 = m.write_word(ins.index, label[2])
+        elif op == "check":
+            v = m.status_token(p)
+        elif op == "if_status":
+            if m.status_token(p) != "full":
+                pc = ins.succ_else
+        elif op == "lock":
+            m2 = m.lock(p)
+        elif op == "unlock":
+            m2 = m.unlock()
+        elif op == "update":
+            m2 = m.update(ins.fn)
+        elif op != "wait_word":  # pragma: no cover
+            raise KernelError(f"cannot apply op {op!r}")
 
-        procs = state.procs[:p] + (new_proc,) + state.procs[p + 1:]
-        return GlobalState(mechs=mechs, procs=procs)
+        mechs = state.mechs
+        if m2 is not m:
+            i = ins.mech
+            mechs = mechs[:i] + (m2,) + mechs[i + 1:]
+        store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
+        procs = state.procs[:p] + (ProcState(pc, store, failed),) + state.procs[p + 1:]
+        return GlobalState(mechs, procs)
 
     def _apply_send(self, state, p, ins, label):
         value, q = label[1], label[2]
-        recv = self._receive_instr(q, state.procs[q].pc, ins.mech)
-        sender = replace(state.procs[p], pc=ins.succ)
-        rps = state.procs[q]
-        receiver = replace(rps, pc=recv.succ, store=store_set(rps.store, recv.var, value))
+        sps, rps = state.procs[p], state.procs[q]
+        recv = self._receive_instr(q, rps.pc, ins.mech)
         procs = list(state.procs)
-        procs[p] = sender
-        procs[q] = receiver
-        return GlobalState(mechs=state.mechs, procs=tuple(procs))
+        procs[p] = ProcState(ins.succ, sps.store, sps.failed)
+        procs[q] = ProcState(recv.succ, store_set(rps.store, recv.var, value), rps.failed)
+        return GlobalState(state.mechs, tuple(procs))
 
     def _receive_instr(self, q, pc, mech):
         for jdx in self.programs[q].heads[pc]:

@@ -5,6 +5,12 @@ transitions return fresh instances, so snapshots can be shared freely between
 exploration branches. Channel variants carry small sent/received logs, which
 lets delivery properties be phrased against a single state instead of a
 schedule history; the logs never influence any guard.
+
+Every whole-value mechanism (message cell, the three channels, shared
+register) offers one interface to the kernel: ``can_write(pid)``,
+``can_read(pid)``, ``write(pid, value) -> mechanism`` and
+``read(pid) -> (value, mechanism)``. A mechanism that does not care who
+writes or reads ignores ``pid``.
 """
 
 from __future__ import annotations
@@ -100,11 +106,11 @@ class MessageCell:
     def can_read(self, pid: int) -> bool:
         return True
 
-    def write(self, value: tuple) -> "MessageCell":
+    def write(self, pid: int, value: tuple) -> "MessageCell":
         return replace(self, content=value, read_since_write=False,
                        sent=self.sent + (value,))
 
-    def read(self) -> tuple:
+    def read(self, pid: int) -> tuple:
         if self.content is None:
             return None, replace(self, read_since_write=True)
         return self.content, replace(self, read_since_write=True,
@@ -133,10 +139,10 @@ class StatusChannel:
     def status_token(self, pid: int) -> str:
         return "empty" if self.content is None else "full"
 
-    def write(self, value: tuple) -> "StatusChannel":
+    def write(self, pid: int, value: tuple) -> "StatusChannel":
         return replace(self, content=value, sent=self.sent + (value,))
 
-    def read(self) -> tuple:
+    def read(self, pid: int) -> tuple:
         v = self.content
         return v, replace(self, content=None, received=self.received + (v,))
 
@@ -162,10 +168,10 @@ class LastMessageChannel:
     def status_token(self, pid: int) -> str:
         return "empty" if self.content is None else "full"
 
-    def write(self, value: tuple) -> "LastMessageChannel":
+    def write(self, pid: int, value: tuple) -> "LastMessageChannel":
         return replace(self, content=value, sent=self.sent + (value,))
 
-    def read(self) -> tuple:
+    def read(self, pid: int) -> tuple:
         v = self.content
         return v, replace(self, content=None, received=self.received + (v,))
 
@@ -219,7 +225,7 @@ class DuplexChannel:
         return replace(self, content=value, dest=self.other(pid),
                        sent=self.sent + (value,))
 
-    def read(self) -> tuple:
+    def read(self, pid: int) -> tuple:
         v = self.content
         return v, replace(self, content=None, dest=None,
                           received=self.received + (v,))
@@ -260,8 +266,11 @@ class SharedRegister:
     def unlock(self) -> "SharedRegister":
         return replace(self, owner=None)
 
-    def write(self, value: tuple) -> "SharedRegister":
+    def write(self, pid: int, value: tuple) -> "SharedRegister":
         return replace(self, content=value)
+
+    def read(self, pid: int) -> tuple:
+        return self.content, self  # reading leaves the register as it is
 
     def update(self, fn: tuple) -> "SharedRegister":
         return replace(self, content=apply_update(fn, self.content))

@@ -46,6 +46,12 @@ class TestExplore:
         assert code == BOUNDS
         assert "bounds hit: yes" in out
 
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-states"])
+    def test_a_negative_bound_exits_three(self, capsys, flag):
+        code, out, err = run(capsys, "explore", "--catalog", "torn-read-raw", flag, "-1")
+        assert code == ERROR and out == ""
+        assert err.startswith(f"error: {flag}: ")
+
     def test_unknown_catalog_name_exits_three(self, capsys):
         code, _, err = run(capsys, "explore", "--catalog", "nope")
         assert code == ERROR and "nope" in err
@@ -148,6 +154,17 @@ class TestReplay:
         assert code == VIOLATIONS
         assert "REFUTED" in out
 
+    @pytest.mark.parametrize("field,value", [("class", ["x"]), ("state_hash", 5)])
+    def test_a_malformed_claim_exits_three_naming_its_field(self, capsys, tmp_path,
+                                                            field, value):
+        doc = {"class": "deadlock", "trace": {"events": []}, field: value}
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "replay", "--catalog", "status-channel-exact",
+                             "--schedule", str(path))
+        assert code == ERROR and out == ""
+        assert err.startswith(f"error: {field}: ")
+
     def test_stale_schedule_names_the_step(self, capsys, torn_schedule):
         # same schedule against the locked variant: step 0 is not enabled there
         code, _, err = run(capsys, "replay", "--catalog", "torn-read-locked",
@@ -215,6 +232,12 @@ class TestCatalogCheck:
         assert code == VIOLATIONS and row["ok"] is False
         assert row["states_visited"] == 1 and row["schedules_complete"] is None
         assert "exploration hit its bounds; the verdict is incomplete" in row["problems"]
+
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-states"])
+    def test_a_negative_bound_exits_three(self, capsys, flag):
+        code, out, err = run(capsys, "catalog-check", flag, "-1", "--only", "duplex-strict")
+        assert code == ERROR and out == ""
+        assert err.startswith(f"error: {flag}: ")
 
     def test_structured(self, capsys):
         code, out, _ = run(capsys, "catalog-check", "--format", "structured",

@@ -64,22 +64,22 @@ class TestLockedCell:
 
 class TestMessageCell:
     def test_read_before_write_is_none(self):
-        v, c = MessageCell().read()
+        v, c = MessageCell().read(0)
         assert v is None
         assert c.received == ()  # nothing was ever delivered
 
     def test_write_then_read(self):
-        c = MessageCell().write((3,))
+        c = MessageCell().write(0, (3,))
         assert not c.read_since_write
-        v, c = c.read()
+        v, c = c.read(0)
         assert v == (3,)
         assert c.read_since_write
         assert c.content == (3,)  # reads do not consume
 
     def test_overwrite_tracks_logs(self):
-        c = MessageCell().write((1,)).write((2,))
+        c = MessageCell().write(0, (1,)).write(0, (2,))
         assert c.sent == ((1,), (2,))
-        v, c = c.read()
+        v, c = c.read(0)
         assert v == (2,)
         assert c.received == ((2,),)
 
@@ -92,38 +92,38 @@ class TestStatusChannel:
     def test_write_requires_empty(self):
         c = StatusChannel()
         assert c.can_write(0) and not c.can_read(0)
-        c = c.write((1,))
+        c = c.write(0, (1,))
         assert not c.can_write(0) and c.can_read(0)
 
     def test_read_drains(self):
-        v, c = StatusChannel().write((1,)).read()
+        v, c = StatusChannel().write(0, (1,)).read(0)
         assert v == (1,)
         assert c.content is None and c.can_write(0)
 
     def test_status_tokens(self):
         c = StatusChannel()
         assert c.status_token(0) == "empty"
-        assert c.write((1,)).status_token(0) == "full"
+        assert c.write(0, (1,)).status_token(0) == "full"
 
     def test_logs_in_order(self):
-        c = StatusChannel().write((1,))
-        _, c = c.read()
-        c = c.write((2,))
-        _, c = c.read()
+        c = StatusChannel().write(0, (1,))
+        _, c = c.read(0)
+        c = c.write(0, (2,))
+        _, c = c.read(0)
         assert c.sent == ((1,), (2,)) == c.received
 
 
 class TestLastMessageChannel:
     def test_overwrite_always_allowed(self):
-        c = LastMessageChannel().write((1,))
+        c = LastMessageChannel().write(0, (1,))
         assert c.can_write(0)
-        c = c.write((2,))
+        c = c.write(0, (2,))
         assert c.content == (2,)
 
     def test_read_needs_full_and_drains(self):
         c = LastMessageChannel()
         assert not c.can_read(0)
-        v, c = c.write((5,)).read()
+        v, c = c.write(0, (5,)).read(0)
         assert v == (5,)
         assert not c.can_read(0)
 
@@ -161,7 +161,7 @@ class TestDuplexChannel:
         assert c.status_token(0) == "full-other"  # p0 sees someone else's mail
 
     def test_read_clears_slot(self):
-        v, c = self.fresh().write(1, (6,)).read()
+        v, c = self.fresh().write(1, (6,)).read(0)
         assert v == (6,)
         assert c.content is None and c.dest is None
 
@@ -187,4 +187,9 @@ class TestSharedRegister:
         assert r.content == (3,)
 
     def test_write_replaces(self):
-        assert SharedRegister((2,)).write((7,)).content == (7,)
+        assert SharedRegister((2,)).write(0, (7,)).content == (7,)
+
+    def test_read_leaves_register_unchanged(self):
+        r = SharedRegister((5,)).lock(1)
+        v, r2 = r.read(1)
+        assert v == (5,) and r2 is r

@@ -199,6 +199,7 @@ def _action_sort_key(action):
 
 _UNBOUND = object()  # an op that binds no variable; None is a value a read can bind
 
+
 def _initial_mechanism(doc):
     kind = doc["kind"]
     if kind == "raw_cell":

@@ -154,7 +154,16 @@ class _Checks:
 
 
 def explore(scenario, bounds=None) -> ExplorationReport:
-    """Visit every reachable state within bounds; report one witness per class."""
+    """Visit every reachable state within bounds; report one witness per class.
+
+    The memo is keyed by state alone, not by the depth a state was reached
+    at. A state first reached at ``max_depth`` is stored as truncated, and a
+    shorter path that reaches it later reuses that entry without expanding
+    it. So when the depth bound trips, a violation within the bound that is
+    reachable only through such a state can be missed. The report then says
+    ``bounds_hit`` and no schedule count, so the verdict is "unknown", never
+    "no violation".
+    """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)

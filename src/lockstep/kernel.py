@@ -14,7 +14,7 @@ direct channel appears as a single action carrying both parties: the label
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import machines
 from .programs import LABEL_KIND, CompileContext, Program, compile_program
@@ -48,6 +48,15 @@ class ProcState:
     pc: int
     store: tuple = ()          # sorted (name, value) pairs
     failed: str | None = None  # first failed assert_local, sticky
+    # computed on first use; a System interns its ProcStates, so once per local view
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.pc, self.store, self.failed))  # the dataclass's own hash
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +233,19 @@ def _initial_mechanism(doc):
 
 
 class System:
-    """A compiled scenario, ready to step."""
+    """A compiled scenario, ready to step.
+
+    A process changes only its own local state and the one mechanism it
+    addresses (or, in a rendezvous, its partner's), so a step's result and a
+    process's offers depend only on that local view. A System therefore keeps
+    three tables for its lifetime: an intern table holding one object per
+    distinct ``ProcState`` and mechanism snapshot it has produced, the local
+    steps it has computed, keyed by ``(action, acting ProcState, touched
+    mechanism or receiver ProcState)``, and each process's offers, keyed by
+    ``(pid, ProcState, the mechanisms its head instructions touch)``. Each
+    grows with the distinct local views reached, not with the global states.
+    A step or offer that raises is not stored, so a fault raises every time.
+    """
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -232,7 +253,6 @@ class System:
         self.mech_ids = tuple(m["id"] for m in scenario.mechanisms)
         self.mech_index = {mid: i for i, mid in enumerate(self.mech_ids)}
         self.mech_kind = {m["id"]: m["kind"] for m in scenario.mechanisms}
-        self._mech_init = tuple(_initial_mechanism(m) for m in scenario.mechanisms)
         duplex_sides = {m["id"]: (m["side_a"], m["side_b"])
                         for m in scenario.mechanisms if m["kind"] == "duplex_channel"}
         procs = sorted(scenario.processes, key=lambda p: p["id"])
@@ -243,12 +263,22 @@ class System:
                 mech_kind=self.mech_kind, mech_index=self.mech_index,
                 duplex_sides=duplex_sides))
             for p in procs)
+        self._interned = {}
+        self._steps = {}
+        self._offers = {}
+        self._touched = {}  # (pid, pc) -> mechanism indices its head instructions touch
+        self._mech_init = tuple(self._intern(_initial_mechanism(m))
+                                for m in scenario.mechanisms)
+
+    def _intern(self, x):
+        return self._interned.setdefault(x, x)
 
     # -- state basics ------------------------------------------------------
 
     def initial_state(self) -> GlobalState:
         return GlobalState(mechs=self._mech_init,
-                           procs=tuple(ProcState(pc=0) for _ in range(self.n_procs)))
+                           procs=tuple(self._intern(ProcState(pc=0))
+                                       for _ in range(self.n_procs)))
 
     def terminated(self, state, pid) -> bool:
         return state.procs[pid].pc >= len(self.programs[pid].instrs)
@@ -266,44 +296,62 @@ class System:
 
     def enabled_actions(self, state):
         """All actions the state offers, in a fixed deterministic order."""
-        heads_by = [self.programs[p].heads[state.procs[p].pc]
-                    for p in range(self.n_procs)]
+        mech = state.mechs.__getitem__
         actions = []
         senders = []
-        for p in range(self.n_procs):
-            instrs = self.programs[p].instrs
-            for idx in heads_by[p]:
-                ins = instrs[idx]
-                if ins.op == "send":
-                    senders.append((p, ins))
-                elif ins.op == "receive":
-                    continue  # engaged from the sending side
-                else:
-                    label = self._offer(state, p, ins)
-                    if label is not None:
-                        actions.append((p, label, ins.mech_id))
-        for p, ins in senders:
-            value = self._value(state.procs[p].store, ins.expr, allow_none=True)
-            for q in range(self.n_procs):
-                if q == p:
-                    continue
-                qinstrs = self.programs[q].instrs
-                for jdx in heads_by[q]:
-                    insq = qinstrs[jdx]
-                    if insq.op == "receive" and insq.mech == ins.mech:
-                        actions.append((p, ("send", value, q), ins.mech_id))
+        for p, ps in enumerate(state.procs):
+            touched = self._touched.get((p, ps.pc))
+            if touched is None:
+                touched = self._touched[p, ps.pc] = self._touched_mechs(p, ps.pc)
+            key = (p, ps, *map(mech, touched))
+            offers = self._offers.get(key)
+            if offers is None:
+                offers = self._offers[key] = self._local_offers(key)
+            actions += offers[0]
+            if offers[1]:
+                senders.append((p, offers[1]))
+        if not senders:
+            return actions  # each process's group is sorted, and groups go in pid order
+        for p, sends in senders:
+            for mech_index, mech_id, value in sends:
+                for q, qs in enumerate(state.procs):
+                    if q != p and self._receive_instr(q, qs.pc, mech_index) is not None:
+                        actions.append((p, ("send", value, q), mech_id))
         actions.sort(key=_action_sort_key)
         return actions
 
-    def _offer(self, state, p, ins):
+    def _touched_mechs(self, p, pc):
+        program = self.programs[p]
+        return tuple(sorted({program.instrs[idx].mech for idx in program.heads[pc]}
+                            - {None}))
+
+    def _local_offers(self, key):
+        """Uncached offers of one process: its sorted non-send actions, and
+        ``(mechanism index, id, value)`` for each send it could make."""
+        p, ps = key[0], key[1]
+        mechs = dict(zip(self._touched[p, ps.pc], key[2:]))
+        actions, sends = [], []
+        instrs = self.programs[p].instrs
+        for idx in self.programs[p].heads[ps.pc]:
+            ins = instrs[idx]
+            if ins.op == "send":
+                value = self._value(ps.store, ins.expr, allow_none=True)
+                sends.append((ins.mech, ins.mech_id, value))
+            elif ins.op != "receive":  # a receive is engaged from the sending side
+                label = self._offer(p, ps, mechs.get(ins.mech), ins)
+                if label is not None:
+                    actions.append((p, label, ins.mech_id))
+        actions.sort(key=_action_sort_key)
+        return tuple(actions), tuple(sends)
+
+    def _offer(self, p, ps, m, ins):
         op = ins.op
         if op in ("local", "assert_local"):
             return ("local",)
-        m = state.mechs[ins.mech]
         if op == "write":
             if not m.can_write(p):
                 return None
-            return ("write", self._value(state.procs[p].store, ins.expr, allow_none=False))
+            return ("write", self._value(ps.store, ins.expr, allow_none=False))
         if op == "read":
             return ("read",) if m.can_read(p) else None
         if op in ("read_word", "if_word"):
@@ -315,8 +363,7 @@ class System:
         if op == "write_word":
             if not m.can_access(p):
                 return None
-            return ("write_word", ins.index,
-                    self._word(state.procs[p].store, ins.expr))
+            return ("write_word", ins.index, self._word(ps.store, ins.expr))
         if op in ("check", "if_status"):
             return ("check",)
         if op == "lock":
@@ -368,14 +415,41 @@ class System:
     def apply(self, state, action) -> GlobalState:
         """Apply an action known to be enabled (no re-check; see step)."""
         p, label, mech_id = action
-        ps = state.procs[p]
+        procs, mechs = state.procs, state.mechs
+        send = label[0] == "send"
+        if send:  # a rendezvous touches the receiver instead of a mechanism
+            q = label[2]
+            key = (action, procs[p], procs[q])
+        else:
+            i = self.mech_index.get(mech_id)  # None for a local step
+            key = (action, procs[p], None if i is None else mechs[i])
+        hit = self._steps.get(key)
+        if hit is None:
+            hit = self._steps[key] = self._step(key)
+        ps, other = hit
+        if send:
+            procs = list(procs)
+            procs[p], procs[q] = ps, other
+            return GlobalState(mechs, tuple(procs))
+        if other is not key[2]:
+            mechs = mechs[:i] + (other,) + mechs[i + 1:]
+        return GlobalState(mechs, procs[:p] + (ps,) + procs[p + 1:])
+
+    def _step(self, key):
+        """One uncached local step: the acting process's next ProcState and the
+        touched mechanism's next snapshot (a send: the receiver's next ProcState)."""
+        (p, label, mech_id), ps, m = key
         ins = self._instr_for(p, ps.pc, label, mech_id)
         op = ins.op
         if op == "send":
-            return self._apply_send(state, p, ins, label)
+            recv = self._receive_instr(label[2], m.pc, ins.mech)
+            if recv is None:
+                raise ChoiceNotEnabled((label[2], ("receive",), mech_id))
+            return (self._intern(ProcState(ins.succ, ps.store, ps.failed)),
+                    self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
+                                           m.failed)))
         # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
-        pc, failed, v = ins.succ, ps.failed, _UNBOUND
-        m = m2 = None if ins.mech is None else state.mechs[ins.mech]
+        pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
 
         if op == "local":
             v = self._value(ps.store, ins.expr, allow_none=True)
@@ -407,29 +481,16 @@ class System:
         elif op != "wait_word":  # pragma: no cover
             raise KernelError(f"cannot apply op {op!r}")
 
-        mechs = state.mechs
-        if m2 is not m:
-            i = ins.mech
-            mechs = mechs[:i] + (m2,) + mechs[i + 1:]
         store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
-        procs = state.procs[:p] + (ProcState(pc, store, failed),) + state.procs[p + 1:]
-        return GlobalState(mechs, procs)
-
-    def _apply_send(self, state, p, ins, label):
-        value, q = label[1], label[2]
-        sps, rps = state.procs[p], state.procs[q]
-        recv = self._receive_instr(q, rps.pc, ins.mech)
-        procs = list(state.procs)
-        procs[p] = ProcState(ins.succ, sps.store, sps.failed)
-        procs[q] = ProcState(recv.succ, store_set(rps.store, recv.var, value), rps.failed)
-        return GlobalState(state.mechs, tuple(procs))
+        return self._intern(ProcState(pc, store, failed)), m2 if m2 is m else self._intern(m2)
 
     def _receive_instr(self, q, pc, mech):
+        """Process ``q``'s receive on direct channel ``mech`` at ``pc``, or None."""
         for jdx in self.programs[q].heads[pc]:
             insq = self.programs[q].instrs[jdx]
             if insq.op == "receive" and insq.mech == mech:
                 return insq
-        raise ChoiceNotEnabled((q, ("receive",), self.mech_ids[mech]))
+        return None
 
     def _instr_for(self, p, pc, label, mech_id):
         heads = self.programs[p].heads[pc]

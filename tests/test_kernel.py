@@ -1,21 +1,44 @@
 """Stepping-engine tests: enabledness, application, replay, serialization."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog
+from lockstep.explorer import explore
 from lockstep.kernel import (ChoiceNotEnabled, KernelError, NotEnabledAtStep,
                              System, Trace, _action_sort_key, event_from_doc,
                              event_to_doc, label_from_doc, label_to_doc, replay,
                              store_get, store_has, store_set)
 
-from helpers import reachable
+from helpers import reachable, reachable_edges
+from test_golden import _op_scenarios
 
 
 def make(name, width, mechs, procs, monitors=()):
     return System(s.Scenario.from_parts(name, width, mechs, procs, monitors))
+
+
+def _merge_scenarios():
+    """A choose listed against sort order, and a send from a lower pid than a
+    process with offers of its own: both need more than concatenating the
+    processes' offers in pid order."""
+    return [
+        s.Scenario.from_parts(
+            "choose-against-sort-order", 2, [s.raw_cell("c", [0, 0])],
+            [s.process(0, s.choose([s.write_word("c", 1, 3)], [s.write_word("c", 0, 2)]))]),
+        s.Scenario.from_parts(
+            "send-below-other-offers", 1, [s.direct_channel("dc")],
+            [s.process(0, s.send("dc", [1])), s.process(1, s.receive("dc", "x")),
+             s.process(2, s.local("y", [0]))]),
+    ]
+
+
+SCENARIOS = ([catalog.get(name) for name in catalog.names()] + _op_scenarios()
+             + _merge_scenarios())
 
 
 @pytest.fixture
@@ -93,6 +116,30 @@ class TestEnabledness:
         st1 = sys.apply(st0, (0, ("read",), "mc"))  # reads None: never written
         with pytest.raises(KernelError, match="empty indicator"):
             sys.enabled_actions(st1)
+
+    def test_a_fault_is_not_cached(self):
+        sys = make("oops", 1, [s.message_cell("mc")],
+                   [s.process(0, s.read("mc", "v"), s.write("mc", s.var("v")))])
+        st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))
+        for _ in range(2):
+            with pytest.raises(KernelError, match="empty indicator"):
+                sys.enabled_actions(st1)
+
+    def test_a_fault_inside_apply_is_not_cached(self):
+        sys = make("oops", 1, [s.message_cell("mc")],
+                   [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t")))])
+        st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
+        assert sys.enabled_actions(st1) == [(0, ("local",), None)]
+        for _ in range(2):
+            with pytest.raises(KernelError, match="cannot apply inc"):
+                sys.apply(st1, (0, ("local",), None))
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_actions_come_out_in_sort_order_everywhere(self, scenario):
+        sys = System(scenario)
+        for state in reachable(sys):
+            acts = sys.enabled_actions(state)
+            assert acts == sorted(acts, key=_action_sort_key)
 
 
 class TestSends:
@@ -179,6 +226,68 @@ class TestHashing:
             states = reachable(sys)
             hashes = {sys.state_hash(st) for st in states}
             assert len(hashes) == len(states)
+
+
+class CountingSystem(System):
+    """Counts every uncached local step and every uncached offer computation."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.steps = Counter()
+        self.offers = Counter()
+
+    def _step(self, key):
+        self.steps[key] += 1
+        return super()._step(key)
+
+    def _local_offers(self, key):
+        self.offers[key] += 1
+        return super()._local_offers(key)
+
+
+class TestCaches:
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_warm_caches_answer_as_cold_ones(self, scenario):
+        warm = System(scenario)
+        states = reachable(warm)  # steps from and offers at every state, cached
+        for state in states:
+            cold = System(scenario)
+            acts = warm.enabled_actions(state)
+            assert acts == cold.enabled_actions(state)
+            for a in acts:
+                got, want = warm.apply(state, a), cold.apply(state, a)
+                assert got == want
+                assert warm.state_hash(got) == cold.state_hash(want)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_equal_parts_are_one_object(self, scenario):
+        sys = System(scenario)
+        first = {}
+        for state in reachable(sys):
+            for part in state.procs + state.mechs:
+                assert first.setdefault(part, part) is part
+
+    def test_each_local_step_and_offer_is_computed_once(self):
+        step = [s.read("reg", "t"), s.local("g", s.applied("inc", "t")),
+                s.write("reg", s.var("g"))]
+        sys = CountingSystem(s.Scenario.from_parts(
+            "lost-update-2-2", 1, [s.shared_register("reg", [0])],
+            [s.process(0, s.loop(2, step)), s.process(1, s.loop(2, step))]))
+        report = explore(sys)
+        assert report.schedules_complete == 924  # C(12, 6)
+        reg = sys.mech_index["reg"]
+        edges = reachable_edges(sys)
+        steps = {(a, pre.procs[a[0]], pre.mechs[reg] if a[2] else None)
+                 for pre, a, _ in edges}
+        offers = set()
+        for state in reachable(sys):
+            for p, ps in enumerate(state.procs):
+                instrs = sys.programs[p].instrs
+                touches = ps.pc < len(instrs) and instrs[ps.pc].op != "local"
+                offers.add((p, ps, state.mechs[reg]) if touches else (p, ps))
+        assert sys.steps.keys() == steps and set(sys.steps.values()) == {1}
+        assert sys.offers.keys() == offers and set(sys.offers.values()) == {1}
+        assert len(steps) < len(edges) / 3 and len(offers) < report.states_visited
 
 
 class TestReplay:

@@ -174,14 +174,8 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     terminal_seen = set()
     bounds_hit = False
 
-    def record(hits, events, state):
-        for kind, name, detail in hits:
-            v = Violation(kind, name, detail, Trace(tuple(events)), sys.state_hash(state))
-            violations.setdefault(v.cls, v)
-
     init = sys.initial_state()
     memo[init] = _IN_PROGRESS
-    record(checks.state(init), (), init)
     # frame: [state, enabled, next edge index, schedule count accumulator, inbound event]
     stack = [[init, None, 0, 0, None]]
 
@@ -196,6 +190,18 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         events = tuple(f[4] for f in stack[1:])
         return events if extra is None else events + (extra,)
 
+    def record(hits, ev, state):
+        """Keep the first witness of each class, reached by the stack's trail
+        and then ``ev`` (if not None). A hit of a class already kept costs one
+        lookup: no trail, no state hash, no Violation."""
+        for kind, name, detail in hits:
+            cls = _class_of(kind, name, detail)
+            if cls not in violations:
+                violations[cls] = Violation(kind, name, detail, Trace(trail(ev)),
+                                            sys.state_hash(state))
+
+    record(checks.state(init), None, init)
+
     while stack:
         frame = stack[-1]
         state = frame[0]
@@ -206,7 +212,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 if sys.all_terminated(state) and state not in terminal_seen:
                     terminal_seen.add(state)
                     terminals.append(state)
-                record(hits, trail(), state)
+                record(hits, None, state)
                 close(1)
                 continue
             if len(stack) - 1 >= b.max_depth:
@@ -222,7 +228,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         post = sys.apply(state, ev)
         hits = checks.event(state, ev, post)
         if hits:
-            record(hits, trail(ev), post)
+            record(hits, ev, post)
         if post in memo:
             count = memo[post]
             if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
@@ -232,7 +238,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
             memo[post] = _IN_PROGRESS
             state_hits = checks.state(post)
             if state_hits:
-                record(state_hits, trail(ev), post)
+                record(state_hits, ev, post)
             if len(memo) > b.max_states:
                 bounds_hit = True
                 memo[post] = None

@@ -79,16 +79,30 @@ class SentReceivedOrder(Monitor):
 
 
 class TornValue(Monitor):
-    """The words one process read must assemble into an intended value."""
+    """The words one process read must assemble into an intended value.
+
+    The verdict reads only the reader's own ``ProcState``, so it is kept per
+    ``ProcState`` for the life of the instance (one strategy call, since
+    ``compile_monitors`` builds fresh monitors for each); the memo grows with
+    the reader's distinct local states.
+    """
 
     def __init__(self, doc):
         self.pid = doc["process"]
         self.names = list(doc["vars"])
         self.allowed = {tuple(v) for v in doc["allowed"]}
         self.mech_id = doc["mechanism"]
+        self._hits = {}  # reader ProcState -> tuple of hits
 
     def on_state(self, sys, state):
-        store = state.procs[self.pid].store
+        ps = state.procs[self.pid]
+        hits = self._hits.get(ps)
+        if hits is None:
+            hits = self._hits[ps] = self.scan(ps.store)
+        return hits
+
+    def scan(self, store):
+        """The hits for one reader store, as a tuple."""
         got = []
         for name in self.names:
             if not store_has(store, name):
@@ -99,9 +113,9 @@ class TornValue(Monitor):
             got.append(w)
         assembled = tuple(got)
         if assembled not in self.allowed:
-            return [("torn_read", None,
+            return (("torn_read", None,
                      f"p{self.pid} assembled {assembled!r} from '{self.mech_id}', "
-                     f"which no single write produced")]
+                     f"which no single write produced"),)
         return ()
 
 

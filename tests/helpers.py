@@ -7,6 +7,10 @@ sequence merging) so agreement with the explorer means something.
 
 import sys as _sys
 
+from lockstep.explorer import Violation
+from lockstep.kernel import Trace
+from lockstep.monitors import compile_monitors
+
 
 def reachable(sys):
     """All states reachable from the initial one, by breadth-first search."""
@@ -52,6 +56,55 @@ def maximal_schedule_count(sys):
         return n
 
     return go(sys.initial_state())
+
+
+def first_witnesses(sys):
+    """The first witness of each violation class, in the order explore meets them.
+
+    A recursive depth-first search over ``enabled_actions`` in order, with a
+    visited set. The monitors run where explore runs them: on the initial
+    state; per edge, on the event and then, if the state it reaches is new,
+    on that state; and on a state with no enabled action. Every hit builds
+    its witness at once, and the first of each class is kept. Returns a list
+    of (kind, name, detail, trace, state hash).
+    """
+    _sys.setrecursionlimit(10_000)
+    monitors = compile_monitors(sys)
+    kept = {}
+    seen = set()
+
+    def keep(hits, path, state):
+        for kind, name, detail in hits:
+            v = Violation(kind, name, detail, Trace(path), sys.state_hash(state))
+            kept.setdefault(v.cls, v)
+
+    def state_hits(state):
+        return [h for m in monitors for h in m.on_state(sys, state)]
+
+    def sink_hits(state):
+        if sys.all_terminated(state):
+            return [h for m in monitors for h in m.on_terminal(sys, state)]
+        stuck = ", ".join(f"p{q}" for q in sys.live_processes(state))
+        return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
+
+    def visit(state, path):
+        actions = sys.enabled_actions(state)
+        if not actions:
+            keep(sink_hits(state), path, state)
+        for a in actions:
+            post = sys.apply(state, a)
+            step = path + (a,)
+            keep([h for m in monitors for h in m.on_event(sys, state, a, post)], step, post)
+            if post not in seen:
+                seen.add(post)
+                keep(state_hits(post), step, post)
+                visit(post, step)
+
+    init = sys.initial_state()
+    seen.add(init)
+    keep(state_hits(init), (), init)
+    visit(init, ())
+    return [(v.kind, v.name, v.detail, v.trace, v.state_hash) for v in kept.values()]
 
 
 def merges(*seqs):

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog
-from lockstep.explorer import (Bounds, Violation, WalkSummary, _Checks, explore,
-                               find_shortest, random_walks, replay_with_checks,
-                               resolve_bounds, terminal_mechanism_states,
-                               terminal_variable_values, verify_violation)
-from lockstep.kernel import System
+from lockstep import catalog, monitors
+from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
+                               _Checks, explore, find_shortest, random_walks,
+                               replay_with_checks, resolve_bounds,
+                               terminal_mechanism_states, terminal_variable_values,
+                               verify_violation)
+from lockstep.kernel import KernelError, System
 
-from helpers import maximal_schedule_count, reachable
+from helpers import first_witnesses, maximal_schedule_count, reachable
+from test_golden import _op_scenarios
 
 
 def two_independent():
@@ -314,3 +316,83 @@ def test_walk_classes_are_a_subset_of_exhaustive(seed, name):
     sc = catalog.get(name)
     exhaustive = explore(sc).violation_classes
     assert random_walks(sc, walks=40, seed=seed).classes <= exhaustive
+
+
+def torn_read_3x2x2():
+    """Three writers each write their own value into both words of a raw
+    cell while two readers read both words, each under a torn_value monitor:
+    thousands of hits of one class."""
+    values = (1, 2, 3)
+    names = ("w0", "w1")
+    allowed = [[0, 0]] + [[v, v] for v in values]
+    procs = [s.process(p, *(s.write_word("cell", i, v) for i in range(2)))
+             for p, v in enumerate(values)]
+    watchers = []
+    for p in (3, 4):
+        procs.append(s.process(p, *(s.read_word("cell", i, n) for i, n in enumerate(names))))
+        watchers.append(s.torn_value("cell", allowed, p, list(names)))
+    return s.Scenario.from_parts("torn-read-3x2x2", 2, [s.raw_cell("cell", [0, 0])],
+                                 procs, watchers)
+
+
+WITNESS_SCENARIOS = ([catalog.get(n) for n in catalog.names()] + _op_scenarios()
+                     + [torn_read_3x2x2()])
+
+
+@pytest.mark.parametrize("scenario", WITNESS_SCENARIOS, ids=lambda sc: sc.name)
+def test_violations_are_the_first_witness_of_each_class(scenario):
+    """explore builds a witness only for a new class; an eager oracle that
+    builds one for every hit keeps the same witnesses in the same order."""
+    got = [(v.kind, v.name, v.detail, v.trace, v.state_hash)
+           for v in explore(scenario).violations]
+    assert got == first_witnesses(System(scenario))
+
+
+class CountingHashes(System):
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.hashed = 0
+
+    def state_hash(self, state):
+        self.hashed += 1
+        return super().state_hash(state)
+
+
+class TestWitnessCost:
+    def test_one_state_hash_per_kept_witness(self):
+        sys = CountingHashes(torn_read_3x2x2())
+        report = explore(sys)
+        assert [v.cls for v in report.violations] == ["torn_read"]
+        assert sys.hashed == len(report.violations)
+
+    def test_torn_value_scans_once_per_reader_state(self, monkeypatch):
+        made = []
+
+        class CountingTornValue(monitors.TornValue):
+            def __init__(self, doc):
+                super().__init__(doc)
+                self.scans = 0
+                made.append(self)
+
+            def scan(self, store):
+                self.scans += 1
+                return super().scan(store)
+
+        monkeypatch.setattr(monitors, "TornValue", CountingTornValue)
+        sys = System(torn_read_3x2x2())
+        explore(sys)
+        states = reachable(sys)
+        assert [m.pid for m in made] == [3, 4]
+        for m in made:
+            assert m.scans == len({st.procs[m.pid] for st in states})
+
+
+@pytest.mark.xfail(strict=True, raises=KernelError,
+                   reason="a reachable program fault aborts explore (ROADMAP item 4)")
+def test_a_reachable_fault_does_not_abort_explore():
+    """p0 may read the cell before p1 writes it, and then inc(None) faults."""
+    sc = s.Scenario.from_parts(
+        "fault-on-unwritten-read", 1, [s.message_cell("mc")],
+        [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
+         s.process(1, s.write("mc", [1]))])
+    assert isinstance(explore(sc), ExplorationReport)

@@ -73,6 +73,32 @@ class TestTornValue:
         assert self.mon.on_state(None, st) == ()
 
 
+class TestTornValueMemo:
+    def monitor(self):
+        return TornValue({"process": 0, "vars": ["a", "b"],
+                          "allowed": [[1, 1], [2, 2]], "mechanism": "cell"})
+
+    def test_other_processes_do_not_change_the_hits(self):
+        mon = self.monitor()
+        torn = (("a", 1), ("b", 2))
+        first = mon.on_state(None, state(stores=(torn, (("x", 1),))))
+        second = mon.on_state(None, state(stores=(torn, (("x", 2),))))
+        assert first and first == second
+
+    def test_hits_are_a_tuple(self):
+        mon = self.monitor()
+        assert isinstance(mon.on_state(None, state(stores=((("a", 1), ("b", 2)),))), tuple)
+        assert mon.on_state(None, state(stores=((("a", 1), ("b", 1)),))) == ()
+
+    def test_a_different_reader_store_is_checked_afresh(self):
+        mon = self.monitor()
+        torn = state(stores=((("a", 1), ("b", 2)),))
+        whole = state(stores=((("a", 2), ("b", 2)),))
+        assert mon.on_state(None, torn)
+        assert mon.on_state(None, whole) == ()
+        assert mon.on_state(None, torn)
+
+
 class TestRecipientTag:
     mon = RecipientTag({"mechanism": "dx"}, index=0)
 

@@ -12,7 +12,9 @@ The walks of one call share a lazily built graph of the states they stood
 on, so a revisited edge is neither applied nor checked again. That is
 sound because stepping and the monitors are pure functions of the states
 they are shown; the graph is never shared with explore(), so a fault in
-its memo cannot hide from the walks.
+its memo cannot hide from the walks. Every strategy and the replay step
+only through ``_Checks``, the one transition layer: no other code asks the
+kernel for enabled actions, applies them or runs a monitor.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .kernel import System, Trace, store_get, store_has
+from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
 from .monitors import compile_monitors
 
 _IN_PROGRESS = object()
@@ -124,11 +126,25 @@ def _classes(hits):
 
 
 class _Checks:
-    """Monitor fan-out, shared by every exploration strategy."""
+    """The transition layer: stepping and monitor fan-out for every strategy.
+
+    A rule for all steps goes here once, such as turning a ``KernelError``
+    into a violation or counting transitions and time per layer.
+    """
 
     def __init__(self, sys):
         self.sys = sys
         self.monitors = compile_monitors(sys)
+
+    def edges(self, state):
+        """(enabled actions, sink hits); the hits are () unless there are no actions."""
+        actions = self.sys.enabled_actions(state)
+        return actions, (() if actions else self.sink(state))
+
+    def step(self, state, ev):
+        """(post state, hits on the edge) for an action known to be enabled."""
+        post = self.sys.apply(state, ev)
+        return post, self.event(state, ev, post)
 
     def state(self, state):
         out = []
@@ -206,9 +222,8 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         frame = stack[-1]
         state = frame[0]
         if frame[1] is None:
-            frame[1] = sys.enabled_actions(state)
+            frame[1], hits = checks.edges(state)
             if not frame[1]:
-                hits = checks.sink(state)
                 if sys.all_terminated(state) and state not in terminal_seen:
                     terminal_seen.add(state)
                     terminals.append(state)
@@ -225,8 +240,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
             continue
         ev = edges[frame[2]]
         frame[2] += 1
-        post = sys.apply(state, ev)
-        hits = checks.event(state, ev, post)
+        post, hits = checks.step(state, ev)
         if hits:
             record(hits, ev, post)
         if post in memo:
@@ -270,7 +284,6 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
 
     init = sys.initial_state()
     parents = {init: None}
-    depth = {init: 0}
 
     def build(state, extra=None):
         events = []
@@ -295,32 +308,33 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     if v is not None:
         return v
 
-    queue = [init]
-    qi = 0
-    while qi < len(queue):
-        state = queue[qi]
-        qi += 1
-        edges = sys.enabled_actions(state)
-        if not edges:
-            v = first_match(checks.sink(state), state, None, state)
-            if v is not None:
-                return v
-            continue
-        if depth[state] >= b.max_depth:
-            continue
-        for ev in edges:
-            post = sys.apply(state, ev)
-            v = first_match(checks.event(state, ev, post), state, ev, post)
-            if v is not None:
-                return v
-            if post not in parents:
-                parents[post] = (state, ev)
-                depth[post] = depth[state] + 1
-                v = first_match(checks.state(post), post, None, post)
+    level = [init]       # the states first reached at this depth, in BFS order
+    depth = 0
+    while level:
+        below = []
+        for state in level:
+            edges, sink = checks.edges(state)
+            if not edges:
+                v = first_match(sink, state, None, state)
                 if v is not None:
                     return v
-                if len(parents) <= b.max_states:
-                    queue.append(post)
+                continue
+            if depth >= b.max_depth:
+                continue
+            for ev in edges:
+                post, hits = checks.step(state, ev)
+                v = first_match(hits, state, ev, post)
+                if v is not None:
+                    return v
+                if post not in parents:
+                    parents[post] = (state, ev)
+                    v = first_match(checks.state(post), post, None, post)
+                    if v is not None:
+                        return v
+                    if len(parents) <= b.max_states:
+                        below.append(post)
+        level = below
+        depth += 1
     return None
 
 
@@ -331,9 +345,9 @@ class _WalkNode:
 
     def __init__(self, state, edges, hits, sink):
         self.state = state
-        self.edges = edges                  # sys.enabled_actions(state)
+        self.edges = edges                  # the enabled actions, from checks.edges
         self.hits = hits                    # classes checks.state reports here
-        self.sink = sink                    # classes checks.sink reports; () if edges
+        self.sink = sink                    # classes checks.sink reports; none if edges
         self.children = [None] * len(edges)  # edge index -> (child node, classes)
 
 
@@ -363,9 +377,8 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
         node = nodes.get(state)
         if node is None:
             hits = _classes(checks.state(state))
-            edges = sys.enabled_actions(state)
-            sink = () if edges else _classes(checks.sink(state))
-            node = _WalkNode(state, edges, hits, sink)
+            edges, sink = checks.edges(state)
+            node = _WalkNode(state, edges, hits, _classes(sink))
             if len(nodes) < b.max_states:
                 nodes[state] = node
         return node
@@ -385,9 +398,8 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
             i = rng.randrange(len(edges))
             child = node.children[i]
             if child is None:
-                ev = edges[i]
-                post = sys.apply(node.state, ev)
-                hits = _classes(checks.event(node.state, ev, post))
+                post, hits = checks.step(node.state, edges[i])
+                hits = _classes(hits)
                 nxt = node_for(post)
                 child = (nxt, (hits | nxt.hits) if hits else nxt.hits)
                 if len(nodes) < b.max_states:  # then nxt is in the graph
@@ -409,21 +421,19 @@ def replay_with_checks(scenario, events, on_step=None):
     """
     sys = as_system(scenario)
     checks = _Checks(sys)
-    prev = sys.initial_state()
-    last = None  # (state before, event, state after) of the final step
-
-    def step(k, ev, post):
-        nonlocal prev, last
-        last = (prev, ev, post)
-        prev = post
+    state = sys.initial_state()
+    edges, sink = checks.edges(state)
+    hits = ()  # of the final step
+    for k, ev in enumerate(events):
+        if ev not in edges:
+            raise NotEnabledAtStep(k, ev, edges)
+        state, hits = checks.step(state, ev)
         if on_step is not None:
-            on_step(k, ev, post)
-
-    state = sys.replay(events, on_step=step)
-    classes = set(_classes(checks.event(*last))) if last else set()
+            on_step(k, ev, state)
+        edges, sink = checks.edges(state)
+    classes = set(_classes(hits))
     classes.update(_classes(checks.state(state)))
-    if not sys.enabled_actions(state):
-        classes.update(_classes(checks.sink(state)))
+    classes.update(_classes(sink))
     return state, classes
 
 

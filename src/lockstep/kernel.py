@@ -94,6 +94,9 @@ class Trace:
     def __len__(self):
         return len(self.events)
 
+    def __iter__(self):
+        return iter(self.events)
+
     def to_doc(self):
         return {"events": [event_to_doc(e) for e in self.events]}
 
@@ -511,8 +514,6 @@ class System:
 
     def replay(self, events, on_step=None) -> GlobalState:
         """Re-run a recorded schedule, failing loudly on the first stale step."""
-        if isinstance(events, Trace):
-            events = events.events
         state = self.initial_state()
         for k, ev in enumerate(events):
             enabled = self.enabled_actions(state)

@@ -43,6 +43,7 @@ LABEL_KIND = {
 
 _COMPOUND_OPS = frozenset({"loop", "if_word", "if_status", "choose"})
 _SIMPLE_OPS = frozenset(LABEL_KIND) - {"if_word", "if_status"}
+_OPS = _SIMPLE_OPS | _COMPOUND_OPS
 
 
 class ProgramError(ValueError):
@@ -104,8 +105,6 @@ def compile_program(steps, ctx: CompileContext) -> Program:
     end = len(emitter.instrs)
     for idx, fld in exits:
         emitter.instrs[idx][fld] = end
-    if end > MAX_UNROLLED:
-        raise ProgramError("steps", f"unrolls to {end} instructions, limit is {MAX_UNROLLED}")
     if len(emitter.vars) > MAX_VARS:
         names = ", ".join(sorted(emitter.vars))
         raise ProgramError("steps", f"uses {len(emitter.vars)} local variables ({names}), limit is {MAX_VARS}")
@@ -148,6 +147,13 @@ class _Emitter:
         self.vars.add(name)
         return name
 
+    def _use(self, name, path, bound):
+        """A variable an expression reads: it must be bound on every path here."""
+        if not isinstance(name, str) or name not in bound:
+            raise ProgramError(path, f"variable '{name}' may be unbound here")
+        self.vars.add(name)
+        return name
+
     def _index(self, step, path):
         i = step.get("index")
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.ctx.word_width:
@@ -174,18 +180,10 @@ class _Emitter:
                     raise ProgramError(path, f"value words must be integers in 0..{WORD_DOMAIN - 1}")
             return ("lit", tuple(doc))
         if isinstance(doc, dict) and set(doc) == {"var"}:
-            name = doc["var"]
-            if name not in bound:
-                raise ProgramError(path, f"variable '{name}' may be unbound here")
-            self.vars.add(name)
-            return ("var", name)
+            return ("var", self._use(doc["var"], path, bound))
         if isinstance(doc, dict) and "fn" in doc:
             fn = self._fn(doc, path)
-            name = doc.get("var")
-            if name not in bound:
-                raise ProgramError(path, f"variable '{name}' may be unbound here")
-            self.vars.add(name)
-            return ("fn", fn, name)
+            return ("fn", fn, self._use(doc.get("var"), path, bound))
         raise ProgramError(path, f"unrecognized value expression: {doc!r}")
 
     def _word_expr(self, doc, path, bound):
@@ -194,11 +192,7 @@ class _Emitter:
                 raise ProgramError(path, f"word literal must be in 0..{WORD_DOMAIN - 1}")
             return ("lit", doc)
         if isinstance(doc, dict) and set(doc) == {"var"}:
-            name = doc["var"]
-            if name not in bound:
-                raise ProgramError(path, f"variable '{name}' may be unbound here")
-            self.vars.add(name)
-            return ("var", name)
+            return ("var", self._use(doc["var"], path, bound))
         raise ProgramError(path, f"unrecognized word expression: {doc!r}")
 
     def _fn(self, doc, path):
@@ -216,6 +210,9 @@ class _Emitter:
 
     def _append(self, **fields):
         idx = len(self.instrs)
+        if idx == MAX_UNROLLED:  # checked as it grows, so a large loop count stops early
+            raise ProgramError("steps", f"unrolls to more than {MAX_UNROLLED} instructions, "
+                                        f"limit is {MAX_UNROLLED}")
         base = dict(op=None, mech=None, mech_id=None, var=None, index=None, word=None,
                     expr=None, fn=None, expected=None, succ=-1, succ_else=-1, alts=())
         base.update(fields)
@@ -224,28 +221,36 @@ class _Emitter:
 
     # -- emission ---------------------------------------------------------
 
-    def emit_seq(self, steps, path, depth, bound):
+    def emit_seq(self, steps, path, depth, bound, times=1):
+        """Emit ``steps`` ``times`` times in a row (a loop unrolls this way)."""
         if not isinstance(steps, list):
             raise ProgramError(path, "must be a list of step objects")
         entry = None
         exits = []
-        for k, step in enumerate(steps):
-            e, x, bound = self.emit_step(step, f"{path}[{k}]", depth, bound)
-            if e is None:
-                continue
-            if entry is None:
-                entry = e
-            else:
-                for idx, fld in exits:
-                    self.instrs[idx][fld] = e
-            exits = x
+        for _ in range(times):
+            for k, step in enumerate(steps):
+                e, x, bound = self.emit_step(step, f"{path}[{k}]", depth, bound)
+                if e is None:
+                    continue
+                if entry is None:
+                    entry = e
+                else:
+                    for idx, fld in exits:
+                        self.instrs[idx][fld] = e
+                exits = x
+            if entry is None:  # the steps emit nothing, so no later pass does either
+                break
         return entry, exits, bound
 
     def emit_step(self, step, path, depth, bound):
         if not isinstance(step, dict) or "op" not in step:
             raise ProgramError(path, "each step must be an object with an 'op'")
         op = step["op"]
-        if op in _COMPOUND_OPS or op in ("if_word", "if_status"):
+        if not isinstance(op, str) or op not in _OPS:
+            raise ProgramError(path, f"unknown step op: {op!r}")
+        if op in _COMPOUND_OPS:
+            if depth + 1 > MAX_NESTING:
+                raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
             if op == "loop":
                 return self._emit_loop(step, path, depth, bound)
             if op == "choose":
@@ -253,8 +258,6 @@ class _Emitter:
             if op == "if_word":
                 return self._emit_if_word(step, path, depth, bound)
             return self._emit_if_status(step, path, depth, bound)
-        if op not in _SIMPLE_OPS:
-            raise ProgramError(path, f"unknown step op: {op!r}")
         return self._emit_simple(op, step, path, bound)
 
     def _emit_simple(self, op, step, path, bound):
@@ -312,7 +315,7 @@ class _Emitter:
             bound = bound | {var}
         elif op == "assert_local":
             name = step.get("var")
-            if name not in bound:
+            if not isinstance(name, str) or name not in bound:
                 raise ProgramError(path, f"assert_local reads variable '{name}', which may be unbound here")
             expected = self._assert_literal(step.get("expected"), f"{path}.expected")
             idx = self._append(op=op, var=name, expected=expected)
@@ -339,29 +342,12 @@ class _Emitter:
         raise ProgramError(path, "expected must be null, a word, a status token, or a value")
 
     def _emit_loop(self, step, path, depth, bound):
-        if depth + 1 > MAX_NESTING:
-            raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
         count = step.get("count")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ProgramError(path, "'count' must be a non-negative integer")
-        body = step.get("body")
-        entry = None
-        exits = []
-        for _ in range(count):
-            e, x, bound = self.emit_seq(body, f"{path}.body", depth + 1, bound)
-            if e is None:
-                continue
-            if entry is None:
-                entry = e
-            else:
-                for idx, fld in exits:
-                    self.instrs[idx][fld] = e
-            exits = x
-        return entry, exits, bound
+        return self.emit_seq(step.get("body"), f"{path}.body", depth + 1, bound, count)
 
     def _emit_if_word(self, step, path, depth, bound):
-        if depth + 1 > MAX_NESTING:
-            raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
         mid, _ = self._mech(step, path, _WORD_KINDS, "if_word")
         i = self._index(step, path)
         w = self._word_literal(step, path)
@@ -371,8 +357,6 @@ class _Emitter:
                                  path, "then", "else", depth, bound)
 
     def _emit_if_status(self, step, path, depth, bound):
-        if depth + 1 > MAX_NESTING:
-            raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
         mid, _ = self._mech(step, path, _STATUS_KINDS, "if_status")
         idx = self._append(op="if_status", mech=self.ctx.mech_index[mid], mech_id=mid)
         return self._emit_branch(idx, step.get("full"), step.get("empty"),
@@ -397,8 +381,6 @@ class _Emitter:
         return idx, exits, t_b & o_b
 
     def _emit_choose(self, step, path, depth, bound):
-        if depth + 1 > MAX_NESTING:
-            raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
         alts = step.get("alternatives")
         if not isinstance(alts, list) or len(alts) < 2:
             raise ProgramError(path, "'choose' needs at least two alternatives")
@@ -411,15 +393,16 @@ class _Emitter:
             apath = f"{path}.alternatives[{a}]"
             if not isinstance(alt, list) or not alt:
                 raise ProgramError(apath, "each alternative must be a non-empty step list")
-            head = alt[0]
-            if not isinstance(head, dict) or head.get("op") not in _SIMPLE_OPS:
+            op = alt[0].get("op") if isinstance(alt[0], dict) else None
+            if not isinstance(op, str) or op not in _SIMPLE_OPS:
                 raise ProgramError(f"{apath}[0]", "an alternative must start with a simple step")
-            key = (LABEL_KIND[head["op"]], head.get("mechanism"), head.get("index"))
+            e, x, b = self.emit_seq(alt, apath, depth + 1, bound)
+            ins = self.instrs[e]  # the head, compiled: its mechanism and index are checked
+            key = (LABEL_KIND[ins["op"]], ins["mech_id"], ins["index"])
             if key in seen_keys:
                 raise ProgramError(
                     apath, f"alternatives {seen_keys[key]} and {a} would offer indistinguishable actions")
             seen_keys[key] = a
-            e, x, b = self.emit_seq(alt, apath, depth + 1, bound)
             entries.append(e)
             exits.extend(x)
             bounds_out.append(b)

@@ -168,7 +168,7 @@ def validate(scenario: Scenario) -> None:
             errors.append(f"{path}.id: duplicate mechanism id '{mid}'")
             continue
         kind = m.get("kind")
-        if kind not in MECHANISM_KINDS:
+        if not isinstance(kind, str) or kind not in MECHANISM_KINDS:
             errors.append(f"{path}.kind: unknown mechanism kind {kind!r}")
             continue
         mech_kind[mid] = kind
@@ -234,8 +234,8 @@ def validate(scenario: Scenario) -> None:
             errors.append("bounds: must be an object with only max_depth / max_states")
         else:
             for k, v in b.items():
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    errors.append(f"bounds.{k}: must be a positive integer")
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    errors.append(f"bounds.{k}: must be a non-negative integer")
 
     if errors:
         raise ValidationError(errors)
@@ -246,13 +246,13 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
         errors.append(f"{path}: must be an object")
         return
     kind = mon.get("kind")
-    if kind not in MONITOR_KINDS:
+    if not isinstance(kind, str) or kind not in MONITOR_KINDS:
         errors.append(f"{path}.kind: unknown monitor kind {kind!r}")
         return
 
     def need_mech(allowed):
         mid = mon.get("mechanism")
-        if mid not in mech_kind:
+        if not isinstance(mid, str) or mid not in mech_kind:
             errors.append(f"{path}.mechanism: undeclared mechanism {mid!r}")
             return None
         if mech_kind[mid] not in allowed:
@@ -293,24 +293,24 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
             for k, v in enumerate(allowed):
                 _check_value_literal(v, width, f"{path}.allowed[{k}]", errors)
         pid = mon.get("process")
-        if pid not in valid_pids:
+        if not isinstance(pid, int) or pid not in valid_pids:
             errors.append(f"{path}.process: process {pid!r} is not declared")
         names = mon.get("vars")
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
             errors.append(f"{path}.vars: needs a list of variable names")
-        elif pid in valid_pids:
+        elif isinstance(pid, int) and pid in valid_pids:
             for n in names:
                 need_var(pid, n, f"{path}.vars")
     elif kind == "recipient_tag":
         need_mech({"duplex_channel"})
     elif kind == "terminal_assert":
         pid = mon.get("process")
-        if pid not in valid_pids:
+        if not isinstance(pid, int) or pid not in valid_pids:
             errors.append(f"{path}.process: process {pid!r} is not declared")
         name = mon.get("var")
         if not isinstance(name, str):
             errors.append(f"{path}.var: must be a variable name")
-        elif pid in valid_pids:
+        elif isinstance(pid, int) and pid in valid_pids:
             need_var(pid, name, f"{path}.var")
         exp = mon.get("expected")
         if isinstance(exp, list):

@@ -7,7 +7,7 @@ sequence merging) so agreement with the explorer means something.
 
 import sys as _sys
 
-from lockstep.explorer import Violation
+from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import Trace
 from lockstep.monitors import compile_monitors
 
@@ -196,3 +196,25 @@ def brute_cell_reader_sequences(values, reads):
                 got.append(last)
         out.add(tuple(got))
     return out
+
+
+def reference_replay_with_checks(sys, events):
+    """The replay_with_checks that ran on System.replay: it records the last
+    edge from a callback, then runs the event, state and sink checks after
+    the replay ends. Returns (final state, classes) and raises the kernel's
+    NotEnabledAtStep on a stale step, as replay_with_checks does."""
+    checks = _Checks(sys)
+    prev = sys.initial_state()
+    last = None  # (state before, event, state after) of the final step
+
+    def step(k, ev, post):
+        nonlocal prev, last
+        last = (prev, ev, post)
+        prev = post
+
+    state = sys.replay(events, on_step=step)
+    classes = set(_classes(checks.event(*last))) if last else set()
+    classes.update(_classes(checks.state(state)))
+    if not sys.enabled_actions(state):
+        classes.update(_classes(checks.sink(state)))
+    return state, classes

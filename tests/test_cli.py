@@ -94,6 +94,34 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--file", str(path))
         assert code == ERROR and "mechanisms[0].kind" in err
 
+    @pytest.mark.parametrize("section, field, where", [
+        ("monitors", "mechanism", "monitors[0].mechanism"),
+        ("mechanisms", "kind", "mechanisms[0].kind")])
+    def test_a_list_or_object_in_a_name_field_exits_three(self, capsys, tmp_path,
+                                                          section, field, where):
+        from lockstep import catalog
+        doc = catalog.get("torn-read-raw").to_doc()
+        doc[section][0][field] = {"x": 1}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "explore", "--file", str(path))
+        assert code == ERROR and out == ""
+        assert where in err
+
+    def test_a_zero_depth_in_the_document_explores_like_the_flag(self, capsys, tmp_path):
+        from lockstep import catalog
+        doc = catalog.get("torn-read-raw").to_doc()
+        doc["bounds"] = {"max_depth": 0}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "explore", "--file", str(path), "--format", "structured")
+        flag_code, flag_out, _ = run(capsys, "explore", "--catalog", "torn-read-raw",
+                                     "--max-depth", "0", "--format", "structured")
+        assert code == flag_code == BOUNDS
+        report = json.loads(out)
+        assert report == json.loads(flag_out)
+        assert report["states_visited"] == 1 and report["bounds_hit"] is True
+
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, "explore", "--file", str(tmp_path / "none.json"))
         assert code == ERROR

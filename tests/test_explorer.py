@@ -1,7 +1,9 @@
 """Exploration tests: counting, witnesses, bounds, cross-validation."""
 
+import json
 import math
 import random
+import sys as _sys
 from collections import Counter
 
 import pytest
@@ -15,10 +17,11 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
                                replay_with_checks, resolve_bounds,
                                terminal_mechanism_states, terminal_variable_values,
                                verify_violation)
-from lockstep.kernel import KernelError, System
+from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
-from helpers import first_witnesses, maximal_schedule_count, reachable
-from test_golden import _op_scenarios
+from helpers import (first_witnesses, maximal_schedule_count, reachable,
+                     reference_replay_with_checks)
+from test_golden import FIXTURE, _cases, _op_scenarios
 
 
 def two_independent():
@@ -396,3 +399,73 @@ def test_a_reachable_fault_does_not_abort_explore():
         [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
          s.process(1, s.write("mc", [1]))])
     assert isinstance(explore(sc), ExplorationReport)
+
+
+# -- the transition layer --------------------------------------------------------
+
+GOLDEN_CASES = _cases()  # name -> (scenario, classes it reaches)
+SHORTEST_CASES = [(name, cls) for name, (_, classes) in sorted(GOLDEN_CASES.items())
+                  for cls in sorted(classes)]
+
+
+@pytest.mark.parametrize("depth", ["0", "L-1", "L", "L+1"])
+@pytest.mark.parametrize("name, cls", SHORTEST_CASES)
+def test_a_depth_bound_cuts_the_shortest_witness_exactly(name, cls, depth):
+    """Below the unbounded witness's length L there is no witness; at L and
+    above, the bounded search returns the unbounded witness."""
+    sys = System(GOLDEN_CASES[name][0])
+    unbounded = find_shortest(sys, cls)
+    length = len(unbounded.trace.events)
+    d = {"0": 0, "L-1": length - 1, "L": length, "L+1": length + 1}[depth]
+    got = find_shortest(sys, cls, Bounds(max_depth=d))
+    if d < length:
+        assert got is None
+    else:
+        assert (got.trace, got.state_hash) == (unbounded.trace, unbounded.state_hash)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_replay_with_checks_agrees_with_the_callback_replay(name):
+    """On every prefix of every saved witness, the same final state and classes
+    as the replay built on System.replay; on a stale step, the same error."""
+    scenario, classes = GOLDEN_CASES[name]
+    sys = System(scenario)
+    bogus = (sys.n_procs, ("local",), None)  # no process offers it
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))[name]
+    docs = golden["report"]["violations"] + [v for v in golden["shortest"].values() if v]
+    assert len(docs) == 2 * len(classes)
+    for trace in (Violation.from_doc(v).trace for v in docs):
+        for k in range(len(trace.events) + 1):
+            prefix = trace.events[:k]
+            assert replay_with_checks(sys, prefix) == reference_replay_with_checks(sys, prefix)
+            errors = []
+            for replay in (replay_with_checks, reference_replay_with_checks):
+                with pytest.raises(NotEnabledAtStep) as ei:
+                    replay(sys, prefix + (bogus,))
+                errors.append((ei.value.index, ei.value.enabled))
+            assert errors[0] == errors[1] and errors[0][0] == k
+
+
+class CallerRecordingSystem(System):
+    """Records the name of every function that steps the kernel."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.callers = set()
+
+    def apply(self, state, action):
+        self.callers.add(_sys._getframe(1).f_code.co_name)
+        return super().apply(state, action)
+
+    def enabled_actions(self, state):
+        self.callers.add(_sys._getframe(1).f_code.co_name)
+        return super().enabled_actions(state)
+
+
+def test_every_strategy_steps_only_through_the_transition_layer():
+    system = CallerRecordingSystem(catalog.get("torn-read-raw"))
+    explore(system)
+    witness = find_shortest(system, "torn_read")
+    random_walks(system, walks=50, seed=1)
+    replay_with_checks(system, witness.trace)
+    assert system.callers == {"edges", "step"}

@@ -82,6 +82,13 @@ class TestLimits:
         e = compile_err(s.loop(MAX_UNROLLED + 1, [s.update("reg", "inc")]))
         assert f"limit is {MAX_UNROLLED}" in e.message
 
+    def test_unrolling_stops_at_the_limit(self):
+        e = compile_err(s.loop(10_000, [s.update("reg", "inc")]))
+        assert f"more than {MAX_UNROLLED} instructions" in e.message
+
+    def test_a_loop_that_emits_nothing_is_unrolled_once(self):
+        assert len(compile_ok(s.loop(10**8, [s.loop(0, [s.update("reg", "inc")])]))) == 0
+
     def test_unroll_limit_is_inclusive(self):
         compile_ok(s.loop(MAX_UNROLLED, [s.update("reg", "inc")]))
 
@@ -255,6 +262,11 @@ class TestShapeErrors:
 
     def test_loop_count_negative(self):
         assert "'count'" in compile_err(s.loop(-1, [s.update("reg", "inc")])).message
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_loop_body_not_a_list(self, count):
+        e = compile_err({"op": "loop", "count": count, "body": {"x": 1}})
+        assert e.path.endswith(".body") and "must be a list" in e.message
 
     def test_bad_var_name(self):
         assert "'var'" in compile_err(s.read("mc", "not a name")).message

@@ -210,8 +210,9 @@ class TestBoundsValidation:
     def test_unknown_bounds_key(self):
         assert "bounds" in errors_of(doc_with(bounds={"max_width": 2}))
 
-    def test_non_positive_bound(self):
-        assert "bounds.max_depth" in errors_of(doc_with(bounds={"max_depth": 0}))
+    def test_negative_bound(self):
+        assert "bounds.max_depth: must be a non-negative integer" in \
+            errors_of(doc_with(bounds={"max_depth": -1}))
 
     def test_good_bounds_pass(self):
         sc = loads(json.dumps(doc_with(bounds={"max_depth": 10, "max_states": 100})))
@@ -244,3 +245,35 @@ class TestRoundTrip:
 def test_round_trip_property(name):
     sc = catalog.get(name)
     assert loads(serialize(sc)) == sc
+
+
+def _fields(doc, path=()):
+    """The path of every field of a JSON document: object values and list items."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def test_a_list_or_object_in_any_field_is_rejected_not_raised():
+    """Each field of each catalog document, replaced by a JSON object and by
+    a list, is either accepted or rejected with a document error: a lookup
+    that hashes the field must not end in a TypeError."""
+    for name in catalog.names():
+        doc = catalog.get(name).to_doc()
+        for path in _fields(doc):
+            for value in ({"x": 1}, [1]):
+                try:
+                    loads(json.dumps(_replaced(doc, path, value)))
+                except (ParseError, ValidationError):
+                    pass

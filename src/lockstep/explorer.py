@@ -14,7 +14,13 @@ sound because stepping and the monitors are pure functions of the states
 they are shown; the graph is never shared with explore(), so a fault in
 its memo cannot hide from the walks. Every strategy and the replay step
 only through ``_Checks``, the one transition layer: no other code asks the
-kernel for enabled actions, applies them or runs a monitor.
+kernel for enabled actions, applies them or runs a monitor. Strategies key
+their memos on packed states, and only views of them leave a call.
+
+Every strategy reads ``max_states`` one way: the initial state is always
+stored, and a new state is stored only while fewer than ``max_states`` are
+held. A state found when the store is full is still checked, but it is not
+stored, and ``explore`` and ``find_shortest`` do not expand it.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import random
 from dataclasses import dataclass
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
-from .monitors import compile_monitors
+from .monitors import Monitor, compile_monitors
 
 _IN_PROGRESS = object()
+_UNSEEN = object()
 
 
 @dataclass(frozen=True)
@@ -129,12 +136,19 @@ class _Checks:
     """The transition layer: stepping and monitor fan-out for every strategy.
 
     A rule for all steps goes here once, such as turning a ``KernelError``
-    into a violation or counting transitions and time per layer.
+    into a violation or counting transitions and time per layer. States come
+    in packed; a monitor is shown their views, and each hook runs only on
+    the monitors that override it, so a state or edge that no monitor
+    watches builds no view.
     """
 
     def __init__(self, sys):
         self.sys = sys
-        self.monitors = compile_monitors(sys)
+        monitors = compile_monitors(sys)
+        self.on_state, self.on_event, self.on_terminal = (
+            tuple(getattr(m, hook) for m in monitors
+                  if getattr(type(m), hook) is not getattr(Monitor, hook))
+            for hook in ("on_state", "on_event", "on_terminal"))
 
     def edges(self, state):
         """(enabled actions, sink hits); the hits are () unless there are no actions."""
@@ -144,27 +158,21 @@ class _Checks:
     def step(self, state, ev):
         """(post state, hits on the edge) for an action known to be enabled."""
         post = self.sys.apply(state, ev)
-        return post, self.event(state, ev, post)
+        return post, (self.event(state, ev, post) if self.on_event else ())
 
     def state(self, state):
-        out = []
-        for m in self.monitors:
-            out.extend(m.on_state(self.sys, state))
-        return out
+        view = self.on_state and self.sys.view(state)
+        return [hit for hook in self.on_state for hit in hook(self.sys, view)]
 
     def event(self, prev, ev, post):
-        out = []
-        for m in self.monitors:
-            out.extend(m.on_event(self.sys, prev, ev, post))
-        return out
+        prev, post = self.sys.view(prev), self.sys.view(post)
+        return [hit for hook in self.on_event for hit in hook(self.sys, prev, ev, post)]
 
     def sink(self, state):
         """Hits for a state with no enabled action: deadlock or terminal checks."""
         if self.sys.all_terminated(state):
-            out = []
-            for m in self.monitors:
-                out.extend(m.on_terminal(self.sys, state))
-            return out
+            view = self.on_terminal and self.sys.view(state)
+            return [hit for hook in self.on_terminal for hit in hook(self.sys, view)]
         stuck = ", ".join(f"p{q}" for q in self.sys.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
@@ -172,19 +180,19 @@ class _Checks:
 def explore(scenario, bounds=None) -> ExplorationReport:
     """Visit every reachable state within bounds; report one witness per class.
 
-    The memo is keyed by state alone, not by the depth a state was reached
-    at. A state first reached at ``max_depth`` is stored as truncated, and a
-    shorter path that reaches it later reuses that entry without expanding
-    it. So when the depth bound trips, a violation within the bound that is
-    reachable only through such a state can be missed. The report then says
-    ``bounds_hit`` and no schedule count, so the verdict is "unknown", never
-    "no violation".
+    A memo entry holds the number of maximal schedules below its state, or
+    None when a bound cut some of them off. An entry whose count is unknown
+    also keeps the depth its state was expanded from, and a shallower path
+    that reaches the state expands it again (as SPIN's ``-DREACH`` does).
+    So every violation within the depth bound is found. When a bound trips,
+    the report says ``bounds_hit`` and gives no schedule count.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
 
-    memo = {}            # state -> maximal-schedule count below it (None = truncated)
+    memo = {}            # state -> maximal-schedule count below it (None = cut by a bound)
+    cut_at = {}          # state whose count is None -> depth it was expanded from
     violations = {}      # class -> first Violation, in discovery order
     terminals = []
     terminal_seen = set()
@@ -198,6 +206,8 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     def close(count):
         frame = stack.pop()
         memo[frame[0]] = count
+        if count is None:
+            cut_at[frame[0]] = len(stack)
         if stack:
             parent = stack[-1]
             parent[3] = None if (parent[3] is None or count is None) else parent[3] + count
@@ -243,22 +253,25 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         post, hits = checks.step(state, ev)
         if hits:
             record(hits, ev, post)
-        if post in memo:
-            count = memo[post]
-            if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
-                raise RuntimeError("cycle in the schedule graph")
-            frame[3] = None if (frame[3] is None or count is None) else frame[3] + count
-        else:
-            memo[post] = _IN_PROGRESS
+        count = memo.get(post, _UNSEEN)
+        if count is _UNSEEN:
             state_hits = checks.state(post)
             if state_hits:
                 record(state_hits, ev, post)
-            if len(memo) > b.max_states:
-                bounds_hit = True
-                memo[post] = None
-                frame[3] = None
-            else:
+            if len(memo) < b.max_states:
+                memo[post] = _IN_PROGRESS
                 stack.append([post, None, 0, 0, ev])
+            else:
+                bounds_hit = True
+                frame[3] = None
+        elif count is None and cut_at[post] > len(stack):  # reached by a shorter path
+            del cut_at[post]
+            memo[post] = _IN_PROGRESS
+            stack.append([post, None, 0, 0, ev])
+        else:
+            if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
+                raise RuntimeError("cycle in the schedule graph")
+            frame[3] = None if (frame[3] is None or count is None) else frame[3] + count
 
     total = memo[init]
     return ExplorationReport(
@@ -268,7 +281,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         schedules_complete=None if bounds_hit else total,
         violations=tuple(violations.values()),
         bounds_hit=bounds_hit,
-        terminal_states=tuple(terminals),
+        terminal_states=tuple(map(sys.view, terminals)),
     )
 
 
@@ -327,11 +340,11 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
                 if v is not None:
                     return v
                 if post not in parents:
-                    parents[post] = (state, ev)
-                    v = first_match(checks.state(post), post, None, post)
+                    v = first_match(checks.state(post), state, ev, post)
                     if v is not None:
                         return v
-                    if len(parents) <= b.max_states:
+                    if len(parents) < b.max_states:
+                        parents[post] = (state, ev)
                         below.append(post)
         level = below
         depth += 1
@@ -362,9 +375,9 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     pure functions of what they are shown, and it draws the same random
     numbers. The graph lives for this call only, so the walks stay
     independent of the exhaustive explorer's memo. It holds at most
-    ``max_states`` states, as ``explore``'s memo does; once full it stops
-    growing, and a step it has not stored is applied and checked afresh
-    each time a walk takes it.
+    ``max_states`` states, and always the initial one, as ``explore``'s memo
+    does; once full it stops growing, and a step it has not stored is
+    applied and checked afresh each time a walk takes it.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
@@ -383,7 +396,8 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
                 nodes[state] = node
         return node
 
-    root = node_for(sys.initial_state())
+    init = sys.initial_state()
+    root = nodes[init] = node_for(init)
     for _ in range(walks):
         node = root
         classes.update(root.hits)
@@ -413,11 +427,11 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
 def replay_with_checks(scenario, events, on_step=None):
     """Replay a schedule and report the violation classes present at its end.
 
-    ``events`` is a Trace or an iterable of events. Returns (final_state,
-    classes). Classes cover the final transition, the final state, and,
-    where the schedule ends in a state with no enabled action, the
-    deadlock/terminal checks. ``on_step(k, event, state)`` is called after
-    each step, as in ``System.replay``.
+    ``events`` is a Trace or an iterable of events. Returns (the view of the
+    final state, classes). Classes cover the final transition, the final
+    state, and, where the schedule ends in a state with no enabled action,
+    the deadlock/terminal checks. ``on_step(k, event, view)`` is called
+    after each step, as in ``System.replay`` but with the state's view.
     """
     sys = as_system(scenario)
     checks = _Checks(sys)
@@ -429,12 +443,12 @@ def replay_with_checks(scenario, events, on_step=None):
             raise NotEnabledAtStep(k, ev, edges)
         state, hits = checks.step(state, ev)
         if on_step is not None:
-            on_step(k, ev, state)
+            on_step(k, ev, sys.view(state))
         edges, sink = checks.edges(state)
     classes = set(_classes(hits))
     classes.update(_classes(checks.state(state)))
     classes.update(_classes(sink))
-    return state, classes
+    return sys.view(state), classes
 
 
 def verify_violation(scenario, violation: Violation) -> bool:

@@ -6,6 +6,10 @@ set of enabled actions. States are immutable and stepping is a pure
 function, so any recorded schedule replays to the same state, and two
 states that compare equal behave identically from then on.
 
+A System's states are packed: tuples of intern indices that only that
+System can read. ``System.view`` decodes one into a ``GlobalState`` of the
+parts themselves, which is what monitors and callers of other modules see.
+
 An action is the tuple ``(process, label, mechanism id)``. Rendezvous on a
 direct channel appears as a single action carrying both parties: the label
 ``("send", value, receiver)`` advances sender and receiver in one step.
@@ -61,6 +65,8 @@ class ProcState:
 
 @dataclass(frozen=True, slots=True)
 class GlobalState:
+    """A packed state decoded: the mechanism snapshots and process states."""
+
     mechs: tuple
     procs: tuple
 
@@ -241,13 +247,15 @@ class System:
     A process changes only its own local state and the one mechanism it
     addresses (or, in a rendezvous, its partner's), so a step's result and a
     process's offers depend only on that local view. A System therefore keeps
-    three tables for its lifetime: an intern table holding one object per
+    three tables for its lifetime: an intern table giving an index to each
     distinct ``ProcState`` and mechanism snapshot it has produced, the local
     steps it has computed, keyed by ``(action, acting ProcState, touched
     mechanism or receiver ProcState)``, and each process's offers, keyed by
-    ``(pid, ProcState, the mechanisms its head instructions touch)``. Each
-    grows with the distinct local views reached, not with the global states.
-    A step or offer that raises is not stored, so a fault raises every time.
+    ``(pid, ProcState, the mechanisms its head instructions touch)``, parts
+    as indices. Each grows with the distinct local views reached, not with
+    the global states. A state is its mechanisms' indices, then its
+    processes'. A step or offer that raises is not stored, so a fault raises
+    every time.
     """
 
     def __init__(self, scenario):
@@ -260,31 +268,40 @@ class System:
                         for m in scenario.mechanisms if m["kind"] == "duplex_channel"}
         procs = sorted(scenario.processes, key=lambda p: p["id"])
         self.n_procs = len(procs)
+        self.n_mechs = len(self.mech_ids)
         self.programs: tuple[Program, ...] = tuple(
             compile_program(p["steps"], CompileContext(
                 pid=p["id"], word_width=scenario.word_width,
                 mech_kind=self.mech_kind, mech_index=self.mech_index,
                 duplex_sides=duplex_sides))
             for p in procs)
-        self._interned = {}
+        self._parts = []    # intern index -> ProcState or mechanism snapshot
+        self._index = {}    # part -> intern index
         self._steps = {}
         self._offers = {}
-        self._touched = {}  # (pid, pc) -> mechanism indices its head instructions touch
+        self._touched = {}  # (pid, ProcState index) -> mechanism indices its heads touch
         self._mech_init = tuple(self._intern(_initial_mechanism(m))
                                 for m in scenario.mechanisms)
 
     def _intern(self, x):
-        return self._interned.setdefault(x, x)
+        i = self._index.get(x)
+        if i is None:
+            i = self._index[x] = len(self._parts)
+            self._parts.append(x)
+        return i
 
     # -- state basics ------------------------------------------------------
 
-    def initial_state(self) -> GlobalState:
-        return GlobalState(mechs=self._mech_init,
-                           procs=tuple(self._intern(ProcState(pc=0))
-                                       for _ in range(self.n_procs)))
+    def initial_state(self) -> tuple:
+        return self._mech_init + (self._intern(ProcState(pc=0)),) * self.n_procs
+
+    def view(self, state) -> GlobalState:
+        """Decode a packed state of this System into its parts."""
+        parts = tuple(map(self._parts.__getitem__, state))
+        return GlobalState(parts[:self.n_mechs], parts[self.n_mechs:])
 
     def terminated(self, state, pid) -> bool:
-        return state.procs[pid].pc >= len(self.programs[pid].instrs)
+        return self._parts[state[self.n_mechs + pid]].pc >= len(self.programs[pid].instrs)
 
     def all_terminated(self, state) -> bool:
         return all(self.terminated(state, p) for p in range(self.n_procs))
@@ -293,20 +310,23 @@ class System:
         return [p for p in range(self.n_procs) if not self.terminated(state, p)]
 
     def state_hash(self, state) -> str:
-        return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+        """Of a packed state of this System, or of a view: from the view's repr."""
+        view = state if isinstance(state, GlobalState) else self.view(state)
+        return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
 
     # -- enabledness ---------------------------------------------------------
 
     def enabled_actions(self, state):
         """All actions the state offers, in a fixed deterministic order."""
-        mech = state.mechs.__getitem__
+        part = state.__getitem__
+        procs = state[self.n_mechs:]
         actions = []
         senders = []
-        for p, ps in enumerate(state.procs):
-            touched = self._touched.get((p, ps.pc))
+        for p, ps in enumerate(procs):
+            touched = self._touched.get((p, ps))
             if touched is None:
-                touched = self._touched[p, ps.pc] = self._touched_mechs(p, ps.pc)
-            key = (p, ps, *map(mech, touched))
+                touched = self._touched[p, ps] = self._touched_mechs(p, self._parts[ps].pc)
+            key = (p, ps, *map(part, touched))
             offers = self._offers.get(key)
             if offers is None:
                 offers = self._offers[key] = self._local_offers(key)
@@ -316,9 +336,9 @@ class System:
         if not senders:
             return actions  # each process's group is sorted, and groups go in pid order
         for p, sends in senders:
-            for mech_index, mech_id, value in sends:
-                for q, qs in enumerate(state.procs):
-                    if q != p and self._receive_instr(q, qs.pc, mech_index) is not None:
+            for mi, mech_id, value in sends:
+                for q, qs in enumerate(procs):
+                    if q != p and self._receive_instr(q, self._parts[qs].pc, mi) is not None:
                         actions.append((p, ("send", value, q), mech_id))
         actions.sort(key=_action_sort_key)
         return actions
@@ -331,8 +351,8 @@ class System:
     def _local_offers(self, key):
         """Uncached offers of one process: its sorted non-send actions, and
         ``(mechanism index, id, value)`` for each send it could make."""
-        p, ps = key[0], key[1]
-        mechs = dict(zip(self._touched[p, ps.pc], key[2:]))
+        p, ps = key[0], self._parts[key[1]]
+        mechs = dict(zip(self._touched[p, key[1]], map(self._parts.__getitem__, key[2:])))
         actions, sends = [], []
         instrs = self.programs[p].instrs
         for idx in self.programs[p].heads[ps.pc]:
@@ -409,39 +429,35 @@ class System:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, state, action) -> GlobalState:
+    def step(self, state, action) -> tuple:
         """Apply one action after checking it is currently enabled."""
         if action not in self.enabled_actions(state):
             raise ChoiceNotEnabled(action)
         return self.apply(state, action)
 
-    def apply(self, state, action) -> GlobalState:
+    def apply(self, state, action) -> tuple:
         """Apply an action known to be enabled (no re-check; see step)."""
         p, label, mech_id = action
-        procs, mechs = state.procs, state.mechs
-        send = label[0] == "send"
-        if send:  # a rendezvous touches the receiver instead of a mechanism
-            q = label[2]
-            key = (action, procs[p], procs[q])
+        j = self.n_mechs + p
+        if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
+            i = self.n_mechs + label[2]
         else:
             i = self.mech_index.get(mech_id)  # None for a local step
-            key = (action, procs[p], None if i is None else mechs[i])
+        key = (action, state[j], None if i is None else state[i])
         hit = self._steps.get(key)
         if hit is None:
             hit = self._steps[key] = self._step(key)
-        ps, other = hit
-        if send:
-            procs = list(procs)
-            procs[p], procs[q] = ps, other
-            return GlobalState(mechs, tuple(procs))
-        if other is not key[2]:
-            mechs = mechs[:i] + (other,) + mechs[i + 1:]
-        return GlobalState(mechs, procs[:p] + (ps,) + procs[p + 1:])
+        if hit[1] == key[2]:  # a local step, or the mechanism is unchanged
+            return state[:j] + hit[:1] + state[j + 1:]
+        out = list(state)
+        out[j], out[i] = hit
+        return tuple(out)
 
     def _step(self, key):
         """One uncached local step: the acting process's next ProcState and the
-        touched mechanism's next snapshot (a send: the receiver's next ProcState)."""
-        (p, label, mech_id), ps, m = key
+        touched mechanism's next snapshot (a send: the receiver's next ProcState), as indices."""
+        (p, label, mech_id), ps, mi = key
+        ps, m = self._parts[ps], None if mi is None else self._parts[mi]
         ins = self._instr_for(p, ps.pc, label, mech_id)
         op = ins.op
         if op == "send":
@@ -485,7 +501,7 @@ class System:
             raise KernelError(f"cannot apply op {op!r}")
 
         store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
-        return self._intern(ProcState(pc, store, failed)), m2 if m2 is m else self._intern(m2)
+        return self._intern(ProcState(pc, store, failed)), mi if m2 is m else self._intern(m2)
 
     def _receive_instr(self, q, pc, mech):
         """Process ``q``'s receive on direct channel ``mech`` at ``pc``, or None."""
@@ -512,7 +528,7 @@ class System:
 
     # -- replay ---------------------------------------------------------------
 
-    def replay(self, events, on_step=None) -> GlobalState:
+    def replay(self, events, on_step=None) -> tuple:
         """Re-run a recorded schedule, failing loudly on the first stale step."""
         state = self.initial_state()
         for k, ev in enumerate(events):
@@ -526,5 +542,7 @@ class System:
 
 
 def replay(scenario, events, on_step=None) -> GlobalState:
-    """Convenience wrapper: compile the scenario and replay the schedule."""
-    return System(scenario).replay(events, on_step=on_step)
+    """Compile the scenario and replay the schedule; the caller and ``on_step`` see views."""
+    sys = System(scenario)
+    shown = on_step and (lambda k, ev, state: on_step(k, ev, sys.view(state)))
+    return sys.view(sys.replay(events, on_step=shown))

@@ -5,11 +5,22 @@ logic with different algorithms (plain BFS, recursive path DP, brute-force
 sequence merging) so agreement with the explorer means something.
 """
 
+import pathlib
 import sys as _sys
+import types
 
 from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import Trace
 from lockstep.monitors import compile_monitors
+
+
+def bench_families():
+    """The benchmark's ``bench/families.py``, loaded without writing under bench/."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "families.py"
+    module = types.ModuleType("families")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def reachable(sys):
@@ -27,6 +38,23 @@ def reachable(sys):
                     nxt.append(t)
         frontier = nxt
     return seen
+
+
+def schedules_to(sys):
+    """One shortest schedule to each reachable state, by breadth-first search."""
+    init = sys.initial_state()
+    paths = {init: ()}
+    frontier = [init]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a in sys.enabled_actions(s):
+                t = sys.apply(s, a)
+                if t not in paths:
+                    paths[t] = paths[s] + (a,)
+                    nxt.append(t)
+        frontier = nxt
+    return paths
 
 
 def reachable_edges(sys):
@@ -64,9 +92,10 @@ def first_witnesses(sys):
     A recursive depth-first search over ``enabled_actions`` in order, with a
     visited set. The monitors run where explore runs them: on the initial
     state; per edge, on the event and then, if the state it reaches is new,
-    on that state; and on a state with no enabled action. Every hit builds
-    its witness at once, and the first of each class is kept. Returns a list
-    of (kind, name, detail, trace, state hash).
+    on that state; and on a state with no enabled action. The monitors see
+    each state's view. Every hit builds its witness at once, and the first
+    of each class is kept. Returns a list of (kind, name, detail, trace,
+    state hash).
     """
     _sys.setrecursionlimit(10_000)
     monitors = compile_monitors(sys)
@@ -79,11 +108,11 @@ def first_witnesses(sys):
             kept.setdefault(v.cls, v)
 
     def state_hits(state):
-        return [h for m in monitors for h in m.on_state(sys, state)]
+        return [h for m in monitors for h in m.on_state(sys, sys.view(state))]
 
     def sink_hits(state):
         if sys.all_terminated(state):
-            return [h for m in monitors for h in m.on_terminal(sys, state)]
+            return [h for m in monitors for h in m.on_terminal(sys, sys.view(state))]
         stuck = ", ".join(f"p{q}" for q in sys.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
@@ -94,7 +123,8 @@ def first_witnesses(sys):
         for a in actions:
             post = sys.apply(state, a)
             step = path + (a,)
-            keep([h for m in monitors for h in m.on_event(sys, state, a, post)], step, post)
+            keep([h for m in monitors
+                  for h in m.on_event(sys, sys.view(state), a, sys.view(post))], step, post)
             if post not in seen:
                 seen.add(post)
                 keep(state_hits(post), step, post)
@@ -201,8 +231,8 @@ def brute_cell_reader_sequences(values, reads):
 def reference_replay_with_checks(sys, events):
     """The replay_with_checks that ran on System.replay: it records the last
     edge from a callback, then runs the event, state and sink checks after
-    the replay ends. Returns (final state, classes) and raises the kernel's
-    NotEnabledAtStep on a stale step, as replay_with_checks does."""
+    the replay ends. Returns (the final state's view, classes) and raises the
+    kernel's NotEnabledAtStep on a stale step, as replay_with_checks does."""
     checks = _Checks(sys)
     prev = sys.initial_state()
     last = None  # (state before, event, state after) of the final step
@@ -217,4 +247,4 @@ def reference_replay_with_checks(sys, events):
     classes.update(_classes(checks.state(state)))
     if not sys.enabled_actions(state):
         classes.update(_classes(checks.sink(state)))
-    return state, classes
+    return sys.view(state), classes

@@ -126,6 +126,12 @@ class TestExplore:
         code, _, err = run(capsys, "explore", "--file", str(tmp_path / "none.json"))
         assert code == ERROR
 
+    def test_a_zero_state_bound_keeps_only_the_initial_state(self, capsys):
+        code, out, _ = run(capsys, "explore", "--catalog", "deadlock-direct-duplex",
+                           "--max-states", "0")
+        assert code == BOUNDS
+        assert "states visited: 1\n" in out and "bounds hit: yes" in out
+
 
 class TestRun:
     def test_executes_a_recorded_schedule(self, capsys, torn_schedule):

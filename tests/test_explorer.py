@@ -387,7 +387,7 @@ class TestWitnessCost:
         states = reachable(sys)
         assert [m.pid for m in made] == [3, 4]
         for m in made:
-            assert m.scans == len({st.procs[m.pid] for st in states})
+            assert m.scans == len({sys.view(st).procs[m.pid] for st in states})
 
 
 @pytest.mark.xfail(strict=True, raises=KernelError,
@@ -469,3 +469,106 @@ def test_every_strategy_steps_only_through_the_transition_layer():
     random_walks(system, walks=50, seed=1)
     replay_with_checks(system, witness.trace)
     assert system.callers == {"edges", "step"}
+
+
+# -- the bounds ------------------------------------------------------------------
+
+def stored_states(strategy, store, *args, **kwargs):
+    """Run ``strategy`` and return how many states its local dict ``store``
+    holds when it returns."""
+    sizes = []
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_code is strategy.__code__:
+            sizes.append(len(frame.f_locals[store]))
+
+    previous = _sys.getprofile()
+    _sys.setprofile(watch)
+    try:
+        strategy(*args, **kwargs)
+    finally:
+        _sys.setprofile(previous)
+    return sizes[-1]
+
+
+@pytest.mark.parametrize("max_states", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", catalog.names())
+def test_every_strategy_stores_at_most_max_states(name, max_states):
+    """The initial state is always stored, and a new state only while fewer
+    than ``max_states`` are held."""
+    sc = catalog.get(name)
+    b = Bounds(max_states=max_states)
+    limit = max(1, max_states)
+    assert stored_states(explore, "memo", sc, b) <= limit
+    assert explore(sc, b).states_visited <= limit
+    # a class no monitor reports, so the search runs until the store is full
+    assert stored_states(find_shortest, "parents", sc, "no-such-class", b) <= limit
+    assert stored_states(random_walks, "nodes", sc, walks=20, seed=1, bounds=b) <= limit
+
+
+def assert_then_fail():
+    """One process: a local step, then an assert that fails."""
+    return s.Scenario.from_parts("assert-then-fail", 1, [],
+                                 [s.process(0, s.local("x", [1]), s.assert_local("x", [0]))])
+
+
+@pytest.mark.parametrize("max_states, found", [(1, False), (2, True)])
+def test_a_state_found_when_the_store_is_full_is_still_checked(max_states, found):
+    """The failing assert is a hit on the third state. With room for two
+    states it is checked though not stored; with room for one, the second
+    state is not expanded, so the third is never reached."""
+    sc = assert_then_fail()
+    b = Bounds(max_states=max_states)
+    report = explore(sc, b)
+    assert report.bounds_hit and report.schedules_complete is None
+    assert report.states_visited == max_states
+    assert (report.violation_classes == {"monitor_assert:assert_local"}) == found
+    assert (find_shortest(sc, "monitor_assert", b) is not None) == found
+
+
+@pytest.mark.parametrize("max_states", [0, 1])
+def test_walks_under_a_tiny_state_bound_match_the_uncached_reference(max_states):
+    for name in catalog.names():
+        b = Bounds(max_states=max_states)
+        sc = catalog.get(name)
+        assert random_walks(sc, walks=50, seed=7, bounds=b) == \
+            reference_walks(System(sc), 50, 7, b)
+
+
+def choose_rejoin():
+    """A choose whose arms take one and two steps to reach the same state,
+    then an assert that fails: the shortest witness has three steps, and the
+    depth-first search meets the rejoined state first by the longer arm."""
+    return s.Scenario.from_parts(
+        "choose-rejoin", 1, [s.raw_cell("c1", [0]), s.raw_cell("c2", [0])],
+        [s.process(0, s.choose([s.write_word("c1", 0, 0)],
+                               [s.wait_word("c2", 0, 0), s.wait_word("c2", 0, 0)]),
+                   s.local("x", [1]), s.assert_local("x", [0]))])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_a_shorter_path_expands_a_cut_state_again(depth):
+    sys = System(choose_rejoin())
+    b = Bounds(max_depth=depth)
+    report = explore(sys, b)
+    shortest = find_shortest(sys, "monitor_assert:assert_local", b)
+    assert (shortest is not None) == (depth >= 3)
+    assert report.violation_classes == ({"monitor_assert:assert_local"} if depth >= 3
+                                        else frozenset())
+    for v in report.violations:
+        assert len(v.trace) <= depth and verify_violation(sys, v)
+
+
+@pytest.mark.parametrize("name, cls", SHORTEST_CASES)
+def test_explore_reports_a_class_iff_a_bounded_search_finds_it(name, cls):
+    """At depth bounds around the shortest witness's length L, explore
+    reports a class exactly when find_shortest finds a witness of it."""
+    sys = System(GOLDEN_CASES[name][0])
+    length = len(find_shortest(sys, cls).trace)
+    for d in (length - 1, length, length + 1):
+        b = Bounds(max_depth=d)
+        report = explore(sys, b)
+        assert (cls in report.violation_classes) == (find_shortest(sys, cls, b) is not None)
+        assert (cls in report.violation_classes) == (d >= length)
+        for v in report.violations:
+            assert len(v.trace) <= d and verify_violation(sys, v)

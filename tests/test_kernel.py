@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import explore
-from lockstep.kernel import (ChoiceNotEnabled, KernelError, NotEnabledAtStep,
-                             System, Trace, _action_sort_key, event_from_doc,
+from lockstep.explorer import explore, replay_with_checks
+from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
+                             ProcState, System, Trace, _action_sort_key, event_from_doc,
                              event_to_doc, label_from_doc, label_to_doc, replay,
                              store_get, store_has, store_set)
 
-from helpers import reachable, reachable_edges
+from helpers import reachable, reachable_edges, schedules_to
 from test_golden import _op_scenarios
 
 
@@ -151,7 +151,7 @@ class TestSends:
         assert sys.enabled_actions(st0) == [(0, ("send", (5,), 1), "dc")]
         st1 = sys.apply(st0, (0, ("send", (5,), 1), "dc"))
         assert sys.all_terminated(st1)
-        assert store_get(st1.procs[1].store, "x") == (5,)
+        assert store_get(sys.view(st1).procs[1].store, "x") == (5,)
 
     def test_send_without_receiver_is_not_offered(self):
         sys = make("norecv", 1, [s.direct_channel("dc"), s.status_channel("sc")],
@@ -165,7 +165,7 @@ class TestSends:
                     s.process(1, s.receive("dc", "x"))])
         st0 = sys.apply(sys.initial_state(), (0, ("local",), None))
         st1 = sys.apply(st0, (0, ("send", None, 1), "dc"))
-        assert store_get(st1.procs[1].store, "x") is None
+        assert store_get(sys.view(st1).procs[1].store, "x") is None
 
     def test_one_sender_two_receivers_yields_two_actions(self):
         sys = make("fan", 1, [s.direct_channel("dc")],
@@ -196,9 +196,9 @@ class TestStepping:
         st0 = sys.initial_state()
         st1 = sys.apply(st0, (0, ("local",), None))
         st2 = sys.apply(st1, (0, ("local",), None))
-        assert st2.procs[0].failed == "p0.x"
+        assert sys.view(st2).procs[0].failed == "p0.x"
         st3 = sys.apply(st2, (0, ("write", (1,)), "mc"))
-        assert st3.procs[0].failed == "p0.x"  # still set after later steps
+        assert sys.view(st3).procs[0].failed == "p0.x"  # still set after later steps
 
     def test_terminated_predicates(self, status_sys):
         st = status_sys.initial_state()
@@ -250,13 +250,16 @@ class TestCaches:
     def test_warm_caches_answer_as_cold_ones(self, scenario):
         warm = System(scenario)
         states = reachable(warm)  # steps from and offers at every state, cached
-        for state in states:
+        paths = schedules_to(warm)
+        assert paths.keys() == states
+        for state, events in paths.items():
             cold = System(scenario)
+            cold_state = cold.replay(events)  # the same state, packed by another System
             acts = warm.enabled_actions(state)
-            assert acts == cold.enabled_actions(state)
+            assert acts == cold.enabled_actions(cold_state)
             for a in acts:
-                got, want = warm.apply(state, a), cold.apply(state, a)
-                assert got == want
+                got, want = warm.apply(state, a), cold.apply(cold_state, a)
+                assert warm.view(got) == cold.view(want)
                 assert warm.state_hash(got) == cold.state_hash(want)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
@@ -264,7 +267,8 @@ class TestCaches:
         sys = System(scenario)
         first = {}
         for state in reachable(sys):
-            for part in state.procs + state.mechs:
+            view = sys.view(state)
+            for part in view.procs + view.mechs:
                 assert first.setdefault(part, part) is part
 
     def test_each_local_step_and_offer_is_computed_once(self):
@@ -275,16 +279,17 @@ class TestCaches:
             [s.process(0, s.loop(2, step)), s.process(1, s.loop(2, step))]))
         report = explore(sys)
         assert report.schedules_complete == 924  # C(12, 6)
-        reg = sys.mech_index["reg"]
+        reg, n = sys.mech_index["reg"], sys.n_mechs
         edges = reachable_edges(sys)
-        steps = {(a, pre.procs[a[0]], pre.mechs[reg] if a[2] else None)
+        # the caches key on intern indices: a packed state is the mechanisms', then the processes'
+        steps = {(a, pre[n + a[0]], pre[reg] if a[2] else None)
                  for pre, a, _ in edges}
         offers = set()
         for state in reachable(sys):
-            for p, ps in enumerate(state.procs):
+            for p, ps in enumerate(sys.view(state).procs):
                 instrs = sys.programs[p].instrs
                 touches = ps.pc < len(instrs) and instrs[ps.pc].op != "local"
-                offers.add((p, ps, state.mechs[reg]) if touches else (p, ps))
+                offers.add((p, state[n + p], state[reg]) if touches else (p, state[n + p]))
         assert sys.steps.keys() == steps and set(sys.steps.values()) == {1}
         assert sys.offers.keys() == offers and set(sys.offers.values()) == {1}
         assert len(steps) < len(edges) / 3 and len(offers) < report.states_visited
@@ -321,6 +326,60 @@ class TestReplay:
     def test_trace_accepted_in_place_of_events(self, status_sys):
         t = Trace(((0, ("write", (1,)), "ch"),))
         assert status_sys.replay(t) == status_sys.replay(t.events)
+
+
+def random_schedule(sys, seed):
+    """A maximal schedule of random enabled actions."""
+    import random
+    rng = random.Random(seed)
+    state, events = sys.initial_state(), []
+    while acts := sys.enabled_actions(state):
+        events.append(acts[rng.randrange(len(acts))])
+        state = sys.apply(state, events[-1])
+    return events
+
+
+class TestViews:
+    """A packed state means something only to its System; what leaves a call is a view."""
+
+    def test_a_view_holds_the_parts_in_scenario_order(self, status_sys):
+        view = status_sys.view(status_sys.initial_state())
+        assert type(view) is GlobalState
+        assert [type(m).__name__ for m in view.mechs] == ["StatusChannel"]
+        assert view.procs == (ProcState(pc=0),) * status_sys.n_procs
+
+    def test_states_that_leave_a_call_are_views(self):
+        sc = catalog.get("torn-read-raw")
+        report = explore(sc)
+        assert report.terminal_states
+        assert all(type(st_) is GlobalState for st_ in report.terminal_states)
+        trace = report.violations[0].trace
+        seen = []
+        final, _ = replay_with_checks(sc, trace, on_step=lambda k, ev, st_: seen.append(st_))
+        assert type(final) is GlobalState and final == seen[-1]
+        assert all(type(st_) is GlobalState for st_ in seen)
+        assert replay(sc, trace) == final
+        shown = []
+        replay(sc, trace, on_step=lambda k, ev, st_: shown.append(st_))
+        assert shown == seen
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_two_systems_agree_on_views_and_hashes(self, scenario):
+        """A System that interned its parts in another order packs the same
+        state differently, but its view and its hash are the same."""
+        fresh, explored = System(scenario), System(scenario)
+        explore(explored)
+        packed_differ = False
+        for seed in range(5):
+            events = random_schedule(fresh, seed)
+            for k in range(len(events) + 1):
+                a, b = fresh.replay(events[:k]), explored.replay(events[:k])
+                packed_differ |= a != b
+                assert fresh.view(a) == explored.view(b)
+                assert fresh.state_hash(a) == explored.state_hash(b) == \
+                    fresh.state_hash(fresh.view(a))
+        if scenario.name == "torn-read-raw":
+            assert packed_differ
 
 
 class TestDocRoundTrip:

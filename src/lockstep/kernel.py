@@ -251,11 +251,12 @@ class System:
     distinct ``ProcState`` and mechanism snapshot it has produced, the local
     steps it has computed, keyed by ``(action, acting ProcState, touched
     mechanism or receiver ProcState)``, and each process's offers, keyed by
-    ``(pid, ProcState, the mechanisms its head instructions touch)``, parts
-    as indices. Each grows with the distinct local views reached, not with
-    the global states. A state is its mechanisms' indices, then its
-    processes'. A step or offer that raises is not stored, so a fault raises
-    every time.
+    ``(pid, ProcState, the state slots they read)``, parts as indices: the
+    mechanisms its head instructions touch and, for a send, every other
+    process that receives on its channel. Each grows with the distinct local
+    views reached, not with the global states. A state is its mechanisms'
+    indices, then its processes'. A step or offer that raises is not stored,
+    so a fault raises every time.
     """
 
     def __init__(self, scenario):
@@ -279,7 +280,7 @@ class System:
         self._index = {}    # part -> intern index
         self._steps = {}
         self._offers = {}
-        self._touched = {}  # (pid, ProcState index) -> mechanism indices its heads touch
+        self._reads = {}    # (pid, ProcState index) -> state slots its offers read
         self._mech_init = tuple(self._intern(_initial_mechanism(m))
                                 for m in scenario.mechanisms)
 
@@ -317,55 +318,50 @@ class System:
     # -- enabledness ---------------------------------------------------------
 
     def enabled_actions(self, state):
-        """All actions the state offers, in a fixed deterministic order."""
+        """All actions the state offers: each process's sorted offers, in pid order."""
         part = state.__getitem__
-        procs = state[self.n_mechs:]
         actions = []
-        senders = []
-        for p, ps in enumerate(procs):
-            touched = self._touched.get((p, ps))
-            if touched is None:
-                touched = self._touched[p, ps] = self._touched_mechs(p, self._parts[ps].pc)
-            key = (p, ps, *map(part, touched))
+        for p, ps in enumerate(state[self.n_mechs:]):
+            slots = self._reads.get((p, ps))
+            if slots is None:
+                slots = self._reads[p, ps] = self._read_slots(p, self._parts[ps].pc)
+            key = (p, ps, *map(part, slots))
             offers = self._offers.get(key)
             if offers is None:
                 offers = self._offers[key] = self._local_offers(key)
-            actions += offers[0]
-            if offers[1]:
-                senders.append((p, offers[1]))
-        if not senders:
-            return actions  # each process's group is sorted, and groups go in pid order
-        for p, sends in senders:
-            for mi, mech_id, value in sends:
-                for q, qs in enumerate(procs):
-                    if q != p and self._receive_instr(q, self._parts[qs].pc, mi) is not None:
-                        actions.append((p, ("send", value, q), mech_id))
-        actions.sort(key=_action_sort_key)
+            actions += offers
         return actions
 
-    def _touched_mechs(self, p, pc):
-        program = self.programs[p]
-        return tuple(sorted({program.instrs[idx].mech for idx in program.heads[pc]}
-                            - {None}))
+    def _read_slots(self, p, pc):
+        """The state slots process ``p``'s offers at ``pc`` read: the mechanisms
+        its heads touch and, for a send, every other process that receives on its channel."""
+        program, slots = self.programs[p], set()
+        for ins in map(program.instrs.__getitem__, program.heads[pc]):
+            if ins.mech is not None:
+                slots.add(ins.mech)
+            if ins.op == "send":
+                slots.update(self.n_mechs + q for q, other in enumerate(self.programs) if q != p
+                             and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))
+        return tuple(sorted(slots))
 
     def _local_offers(self, key):
-        """Uncached offers of one process: its sorted non-send actions, and
-        ``(mechanism index, id, value)`` for each send it could make."""
+        """Uncached offers of one process, sorted. A send's value is computed
+        first, so a value that faults raises even with no receiver ready."""
         p, ps = key[0], self._parts[key[1]]
-        mechs = dict(zip(self._touched[p, key[1]], map(self._parts.__getitem__, key[2:])))
-        actions, sends = [], []
-        instrs = self.programs[p].instrs
-        for idx in self.programs[p].heads[ps.pc]:
-            ins = instrs[idx]
+        read = dict(zip(self._reads[p, key[1]], map(self._parts.__getitem__, key[2:])))
+        program, actions = self.programs[p], []
+        for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
             if ins.op == "send":
                 value = self._value(ps.store, ins.expr, allow_none=True)
-                sends.append((ins.mech, ins.mech_id, value))
+                actions += [(p, ("send", value, q), ins.mech_id) for q in range(self.n_procs)
+                            if self.n_mechs + q in read and self._receive_instr(
+                                q, read[self.n_mechs + q].pc, ins.mech) is not None]
             elif ins.op != "receive":  # a receive is engaged from the sending side
-                label = self._offer(p, ps, mechs.get(ins.mech), ins)
+                label = self._offer(p, ps, read.get(ins.mech), ins)
                 if label is not None:
                     actions.append((p, label, ins.mech_id))
         actions.sort(key=_action_sort_key)
-        return tuple(actions), tuple(sends)
+        return tuple(actions)
 
     def _offer(self, p, ps, m, ins):
         op = ins.op

@@ -148,7 +148,7 @@ def validate(scenario: Scenario) -> None:
     errors = []
     if not isinstance(scenario.name, str) or not scenario.name:
         errors.append("name: must be a non-empty string")
-    width_ok = isinstance(scenario.word_width, int) and 1 <= scenario.word_width <= 4
+    width_ok = type(scenario.word_width) is int and 1 <= scenario.word_width <= 4
     if not width_ok:
         errors.append("word_width: must be an integer in 1..4")
     width = scenario.word_width if width_ok else 2
@@ -188,7 +188,7 @@ def validate(scenario: Scenario) -> None:
     pids = []
     for i, p in enumerate(scenario.processes):
         path = f"processes[{i}]"
-        if not isinstance(p, dict) or not isinstance(p.get("id"), int):
+        if not isinstance(p, dict) or type(p.get("id")) is not int:  # a JSON boolean is no id
             errors.append(f"{path}: must be an object with an integer 'id'")
             continue
         pids.append(p["id"])
@@ -275,7 +275,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
             return
         for k, mk in enumerate(markers):
             if (not isinstance(mk, list) or len(mk) != 2
-                    or not isinstance(mk[0], int) or not isinstance(mk[1], str)):
+                    or type(mk[0]) is not int or not isinstance(mk[1], str)):
                 errors.append(f"{path}.markers[{k}]: must be a [process, var] pair")
                 continue
             if mk[0] not in valid_pids:
@@ -293,7 +293,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
             for k, v in enumerate(allowed):
                 _check_value_literal(v, width, f"{path}.allowed[{k}]", errors)
         pid = mon.get("process")
-        if not isinstance(pid, int) or pid not in valid_pids:
+        if type(pid) is not int or pid not in valid_pids:
             errors.append(f"{path}.process: process {pid!r} is not declared")
         names = mon.get("vars")
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
@@ -305,7 +305,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
         need_mech({"duplex_channel"})
     elif kind == "terminal_assert":
         pid = mon.get("process")
-        if not isinstance(pid, int) or pid not in valid_pids:
+        if type(pid) is not int or pid not in valid_pids:
             errors.append(f"{path}.process: process {pid!r} is not declared")
         name = mon.get("var")
         if not isinstance(name, str):

@@ -11,6 +11,7 @@ import types
 
 from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import Trace
+from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
 
 
@@ -55,6 +56,29 @@ def schedules_to(sys):
                     nxt.append(t)
         frontier = nxt
     return paths
+
+
+def offered_sends(sys, state):
+    """The rendezvous a state offers, from the programs' heads and the
+    processes' stores alone: each send head of a process ``p`` on channel
+    ``c``, with its value, paired with each other process ``q`` whose heads
+    include a receive on ``c``."""
+    procs = sys.view(state).procs
+    heads = [[sys.programs[p].instrs[i] for i in sys.programs[p].heads[ps.pc]]
+             for p, ps in enumerate(procs)]
+    sends = set()
+    for p, ps in enumerate(procs):
+        store = dict(ps.store)
+        for ins in heads[p]:
+            if ins.op != "send":
+                continue
+            kind, arg = ins.expr[0], ins.expr[-1]
+            value = arg if kind == "lit" else store[arg] if kind == "var" else \
+                apply_update(ins.expr[1], store[arg])
+            sends.update((p, ("send", value, q), ins.mech_id) for q in range(len(procs))
+                         if q != p and any(r.op == "receive" and r.mech == ins.mech
+                                           for r in heads[q]))
+    return sends
 
 
 def reachable_edges(sys):

@@ -1,10 +1,19 @@
 """Command-line behavior: exit codes, output formats, file handling."""
 
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lockstep import catalog
 from lockstep.cli import main
+from lockstep.kernel import System, Trace
+
+from test_scenarios import _fields, _replaced
 
 CLEAN, VIOLATIONS, BOUNDS, ERROR = 0, 1, 2, 3
 
@@ -279,3 +288,65 @@ class TestCatalogCheck:
         doc = json.loads(out)
         assert code == CLEAN
         assert doc[0]["ok"] is True and doc[0]["schedules_complete"] == 1
+
+
+# -- every input gets a defined outcome ------------------------------------------
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.just(10**9), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+def _mutated(data, doc):
+    """``doc`` with one to three of its fields replaced by drawn JSON values."""
+    paths = list(_fields(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path, value = data.draw(st.sampled_from(paths)), data.draw(JSON_VALUES)
+        try:
+            doc = _replaced(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier replacement took this field away
+    return doc
+
+
+def _outcome(argv):
+    """main's return value and stderr, with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (CLEAN, VIOLATIONS, BOUNDS, ERROR)
+    if code == ERROR:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_scenario_exits_zero_to_three(fuzz_dir, data):
+    doc = _mutated(data, catalog.get(data.draw(st.sampled_from(catalog.names()))).to_doc())
+    path = fuzz_dir / "scenario.json"
+    path.write_text(json.dumps(doc))
+    _outcome(["explore", "--file", str(path), "--max-states", "300", "--max-depth", "40"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_schedule_exits_zero_to_three(fuzz_dir, data):
+    name = data.draw(st.sampled_from(catalog.names()))
+    sys, rng = System(catalog.get(name)), random.Random(data.draw(st.integers(0, 99)))
+    state, events = sys.initial_state(), []
+    while (acts := sys.enabled_actions(state)) and len(events) < 8:
+        events.append(rng.choice(acts))
+        state = sys.apply(state, events[-1])
+    doc = Trace(tuple(events)).to_doc()
+    if data.draw(st.booleans()):  # a recorded violation claims a class and a state
+        doc = {"class": "deadlock", "state_hash": sys.state_hash(state), "trace": doc}
+    path = fuzz_dir / "schedule.json"
+    path.write_text(json.dumps(_mutated(data, doc)))
+    _outcome(["replay", "--catalog", name, "--schedule", str(path)])

@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from lockstep.explorer import explore
+from lockstep.explorer import explore, find_shortest
 from lockstep.kernel import GlobalState, System
 
-from helpers import bench_families, reachable
+from helpers import bench_families, maximal_schedule_count, reachable, schedules_to
 
 families = bench_families()
 
@@ -34,6 +34,22 @@ def test_torn_read_counts(writers, width, readers):
     assert report.schedules_complete == families.torn_read_schedules(writers, width, readers)
     assert report.states_visited == len(reachable(sys))
     assert report.violation_classes == {"torn_read"}
+
+
+@pytest.mark.parametrize("relays,messages,states,schedules,shortest", [
+    (2, 1, 17, 18, 4), (2, 2, 82, 302, 6), (3, 2, 328, 41_970, 9), (2, 3, 377, 5_978, 8)])
+def test_relay_chain_counts(relays, messages, states, schedules, shortest):
+    """The rendezvous path at family scale: counts against a plain BFS and a
+    recursive schedule count, and the shortest deadlock against the BFS."""
+    scenario = families.relay_chain(relays, messages, random.Random(0))
+    sys = System(scenario)
+    report = explore(scenario)
+    assert report.states_visited == len(reachable(sys)) == states
+    assert report.schedules_complete == maximal_schedule_count(sys) == schedules
+    assert report.violation_classes == {"deadlock"}
+    deadlocks = [len(path) for state, path in schedules_to(sys).items()
+                 if not sys.enabled_actions(state) and not sys.all_terminated(state)]
+    assert len(find_shortest(scenario, "deadlock").trace) == min(deadlocks) == shortest
 
 
 def test_explore_keys_its_memo_on_packed_states(monkeypatch):

@@ -1,5 +1,6 @@
 """Stepping-engine tests: enabledness, application, replay, serialization."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -7,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog
+from lockstep import catalog, kernel
 from lockstep.explorer import explore, replay_with_checks
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
                              event_to_doc, label_from_doc, label_to_doc, replay,
                              store_get, store_has, store_set)
 
-from helpers import reachable, reachable_edges, schedules_to
+from helpers import bench_families, offered_sends, reachable, reachable_edges, schedules_to
 from test_golden import _op_scenarios
 
 
@@ -37,8 +38,34 @@ def _merge_scenarios():
     ]
 
 
+def _rendezvous_scenarios():
+    """Sends that meet more than one receiver, a receiver with a lower pid
+    than its senders, and sends that share a ``choose`` with other offers."""
+    return [
+        s.Scenario.from_parts(
+            "fan-in-to-a-lower-pid", 1, [s.direct_channel("dc")],
+            [s.process(0, s.receive("dc", "x"), s.receive("dc", "y")),
+             s.process(1, s.send("dc", [1])),
+             s.process(2, s.local("m", None), s.send("dc", s.var("m")))]),
+        s.Scenario.from_parts(
+            "choose-send-or-receive", 1, [s.direct_channel("dc")],
+            [s.process(0, s.choose([s.send("dc", [1])], [s.receive("dc", "x")])),
+             s.process(1, s.receive("dc", "y")),
+             s.process(2, s.send("dc", [2]))]),
+        s.Scenario.from_parts(
+            "choose-two-sends-or-a-write", 1,
+            [s.direct_channel("a"), s.direct_channel("b"), s.raw_cell("c", [0])],
+            [s.process(0, s.receive("b", "y"), s.receive("a", "z")),
+             s.process(1, s.loop(2, [s.choose([s.send("a", [1])], [s.send("b", [2])],
+                                              [s.write_word("c", 0, 3)])])),
+             s.process(2, s.receive("a", "x"))]),
+        bench_families().relay_chain(2, 2, random.Random(0)),
+    ]
+
+
+RENDEZVOUS = _rendezvous_scenarios()
 SCENARIOS = ([catalog.get(name) for name in catalog.names()] + _op_scenarios()
-             + _merge_scenarios())
+             + _merge_scenarios() + RENDEZVOUS)
 
 
 @pytest.fixture
@@ -174,6 +201,35 @@ class TestSends:
                     s.process(2, s.receive("dc", "x"))])
         acts = sys.enabled_actions(sys.initial_state())
         assert acts == [(0, ("send", (1,), 1), "dc"), (0, ("send", (1,), 2), "dc")]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_sends_match_the_heads_of_senders_and_receivers(self, scenario):
+        sys = System(scenario)
+        for state in reachable(sys):
+            acts = sys.enabled_actions(state)
+            assert {a for a in acts if a[1][0] == "send"} == offered_sends(sys, state)
+
+    @pytest.mark.parametrize("scenario", RENDEZVOUS, ids=lambda sc: sc.name)
+    def test_a_warm_system_offers_sends_from_its_cache(self, scenario, monkeypatch):
+        """Once every state's offers are cached, no receiver is looked up and
+        no action list is sorted again."""
+        sys = System(scenario)
+        explore(sys)
+        states = reachable(sys)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(System, "_receive_instr",
+                            counting("_receive_instr", System._receive_instr))
+        monkeypatch.setattr(kernel, "_action_sort_key",
+                            counting("_action_sort_key", kernel._action_sort_key))
+        assert any(a[1][0] == "send" for state in states for a in sys.enabled_actions(state))
+        assert calls == Counter()
 
 
 class TestStepping:

@@ -1,6 +1,8 @@
 """Scenario document tests: parsing, validation paths, serialization."""
 
+import functools
 import json
+import operator
 
 import pytest
 from hypothesis import given
@@ -277,3 +279,20 @@ def test_a_list_or_object_in_any_field_is_rejected_not_raised():
                     loads(json.dumps(_replaced(doc, path, value)))
                 except (ParseError, ValidationError):
                     pass
+
+
+def test_a_json_boolean_is_not_an_integer():
+    """Each field of each catalog document that holds a JSON integer (a
+    process id, the word width, a word, an index, a count) is rejected when
+    it holds true or false instead."""
+    checked = 0
+    for name in catalog.names():
+        doc = catalog.get(name).to_doc()
+        for path in _fields(doc):
+            if type(functools.reduce(operator.getitem, path, doc)) is not int:
+                continue
+            for value in (True, False):
+                with pytest.raises(ValidationError):
+                    loads(json.dumps(_replaced(doc, path, value)))
+            checked += 1
+    assert checked > 100

@@ -16,7 +16,7 @@ from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
 from .catalog import names as _catalog_names
 from .explorer import Bounds, explore, replay_with_checks, resolve_bounds
-from .kernel import KernelError, NotEnabledAtStep, System, Trace
+from .kernel import KernelError, NotEnabledAtStep, System, Trace, format_event
 from .scenarios import ParseError, ValidationError, load_file
 
 EXIT_CLEAN = 0
@@ -107,31 +107,6 @@ def _load_schedule(path):
         doc = doc["trace"]
         where = "trace.events"
     return Trace.from_doc(doc, where).events, claim
-
-
-def format_event(event):
-    pid, label, mech = event
-    kind = label[0]
-    if kind == "write":
-        return f"p{pid} write {list(label[1])} -> {mech}"
-    if kind == "send":
-        v = "(nothing)" if label[1] is None else list(label[1])
-        return f"p{pid} send {v} -> p{label[2]} via {mech}"
-    if kind == "read":
-        return f"p{pid} read {mech}"
-    if kind == "read_word":
-        return f"p{pid} read {mech}[{label[1]}]"
-    if kind == "write_word":
-        return f"p{pid} write {mech}[{label[1]}] = {label[2]}"
-    if kind == "check":
-        return f"p{pid} check {mech}"
-    if kind == "update":
-        fn = label[1]
-        txt = fn[0] if fn[0] != "add" else f"add {fn[1]}"
-        return f"p{pid} update {mech} ({txt})"
-    if kind in ("lock", "unlock"):
-        return f"p{pid} {kind} {mech}"
-    return f"p{pid} {kind}"
 
 
 def _print_report(report, fmt, out):

@@ -194,8 +194,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     memo = {}            # state -> maximal-schedule count below it (None = cut by a bound)
     cut_at = {}          # state whose count is None -> depth it was expanded from
     violations = {}      # class -> first Violation, in discovery order
-    terminals = []
-    terminal_seen = set()
+    terminals = []       # each sink is closed once, so each terminal state is listed once
     bounds_hit = False
 
     init = sys.initial_state()
@@ -234,8 +233,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         if frame[1] is None:
             frame[1], hits = checks.edges(state)
             if not frame[1]:
-                if sys.all_terminated(state) and state not in terminal_seen:
-                    terminal_seen.add(state)
+                if sys.all_terminated(state):
                     terminals.append(state)
                 record(hits, None, state)
                 close(1)

@@ -115,27 +115,34 @@ class Trace:
         return cls(tuple(event_from_doc(e, f"{path}[{k}]") for k, e in enumerate(events)))
 
 
+# label kind -> (the label's fields after the kind, named as in its JSON
+# document; the text run and replay print for an event with the label).
+# A ``value`` is a tuple of words, and a send's may be None (nothing to send);
+# an ``fn`` is an update function, ``("inc",)`` or ``("add", k)``.
+LABELS = {
+    "lock": ((), "p{pid} lock {mech}"),
+    "unlock": ((), "p{pid} unlock {mech}"),
+    "read": ((), "p{pid} read {mech}"),
+    "check": ((), "p{pid} check {mech}"),
+    "local": ((), "p{pid} local"),
+    "write": (("value",), "p{pid} write {value} -> {mech}"),
+    "send": (("value", "receiver"), "p{pid} send {value} -> p{receiver} via {mech}"),
+    "read_word": (("index",), "p{pid} read {mech}[{index}]"),
+    "write_word": (("index", "word"), "p{pid} write {mech}[{index}] = {word}"),
+    "update": (("fn",), "p{pid} update {mech} ({fn})"),
+}
+
+
 def label_to_doc(label):
-    kind = label[0]
-    if kind == "write":
-        return {"kind": "write", "value": list(label[1])}
-    if kind == "send":
-        v = label[1]
-        return {"kind": "send", "value": None if v is None else list(v),
-                "receiver": label[2]}
-    if kind == "read_word":
-        return {"kind": "read_word", "index": label[1]}
-    if kind == "write_word":
-        return {"kind": "write_word", "index": label[1], "word": label[2]}
-    if kind == "update":
-        fn = label[1]
-        doc = {"kind": "update", "fn": fn[0]}
-        if fn[0] == "add":
-            doc["k"] = fn[1]
-        return doc
-    if kind in ("lock", "unlock", "read", "check", "local"):
-        return {"kind": kind}
-    raise ValueError(f"unknown action label: {label!r}")
+    if label[0] not in LABELS:
+        raise ValueError(f"unknown action label: {label!r}")
+    doc = {"kind": label[0]}
+    for name, x in zip(LABELS[label[0]][0], label[1:]):
+        if name == "fn":
+            doc.update(zip(("fn", "k"), x))
+        else:
+            doc[name] = list(x) if name == "value" and x is not None else x
+    return doc
 
 
 def _doc_int(doc, key, path):
@@ -145,7 +152,7 @@ def _doc_int(doc, key, path):
     return v
 
 
-def _doc_words(doc, key, path, allow_none=False):
+def _doc_words(doc, key, path, allow_none):
     v = doc.get(key)
     if v is None and allow_none:
         return None
@@ -159,23 +166,34 @@ def label_from_doc(doc, path="action"):
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected an action object, got {doc!r}")
     kind = doc.get("kind")
-    if kind == "write":
-        return ("write", _doc_words(doc, "value", path))
-    if kind == "send":
-        return ("send", _doc_words(doc, "value", path, allow_none=True),
-                _doc_int(doc, "receiver", path))
-    if kind == "read_word":
-        return ("read_word", _doc_int(doc, "index", path))
-    if kind == "write_word":
-        return ("write_word", _doc_int(doc, "index", path), _doc_int(doc, "word", path))
-    if kind == "update":
-        fn = doc.get("fn")
-        if not isinstance(fn, str):
-            raise ValueError(f"{path}.fn: expected a function name, got {fn!r}")
-        return ("update", ("add", _doc_int(doc, "k", path)) if fn == "add" else (fn,))
-    if kind in ("lock", "unlock", "read", "check", "local"):
-        return (kind,)
-    raise ValueError(f"{path}.kind: unknown action label kind {kind!r}")
+    if not isinstance(kind, str) or kind not in LABELS:
+        raise ValueError(f"{path}.kind: unknown action label kind {kind!r}")
+    label = (kind,)
+    for name in LABELS[kind][0]:
+        if name == "fn":
+            fn = doc.get("fn")
+            if not isinstance(fn, str):
+                raise ValueError(f"{path}.fn: expected a function name, got {fn!r}")
+            label += (("add", _doc_int(doc, "k", path)) if fn == "add" else (fn,),)
+        elif name == "value":
+            label += (_doc_words(doc, name, path, allow_none=kind == "send"),)
+        else:
+            label += (_doc_int(doc, name, path),)
+    return label
+
+
+def format_event(event):
+    """One event as ``run`` and ``replay`` print it."""
+    pid, label, mech = event
+    fields, text = LABELS[label[0]]
+    shown = {}
+    for name, x in zip(fields, label[1:]):
+        if name == "fn":
+            x = " ".join(map(str, x))
+        elif name == "value":
+            x = "(nothing)" if x is None else list(x)
+        shown[name] = x
+    return text.format(pid=pid, mech=mech, **shown)
 
 
 def event_to_doc(event):

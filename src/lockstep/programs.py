@@ -12,7 +12,7 @@ program order, so no schedule revisits a program position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .machines import WORD_DOMAIN
 
@@ -27,23 +27,36 @@ _VALUE_KINDS = frozenset({"message_cell", "status_channel", "last_message_channe
                           "duplex_channel", "shared_register"})
 _STATUS_KINDS = frozenset({"status_channel", "last_message_channel", "duplex_channel"})
 _LOCK_KINDS = frozenset({"locked_cell", "shared_register"})
+_DIRECT_KINDS = frozenset({"direct_channel"})
+_REGISTER_KINDS = frozenset({"shared_register"})
 
-# What an instruction looks like from the outside (its action-label kind);
-# used both for trace labels and for rejecting ambiguous choose alternatives.
-LABEL_KIND = {
-    "lock": "lock", "unlock": "unlock",
-    "read": "read", "write": "write",
-    "send": "send", "receive": "receive",
-    "read_word": "read_word", "wait_word": "read_word", "if_word": "read_word",
-    "write_word": "write_word",
-    "check": "check", "if_status": "check",
-    "update": "update",
-    "local": "local", "assert_local": "local",
+# op -> (the action-label kind it offers, the mechanism kinds it may address
+# or None, its operands in the order they are checked). The label kind names
+# it in traces and tells choose alternatives apart; each operand checks one
+# part of the step and fills one Instr field (_Emitter._OPERANDS).
+OPS = {
+    "lock": ("lock", _LOCK_KINDS, ()),
+    "unlock": ("unlock", _LOCK_KINDS, ()),
+    "read": ("read", _VALUE_KINDS, ("bind",)),
+    "write": ("write", _VALUE_KINDS, ("value",)),
+    "send": ("send", _DIRECT_KINDS, ("value_or_null",)),
+    "receive": ("receive", _DIRECT_KINDS, ("bind",)),
+    "read_word": ("read_word", _WORD_KINDS, ("bind", "index")),
+    "wait_word": ("read_word", _WORD_KINDS, ("index", "word")),
+    "if_word": ("read_word", _WORD_KINDS, ("index", "word")),
+    "write_word": ("write_word", _WORD_KINDS, ("index", "word_expr")),
+    "check": ("check", _STATUS_KINDS, ("bind",)),
+    "if_status": ("check", _STATUS_KINDS, ()),
+    "update": ("update", _REGISTER_KINDS, ("fn",)),
+    "local": ("local", None, ("bind", "value_or_null")),
+    "assert_local": ("local", None, ("bound_var", "expected")),
 }
+LABEL_KIND = {op: row[0] for op, row in OPS.items()}
 
-_COMPOUND_OPS = frozenset({"loop", "if_word", "if_status", "choose"})
-_SIMPLE_OPS = frozenset(LABEL_KIND) - {"if_word", "if_status"}
-_OPS = _SIMPLE_OPS | _COMPOUND_OPS
+# if_word and if_status: the step's keys for the branch taken and the other one
+_BRANCH_KEYS = {"if_word": ("then", "else"), "if_status": ("full", "empty")}
+_SIMPLE_OPS = frozenset(OPS) - set(_BRANCH_KEYS)
+_STEP_OPS = frozenset(OPS) | {"loop", "choose"}
 
 
 class ProgramError(ValueError):
@@ -117,11 +130,11 @@ def compile_program(steps, ctx: CompileContext) -> Program:
 class _Emitter:
     def __init__(self, ctx: CompileContext):
         self.ctx = ctx
-        self.instrs = []   # mutable dicts until patching is done
+        self.instrs = []   # dicts of non-default Instr fields, until patching is done
         self.vars = set()
         self.mechs = set()
 
-    # -- helpers ----------------------------------------------------------
+    # -- checks (an OPS operand takes (step, path, bound), returns its Instr field)
 
     def _mech(self, step, path, allowed_kinds, op):
         mid = step.get("mechanism")
@@ -138,13 +151,19 @@ class _Emitter:
                 raise ProgramError(
                     path, f"process {self.ctx.pid} is not a side of duplex channel '{mid}'")
         self.mechs.add(mid)
-        return mid, kind
+        return mid
 
-    def _bind(self, step, path):
+    def _bind(self, step, path, bound):
         name = step.get("var")
         if not isinstance(name, str) or not name.isidentifier():
             raise ProgramError(path, "needs a 'var' naming a local variable")
         self.vars.add(name)
+        return name
+
+    def _bound_var(self, step, path, bound):
+        name = step.get("var")
+        if not isinstance(name, str) or name not in bound:
+            raise ProgramError(path, f"assert_local reads variable '{name}', which may be unbound here")
         return name
 
     def _use(self, name, path, bound):
@@ -154,17 +173,23 @@ class _Emitter:
         self.vars.add(name)
         return name
 
-    def _index(self, step, path):
+    def _index(self, step, path, bound):
         i = step.get("index")
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.ctx.word_width:
             raise ProgramError(path, f"'index' must be an integer in 0..{self.ctx.word_width - 1}")
         return i
 
-    def _word_literal(self, step, path):
+    def _word(self, step, path, bound):
         w = step.get("word")
         if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < WORD_DOMAIN:
             raise ProgramError(path, f"'word' must be an integer in 0..{WORD_DOMAIN - 1}")
         return w
+
+    def _value(self, step, path, bound):
+        return self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=False)
+
+    def _value_or_null(self, step, path, bound):
+        return self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=True)
 
     def _value_expr(self, doc, path, bound, allow_none):
         if doc is None:
@@ -182,11 +207,12 @@ class _Emitter:
         if isinstance(doc, dict) and set(doc) == {"var"}:
             return ("var", self._use(doc["var"], path, bound))
         if isinstance(doc, dict) and "fn" in doc:
-            fn = self._fn(doc, path)
+            fn = self._fn(doc, path, bound)
             return ("fn", fn, self._use(doc.get("var"), path, bound))
         raise ProgramError(path, f"unrecognized value expression: {doc!r}")
 
-    def _word_expr(self, doc, path, bound):
+    def _word_expr(self, step, path, bound):
+        doc, path = step.get("word"), f"{path}.word"
         if isinstance(doc, int) and not isinstance(doc, bool):
             if not 0 <= doc < WORD_DOMAIN:
                 raise ProgramError(path, f"word literal must be in 0..{WORD_DOMAIN - 1}")
@@ -195,7 +221,7 @@ class _Emitter:
             return ("var", self._use(doc["var"], path, bound))
         raise ProgramError(path, f"unrecognized word expression: {doc!r}")
 
-    def _fn(self, doc, path):
+    def _fn(self, doc, path, bound):
         name = doc.get("fn")
         if name == "inc":
             return ("inc",)
@@ -208,15 +234,38 @@ class _Emitter:
             return ("add", k)
         raise ProgramError(path, f"unknown update function: {name!r}")
 
-    def _append(self, **fields):
+    def _expected(self, step, path, bound):
+        doc, path = step.get("expected"), f"{path}.expected"
+        if doc is None:
+            return None
+        if isinstance(doc, bool):
+            raise ProgramError(path, "expected must be null, a word, a status token, or a value")
+        if isinstance(doc, int):
+            if not 0 <= doc < WORD_DOMAIN:
+                raise ProgramError(path, f"expected word must be in 0..{WORD_DOMAIN - 1}")
+            return doc
+        if isinstance(doc, str):
+            if doc not in STATUS_TOKENS:
+                raise ProgramError(path, f"expected status token must be one of {STATUS_TOKENS}")
+            return doc
+        if isinstance(doc, list):
+            kind, v = self._value_expr(doc, path, frozenset(), allow_none=False)
+            return v
+        raise ProgramError(path, "expected must be null, a word, a status token, or a value")
+
+    # OPS operand -> (the Instr field it fills, the check that reads it)
+    _OPERANDS = {"bind": ("var", _bind), "bound_var": ("var", _bound_var),
+                 "index": ("index", _index), "word": ("word", _word),
+                 "word_expr": ("expr", _word_expr), "value": ("expr", _value),
+                 "value_or_null": ("expr", _value_or_null), "fn": ("fn", _fn),
+                 "expected": ("expected", _expected)}
+
+    def _append(self, fields):
         idx = len(self.instrs)
         if idx == MAX_UNROLLED:  # checked as it grows, so a large loop count stops early
             raise ProgramError("steps", f"unrolls to more than {MAX_UNROLLED} instructions, "
                                         f"limit is {MAX_UNROLLED}")
-        base = dict(op=None, mech=None, mech_id=None, var=None, index=None, word=None,
-                    expr=None, fn=None, expected=None, succ=-1, succ_else=-1, alts=())
-        base.update(fields)
-        self.instrs.append(base)
+        self.instrs.append(fields)
         return idx
 
     # -- emission ---------------------------------------------------------
@@ -246,100 +295,34 @@ class _Emitter:
         if not isinstance(step, dict) or "op" not in step:
             raise ProgramError(path, "each step must be an object with an 'op'")
         op = step["op"]
-        if not isinstance(op, str) or op not in _OPS:
+        if not isinstance(op, str) or op not in _STEP_OPS:
             raise ProgramError(path, f"unknown step op: {op!r}")
-        if op in _COMPOUND_OPS:
-            if depth + 1 > MAX_NESTING:
-                raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
-            if op == "loop":
-                return self._emit_loop(step, path, depth, bound)
-            if op == "choose":
-                return self._emit_choose(step, path, depth, bound)
-            if op == "if_word":
-                return self._emit_if_word(step, path, depth, bound)
-            return self._emit_if_status(step, path, depth, bound)
-        return self._emit_simple(op, step, path, bound)
+        if op in _SIMPLE_OPS:
+            idx, bound = self._emit_instr(op, step, path, bound)
+            return idx, [(idx, "succ")], bound
+        if depth + 1 > MAX_NESTING:
+            raise ProgramError(path, f"nesting deeper than {MAX_NESTING}")
+        if op == "loop":
+            return self._emit_loop(step, path, depth, bound)
+        if op == "choose":
+            return self._emit_choose(step, path, depth, bound)
+        idx, _ = self._emit_instr(op, step, path, bound)
+        return self._emit_branch(idx, step, path, _BRANCH_KEYS[op], depth, bound)
 
-    def _emit_simple(self, op, step, path, bound):
-        c = self.ctx
-        if op in ("lock", "unlock"):
-            mid, _ = self._mech(step, path, _LOCK_KINDS, op)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid)
-        elif op == "read":
-            mid, _ = self._mech(step, path, _VALUE_KINDS, op)
-            var = self._bind(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, var=var)
-            bound = bound | {var}
-        elif op == "write":
-            mid, _ = self._mech(step, path, _VALUE_KINDS, op)
-            expr = self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=False)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, expr=expr)
-        elif op == "send":
-            mid, _ = self._mech(step, path, {"direct_channel"}, op)
-            expr = self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=True)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, expr=expr)
-        elif op == "receive":
-            mid, _ = self._mech(step, path, {"direct_channel"}, op)
-            var = self._bind(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, var=var)
-            bound = bound | {var}
-        elif op == "read_word":
-            mid, _ = self._mech(step, path, _WORD_KINDS, op)
-            var = self._bind(step, path)
-            i = self._index(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, var=var, index=i)
-            bound = bound | {var}
-        elif op == "write_word":
-            mid, _ = self._mech(step, path, _WORD_KINDS, op)
-            i = self._index(step, path)
-            expr = self._word_expr(step.get("word"), f"{path}.word", bound)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, index=i, expr=expr)
-        elif op == "wait_word":
-            mid, _ = self._mech(step, path, _WORD_KINDS, op)
-            i = self._index(step, path)
-            w = self._word_literal(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, index=i, word=w)
-        elif op == "check":
-            mid, _ = self._mech(step, path, _STATUS_KINDS, op)
-            var = self._bind(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, var=var)
-            bound = bound | {var}
-        elif op == "update":
-            mid, _ = self._mech(step, path, {"shared_register"}, op)
-            fn = self._fn(step, path)
-            idx = self._append(op=op, mech=c.mech_index[mid], mech_id=mid, fn=fn)
-        elif op == "local":
-            var = self._bind(step, path)
-            expr = self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=True)
-            idx = self._append(op=op, var=var, expr=expr)
-            bound = bound | {var}
-        elif op == "assert_local":
-            name = step.get("var")
-            if not isinstance(name, str) or name not in bound:
-                raise ProgramError(path, f"assert_local reads variable '{name}', which may be unbound here")
-            expected = self._assert_literal(step.get("expected"), f"{path}.expected")
-            idx = self._append(op=op, var=name, expected=expected)
-        else:  # pragma: no cover - _SIMPLE_OPS is closed
-            raise ProgramError(path, f"unknown step op: {op!r}")
-        return idx, [(idx, "succ")], bound
-
-    def _assert_literal(self, doc, path):
-        if doc is None:
-            return None
-        if isinstance(doc, bool):
-            raise ProgramError(path, "expected must be null, a word, a status token, or a value")
-        if isinstance(doc, int):
-            if not 0 <= doc < WORD_DOMAIN:
-                raise ProgramError(path, f"expected word must be in 0..{WORD_DOMAIN - 1}")
-            return doc
-        if isinstance(doc, str):
-            if doc not in STATUS_TOKENS:
-                raise ProgramError(path, f"expected status token must be one of {STATUS_TOKENS}")
-            return doc
-        if isinstance(doc, list):
-            kind, v = self._value_expr(doc, path, frozenset(), allow_none=False)
-            return v
-        raise ProgramError(path, "expected must be null, a word, a status token, or a value")
+    def _emit_instr(self, op, step, path, bound):
+        """Append one instruction: its mechanism, then its operands in the order
+        OPS lists them. Returns its index and the variables bound after it."""
+        _, kinds, operands = OPS[op]
+        fields = {"op": op}
+        if kinds is not None:
+            fields["mech_id"] = mid = self._mech(step, path, kinds, op)
+            fields["mech"] = self.ctx.mech_index[mid]
+        for name in operands:
+            field, check = self._OPERANDS[name]
+            fields[field] = check(self, step, path, bound)
+        if "bind" in operands:
+            bound = bound | {fields["var"]}
+        return self._append(fields), bound
 
     def _emit_loop(self, step, path, depth, bound):
         count = step.get("count")
@@ -347,22 +330,9 @@ class _Emitter:
             raise ProgramError(path, "'count' must be a non-negative integer")
         return self.emit_seq(step.get("body"), f"{path}.body", depth + 1, bound, count)
 
-    def _emit_if_word(self, step, path, depth, bound):
-        mid, _ = self._mech(step, path, _WORD_KINDS, "if_word")
-        i = self._index(step, path)
-        w = self._word_literal(step, path)
-        idx = self._append(op="if_word", mech=self.ctx.mech_index[mid], mech_id=mid,
-                           index=i, word=w)
-        return self._emit_branch(idx, step.get("then"), step.get("else"),
-                                 path, "then", "else", depth, bound)
-
-    def _emit_if_status(self, step, path, depth, bound):
-        mid, _ = self._mech(step, path, _STATUS_KINDS, "if_status")
-        idx = self._append(op="if_status", mech=self.ctx.mech_index[mid], mech_id=mid)
-        return self._emit_branch(idx, step.get("full"), step.get("empty"),
-                                 path, "full", "empty", depth, bound)
-
-    def _emit_branch(self, idx, taken, other, path, taken_key, other_key, depth, bound):
+    def _emit_branch(self, idx, step, path, keys, depth, bound):
+        taken_key, other_key = keys
+        taken, other = step.get(taken_key), step.get(other_key)
         t_e, t_x, t_b = self.emit_seq(taken if taken is not None else [],
                                       f"{path}.{taken_key}", depth + 1, bound)
         o_e, o_x, o_b = self.emit_seq(other if other is not None else [],
@@ -384,7 +354,7 @@ class _Emitter:
         alts = step.get("alternatives")
         if not isinstance(alts, list) or len(alts) < 2:
             raise ProgramError(path, "'choose' needs at least two alternatives")
-        idx = self._append(op="choose")
+        idx = self._append({"op": "choose"})
         entries = []
         exits = []
         bounds_out = []
@@ -398,7 +368,7 @@ class _Emitter:
                 raise ProgramError(f"{apath}[0]", "an alternative must start with a simple step")
             e, x, b = self.emit_seq(alt, apath, depth + 1, bound)
             ins = self.instrs[e]  # the head, compiled: its mechanism and index are checked
-            key = (LABEL_KIND[ins["op"]], ins["mech_id"], ins["index"])
+            key = (LABEL_KIND[ins["op"]], ins.get("mech_id"), ins.get("index"))
             if key in seen_keys:
                 raise ProgramError(
                     apath, f"alternatives {seen_keys[key]} and {a} would offer indistinguishable actions")
@@ -411,3 +381,4 @@ class _Emitter:
         for b in bounds_out[1:]:
             out = out & b
         return idx, exits, out
+

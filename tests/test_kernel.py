@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, kernel
+from lockstep import catalog, cli, kernel
 from lockstep.explorer import explore, replay_with_checks
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
@@ -465,6 +465,27 @@ class TestDocRoundTrip:
             label_to_doc(("fork",))
         with pytest.raises(ValueError):
             label_from_doc({"kind": "fork"})
+
+    EVENT_TEXT = {
+        ("lock",): "p1 lock m", ("unlock",): "p1 unlock m", ("read",): "p1 read m",
+        ("check",): "p1 check m", ("local",): "p1 local",
+        ("write", (1, 2)): "p1 write [1, 2] -> m",
+        ("send", (3,), 1): "p1 send [3] -> p1 via m",
+        ("send", None, 2): "p1 send (nothing) -> p2 via m",
+        ("read_word", 0): "p1 read m[0]", ("write_word", 1, 7): "p1 write m[1] = 7",
+        ("update", ("inc",)): "p1 update m (inc)",
+        ("update", ("add", 3)): "p1 update m (add 3)",
+        ("update", ("double",)): "p1 update m (double)",
+    }
+
+    def test_event_text(self):
+        """The exact text run and replay print for each label; the demos import
+        format_event from cli, which must be the kernel's."""
+        assert set(self.EVENT_TEXT) == set(self.LABELS)
+        for label in self.LABELS:
+            ev = (1, label, "m" if label[0] != "local" else None)
+            assert kernel.format_event(ev) == self.EVENT_TEXT[label]
+        assert cli.format_event is kernel.format_event
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,8 @@
 import pytest
 
 import lockstep.scenarios as s
-from lockstep.programs import (LABEL_KIND, MAX_NESTING, MAX_UNROLLED, MAX_VARS,
+from lockstep import kernel
+from lockstep.programs import (LABEL_KIND, MAX_NESTING, MAX_UNROLLED, MAX_VARS, OPS,
                                CompileContext, ProgramError, compile_program)
 
 KINDS = {"cell": "raw_cell", "lc": "locked_cell", "mc": "message_cell",
@@ -283,3 +284,10 @@ def test_label_kind_covers_every_step_op():
                "wait_word", "if_word", "write_word", "check", "if_status",
                "update", "local", "assert_local"):
         assert op in LABEL_KIND
+
+
+def test_ops_and_labels_are_one_vocabulary():
+    # every op has one row, and the label kinds ops offer are the kernel's
+    # label kinds; a receive offers none, since the sending side engages it
+    assert set(OPS) == set(LABEL_KIND)
+    assert {row[0] for row in OPS.values()} - {"receive"} == set(kernel.LABELS)

@@ -96,7 +96,14 @@ def _bounds(args, base):
 
 def _load_schedule(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    try:  # decoding or quoting a deeply nested value recurses
+        return _parse_schedule(json.loads(text))
+    except RecursionError:
+        raise ValueError("schedule: document nested too deeply") from None
+
+
+def _parse_schedule(doc):
     claim = None
     where = "events"
     if isinstance(doc, dict) and "trace" in doc:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
 from .monitors import Monitor, compile_monitors
@@ -137,18 +138,24 @@ class _Checks:
 
     A rule for all steps goes here once, such as turning a ``KernelError``
     into a violation or counting transitions and time per layer. States come
-    in packed; a monitor is shown their views, and each hook runs only on
-    the monitors that override it, so a state or edge that no monitor
-    watches builds no view.
+    in packed. A state is checked through the monitors' watches: each
+    verdict is kept per distinct tuple of intern indices at the slots it
+    reads, for the life of the layer (one strategy call), as ``System`` keeps
+    offers. So a state costs one lookup per watch and builds no view. Event
+    and terminal hooks are shown views, and each runs only on the monitors
+    that override it, so an edge that no event monitor watches builds none.
     """
 
     def __init__(self, sys):
         self.sys = sys
         monitors = compile_monitors(sys)
-        self.on_state, self.on_event, self.on_terminal = (
+        # (key of a packed state, verdicts by key, slots, verdict), in monitor order
+        self.watches = tuple((itemgetter(*slots), {}, slots, verdict) for m in monitors
+                             for slots, verdict in m.watches(sys.n_mechs, sys.n_procs))
+        self.on_event, self.on_terminal = (
             tuple(getattr(m, hook) for m in monitors
                   if getattr(type(m), hook) is not getattr(Monitor, hook))
-            for hook in ("on_state", "on_event", "on_terminal"))
+            for hook in ("on_event", "on_terminal"))
 
     def edges(self, state):
         """(enabled actions, sink hits); the hits are () unless there are no actions."""
@@ -161,8 +168,15 @@ class _Checks:
         return post, (self.event(state, ev, post) if self.on_event else ())
 
     def state(self, state):
-        view = self.on_state and self.sys.view(state)
-        return [hit for hook in self.on_state for hit in hook(self.sys, view)]
+        hits = []
+        for key_of, verdicts, slots, verdict in self.watches:
+            key = key_of(state)
+            got = verdicts.get(key)
+            if got is None:
+                got = verdicts[key] = verdict(*self.sys.parts(state, slots))
+            if got:
+                hits += got
+        return hits
 
     def event(self, prev, ev, post):
         prev, post = self.sys.view(prev), self.sys.view(post)

@@ -8,7 +8,9 @@ states that compare equal behave identically from then on.
 
 A System's states are packed: tuples of intern indices that only that
 System can read. ``System.view`` decodes one into a ``GlobalState`` of the
-parts themselves, which is what monitors and callers of other modules see.
+parts themselves, which is what event and terminal monitors and callers of
+other modules see; ``System.parts`` decodes only the slots a state monitor
+reads.
 
 An action is the tuple ``(process, label, mechanism id)``. Rendezvous on a
 direct channel appears as a single action carrying both parties: the label
@@ -318,6 +320,10 @@ class System:
         """Decode a packed state of this System into its parts."""
         parts = tuple(map(self._parts.__getitem__, state))
         return GlobalState(parts[:self.n_mechs], parts[self.n_mechs:])
+
+    def parts(self, state, slots):
+        """The parts at some slots of a packed state of this System."""
+        return [self._parts[state[s]] for s in slots]
 
     def terminated(self, state, pid) -> bool:
         return self._parts[state[self.n_mechs + pid]].pc >= len(self.programs[pid].instrs)

@@ -5,6 +5,12 @@ A monitor observes states and transitions and reports hits as
 state a monitor needs lives inside the mechanism snapshots themselves (the
 send/receive logs, the read-since-write flag), so a hit is a pure function
 of what it is shown and exploration may merge states freely.
+
+States are checked through *watches*, pairs ``(slots, verdict)``. The slots
+index a state's parts as a ``System`` packs them: its mechanisms, then its
+processes. ``verdict(*parts)`` is given the parts at those slots and returns
+a tuple of hits. It may depend on nothing else, so a verdict can be kept per
+distinct parts it reads. Events and terminal states are checked on views.
 """
 
 from __future__ import annotations
@@ -14,8 +20,15 @@ from .machines import DuplexChannel, MessageCell
 
 
 class Monitor:
-    def on_state(self, sys, state):
+    def watches(self, n_mechs, n_procs):
+        """The (slots, verdict) pairs for states of n_mechs mechanisms and n_procs processes."""
         return ()
+
+    def on_state(self, sys, state):
+        """The hits on a view: each watch's verdict on the parts it reads, in order."""
+        parts = state.mechs + state.procs
+        return tuple(hit for slots, verdict in self.watches(len(state.mechs), len(state.procs))
+                     for hit in verdict(*map(parts.__getitem__, slots)))
 
     def on_event(self, sys, prev, event, post):
         return ()
@@ -27,9 +40,12 @@ class Monitor:
 class LocalAsserts(Monitor):
     """Built-in: surfaces failed assert_local steps. Always installed."""
 
-    def on_state(self, sys, state):
-        return [("monitor_assert", "assert_local", ps.failed)
-                for ps in state.procs if ps.failed]
+    def watches(self, n_mechs, n_procs):
+        return [((n_mechs + p,), self.verdict) for p in range(n_procs)]
+
+    @staticmethod
+    def verdict(ps):
+        return (("monitor_assert", "assert_local", ps.failed),) if ps.failed else ()
 
 
 class MutualExclusion(Monitor):
@@ -42,18 +58,20 @@ class MutualExclusion(Monitor):
     def __init__(self, doc):
         self.markers = [(m[0], m[1]) for m in doc["markers"]]
 
-    def on_state(self, sys, state):
+    def watches(self, n_mechs, n_procs):
+        return [(tuple(n_mechs + pid for pid, _ in self.markers), self.verdict)]
+
+    def verdict(self, *procs):
         inside = []
-        for pid, name in self.markers:
-            store = state.procs[pid].store
-            if not store_has(store, name):
+        for (pid, name), ps in zip(self.markers, procs):
+            if not store_has(ps.store, name):
                 continue
-            v = store_get(store, name)
+            v = store_get(ps.store, name)
             if isinstance(v, tuple) and v and v[0] == 1:
                 inside.append(pid)
         if len(inside) >= 2:
             who = ", ".join(f"p{q}" for q in inside)
-            return [("monitor_assert", "mutual_exclusion", f"{who} inside together")]
+            return (("monitor_assert", "mutual_exclusion", f"{who} inside together"),)
         return ()
 
 
@@ -63,11 +81,14 @@ class SentReceivedOrder(Monitor):
     def __init__(self, doc, index):
         self.index = index
 
-    def on_state(self, sys, state):
-        m = state.mechs[self.index]
+    def watches(self, n_mechs, n_procs):
+        return [((self.index,), self.verdict)]
+
+    @staticmethod
+    def verdict(m):
         if m.received != m.sent[:len(m.received)]:
-            return [("monitor_assert", "sent_received_order",
-                     f"received {m.received!r} is not a prefix of sent {m.sent!r}")]
+            return (("monitor_assert", "sent_received_order",
+                     f"received {m.received!r} is not a prefix of sent {m.sent!r}"),)
         return ()
 
     def on_terminal(self, sys, state):
@@ -79,27 +100,16 @@ class SentReceivedOrder(Monitor):
 
 
 class TornValue(Monitor):
-    """The words one process read must assemble into an intended value.
-
-    The verdict reads only the reader's own ``ProcState``, so it is kept per
-    ``ProcState`` for the life of the instance (one strategy call, since
-    ``compile_monitors`` builds fresh monitors for each); the memo grows with
-    the reader's distinct local states.
-    """
+    """The words one process read must assemble into an intended value."""
 
     def __init__(self, doc):
         self.pid = doc["process"]
         self.names = list(doc["vars"])
         self.allowed = {tuple(v) for v in doc["allowed"]}
         self.mech_id = doc["mechanism"]
-        self._hits = {}  # reader ProcState -> tuple of hits
 
-    def on_state(self, sys, state):
-        ps = state.procs[self.pid]
-        hits = self._hits.get(ps)
-        if hits is None:
-            hits = self._hits[ps] = self.scan(ps.store)
-        return hits
+    def watches(self, n_mechs, n_procs):
+        return [((n_mechs + self.pid,), lambda ps: self.scan(ps.store))]
 
     def scan(self, store):
         """The hits for one reader store, as a tuple."""

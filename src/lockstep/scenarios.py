@@ -117,10 +117,12 @@ def serialize(scenario: Scenario) -> str:
 def loads(text: str) -> Scenario:
     try:
         doc = json.loads(text)
+        scenario = Scenario.from_doc(doc)
+        validate(scenario)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
-    scenario = Scenario.from_doc(doc)
-    validate(scenario)
+    except RecursionError:  # decoding, copying or quoting a deeply nested value
+        raise ParseError("document nested too deeply") from None
     return scenario
 
 

@@ -131,6 +131,24 @@ class TestExplore:
         assert report == json.loads(flag_out)
         assert report["states_visited"] == 1 and report["bounds_hit"] is True
 
+    def test_a_deeply_nested_document_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "explore", "--file", str(path))
+        assert code == ERROR and out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("depth", [900, 985, 5000])
+    def test_a_deeply_nested_field_exits_three(self, capsys, tmp_path, depth):
+        from lockstep import catalog
+        text = json.dumps(catalog.get("torn-read-raw").to_doc())
+        text = text.replace('"word_width": 2', '"word_width": ' + "[" * depth + "]" * depth)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "explore", "--file", str(path))
+        assert code == ERROR and out == ""
+        assert err.startswith("error: ")
+
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, "explore", "--file", str(tmp_path / "none.json"))
         assert code == ERROR
@@ -207,6 +225,25 @@ class TestReplay:
                              "--schedule", str(path))
         assert code == ERROR and out == ""
         assert err.startswith(f"error: {field}: ")
+
+    def test_a_deeply_nested_schedule_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "replay", "--catalog", "torn-read-raw",
+                             "--schedule", str(path))
+        assert code == ERROR and out == ""
+        assert err == "error: schedule: document nested too deeply\n"
+
+    @pytest.mark.parametrize("depth", [900, 985, 5000])
+    def test_a_deeply_nested_event_field_exits_three(self, capsys, tmp_path, depth):
+        value = "[" * depth + "]" * depth
+        path = tmp_path / "deep.json"
+        path.write_text('{"events": [{"process": 0, "mechanism": "cell", '
+                        '"action": {"kind": "write", "value": ' + value + '}}]}')
+        code, out, err = run(capsys, "replay", "--catalog", "torn-read-raw",
+                             "--schedule", str(path))
+        assert code == ERROR and out == ""
+        assert err.startswith("error: ")
 
     def test_stale_schedule_names_the_step(self, capsys, torn_schedule):
         # same schedule against the locked variant: step 0 is not enabled there

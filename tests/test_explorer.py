@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, monitors
+from lockstep import catalog, explorer, monitors
 from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
                                _Checks, explore, find_shortest, random_walks,
                                replay_with_checks, resolve_bounds,
@@ -22,6 +22,7 @@ from lockstep.kernel import KernelError, NotEnabledAtStep, System
 from helpers import (first_witnesses, maximal_schedule_count, reachable,
                      reference_replay_with_checks)
 from test_golden import FIXTURE, _cases, _op_scenarios
+from test_monitors import unguarded_sections
 
 
 def two_independent():
@@ -388,6 +389,40 @@ class TestWitnessCost:
         assert [m.pid for m in made] == [3, 4]
         for m in made:
             assert m.scans == len({sys.view(st).procs[m.pid] for st in states})
+
+    @pytest.mark.parametrize("scenario", [torn_read_3x2x2(), catalog.get("dekker-mutex"),
+                                          unguarded_sections()], ids=lambda sc: sc.name)
+    def test_states_build_no_view_and_verdicts_run_once_per_parts(self, monkeypatch,
+                                                                   scenario):
+        """A view is built only for a kept witness's hash and a terminal state
+        of the report; each watch's verdict runs once per distinct parts it reads."""
+        views = []
+        decode = System.view
+        monkeypatch.setattr(System, "view", lambda sys, st: views.append(st) or decode(sys, st))
+        runs = []  # (monitor index, slots, parts) of each verdict run
+
+        def counted(sys):
+            made = monitors.compile_monitors(sys)
+            for k, m in enumerate(made):
+                def watches(n_mechs, n_procs, inner=m.watches, k=k):
+                    return [(slots, lambda *parts, slots=slots, verdict=verdict:
+                             runs.append((k, slots, parts)) or verdict(*parts))
+                            for slots, verdict in inner(n_mechs, n_procs)]
+                m.watches = watches
+            return made
+
+        monkeypatch.setattr(explorer, "compile_monitors", counted)
+        sys = System(scenario)
+        report = explore(sys)
+        assert len(views) <= len(report.violations) + report.distinct_terminal_states
+        monkeypatch.undo()
+
+        made = monitors.compile_monitors(sys)
+        parts = [view.mechs + view.procs for view in map(sys.view, reachable(sys))]
+        expected = {(k, slots, tuple(map(p.__getitem__, slots))) for p in parts
+                    for k, m in enumerate(made) for slots, _ in m.watches(sys.n_mechs, sys.n_procs)}
+        assert len(runs) == len(set(runs))
+        assert set(runs) == expected
 
 
 @pytest.mark.xfail(strict=True, raises=KernelError,

@@ -1,15 +1,20 @@
 """Monitor behavior, both directly on fabricated states and via exploration."""
 
+import random
+
 import pytest
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import explore
+from lockstep.explorer import _Checks, explore
 from lockstep.kernel import GlobalState, ProcState, System
 from lockstep.machines import DuplexChannel, MessageCell, StatusChannel
 from lockstep.monitors import (LostUnread, MutualExclusion, RecipientTag,
                                SentReceivedOrder, TerminalAssert, TornValue,
                                compile_monitors)
+
+from helpers import bench_families, reachable
+from test_golden import _op_scenarios
 
 
 def state(mech=None, stores=((),)):
@@ -195,3 +200,51 @@ class TestAssertLocalIntegration:
             [s.process(0, s.write("ch", [1])),
              s.process(1, s.read("ch", "v"), s.assert_local("v", [1]))])
         assert explore(sc).violation_classes == frozenset()
+
+
+def unguarded_sections():
+    """Three processes enter a critical section with no guard, and each fails
+    an assert_local inside it: states where several processes have failed and
+    several are inside together."""
+    steps = [s.local("cs", [1]), s.assert_local("cs", [0]), s.local("cs", [0])]
+    return s.Scenario.from_parts(
+        "unguarded-sections", 1, [], [s.process(p, *steps) for p in range(3)],
+        [s.mutual_exclusion([[0, "cs"], [1, "cs"], [2, "cs"]])])
+
+
+def _watched_scenarios():
+    families, rng = bench_families(), random.Random(0)
+    return ([catalog.get(n) for n in catalog.names()] + _op_scenarios()
+            + [unguarded_sections(), families.lost_update((2, 2), rng),
+               families.torn_read(2, 2, 2, rng), families.relay_chain(2, 2, rng)])
+
+
+class TestWatches:
+    @pytest.mark.parametrize("scenario", _watched_scenarios(), ids=lambda sc: sc.name)
+    def test_cached_verdicts_are_the_hits_on_views(self, scenario):
+        """One transition layer keeps each verdict per parts it reads; on
+        every reachable state it gives the hits, in order, that every
+        monitor's on_state gives on the state's view."""
+        sys = System(scenario)
+        checks, monitors = _Checks(sys), compile_monitors(sys)
+        for state in reachable(sys):
+            view = sys.view(state)
+            assert checks.state(state) == [h for m in monitors for h in m.on_state(sys, view)]
+
+    def test_the_differential_sees_hits_of_every_state_monitor(self):
+        seen = set()
+        for scenario in _watched_scenarios():
+            sys = System(scenario)
+            checks = _Checks(sys)
+            seen.update((kind, name) for state in reachable(sys)
+                        for kind, name, _ in checks.state(state))
+        assert seen == {("monitor_assert", "assert_local"), ("torn_read", None),
+                        ("monitor_assert", "mutual_exclusion"),
+                        ("monitor_assert", "sent_received_order")}
+
+    def test_hits_keep_pid_order_then_monitor_order(self):
+        sys = System(unguarded_sections())
+        checks = _Checks(sys)
+        everyone = [("monitor_assert", "assert_local", f"p{p}.cs") for p in range(3)] + [
+            ("monitor_assert", "mutual_exclusion", "p0, p1, p2 inside together")]
+        assert everyone in [checks.state(st) for st in reachable(sys)]

@@ -16,17 +16,26 @@ its memo cannot hide from the walks. Every strategy and the replay step
 only through ``_Checks``, the one transition layer: no other code asks the
 kernel for enabled actions, applies them or runs a monitor. Strategies key
 their memos on packed states, and only views of them leave a call.
+``explore`` keys its memo by a canonical form in which the slots of
+interchangeable processes are sorted (``_interchangeable``, ``_Orbits``),
+so one entry stands for a whole orbit of states and the report stays exact.
 
 Every strategy reads ``max_states`` one way: the initial state is always
 stored, and a new state is stored only while fewer than ``max_states`` are
-held. A state found when the store is full is still checked, but it is not
+held. ``explore`` counts what it holds by orbit: a new entry is stored only
+while the states held plus the entry's own orbit stay within
+``max_states``, which without interchangeable processes is the same rule.
+A state found when the store is full is still checked, but it is not
 stored, and ``explore`` and ``find_shortest`` do not expand it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial
 from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
@@ -191,6 +200,102 @@ class _Checks:
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
 
+# mechanism kinds whose snapshots hold no pid of a process that never locks them
+_POOLED_KINDS = frozenset({"raw_cell", "shared_register"})
+
+
+def _interchangeable(sys):
+    """The groups of processes that can swap places, as sorted pid tuples.
+
+    Processes form a group when they have equal compiled programs with no
+    ``assert_local`` (its failure names the pid), touch only raw cells and
+    shared registers they never lock or unlock (an owner is a pid), and
+    the monitors map onto themselves under the swap: no monitor names any
+    of them, or each is named only by ``torn_value`` monitors with equal
+    ``allowed``, ``vars`` and ``mechanism``. Swapping two members' slots
+    then maps reachable states, actions and monitor classes onto
+    themselves.
+    """
+    signature = {}     # pid -> the torn_value monitors naming it, None if another does
+    for doc in sys.scenario.monitors:
+        if doc["kind"] == "torn_value":
+            sig = signature.setdefault(doc["process"], [])
+            if sig is not None:
+                sig.append((tuple(doc["vars"]), frozenset(map(tuple, doc["allowed"])),
+                            doc["mechanism"]))
+        elif doc["kind"] == "mutual_exclusion":
+            signature.update((m[0], None) for m in doc["markers"])
+        elif "process" in doc:
+            signature[doc["process"]] = None
+    groups = {}
+    for p, program in enumerate(sys.programs):
+        sig = signature.get(p, [])
+        if sig is None or any(
+                ins.op in ("assert_local", "lock", "unlock")
+                or (ins.mech_id is not None and sys.mech_kind[ins.mech_id] not in _POOLED_KINDS)
+                for ins in program.instrs):
+            continue
+        groups.setdefault((program.instrs, program.heads, frozenset(Counter(sig).items())),
+                          []).append(p)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
+
+
+class _Orbits:
+    """Packed states up to swaps of interchangeable processes.
+
+    ``key(state)`` is the state's canonical form: its ungrouped slots in
+    order, then each group's slots sorted. Two states share a key exactly
+    when one is the other with some members of each group swapped. A
+    key's orbit is the set of states with that key; its size is
+    ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
+    repeated intern index among the group's slots.
+    """
+
+    def __init__(self, sys, groups):
+        self.slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
+        grouped = {i for g in self.slots for i in g}
+        rest = [i for i in range(sys.n_mechs + sys.n_procs) if i not in grouped]
+        self.n_rest = len(rest)
+        rest = itemgetter(*rest) if len(rest) > 1 else (
+            (lambda state, i=rest[0]: (state[i],)) if rest else (lambda state: ()))
+        gets = [itemgetter(*g) for g in self.slots]
+        if len(gets) == 1:
+            members = gets[0]
+            self.key = lambda state: rest(state) + tuple(sorted(members(state)))
+        else:
+            self.key = lambda state: rest(state) + tuple(
+                i for members in gets for i in sorted(members(state)))
+        self._sizes = {}   # the sorted group slots of a key -> its orbit size
+
+    def size(self, key):
+        """How many states share the canonical form ``key``."""
+        tail = key[self.n_rest:]
+        n = self._sizes.get(tail)
+        if n is None:
+            n, at = 1, 0
+            for g in self.slots:
+                n *= factorial(len(g))
+                for m in Counter(tail[at:at + len(g)]).values():
+                    n //= factorial(m)
+                at += len(g)
+            self._sizes[tail] = n
+        return n
+
+    def images(self, state):
+        """Every state in the orbit of ``state``, starting with ``state`` itself."""
+        out = [state]
+        for choice in product(*(sorted(set(permutations(itemgetter(*g)(state))))
+                                for g in self.slots)):
+            image = list(state)
+            for g, values in zip(self.slots, choice):
+                for i, v in zip(g, values):
+                    image[i] = v
+            image = tuple(image)
+            if image != state:
+                out.append(image)
+        return out
+
+
 def explore(scenario, bounds=None) -> ExplorationReport:
     """Visit every reachable state within bounds; report one witness per class.
 
@@ -200,27 +305,41 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     that reaches the state expands it again (as SPIN's ``-DREACH`` does).
     So every violation within the depth bound is found. When a bound trips,
     the report says ``bounds_hit`` and gives no schedule count.
+
+    Interchangeable processes (``_interchangeable``) share one memo entry:
+    the memo is keyed by ``_Orbits.key``, and a state whose key is stored
+    is not searched again, because swapping the members maps its schedules
+    one to one onto those of the stored state and keeps every violation
+    class. The report stays exact: ``states_visited`` adds up orbit sizes,
+    each terminal state stands for its orbit, and the search order up to
+    each skipped state is unchanged, so the witnesses are too. Without a
+    group the key is the state itself.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
+    groups = _interchangeable(sys)
+    orbits = _Orbits(sys, groups) if groups else None
+    key_of = orbits and orbits.key
 
-    memo = {}            # state -> maximal-schedule count below it (None = cut by a bound)
-    cut_at = {}          # state whose count is None -> depth it was expanded from
+    memo = {}            # key -> maximal-schedule count below its state (None = cut by a bound)
+    cut_at = {}          # key whose count is None -> depth its state was expanded from
     violations = {}      # class -> first Violation, in discovery order
-    terminals = []       # each sink is closed once, so each terminal state is listed once
+    terminals = []       # each sink is closed once, so each terminal key is listed once
     bounds_hit = False
 
     init = sys.initial_state()
-    memo[init] = _IN_PROGRESS
-    # frame: [state, enabled, next edge index, schedule count accumulator, inbound event]
-    stack = [[init, None, 0, 0, None]]
+    root = init if key_of is None else key_of(init)
+    memo[root] = _IN_PROGRESS
+    held = 1             # the states the memo stands for: its keys' orbits
+    # frame: [state, enabled, next edge index, schedule count accumulator, inbound event, key]
+    stack = [[init, None, 0, 0, None, root]]
 
     def close(count):
         frame = stack.pop()
-        memo[frame[0]] = count
+        memo[frame[5]] = count
         if count is None:
-            cut_at[frame[0]] = len(stack)
+            cut_at[frame[5]] = len(stack)
         if stack:
             parent = stack[-1]
             parent[3] = None if (parent[3] is None or count is None) else parent[3] + count
@@ -265,30 +384,35 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         post, hits = checks.step(state, ev)
         if hits:
             record(hits, ev, post)
-        count = memo.get(post, _UNSEEN)
+        key = post if key_of is None else key_of(post)
+        count = memo.get(key, _UNSEEN)
         if count is _UNSEEN:
             state_hits = checks.state(post)
             if state_hits:
                 record(state_hits, ev, post)
-            if len(memo) < b.max_states:
-                memo[post] = _IN_PROGRESS
-                stack.append([post, None, 0, 0, ev])
+            size = 1 if orbits is None else orbits.size(key)
+            if held + size <= b.max_states:
+                held += size
+                memo[key] = _IN_PROGRESS
+                stack.append([post, None, 0, 0, ev, key])
             else:
                 bounds_hit = True
                 frame[3] = None
-        elif count is None and cut_at[post] > len(stack):  # reached by a shorter path
-            del cut_at[post]
-            memo[post] = _IN_PROGRESS
-            stack.append([post, None, 0, 0, ev])
+        elif count is None and cut_at[key] > len(stack):  # reached by a shorter path
+            del cut_at[key]
+            memo[key] = _IN_PROGRESS
+            stack.append([post, None, 0, 0, ev, key])
         else:
             if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
                 raise RuntimeError("cycle in the schedule graph")
             frame[3] = None if (frame[3] is None or count is None) else frame[3] + count
 
-    total = memo[init]
+    if orbits is not None:
+        terminals = [image for state in terminals for image in orbits.images(state)]
+    total = memo[root]
     return ExplorationReport(
         scenario=sys.scenario.name,
-        states_visited=len(memo),
+        states_visited=held,
         distinct_terminal_states=len(terminals),
         schedules_complete=None if bounds_hit else total,
         violations=tuple(violations.values()),

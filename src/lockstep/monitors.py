@@ -38,10 +38,17 @@ class Monitor:
 
 
 class LocalAsserts(Monitor):
-    """Built-in: surfaces failed assert_local steps. Always installed."""
+    """Built-in: surfaces failed assert_local steps. Always installed.
+
+    A process's ``failed`` is set only by its own assert_local, so only the
+    processes whose programs have one are watched.
+    """
+
+    def __init__(self, pids):
+        self.pids = tuple(pids)
 
     def watches(self, n_mechs, n_procs):
-        return [((n_mechs + p,), self.verdict) for p in range(n_procs)]
+        return [((n_mechs + p,), self.verdict) for p in self.pids]
 
     @staticmethod
     def verdict(ps):
@@ -195,7 +202,8 @@ class LostUnread(Monitor):
 
 def compile_monitors(sys):
     """Instantiate the scenario's monitors plus the built-in assert watcher."""
-    out = [LocalAsserts()]
+    out = [LocalAsserts(p for p, program in enumerate(sys.programs)
+                        if any(ins.op == "assert_local" for ins in program.instrs))]
     for doc in sys.scenario.monitors:
         kind = doc["kind"]
         if kind == "mutual_exclusion":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from math import factorial
 from operator import itemgetter
 
@@ -157,7 +157,7 @@ class _Checks:
 
     def __init__(self, sys):
         self.sys = sys
-        monitors = compile_monitors(sys)
+        self.monitors = monitors = compile_monitors(sys)
         # (key of a packed state, verdicts by key, slots, verdict), in monitor order
         self.watches = tuple((itemgetter(*slots), {}, slots, verdict) for m in monitors
                              for slots, verdict in m.watches(sys.n_mechs, sys.n_procs))
@@ -204,40 +204,50 @@ class _Checks:
 _POOLED_KINDS = frozenset({"raw_cell", "shared_register"})
 
 
-def _interchangeable(sys):
-    """The groups of processes that can swap places, as sorted pid tuples.
+def _interchangeable(sys, monitors):
+    """The groups of processes of ``sys`` that can swap places, as sorted pid
+    tuples, given its compiled monitors.
 
-    Processes form a group when they have equal compiled programs with no
-    ``assert_local`` (its failure names the pid), touch only raw cells and
-    shared registers they never lock or unlock (an owner is a pid), and
-    the monitors map onto themselves under the swap: no monitor names any
-    of them, or each is named only by ``torn_value`` monitors with equal
-    ``allowed``, ``vars`` and ``mechanism``. Swapping two members' slots
-    then maps reachable states, actions and monitor classes onto
-    themselves.
+    Processes form a group when they have equal compiled programs, touch
+    only raw cells and shared registers they never lock or unlock (an owner
+    is a pid), and the monitors map onto themselves under the swap: each
+    monitor's ``named()`` gives them equal signatures, none of them None.
+    (``LocalAsserts`` names every process with an ``assert_local``, whose
+    failure names the pid.) Swapping two members' slots then maps
+    reachable states, actions and monitor classes onto themselves.
     """
-    signature = {}     # pid -> the torn_value monitors naming it, None if another does
-    for doc in sys.scenario.monitors:
-        if doc["kind"] == "torn_value":
-            sig = signature.setdefault(doc["process"], [])
-            if sig is not None:
-                sig.append((tuple(doc["vars"]), frozenset(map(tuple, doc["allowed"])),
-                            doc["mechanism"]))
-        elif doc["kind"] == "mutual_exclusion":
-            signature.update((m[0], None) for m in doc["markers"])
-        elif "process" in doc:
-            signature[doc["process"]] = None
+    signature = {}     # pid -> the signatures monitors name it with, None if one allows no swap
+    for monitor in monitors:
+        for pid, sig in monitor.named():
+            sigs = signature.setdefault(pid, [])
+            if sig is None:
+                signature[pid] = None
+            elif sigs is not None:
+                sigs.append(sig)
     groups = {}
     for p, program in enumerate(sys.programs):
         sig = signature.get(p, [])
         if sig is None or any(
-                ins.op in ("assert_local", "lock", "unlock")
+                ins.op in ("lock", "unlock")
                 or (ins.mech_id is not None and sys.mech_kind[ins.mech_id] not in _POOLED_KINDS)
                 for ins in program.instrs):
             continue
         groups.setdefault((program.instrs, program.heads, frozenset(Counter(sig).items())),
                           []).append(p)
     return tuple(tuple(g) for g in groups.values() if len(g) > 1)
+
+
+def _arrangements(counts):
+    """The distinct orderings of a multiset, given as a value -> count Counter, in sorted order."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for v in sorted(counts):
+        if counts[v]:
+            counts[v] -= 1
+            for rest in _arrangements(counts):
+                yield (v, *rest)
+            counts[v] += 1
 
 
 class _Orbits:
@@ -282,9 +292,13 @@ class _Orbits:
         return n
 
     def images(self, state):
-        """Every state in the orbit of ``state``, starting with ``state`` itself."""
+        """Every state in the orbit of ``state``, starting with ``state`` itself.
+
+        The work is the orbit's size: each group's slots are arranged only
+        in their distinct orders, never in all ``|G|!``.
+        """
         out = [state]
-        for choice in product(*(sorted(set(permutations(itemgetter(*g)(state))))
+        for choice in product(*(list(_arrangements(Counter(itemgetter(*g)(state))))
                                 for g in self.slots)):
             image = list(state)
             for g, values in zip(self.slots, choice):
@@ -318,7 +332,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
-    groups = _interchangeable(sys)
+    groups = _interchangeable(sys, checks.monitors)
     orbits = _Orbits(sys, groups) if groups else None
     key_of = orbits and orbits.key
 

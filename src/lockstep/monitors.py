@@ -11,6 +11,11 @@ index a state's parts as a ``System`` packs them: its mechanisms, then its
 processes. ``verdict(*parts)`` is given the parts at those slots and returns
 a tuple of hits. It may depend on nothing else, so a verdict can be kept per
 distinct parts it reads. Events and terminal states are checked on views.
+
+A monitor that reads or reports a process by its pid says so through
+``named()``: pairs ``(pid, signature)``. Two processes can swap places
+without changing what the monitors see only when they are named with equal
+signatures; a signature of None allows no swap.
 """
 
 from __future__ import annotations
@@ -22,6 +27,10 @@ from .machines import DuplexChannel, MessageCell
 class Monitor:
     def watches(self, n_mechs, n_procs):
         """The (slots, verdict) pairs for states of n_mechs mechanisms and n_procs processes."""
+        return ()
+
+    def named(self):
+        """The (pid, signature) pairs of the processes this monitor reads or reports by pid."""
         return ()
 
     def on_state(self, sys, state):
@@ -50,6 +59,9 @@ class LocalAsserts(Monitor):
     def watches(self, n_mechs, n_procs):
         return [((n_mechs + p,), self.verdict) for p in self.pids]
 
+    def named(self):
+        return tuple((p, None) for p in self.pids)
+
     @staticmethod
     def verdict(ps):
         return (("monitor_assert", "assert_local", ps.failed),) if ps.failed else ()
@@ -67,6 +79,9 @@ class MutualExclusion(Monitor):
 
     def watches(self, n_mechs, n_procs):
         return [(tuple(n_mechs + pid for pid, _ in self.markers), self.verdict)]
+
+    def named(self):
+        return tuple((pid, None) for pid, _ in self.markers)
 
     def verdict(self, *procs):
         inside = []
@@ -118,6 +133,10 @@ class TornValue(Monitor):
     def watches(self, n_mechs, n_procs):
         return [((n_mechs + self.pid,), lambda ps: self.scan(ps.store))]
 
+    def named(self):
+        """Readers with equal variables, allowed values and mechanism may swap."""
+        return ((self.pid, (tuple(self.names), frozenset(self.allowed), self.mech_id)),)
+
     def scan(self, store):
         """The hits for one reader store, as a tuple."""
         got = []
@@ -162,6 +181,9 @@ class TerminalAssert(Monitor):
         self.var = doc["var"]
         exp = doc["expected"]
         self.expected = tuple(exp) if isinstance(exp, list) else exp
+
+    def named(self):
+        return ((self.pid, None),)
 
     def on_terminal(self, sys, state):
         store = state.procs[self.pid].store

@@ -7,6 +7,7 @@ detector patched to find no group) and compare everything ``explore``
 reports, and check the counts against the independent oracles.
 """
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ import lockstep.scenarios as s
 from lockstep import catalog, explorer
 from lockstep.explorer import Bounds, _interchangeable, _Orbits, explore
 from lockstep.kernel import System
+from lockstep.monitors import compile_monitors
 
 from helpers import bench_families, maximal_schedule_count, reachable
 from test_golden import _op_scenarios
@@ -24,6 +26,10 @@ families = bench_families()
 FAMILY_CASES = [("lost_update", ((2, 2),)), ("lost_update", ((2, 2, 1),)),
                 ("lost_update", ((3, 3, 3),)), ("torn_read", (2, 2, 2)),
                 ("torn_read", (3, 2, 2))]
+
+
+def _groups(sys):
+    return _interchangeable(sys, compile_monitors(sys))
 
 
 def _family(name, args, seed=0):
@@ -49,7 +55,7 @@ def _both(sys, monkeypatch, bounds=None):
     """explore's report with symmetry reduction, and without it."""
     reduced = explore(sys, bounds)
     with monkeypatch.context() as m:
-        m.setattr(explorer, "_interchangeable", lambda sys: ())
+        m.setattr(explorer, "_interchangeable", lambda sys, monitors: ())
         unreduced = explore(sys, bounds)
     return reduced, unreduced
 
@@ -92,8 +98,8 @@ def test_the_differential_runs_reduce():
     """Every bench family case and two catalog entries have a group, so the
     differential above compares runs that really differ."""
     for name, args in FAMILY_CASES:
-        assert _interchangeable(System(_family(name, args)))
-    assert [name for name in catalog.names() if _interchangeable(System(catalog.get(name)))] \
+        assert _groups(System(_family(name, args)))
+    assert [name for name in catalog.names() if _groups(System(catalog.get(name)))] \
         == ["register-atomic-update", "register-lost-update"]
 
 
@@ -102,13 +108,13 @@ def test_the_differential_runs_reduce():
 
 def test_lost_update_groups_the_equal_programs():
     """p0 and p1 add three times, p2 twice."""
-    assert _interchangeable(System(_family("lost_update", ((3, 3, 2),)))) == ((0, 1),)
+    assert _groups(System(_family("lost_update", ((3, 3, 2),)))) == ((0, 1),)
 
 
 def test_torn_read_groups_the_readers_not_the_writers():
     """The writers write different words; the readers have equal programs
     and equal torn_value monitors."""
-    assert _interchangeable(System(_family("torn_read", (3, 2, 2)))) == ((3, 4),)
+    assert _groups(System(_family("torn_read", (3, 2, 2)))) == ((3, 4),)
 
 
 def _pair(steps, monitors=(), mechanisms=None):
@@ -121,7 +127,7 @@ RACE = [s.read("reg", "t"), s.local("g", s.applied("inc", "t")), s.write("reg", 
 
 
 def test_an_unlocked_race_is_a_group():
-    assert _interchangeable(_pair(RACE)) == ((0, 1),)
+    assert _groups(_pair(RACE)) == ((0, 1),)
 
 
 @pytest.mark.parametrize("system", [
@@ -133,7 +139,7 @@ def test_an_unlocked_race_is_a_group():
                  id="message_cell"),
 ])
 def test_no_group(system):
-    assert _interchangeable(system()) == ()
+    assert _groups(system()) == ()
 
 
 def _readers(allowed_1):
@@ -145,9 +151,23 @@ def _readers(allowed_1):
          s.torn_value("cell", allowed_1, 1, ["w0", "w1"])]))
 
 
+def test_every_monitor_names_the_pids_it_holds():
+    """Group detection learns which processes a monitor reads or reports
+    only from ``named()``, so a monitor holding a pid must name it there."""
+    kinds = set()
+    for name in catalog.names():
+        sys = System(catalog.get(name))
+        for monitor in compile_monitors(sys):
+            held = ({getattr(monitor, "pid", None)} | set(getattr(monitor, "pids", ()))
+                    | {pid for pid, _ in getattr(monitor, "markers", ())}) - {None}
+            assert {pid for pid, _ in monitor.named()} == held
+            kinds.add(type(monitor).__name__)
+    assert {"LocalAsserts", "MutualExclusion", "TornValue", "TerminalAssert"} <= kinds
+
+
 def test_torn_value_monitors_must_be_equal():
-    assert _interchangeable(_readers([[0, 0]])) == ((0, 1),)
-    assert _interchangeable(_readers([[0, 0], [1, 1]])) == ()
+    assert _groups(_readers([[0, 0]])) == ((0, 1),)
+    assert _groups(_readers([[0, 0], [1, 1]])) == ()
 
 
 # -- orbits --------------------------------------------------------------------------
@@ -157,7 +177,7 @@ def test_orbits_partition_the_reachable_states():
     """Each reachable state's images share its key, number its orbit size,
     and are reachable; the orbits of the distinct keys cover every state once."""
     sys = System(_family("lost_update", ((2, 2, 1),)))
-    orbits = _Orbits(sys, _interchangeable(sys))
+    orbits = _Orbits(sys, _groups(sys))
     states = reachable(sys)
     keys = {}
     for state in states:
@@ -168,6 +188,22 @@ def test_orbits_partition_the_reachable_states():
         assert len(images) == orbits.size(orbits.key(state))
         keys[orbits.key(state)] = len(images)
     assert sum(keys.values()) == len(states)
+
+
+@pytest.mark.parametrize("step", [pytest.param(s.local("g", [1]), id="local"),
+                                  pytest.param(s.write_word("cell", 0, 1), id="write_word")])
+def test_a_large_group_of_equal_slots_lists_its_one_terminal_at_once(step):
+    """Fourteen one-step processes form one group. Their 2**14 states fall
+    into 15 orbits, and the one terminal state, where every member's slot
+    is equal, is listed without trying 14! orderings of the members."""
+    n = 14
+    sys = System(s.Scenario.from_parts("many", 1, [s.raw_cell("cell", [0])],
+                                       [s.process(p, step) for p in range(n)]))
+    assert _groups(sys) == (tuple(range(n)),)
+    report = explore(sys)
+    assert report.states_visited == 2 ** n
+    assert report.distinct_terminal_states == 1
+    assert report.schedules_complete == math.factorial(n)
 
 
 class CountingSystem(System):
@@ -183,7 +219,7 @@ def test_a_four_process_group_stores_one_entry_per_orbit():
     expanded once; unreduced, every state would be."""
     incs = (2, 2, 2, 2)
     sys = CountingSystem(_family("lost_update", (incs,)))
-    assert _interchangeable(sys) == ((0, 1, 2, 3),)
+    assert _groups(sys) == ((0, 1, 2, 3),)
     report = explore(sys)
     assert report.states_visited == 623_435
     assert report.schedules_complete == families.lost_update_schedules(incs)

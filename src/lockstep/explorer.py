@@ -132,14 +132,9 @@ def resolve_bounds(sys: System, override) -> Bounds:
     return Bounds()
 
 
-_NO_CLASSES = frozenset()
-
-
 def _classes(hits):
     """The class strings of a list of monitor hits."""
-    if not hits:  # most states and edges; one shared empty set keeps walk graphs small
-        return _NO_CLASSES
-    return frozenset(_class_of(*hit) for hit in hits)
+    return {_class_of(*hit) for hit in hits}
 
 
 class _Checks:
@@ -504,74 +499,74 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
 class _WalkNode:
     """A state some walk stood on, with its outgoing edges filled as walks take them."""
 
-    __slots__ = ("state", "edges", "hits", "sink", "children")
+    __slots__ = ("state", "edges", "n", "bits", "children")
 
-    def __init__(self, state, edges, hits, sink):
+    def __init__(self, state, edges):
         self.state = state
         self.edges = edges                  # the enabled actions, from checks.edges
-        self.hits = hits                    # classes checks.state reports here
-        self.sink = sink                    # classes checks.sink reports; none if edges
-        self.children = [None] * len(edges)  # edge index -> (child node, classes)
+        self.n = len(edges)
+        self.bits = self.n.bit_length()     # what randrange(n) draws per try
+        self.children = [None] * self.n     # edge index -> child node
 
 
 def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     """Sample maximal schedules uniformly step-wise; collect violation classes.
 
-    The walks of one call share a graph of the states they stood on. Each
-    state's enabled actions, state hits and sink hits are computed when a
-    walk first reaches it, and an edge is applied and checked when a walk
-    first takes it; later walks follow the stored node. This returns what
-    recomputing every step would, because ``apply`` and the monitors are
-    pure functions of what they are shown, and it draws the same random
-    numbers. The graph lives for this call only, so the walks stay
-    independent of the exhaustive explorer's memo. It holds at most
-    ``max_states`` states, and always the initial one, as ``explore``'s memo
-    does; once full it stops growing, and a step it has not stored is
-    applied and checked afresh each time a walk takes it.
+    The walks of one call share a graph of the states they stood on. A
+    state's enabled actions are computed, and its state and sink classes
+    collected, when a walk first reaches it; an edge is applied and its
+    classes collected when a walk first takes it. A later step over a stored
+    edge only draws its index. This collects what checking every step would,
+    since ``apply`` and the monitors are pure, each node built is stood on
+    at once, and a sink is checked before the depth bound. An index below
+    ``n`` is drawn as ``randrange(n)`` draws it, by redrawing
+    ``getrandbits(n.bit_length())`` until it is below ``n``, so a seed gives
+    the same walks. The graph lives for this call only and shares nothing
+    with ``explore``. It holds at most ``max_states`` states, and always the
+    initial one; once full it stops growing, and a step it has not stored
+    is applied and checked afresh.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     classes = set()
     nodes = {}           # state -> _WalkNode, for this call only
 
     def node_for(state):
         node = nodes.get(state)
         if node is None:
-            hits = _classes(checks.state(state))
+            classes.update(_classes(checks.state(state)))
             edges, sink = checks.edges(state)
-            node = _WalkNode(state, edges, hits, _classes(sink))
+            classes.update(_classes(sink))
+            node = _WalkNode(state, edges)
             if len(nodes) < b.max_states:
                 nodes[state] = node
         return node
 
+    def take(node, i):
+        post, hits = checks.step(node.state, node.edges[i])
+        classes.update(_classes(hits))
+        child = node_for(post)
+        if len(nodes) < b.max_states:  # then child is in the graph
+            node.children[i] = child
+        return child
+
     init = sys.initial_state()
     root = nodes[init] = node_for(init)
+    depth = range(b.max_depth)
     for _ in range(walks):
         node = root
-        classes.update(root.hits)
-        steps = 0
-        while True:
-            edges = node.edges
-            if not edges:
-                classes.update(node.sink)
+        for _ in depth:
+            n = node.n
+            if not n:
                 break
-            if steps >= b.max_depth:
-                break
-            i = rng.randrange(len(edges))
-            child = node.children[i]
-            if child is None:
-                post, hits = checks.step(node.state, edges[i])
-                hits = _classes(hits)
-                nxt = node_for(post)
-                child = (nxt, (hits | nxt.hits) if hits else nxt.hits)
-                if len(nodes) < b.max_states:  # then nxt is in the graph
-                    node.children[i] = child
-            node, hits = child
-            classes.update(hits)
-            steps += 1
-    return WalkSummary(walks=walks, classes=frozenset(classes))
+            i = draw(node.bits)
+            while i >= n:
+                i = draw(node.bits)
+            node = node.children[i] or take(node, i)
+    # the root's classes were collected when it was built, even for no walk
+    return WalkSummary(walks=walks, classes=frozenset(classes if walks else ()))
 
 
 def replay_with_checks(scenario, events, on_step=None):
@@ -595,7 +590,7 @@ def replay_with_checks(scenario, events, on_step=None):
         if on_step is not None:
             on_step(k, ev, sys.view(state))
         edges, sink = checks.edges(state)
-    classes = set(_classes(hits))
+    classes = _classes(hits)
     classes.update(_classes(checks.state(state)))
     classes.update(_classes(sink))
     return sys.view(state), classes

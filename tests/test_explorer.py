@@ -19,7 +19,7 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
                                verify_violation)
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
-from helpers import (first_witnesses, maximal_schedule_count, reachable,
+from helpers import (bench_families, first_witnesses, maximal_schedule_count, reachable,
                      reference_replay_with_checks)
 from test_golden import FIXTURE, _cases, _op_scenarios
 from test_monitors import unguarded_sections
@@ -249,6 +249,65 @@ def test_a_full_walk_graph_steps_afresh():
     # Only a step between two kept states is served from the graph, and an
     # acyclic walk takes at most two such steps.
     assert sum(sys.applied.values()) >= sum(reference.applied.values()) - 2 * 50
+
+
+def _walk_differential_scenarios():
+    """The bench's three families at small sizes and the golden op scenarios."""
+    families, rng = bench_families(), random.Random(0)
+    return ([families.lost_update((2, 2), rng), families.torn_read(2, 2, 2, rng),
+             families.relay_chain(2, 2, rng)] + _op_scenarios())
+
+
+@pytest.mark.parametrize("sc", _walk_differential_scenarios(), ids=lambda sc: sc.name)
+def test_walks_match_the_uncached_reference_beyond_the_catalog(sc):
+    for seed, bounds in WALK_CASES:
+        cached, reference = CountingSystem(sc), CountingSystem(sc)
+        got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
+        assert got == reference_walks(reference, 200, seed, bounds)
+        # No edge is applied that no walk took.
+        assert cached.applied.keys() == reference.applied.keys()
+        if bounds is None or bounds.max_states > 3:
+            # Each edge taken is applied, and each state reached offered its
+            # actions, once per call.
+            assert max(cached.applied.values(), default=1) == 1
+            assert max(cached.offered.values()) == 1
+
+
+def test_an_edge_index_is_drawn_as_randrange_draws_it():
+    """random_walks draws an index below n by redrawing getrandbits(n.bit_length())
+    until it is below n. Same-seed walk summaries rest on that being what
+    Random.randrange(n) does; if a Python release changes it, this fails."""
+    for seed in range(10):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            for _ in range(3):
+                i = ours.getrandbits(n.bit_length())
+                while i >= n:
+                    i = ours.getrandbits(n.bit_length())
+                assert i == theirs.randrange(n), (seed, n)
+
+
+def root_deadlock():
+    """One process waiting for a word that is never written: the initial
+    state is a sink."""
+    return s.Scenario.from_parts("root-deadlock", 1, [s.raw_cell("c", [0])],
+                                 [s.process(0, s.wait_word("c", 0, 1))])
+
+
+@pytest.mark.parametrize("sc", [catalog.get(n) for n in catalog.names()] + [root_deadlock()],
+                         ids=lambda sc: sc.name)
+def test_no_walk_finds_nothing_and_a_depth_0_walk_checks_only_the_root(sc):
+    sys = System(sc)
+    checks = _Checks(sys)
+    init = sys.initial_state()
+    root = {Violation(*hit, None, "").cls
+            for hit in checks.state(init) + list(checks.edges(init)[1])}
+    for seed in (0, 1, 2):
+        assert random_walks(sys, walks=0, seed=seed) == WalkSummary(0, frozenset())
+        got = random_walks(sys, walks=1, seed=seed, bounds=Bounds(max_depth=0))
+        assert got == WalkSummary(1, frozenset(root))
+    if sc.name == "root-deadlock":
+        assert root == {"deadlock"}
 
 
 class TestReplayChecks:

@@ -8,10 +8,10 @@ documents (scenarios), the stepping engine (kernel), safety monitors
 """
 
 from .explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
-                       explore, find_shortest, random_walks, replay_with_checks,
+                       explore, find_shortest, random_walks, replay, replay_with_checks,
                        verify_violation)
 from .kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
-                     System, Trace, replay)
+                     System, Trace)
 from .scenarios import ParseError, Scenario, ValidationError, load_file, loads, serialize
 from . import catalog
 from .catalog import catalog_check, entries, get, names

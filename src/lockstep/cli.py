@@ -154,8 +154,8 @@ def cmd_explore(args):
 def cmd_run(args):
     sys = _load_system(args)
     events, _ = _load_schedule(args.schedule)
-    final = sys.replay(events)
-    done = sys.all_terminated(final)
+    final, _ = replay_with_checks(sys, events)  # stale -> exit 3
+    done = all(ps.pc >= len(program.instrs) for ps, program in zip(final.procs, sys.programs))
     if args.format == "structured":
         doc = {"steps": len(events), "state_hash": sys.state_hash(final),
                "all_terminated": done}

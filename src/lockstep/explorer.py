@@ -141,9 +141,15 @@ class _Checks:
     """The transition layer: stepping and monitor fan-out for every strategy.
 
     A rule for all steps goes here once, such as turning a ``KernelError``
-    into a violation or counting transitions and time per layer. States come
-    in packed. A state is checked through the monitors' watches: each
-    verdict is kept per distinct tuple of intern indices at the slots it
+    into a violation or counting transitions and time per layer. ``edges``
+    applies nothing; the walks and the replay take one edge of it at a time
+    with ``step``, and a search asks it of a state at the depth bound.
+    ``successors`` expands a state with one call and applies each edge only
+    when the caller reaches it, so every hit, apply and fault comes when the
+    strategy visits the edge, as with ``step``.
+
+    States come in packed. A state is checked through the monitors' watches:
+    each verdict is kept per distinct tuple of intern indices at the slots it
     reads, for the life of the layer (one strategy call), as ``System`` keeps
     offers. So a state costs one lookup per watch and builds no view. Event
     and terminal hooks are shown views, and each runs only on the monitors
@@ -170,6 +176,26 @@ class _Checks:
         """(post state, hits on the edge) for an action known to be enabled."""
         post = self.sys.apply(state, ev)
         return post, (self.event(state, ev, post) if self.on_event else ())
+
+    def successors(self, state):
+        """(enabled actions, sink hits, successors): ``edges``, and then an
+        iterator of ``(action, post state, hits on the edge)`` that gives what
+        ``step`` on each action in order would. An edge is applied only when
+        the caller reaches it."""
+        actions = self.sys.enabled_actions(state)
+        if not actions:
+            return actions, self.sink(state), ()
+        return actions, (), self._steps(state, actions)
+
+    def _steps(self, state, actions):
+        apply = self.sys.apply
+        if self.on_event:
+            for ev in actions:
+                post = apply(state, ev)
+                yield ev, post, self.event(state, ev, post)
+        else:
+            for ev in actions:
+                yield ev, apply(state, ev), ()
 
     def state(self, state):
         hits = []
@@ -336,25 +362,11 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     violations = {}      # class -> first Violation, in discovery order
     terminals = []       # each sink is closed once, so each terminal key is listed once
     bounds_hit = False
-
-    init = sys.initial_state()
-    root = init if key_of is None else key_of(init)
-    memo[root] = _IN_PROGRESS
-    held = 1             # the states the memo stands for: its keys' orbits
-    # frame: [state, enabled, next edge index, schedule count accumulator, inbound event, key]
-    stack = [[init, None, 0, 0, None, root]]
-
-    def close(count):
-        frame = stack.pop()
-        memo[frame[5]] = count
-        if count is None:
-            cut_at[frame[5]] = len(stack)
-        if stack:
-            parent = stack[-1]
-            parent[3] = None if (parent[3] is None or count is None) else parent[3] + count
+    # frame: [its state's successors, schedule count accumulator, inbound event, key]
+    stack = []
 
     def trail(extra=None):
-        events = tuple(f[4] for f in stack[1:])
+        events = tuple(f[2] for f in stack[1:])
         return events if extra is None else events + (extra,)
 
     def record(hits, ev, state):
@@ -367,54 +379,71 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 violations[cls] = Violation(kind, name, detail, Trace(trail(ev)),
                                             sys.state_hash(state))
 
+    def enter(state, ev, key):
+        """Expand ``state``, reached from the top frame by ``ev``: push its
+        frame and return _IN_PROGRESS, or return its count when it has no edge
+        to follow. A state at the depth bound applies nothing."""
+        nonlocal bounds_hit
+        depth = len(stack)
+        if depth < b.max_depth:
+            actions, hits, succ = checks.successors(state)
+        else:
+            (actions, hits), succ = checks.edges(state), None
+        if not actions:
+            if sys.all_terminated(state):
+                terminals.append(state)
+            record(hits, ev, state)
+            memo[key] = 1
+            return 1
+        if succ is None:
+            bounds_hit = True
+            memo[key] = None
+            cut_at[key] = depth
+            return None
+        memo[key] = _IN_PROGRESS
+        stack.append([succ, 0, ev, key])
+        return _IN_PROGRESS
+
+    init = sys.initial_state()
+    root = init if key_of is None else key_of(init)
+    held = 1             # the states the memo stands for: its keys' orbits
     record(checks.state(init), None, init)
+    enter(init, None, root)
 
     while stack:
         frame = stack[-1]
-        state = frame[0]
-        if frame[1] is None:
-            frame[1], hits = checks.edges(state)
-            if not frame[1]:
-                if sys.all_terminated(state):
-                    terminals.append(state)
-                record(hits, None, state)
-                close(1)
-                continue
-            if len(stack) - 1 >= b.max_depth:
-                bounds_hit = True
-                close(None)
-                continue
-        edges = frame[1]
-        if frame[2] >= len(edges):
-            close(frame[3])
-            continue
-        ev = edges[frame[2]]
-        frame[2] += 1
-        post, hits = checks.step(state, ev)
-        if hits:
-            record(hits, ev, post)
-        key = post if key_of is None else key_of(post)
-        count = memo.get(key, _UNSEEN)
-        if count is _UNSEEN:
-            state_hits = checks.state(post)
-            if state_hits:
-                record(state_hits, ev, post)
-            size = 1 if orbits is None else orbits.size(key)
-            if held + size <= b.max_states:
-                held += size
-                memo[key] = _IN_PROGRESS
-                stack.append([post, None, 0, 0, ev, key])
-            else:
-                bounds_hit = True
-                frame[3] = None
-        elif count is None and cut_at[key] > len(stack):  # reached by a shorter path
-            del cut_at[key]
-            memo[key] = _IN_PROGRESS
-            stack.append([post, None, 0, 0, ev, key])
-        else:
-            if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
+        for ev, post, hits in frame[0]:
+            if hits:
+                record(hits, ev, post)
+            key = post if key_of is None else key_of(post)
+            count = memo.get(key, _UNSEEN)
+            if count is _UNSEEN:
+                state_hits = checks.state(post)
+                if state_hits:
+                    record(state_hits, ev, post)
+                size = 1 if orbits is None else orbits.size(key)
+                if held + size <= b.max_states:
+                    held += size
+                    count = enter(post, ev, key)
+                else:
+                    bounds_hit = True
+                    count = None
+            elif count is None and cut_at[key] > len(stack):  # reached by a shorter path
+                del cut_at[key]
+                count = enter(post, ev, key)
+            elif count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
                 raise RuntimeError("cycle in the schedule graph")
-            frame[3] = None if (frame[3] is None or count is None) else frame[3] + count
+            if count is _IN_PROGRESS:
+                break
+            frame[1] = None if (frame[1] is None or count is None) else frame[1] + count
+        else:
+            stack.pop()
+            count = memo[frame[3]] = frame[1]
+            if count is None:
+                cut_at[frame[3]] = len(stack)
+            if stack:
+                parent = stack[-1]
+                parent[1] = None if (parent[1] is None or count is None) else parent[1] + count
 
     if orbits is not None:
         terminals = [image for state in terminals for image in orbits.images(state)]
@@ -471,19 +500,20 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     while level:
         below = []
         for state in level:
-            edges, sink = checks.edges(state)
+            if depth < b.max_depth:
+                edges, sink, succ = checks.successors(state)
+            else:  # a state at the depth bound applies nothing
+                (edges, sink), succ = checks.edges(state), ()
             if not edges:
                 v = first_match(sink, state, None, state)
                 if v is not None:
                     return v
                 continue
-            if depth >= b.max_depth:
-                continue
-            for ev in edges:
-                post, hits = checks.step(state, ev)
-                v = first_match(hits, state, ev, post)
-                if v is not None:
-                    return v
+            for ev, post, hits in succ:
+                if hits:
+                    v = first_match(hits, state, ev, post)
+                    if v is not None:
+                        return v
                 if post not in parents:
                     v = first_match(checks.state(post), state, ev, post)
                     if v is not None:
@@ -576,7 +606,8 @@ def replay_with_checks(scenario, events, on_step=None):
     final state, classes). Classes cover the final transition, the final
     state, and, where the schedule ends in a state with no enabled action,
     the deadlock/terminal checks. ``on_step(k, event, view)`` is called
-    after each step, as in ``System.replay`` but with the state's view.
+    after each step. A step the state does not offer raises
+    ``NotEnabledAtStep`` with its index and the actions that were enabled.
     """
     sys = as_system(scenario)
     checks = _Checks(sys)
@@ -594,6 +625,12 @@ def replay_with_checks(scenario, events, on_step=None):
     classes.update(_classes(checks.state(state)))
     classes.update(_classes(sink))
     return sys.view(state), classes
+
+
+def replay(scenario, events, on_step=None):
+    """Replay a schedule, as ``replay_with_checks`` does, and return the view
+    of its final state."""
+    return replay_with_checks(scenario, events, on_step)[0]
 
 
 def verify_violation(scenario, violation: Violation) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import machines
 from .programs import LABEL_KIND, CompileContext, Program, compile_program
@@ -267,16 +268,20 @@ class System:
     A process changes only its own local state and the one mechanism it
     addresses (or, in a rendezvous, its partner's), so a step's result and a
     process's offers depend only on that local view. A System therefore keeps
-    three tables for its lifetime: an intern table giving an index to each
+    its tables for its lifetime: an intern table giving an index to each
     distinct ``ProcState`` and mechanism snapshot it has produced, the local
     steps it has computed, keyed by ``(action, acting ProcState, touched
-    mechanism or receiver ProcState)``, and each process's offers, keyed by
-    ``(pid, ProcState, the state slots they read)``, parts as indices: the
-    mechanisms its head instructions touch and, for a send, every other
-    process that receives on its channel. Each grows with the distinct local
-    views reached, not with the global states. A state is its mechanisms'
-    indices, then its processes'. A step or offer that raises is not stored,
-    so a fault raises every time.
+    mechanism or receiver ProcState)``, and one view table per process,
+    keyed by its ProcState index. A view's entry holds a getter of the state
+    slots its offers read (the mechanisms its head instructions touch and,
+    for a send, every other process that receives on its channel) and its
+    offers keyed by what the getter returns, parts as indices. So a process
+    costs ``enabled_actions`` two lookups and one getter call. Each table
+    grows with the distinct local views reached, not with the global states.
+    A state is its mechanisms' indices, then its processes'. A step or offer
+    that raises is not stored, so a fault raises every time. The programs
+    come from ``validate`` when it has checked the scenario, and are
+    compiled here otherwise.
     """
 
     def __init__(self, scenario):
@@ -290,7 +295,7 @@ class System:
         procs = sorted(scenario.processes, key=lambda p: p["id"])
         self.n_procs = len(procs)
         self.n_mechs = len(self.mech_ids)
-        self.programs: tuple[Program, ...] = tuple(
+        self.programs: tuple[Program, ...] = scenario.compiled or tuple(
             compile_program(p["steps"], CompileContext(
                 pid=p["id"], word_width=scenario.word_width,
                 mech_kind=self.mech_kind, mech_index=self.mech_index,
@@ -299,8 +304,7 @@ class System:
         self._parts = []    # intern index -> ProcState or mechanism snapshot
         self._index = {}    # part -> intern index
         self._steps = {}
-        self._offers = {}
-        self._reads = {}    # (pid, ProcState index) -> state slots its offers read
+        self._views = tuple({} for _ in procs)  # per process: ProcState index -> its _view entry
         self._mech_init = tuple(self._intern(_initial_mechanism(m))
                                 for m in scenario.mechanisms)
 
@@ -343,36 +347,42 @@ class System:
 
     def enabled_actions(self, state):
         """All actions the state offers: each process's sorted offers, in pid order."""
-        part = state.__getitem__
         actions = []
         for p, ps in enumerate(state[self.n_mechs:]):
-            slots = self._reads.get((p, ps))
-            if slots is None:
-                slots = self._reads[p, ps] = self._read_slots(p, self._parts[ps].pc)
-            key = (p, ps, *map(part, slots))
-            offers = self._offers.get(key)
-            if offers is None:
-                offers = self._offers[key] = self._local_offers(key)
-            actions += offers
+            view = self._views[p].get(ps)
+            if view is None:
+                view = self._views[p][ps] = self._view(p, ps)
+            read, offers, slots = view
+            key = read(state)
+            got = offers.get(key)
+            if got is None:
+                got = offers[key] = self._local_offers((p, ps, *map(state.__getitem__, slots)))
+            actions += got
         return actions
 
-    def _read_slots(self, p, pc):
-        """The state slots process ``p``'s offers at ``pc`` read: the mechanisms
-        its heads touch and, for a send, every other process that receives on its channel."""
+    def _view(self, p, ps):
+        """The table entry of process ``p`` at ProcState index ``ps``: a getter
+        of the state slots its offers read, its offers keyed by what the getter
+        returns, and the slots themselves. The slots are the mechanisms its
+        heads touch and, for a send, every other process that receives on its channel."""
         program, slots = self.programs[p], set()
-        for ins in map(program.instrs.__getitem__, program.heads[pc]):
+        for ins in map(program.instrs.__getitem__, program.heads[self._parts[ps].pc]):
             if ins.mech is not None:
                 slots.add(ins.mech)
             if ins.op == "send":
                 slots.update(self.n_mechs + q for q, other in enumerate(self.programs) if q != p
                              and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))
-        return tuple(sorted(slots))
+        slots = tuple(sorted(slots))
+        # a view that reads no slot is keyed by len(state), the same for every state
+        return (itemgetter(*slots) if slots else len), {}, slots
 
     def _local_offers(self, key):
-        """Uncached offers of one process, sorted. A send's value is computed
-        first, so a value that faults raises even with no receiver ready."""
+        """Uncached offers of one process, sorted, given ``(p, ProcState index,
+        *the parts at its view's slots)``. A send's value is computed first, so
+        a value that faults raises even with no receiver ready."""
         p, ps = key[0], self._parts[key[1]]
-        read = dict(zip(self._reads[p, key[1]], map(self._parts.__getitem__, key[2:])))
+        slots = self._views[p][key[1]][2]
+        read = dict(zip(slots, map(self._parts.__getitem__, key[2:])))
         program, actions = self.programs[p], []
         for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
             if ins.op == "send":
@@ -449,14 +459,8 @@ class System:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, state, action) -> tuple:
-        """Apply one action after checking it is currently enabled."""
-        if action not in self.enabled_actions(state):
-            raise ChoiceNotEnabled(action)
-        return self.apply(state, action)
-
     def apply(self, state, action) -> tuple:
-        """Apply an action known to be enabled (no re-check; see step)."""
+        """Apply an action known to be enabled; it is not checked again."""
         p, label, mech_id = action
         j = self.n_mechs + p
         if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
@@ -545,24 +549,3 @@ class System:
                 continue
             return ins
         raise ChoiceNotEnabled((p, label, mech_id))
-
-    # -- replay ---------------------------------------------------------------
-
-    def replay(self, events, on_step=None) -> tuple:
-        """Re-run a recorded schedule, failing loudly on the first stale step."""
-        state = self.initial_state()
-        for k, ev in enumerate(events):
-            enabled = self.enabled_actions(state)
-            if ev not in enabled:
-                raise NotEnabledAtStep(k, ev, enabled)
-            state = self.apply(state, ev)
-            if on_step is not None:
-                on_step(k, ev, state)
-        return state
-
-
-def replay(scenario, events, on_step=None) -> GlobalState:
-    """Compile the scenario and replay the schedule; the caller and ``on_step`` see views."""
-    sys = System(scenario)
-    shown = on_step and (lambda k, ev, state: on_step(k, ev, sys.view(state)))
-    return sys.view(sys.replay(events, on_step=shown))

@@ -10,7 +10,7 @@ is written and they keep hand-rolled test scenarios terse.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .machines import WORD_DOMAIN
 from .programs import (STATUS_TOKENS, CompileContext, ProgramError, compile_program)
@@ -56,6 +56,9 @@ class Scenario:
     processes: tuple
     monitors: tuple = ()
     bounds: dict | None = None
+    # The programs ``validate`` compiled, in pid order, once it found no
+    # problem; a System takes them instead of compiling each process again.
+    compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_parts(cls, name, word_width, mechanisms, processes, monitors=(), bounds=None):
@@ -241,6 +244,7 @@ def validate(scenario: Scenario) -> None:
 
     if errors:
         raise ValidationError(errors)
+    object.__setattr__(scenario, "compiled", tuple(programs[p] for p in sorted(programs)))
 
 
 def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors):

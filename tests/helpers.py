@@ -10,7 +10,7 @@ import sys as _sys
 import types
 
 from lockstep.explorer import Violation, _Checks, _classes
-from lockstep.kernel import Trace
+from lockstep.kernel import NotEnabledAtStep, Trace
 from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
 
@@ -252,21 +252,30 @@ def brute_cell_reader_sequences(values, reads):
     return out
 
 
+def fold(sys, events):
+    """The packed state a schedule reaches, by ``apply`` alone: no enabledness
+    check and no monitor."""
+    state = sys.initial_state()
+    for ev in events:
+        state = sys.apply(state, ev)
+    return state
+
+
 def reference_replay_with_checks(sys, events):
-    """The replay_with_checks that ran on System.replay: it records the last
-    edge from a callback, then runs the event, state and sink checks after
-    the replay ends. Returns (the final state's view, classes) and raises the
-    kernel's NotEnabledAtStep on a stale step, as replay_with_checks does."""
+    """replay_with_checks by its own loop: it asks the kernel for the enabled
+    actions and applies each step, remembering the last edge, then runs the
+    event, state and sink checks after the replay ends. Returns (the final
+    state's view, classes) and raises the kernel's NotEnabledAtStep on a stale
+    step, as replay_with_checks does."""
     checks = _Checks(sys)
-    prev = sys.initial_state()
+    state = sys.initial_state()
     last = None  # (state before, event, state after) of the final step
-
-    def step(k, ev, post):
-        nonlocal prev, last
-        last = (prev, ev, post)
-        prev = post
-
-    state = sys.replay(events, on_step=step)
+    for k, ev in enumerate(events):
+        enabled = sys.enabled_actions(state)
+        if ev not in enabled:
+            raise NotEnabledAtStep(k, ev, enabled)
+        post = sys.apply(state, ev)
+        last, state = (state, ev, post), post
     classes = set(_classes(checks.event(*last))) if last else set()
     classes.update(_classes(checks.state(state)))
     if not sys.enabled_actions(state):

@@ -484,15 +484,29 @@ class TestWitnessCost:
         assert set(runs) == expected
 
 
-@pytest.mark.xfail(strict=True, raises=KernelError,
-                   reason="a reachable program fault aborts explore (ROADMAP item 4)")
-def test_a_reachable_fault_does_not_abort_explore():
+def fault_on_unwritten_read():
     """p0 may read the cell before p1 writes it, and then inc(None) faults."""
-    sc = s.Scenario.from_parts(
+    return s.Scenario.from_parts(
         "fault-on-unwritten-read", 1, [s.message_cell("mc")],
         [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
          s.process(1, s.write("mc", [1]))])
-    assert isinstance(explore(sc), ExplorationReport)
+
+
+@pytest.mark.xfail(strict=True, raises=KernelError,
+                   reason="a reachable program fault aborts explore (ROADMAP item 4)")
+def test_a_reachable_fault_does_not_abort_explore():
+    assert isinstance(explore(fault_on_unwritten_read()), ExplorationReport)
+
+
+def test_a_state_at_the_depth_bound_applies_nothing():
+    """The faulting step leaves depth 1, so a search cut at depth 1 never
+    applies it, and one cut at depth 2 does."""
+    sc = fault_on_unwritten_read()
+    assert explore(sc, Bounds(max_depth=1)).bounds_hit
+    assert find_shortest(sc, "deadlock", Bounds(max_depth=1)) is None
+    for search in (lambda b: explore(sc, b), lambda b: find_shortest(sc, "deadlock", b)):
+        with pytest.raises(KernelError, match="cannot apply inc"):
+            search(Bounds(max_depth=2))
 
 
 # -- the transition layer --------------------------------------------------------
@@ -519,9 +533,9 @@ def test_a_depth_bound_cuts_the_shortest_witness_exactly(name, cls, depth):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_replay_with_checks_agrees_with_the_callback_replay(name):
+def test_replay_with_checks_agrees_with_the_reference_replay(name):
     """On every prefix of every saved witness, the same final state and classes
-    as the replay built on System.replay; on a stale step, the same error."""
+    as a replay by its own enabled/apply loop; on a stale step, the same error."""
     scenario, classes = GOLDEN_CASES[name]
     sys = System(scenario)
     bogus = (sys.n_procs, ("local",), None)  # no process offers it
@@ -540,19 +554,82 @@ def test_replay_with_checks_agrees_with_the_callback_replay(name):
             assert errors[0] == errors[1] and errors[0][0] == k
 
 
+def _layer_scenarios():
+    """The catalog, the golden op scenarios, torn-read 3x2x2 and the bench's
+    three families at small sizes."""
+    families, rng = bench_families(), random.Random(0)
+    return WITNESS_SCENARIOS + [families.lost_update((2, 2), rng),
+                                families.torn_read(2, 2, 2, rng),
+                                families.relay_chain(2, 2, rng),
+                                families.relay_chain(3, 2, rng)]
+
+
+LAYER_SCENARIOS = _layer_scenarios()
+
+
+@pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
+def test_successors_is_edges_then_each_step(scenario):
+    """At every reachable state, the one layer call that expands a state
+    gives what ``edges`` and then ``step`` on each action give, in the same
+    order, sink hits included, and applies nothing until it is iterated."""
+    sys = System(scenario)
+    one, each = _Checks(sys), _Checks(sys)
+    states = reachable(sys)
+    applied, apply = [], sys.apply
+    sys.apply = lambda state, ev: applied.append(ev) or apply(state, ev)
+    for state in states:
+        actions, sink = each.edges(state)
+        got_actions, got_sink, successors = one.successors(state)
+        assert (got_actions, got_sink) == (actions, sink)
+        assert applied == []
+        assert list(successors) == [(ev, *each.step(state, ev)) for ev in actions]
+        assert applied == 2 * actions  # each edge once by each _Checks
+        applied.clear()
+
+
+@pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
+def test_warm_offer_tables_answer_as_cold_ones(scenario):
+    """A System whose offer tables hold every reachable view offers what one
+    that computes each state's offers afresh does. The two Systems are walked
+    in step, so each state is the same in both, packed by each its own way."""
+    warm, cold = System(scenario), System(scenario)
+    states = reachable(warm)
+    pairs = {warm.initial_state(): cold.initial_state()}
+    level = list(pairs)
+    while level:
+        below = []
+        for state in level:
+            cold._views = tuple({} for _ in cold._views)  # no offer is cached
+            actions = warm.enabled_actions(state)
+            assert actions == cold.enabled_actions(pairs[state])
+            for ev in actions:
+                post = warm.apply(state, ev)
+                if post not in pairs:
+                    pairs[post] = cold.apply(pairs[state], ev)
+                    below.append(post)
+        level = below
+    assert pairs.keys() == states
+
+
 class CallerRecordingSystem(System):
-    """Records the name of every function that steps the kernel."""
+    """Records, for every call that steps the kernel, the calling function's
+    name and whether it is a method of the transition layer."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.callers = set()
 
+    def _record(self):
+        frame = _sys._getframe(2)
+        self.callers.add((frame.f_code.co_name,
+                          isinstance(frame.f_locals.get("self"), explorer._Checks)))
+
     def apply(self, state, action):
-        self.callers.add(_sys._getframe(1).f_code.co_name)
+        self._record()
         return super().apply(state, action)
 
     def enabled_actions(self, state):
-        self.callers.add(_sys._getframe(1).f_code.co_name)
+        self._record()
         return super().enabled_actions(state)
 
 
@@ -562,7 +639,8 @@ def test_every_strategy_steps_only_through_the_transition_layer():
     witness = find_shortest(system, "torn_read")
     random_walks(system, walks=50, seed=1)
     replay_with_checks(system, witness.trace)
-    assert system.callers == {"edges", "step"}
+    assert system.callers == {("edges", True), ("step", True), ("successors", True),
+                              ("_steps", True)}
 
 
 # -- the bounds ------------------------------------------------------------------

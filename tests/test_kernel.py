@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog, cli, kernel
-from lockstep.explorer import explore, replay_with_checks
-from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
+from lockstep.explorer import _Checks, explore, replay, replay_with_checks
+from lockstep.kernel import (GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
-                             event_to_doc, label_from_doc, label_to_doc, replay,
+                             event_to_doc, label_from_doc, label_to_doc,
                              store_get, store_has, store_set)
 
-from helpers import bench_families, offered_sends, reachable, reachable_edges, schedules_to
+from helpers import (bench_families, fold, offered_sends, reachable, reachable_edges,
+                     schedules_to)
 from test_golden import _op_scenarios
 
 
@@ -234,16 +235,17 @@ class TestSends:
 
 class TestStepping:
     def test_step_checks_enabledness(self, status_sys):
-        with pytest.raises(ChoiceNotEnabled):
-            status_sys.step(status_sys.initial_state(), (1, ("read",), "ch"))
+        with pytest.raises(NotEnabledAtStep):
+            replay_with_checks(status_sys, [(1, ("read",), "ch")])
 
     def test_step_equals_apply_on_every_reachable_edge(self):
         for name in ("status-channel-exact", "duplex-last-message",
                      "deadlock-fixed-indirect"):
             sys = System(catalog.get(name))
+            checks = _Checks(sys)
             for state in reachable(sys):
                 for a in sys.enabled_actions(state):
-                    assert sys.step(state, a) == sys.apply(state, a)
+                    assert checks.step(state, a)[0] == sys.apply(state, a)
 
     def test_assert_local_failure_is_sticky(self):
         sys = make("af", 1, [s.message_cell("mc")],
@@ -310,7 +312,7 @@ class TestCaches:
         assert paths.keys() == states
         for state, events in paths.items():
             cold = System(scenario)
-            cold_state = cold.replay(events)  # the same state, packed by another System
+            cold_state = fold(cold, events)  # the same state, packed by another System
             acts = warm.enabled_actions(state)
             assert acts == cold.enabled_actions(cold_state)
             for a in acts:
@@ -353,25 +355,22 @@ class TestCaches:
 
 class TestReplay:
     def test_empty_schedule_is_the_initial_state(self, status_sys):
-        assert status_sys.replay(()) == status_sys.initial_state()
+        assert replay(status_sys, ()) == status_sys.view(status_sys.initial_state())
 
     def test_replay_reaches_the_folded_state(self, status_sys):
         events = [(0, ("write", (1,)), "ch"), (1, ("read",), "ch")]
-        by_fold = status_sys.initial_state()
-        for ev in events:
-            by_fold = status_sys.apply(by_fold, ev)
-        assert status_sys.replay(events) == by_fold
+        assert replay(status_sys, events) == status_sys.view(fold(status_sys, events))
 
     def test_stale_step_reports_index_and_alternatives(self, status_sys):
         with pytest.raises(NotEnabledAtStep) as ei:
-            status_sys.replay([(1, ("read",), "ch")])
+            replay(status_sys, [(1, ("read",), "ch")])
         assert ei.value.index == 0
         assert ei.value.enabled == ((0, ("write", (1,)), "ch"),)
 
     def test_on_step_sees_every_transition(self, status_sys):
         seen = []
-        status_sys.replay([(0, ("write", (1,)), "ch")],
-                          on_step=lambda k, ev, st: seen.append((k, ev)))
+        replay(status_sys, [(0, ("write", (1,)), "ch")],
+               on_step=lambda k, ev, st: seen.append((k, ev)))
         assert seen == [(0, (0, ("write", (1,)), "ch"))]
 
     def test_module_level_wrapper(self):
@@ -381,7 +380,7 @@ class TestReplay:
 
     def test_trace_accepted_in_place_of_events(self, status_sys):
         t = Trace(((0, ("write", (1,)), "ch"),))
-        assert status_sys.replay(t) == status_sys.replay(t.events)
+        assert replay(status_sys, t) == replay(status_sys, t.events)
 
 
 def random_schedule(sys, seed):
@@ -429,7 +428,7 @@ class TestViews:
         for seed in range(5):
             events = random_schedule(fresh, seed)
             for k in range(len(events) + 1):
-                a, b = fresh.replay(events[:k]), explored.replay(events[:k])
+                a, b = fold(fresh, events[:k]), fold(explored, events[:k])
                 packed_differ |= a != b
                 assert fresh.view(a) == explored.view(b)
                 assert fresh.state_hash(a) == explored.state_hash(b) == \
@@ -503,8 +502,8 @@ def test_random_schedules_replay_deterministically(seed):
         ev = acts[rng.randrange(len(acts))]
         events.append(ev)
         state = sys.apply(state, ev)
-    again = sys.replay(events)
-    assert again == state
+    again, _ = replay_with_checks(sys, events)
+    assert again == sys.view(state)
     assert sys.state_hash(again) == sys.state_hash(state)
 
 
@@ -524,4 +523,4 @@ def test_replay_of_any_prefix_is_legal(seed, cut):
         events.append(ev)
         state = sys.apply(state, ev)
     prefix = events[:cut]
-    sys.replay(prefix)  # must not raise
+    replay_with_checks(sys, prefix)  # must not raise

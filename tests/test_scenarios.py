@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog
+from lockstep import catalog, kernel
+from lockstep.kernel import System
 from lockstep.scenarios import (ParseError, Scenario, ValidationError, load_file,
                                 loads, serialize, validate)
 
@@ -241,6 +242,28 @@ class TestRoundTrip:
     def test_every_catalog_entry_validates(self):
         for name in catalog.names():
             validate(catalog.get(name))
+
+
+def test_each_program_is_compiled_once(monkeypatch):
+    """loads compiles each process once, to validate it, and a System built
+    from what it returns takes those programs: the ones it would compile."""
+    calls = []
+
+    def counting(compile_program):
+        def wrapper(steps, ctx):
+            calls.append(ctx.pid)
+            return compile_program(steps, ctx)
+        return wrapper
+
+    for module in (s, kernel):
+        monkeypatch.setattr(module, "compile_program", counting(module.compile_program))
+    for name in catalog.names():
+        text = serialize(catalog.get(name))
+        calls.clear()
+        sys = System(loads(text))
+        assert sorted(calls) == list(range(sys.n_procs))
+        assert sys.programs == System(catalog.get(name)).programs  # compiled by System
+        assert len(calls) == 2 * sys.n_procs
 
 
 @given(name=st.sampled_from(catalog.names()))

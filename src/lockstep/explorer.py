@@ -39,6 +39,7 @@ from math import factorial
 from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
+from .machines import KINDS
 from .monitors import Monitor, compile_monitors
 
 _IN_PROGRESS = object()
@@ -143,10 +144,11 @@ class _Checks:
     A rule for all steps goes here once, such as turning a ``KernelError``
     into a violation or counting transitions and time per layer. ``edges``
     applies nothing; the walks and the replay take one edge of it at a time
-    with ``step``, and a search asks it of a state at the depth bound.
-    ``successors`` expands a state with one call and applies each edge only
-    when the caller reaches it, so every hit, apply and fault comes when the
-    strategy visits the edge, as with ``step``.
+    with ``step``. The searches expand every state with one ``successors``
+    call, which applies each edge only when the caller reaches it, so every
+    hit, apply and fault comes when the strategy visits the edge, as with
+    ``step``, and a state at the depth bound, whose edges are not taken,
+    applies nothing.
 
     States come in packed. A state is checked through the monitors' watches:
     each verdict is kept per distinct tuple of intern indices at the slots it
@@ -221,18 +223,15 @@ class _Checks:
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
 
-# mechanism kinds whose snapshots hold no pid of a process that never locks them
-_POOLED_KINDS = frozenset({"raw_cell", "shared_register"})
-
-
 def _interchangeable(sys, monitors):
     """The groups of processes of ``sys`` that can swap places, as sorted pid
     tuples, given its compiled monitors.
 
     Processes form a group when they have equal compiled programs, touch
-    only raw cells and shared registers they never lock or unlock (an owner
-    is a pid), and the monitors map onto themselves under the swap: each
-    monitor's ``named()`` gives them equal signatures, none of them None.
+    only ``pooled`` mechanisms (``machines.KINDS``), which they never lock
+    or unlock (an owner is a pid), and the monitors map onto themselves
+    under the swap: each monitor's ``named()`` gives them equal signatures,
+    none of them None.
     (``LocalAsserts`` names every process with an ``assert_local``, whose
     failure names the pid.) Swapping two members' slots then maps
     reachable states, actions and monitor classes onto themselves.
@@ -250,7 +249,8 @@ def _interchangeable(sys, monitors):
         sig = signature.get(p, [])
         if sig is None or any(
                 ins.op in ("lock", "unlock")
-                or (ins.mech_id is not None and sys.mech_kind[ins.mech_id] not in _POOLED_KINDS)
+                or (ins.mech_id is not None
+                    and "pooled" not in KINDS[sys.mech_kind[ins.mech_id]][1])
                 for ins in program.instrs):
             continue
         groups.setdefault((program.instrs, program.heads, frozenset(Counter(sig).items())),
@@ -385,17 +385,14 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         to follow. A state at the depth bound applies nothing."""
         nonlocal bounds_hit
         depth = len(stack)
-        if depth < b.max_depth:
-            actions, hits, succ = checks.successors(state)
-        else:
-            (actions, hits), succ = checks.edges(state), None
+        actions, hits, succ = checks.successors(state)
         if not actions:
             if sys.all_terminated(state):
                 terminals.append(state)
             record(hits, ev, state)
             memo[key] = 1
             return 1
-        if succ is None:
+        if depth >= b.max_depth:  # successors is lazy, so nothing was applied
             bounds_hit = True
             memo[key] = None
             cut_at[key] = depth
@@ -500,14 +497,13 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     while level:
         below = []
         for state in level:
-            if depth < b.max_depth:
-                edges, sink, succ = checks.successors(state)
-            else:  # a state at the depth bound applies nothing
-                (edges, sink), succ = checks.edges(state), ()
+            edges, sink, succ = checks.successors(state)
             if not edges:
                 v = first_match(sink, state, None, state)
                 if v is not None:
                     return v
+                continue
+            if depth >= b.max_depth:  # successors is lazy, so nothing was applied
                 continue
             for ev, post, hits in succ:
                 if hits:

@@ -239,29 +239,6 @@ def _action_sort_key(action):
 _UNBOUND = object()  # an op that binds no variable; None is a value a read can bind
 
 
-def _initial_mechanism(doc):
-    kind = doc["kind"]
-    if kind == "raw_cell":
-        return machines.RawCell(tuple(doc["initial"]))
-    if kind == "locked_cell":
-        return machines.LockedCell(tuple(doc["initial"]),
-                                   encapsulated=doc["mode"] == "encapsulated")
-    if kind == "message_cell":
-        return machines.MessageCell()
-    if kind == "status_channel":
-        return machines.StatusChannel()
-    if kind == "last_message_channel":
-        return machines.LastMessageChannel()
-    if kind == "duplex_channel":
-        return machines.DuplexChannel(side_a=doc["side_a"], side_b=doc["side_b"],
-                                      last_message=bool(doc.get("last_message", False)))
-    if kind == "shared_register":
-        return machines.SharedRegister(tuple(doc["initial"]))
-    if kind == "direct_channel":
-        return machines.DirectChannel()
-    raise KernelError(f"unknown mechanism kind: {kind!r}")
-
-
 class System:
     """A compiled scenario, ready to step.
 
@@ -290,6 +267,9 @@ class System:
         self.mech_ids = tuple(m["id"] for m in scenario.mechanisms)
         self.mech_index = {mid: i for i, mid in enumerate(self.mech_ids)}
         self.mech_kind = {m["id"]: m["kind"] for m in scenario.mechanisms}
+        for kind in self.mech_kind.values():  # only an unvalidated scenario can fail this
+            if not isinstance(kind, str) or kind not in machines.KINDS:
+                raise KernelError(f"unknown mechanism kind: {kind!r}")
         duplex_sides = {m["id"]: (m["side_a"], m["side_b"])
                         for m in scenario.mechanisms if m["kind"] == "duplex_channel"}
         procs = sorted(scenario.processes, key=lambda p: p["id"])
@@ -305,7 +285,7 @@ class System:
         self._index = {}    # part -> intern index
         self._steps = {}
         self._views = tuple({} for _ in procs)  # per process: ProcState index -> its _view entry
-        self._mech_init = tuple(self._intern(_initial_mechanism(m))
+        self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
 
     def _intern(self, x):
@@ -460,7 +440,8 @@ class System:
     # -- stepping -------------------------------------------------------------
 
     def apply(self, state, action) -> tuple:
-        """Apply an action known to be enabled; it is not checked again."""
+        """Apply an action the state offers, or raise ``ChoiceNotEnabled``. Only a
+        cache miss checks: a step's key decides whether it is enabled."""
         p, label, mech_id = action
         j = self.n_mechs + p
         if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
@@ -479,18 +460,21 @@ class System:
 
     def _step(self, key):
         """One uncached local step: the acting process's next ProcState and the
-        touched mechanism's next snapshot (a send: the receiver's next ProcState), as indices."""
+        touched mechanism's next snapshot (a send: the receiver's next ProcState),
+        as indices. It raises unless the step's instruction offers the action."""
         (p, label, mech_id), ps, mi = key
         ps, m = self._parts[ps], None if mi is None else self._parts[mi]
         ins = self._instr_for(p, ps.pc, label, mech_id)
         op = ins.op
         if op == "send":
-            recv = self._receive_instr(label[2], m.pc, ins.mech)
-            if recv is None:
-                raise ChoiceNotEnabled((label[2], ("receive",), mech_id))
+            recv = None if label[2] == p else self._receive_instr(label[2], m.pc, ins.mech)
+            if recv is None or label[1] != self._value(ps.store, ins.expr, allow_none=True):
+                raise ChoiceNotEnabled(key[0])
             return (self._intern(ProcState(ins.succ, ps.store, ps.failed)),
                     self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
                                            m.failed)))
+        if op == "receive" or self._offer(p, ps, m, ins) != label:
+            raise ChoiceNotEnabled(key[0])
         # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
         pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
 
@@ -536,16 +520,13 @@ class System:
         return None
 
     def _instr_for(self, p, pc, label, mech_id):
-        heads = self.programs[p].heads[pc]
-        instrs = self.programs[p].instrs
-        if len(heads) == 1:
-            return instrs[heads[0]]
+        """The head of process ``p`` at ``pc`` that could offer ``label`` on ``mech_id``."""
         kind = label[0]
-        for idx in heads:
-            ins = instrs[idx]
+        for idx in self.programs[p].heads[pc]:
+            ins = self.programs[p].instrs[idx]
             if LABEL_KIND.get(ins.op) != kind or ins.mech_id != mech_id:
                 continue
-            if kind in ("read_word", "write_word") and ins.index != label[1]:
+            if kind in ("read_word", "write_word") and label[1:2] != (ins.index,):
                 continue
             return ins
         raise ChoiceNotEnabled((p, label, mech_id))

@@ -262,3 +262,24 @@ class SharedRegister:
 @dataclass(frozen=True, slots=True)
 class DirectChannel:
     """Synchronous channel: a send and its matching receive form one joint step."""
+
+
+# mechanism kind -> (its initial snapshot built from the mechanism's document,
+# the families it serves). A family is a group of ops or monitors that may
+# address the kind; a pooled kind holds no pid of a process that never locks it.
+KINDS = {
+    "raw_cell": (lambda doc: RawCell(tuple(doc["initial"])), ("word", "pooled")),
+    "locked_cell": (lambda doc: LockedCell(tuple(doc["initial"]),
+                                           encapsulated=doc["mode"] == "encapsulated"),
+                    ("word", "lock")),
+    "message_cell": (lambda doc: MessageCell(), ("value", "logged")),
+    "status_channel": (lambda doc: StatusChannel(), ("value", "status", "logged")),
+    "last_message_channel": (lambda doc: LastMessageChannel(), ("value", "status", "logged")),
+    "duplex_channel": (lambda doc: DuplexChannel(
+        side_a=doc["side_a"], side_b=doc["side_b"],
+        last_message=bool(doc.get("last_message", False))),
+        ("value", "status", "logged", "duplex")),
+    "shared_register": (lambda doc: SharedRegister(tuple(doc["initial"])),
+                        ("value", "lock", "update", "pooled")),
+    "direct_channel": (lambda doc: DirectChannel(), ("direct",)),
+}

@@ -97,11 +97,16 @@ class MutualExclusion(Monitor):
         return ()
 
 
-class SentReceivedOrder(Monitor):
-    """Received must always be a prefix of sent; equal once everyone stops."""
+class MechanismMonitor(Monitor):
+    """A monitor of one mechanism, built with the mechanism's slot, ``index``."""
 
     def __init__(self, doc, index):
+        self.mech_id = doc["mechanism"]
         self.index = index
+
+
+class SentReceivedOrder(MechanismMonitor):
+    """Received must always be a prefix of sent; equal once everyone stops."""
 
     def watches(self, n_mechs, n_procs):
         return [((self.index,), self.verdict)]
@@ -155,12 +160,8 @@ class TornValue(Monitor):
         return ()
 
 
-class RecipientTag(Monitor):
+class RecipientTag(MechanismMonitor):
     """A message must be consumed by the side it was addressed to."""
-
-    def __init__(self, doc, index):
-        self.mech_id = doc["mechanism"]
-        self.index = index
 
     def on_event(self, sys, prev, event, post):
         pid, label, mech_id = event
@@ -194,16 +195,12 @@ class TerminalAssert(Monitor):
         return ()
 
 
-class LostUnread(Monitor):
+class LostUnread(MechanismMonitor):
     """Flags any write that buries a message nobody has read yet.
 
     On a duplex channel the detail distinguishes replacing your own
     outgoing message from destroying an incoming one.
     """
-
-    def __init__(self, doc, index):
-        self.mech_id = doc["mechanism"]
-        self.index = index
 
     def on_event(self, sys, prev, event, post):
         pid, label, mech_id = event
@@ -222,24 +219,21 @@ class LostUnread(Monitor):
         return [("lost_message", None, None)]
 
 
+# monitor kind -> its class; compile_monitors gives a MechanismMonitor its slot
+KINDS = {"mutual_exclusion": MutualExclusion, "sent_received_order": SentReceivedOrder,
+         "torn_value": TornValue, "recipient_tag": RecipientTag,
+         "terminal_assert": TerminalAssert, "lost_unread": LostUnread}
+
+
 def compile_monitors(sys):
     """Instantiate the scenario's monitors plus the built-in assert watcher."""
     out = [LocalAsserts(p for p, program in enumerate(sys.programs)
                         if any(ins.op == "assert_local" for ins in program.instrs))]
     for doc in sys.scenario.monitors:
         kind = doc["kind"]
-        if kind == "mutual_exclusion":
-            out.append(MutualExclusion(doc))
-        elif kind == "sent_received_order":
-            out.append(SentReceivedOrder(doc, sys.mech_index[doc["mechanism"]]))
-        elif kind == "torn_value":
-            out.append(TornValue(doc))
-        elif kind == "recipient_tag":
-            out.append(RecipientTag(doc, sys.mech_index[doc["mechanism"]]))
-        elif kind == "terminal_assert":
-            out.append(TerminalAssert(doc))
-        elif kind == "lost_unread":
-            out.append(LostUnread(doc, sys.mech_index[doc["mechanism"]]))
-        else:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ValueError(f"unknown monitor kind: {kind!r}")
+        cls = KINDS[kind]
+        out.append(cls(doc, sys.mech_index[doc["mechanism"]])
+                   if issubclass(cls, MechanismMonitor) else cls(doc))
     return tuple(out)

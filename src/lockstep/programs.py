@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machines import WORD_DOMAIN
+from .machines import KINDS, WORD_DOMAIN
 
 MAX_UNROLLED = 64   # instructions per process after loop unrolling
 MAX_NESTING = 3     # loop/if/choose nesting
@@ -22,32 +22,24 @@ MAX_VARS = 4        # distinct local variables per process
 
 STATUS_TOKENS = ("empty", "full", "full-other")
 
-_WORD_KINDS = frozenset({"raw_cell", "locked_cell"})
-_VALUE_KINDS = frozenset({"message_cell", "status_channel", "last_message_channel",
-                          "duplex_channel", "shared_register"})
-_STATUS_KINDS = frozenset({"status_channel", "last_message_channel", "duplex_channel"})
-_LOCK_KINDS = frozenset({"locked_cell", "shared_register"})
-_DIRECT_KINDS = frozenset({"direct_channel"})
-_REGISTER_KINDS = frozenset({"shared_register"})
-
-# op -> (the action-label kind it offers, the mechanism kinds it may address
-# or None, its operands in the order they are checked). The label kind names
-# it in traces and tells choose alternatives apart; each operand checks one
-# part of the step and fills one Instr field (_Emitter._OPERANDS).
+# op -> (the action-label kind it offers, the family of machines.KINDS it may
+# address or None, its operands in the order they are checked). The label kind
+# names it in traces and tells choose alternatives apart; each operand checks
+# one part of the step and fills one Instr field (_Emitter._OPERANDS).
 OPS = {
-    "lock": ("lock", _LOCK_KINDS, ()),
-    "unlock": ("unlock", _LOCK_KINDS, ()),
-    "read": ("read", _VALUE_KINDS, ("bind",)),
-    "write": ("write", _VALUE_KINDS, ("value",)),
-    "send": ("send", _DIRECT_KINDS, ("value_or_null",)),
-    "receive": ("receive", _DIRECT_KINDS, ("bind",)),
-    "read_word": ("read_word", _WORD_KINDS, ("bind", "index")),
-    "wait_word": ("read_word", _WORD_KINDS, ("index", "word")),
-    "if_word": ("read_word", _WORD_KINDS, ("index", "word")),
-    "write_word": ("write_word", _WORD_KINDS, ("index", "word_expr")),
-    "check": ("check", _STATUS_KINDS, ("bind",)),
-    "if_status": ("check", _STATUS_KINDS, ()),
-    "update": ("update", _REGISTER_KINDS, ("fn",)),
+    "lock": ("lock", "lock", ()),
+    "unlock": ("unlock", "lock", ()),
+    "read": ("read", "value", ("bind",)),
+    "write": ("write", "value", ("value",)),
+    "send": ("send", "direct", ("value_or_null",)),
+    "receive": ("receive", "direct", ("bind",)),
+    "read_word": ("read_word", "word", ("bind", "index")),
+    "wait_word": ("read_word", "word", ("index", "word")),
+    "if_word": ("read_word", "word", ("index", "word")),
+    "write_word": ("write_word", "word", ("index", "word_expr")),
+    "check": ("check", "status", ("bind",)),
+    "if_status": ("check", "status", ()),
+    "update": ("update", "update", ("fn",)),
     "local": ("local", None, ("bind", "value_or_null")),
     "assert_local": ("local", None, ("bound_var", "expected")),
 }
@@ -136,14 +128,14 @@ class _Emitter:
 
     # -- checks (an OPS operand takes (step, path, bound), returns its Instr field)
 
-    def _mech(self, step, path, allowed_kinds, op):
+    def _mech(self, step, path, family, op):
         mid = step.get("mechanism")
         if not isinstance(mid, str) or not mid:
             raise ProgramError(path, f"{op} needs a 'mechanism' id")
         kind = self.ctx.mech_kind.get(mid)
         if kind is None:
             raise ProgramError(path, f"references undeclared mechanism '{mid}'")
-        if kind not in allowed_kinds:
+        if family not in KINDS[kind][1]:
             raise ProgramError(path, f"{op} is not defined for mechanism '{mid}' of kind {kind}")
         if kind == "duplex_channel":
             sides = self.ctx.duplex_sides[mid]
@@ -312,10 +304,10 @@ class _Emitter:
     def _emit_instr(self, op, step, path, bound):
         """Append one instruction: its mechanism, then its operands in the order
         OPS lists them. Returns its index and the variables bound after it."""
-        _, kinds, operands = OPS[op]
+        _, family, operands = OPS[op]
         fields = {"op": op}
-        if kinds is not None:
-            fields["mech_id"] = mid = self._mech(step, path, kinds, op)
+        if family is not None:
+            fields["mech_id"] = mid = self._mech(step, path, family, op)
             fields["mech"] = self.ctx.mech_index[mid]
         for name in operands:
             field, check = self._OPERANDS[name]

@@ -12,22 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import machines, monitors
 from .machines import WORD_DOMAIN
 from .programs import (STATUS_TOKENS, CompileContext, ProgramError, compile_program)
-
-MECHANISM_KINDS = frozenset({
-    "raw_cell", "locked_cell", "message_cell", "status_channel",
-    "last_message_channel", "duplex_channel", "shared_register", "direct_channel",
-})
-
-MONITOR_KINDS = frozenset({
-    "mutual_exclusion", "sent_received_order", "torn_value",
-    "recipient_tag", "terminal_assert", "lost_unread",
-})
-
-_LOGGED_KINDS = frozenset({"message_cell", "status_channel",
-                           "last_message_channel", "duplex_channel"})
-_CELL_KINDS = frozenset({"raw_cell", "locked_cell"})
 
 
 class ParseError(ValueError):
@@ -173,7 +160,7 @@ def validate(scenario: Scenario) -> None:
             errors.append(f"{path}.id: duplicate mechanism id '{mid}'")
             continue
         kind = m.get("kind")
-        if not isinstance(kind, str) or kind not in MECHANISM_KINDS:
+        if not isinstance(kind, str) or kind not in machines.KINDS:
             errors.append(f"{path}.kind: unknown mechanism kind {kind!r}")
             continue
         mech_kind[mid] = kind
@@ -252,20 +239,18 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
         errors.append(f"{path}: must be an object")
         return
     kind = mon.get("kind")
-    if not isinstance(kind, str) or kind not in MONITOR_KINDS:
+    if not isinstance(kind, str) or kind not in monitors.KINDS:
         errors.append(f"{path}.kind: unknown monitor kind {kind!r}")
         return
 
-    def need_mech(allowed):
+    def need_mech(family):
+        """The monitor's mechanism must serve ``family`` (None: any kind)."""
         mid = mon.get("mechanism")
         if not isinstance(mid, str) or mid not in mech_kind:
             errors.append(f"{path}.mechanism: undeclared mechanism {mid!r}")
-            return None
-        if mech_kind[mid] not in allowed:
+        elif family is not None and family not in machines.KINDS[mech_kind[mid]][1]:
             errors.append(f"{path}.mechanism: '{mid}' has kind {mech_kind[mid]}, "
                           f"which this monitor does not apply to")
-            return None
-        return mid
 
     def need_var(pid, name, where):
         prog = programs.get(pid)
@@ -274,7 +259,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
 
     if kind == "mutual_exclusion":
         if "mechanism" in mon:
-            need_mech(MECHANISM_KINDS)
+            need_mech(None)
         markers = mon.get("markers")
         if not isinstance(markers, list) or len(markers) < 2:
             errors.append(f"{path}.markers: needs at least two [process, var] pairs")
@@ -289,9 +274,9 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
             else:
                 need_var(mk[0], mk[1], f"{path}.markers[{k}]")
     elif kind == "sent_received_order":
-        need_mech(_LOGGED_KINDS)
+        need_mech("logged")
     elif kind == "torn_value":
-        need_mech(_CELL_KINDS)
+        need_mech("word")
         allowed = mon.get("allowed")
         if not isinstance(allowed, list) or not allowed:
             errors.append(f"{path}.allowed: needs at least one value")
@@ -308,7 +293,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
             for n in names:
                 need_var(pid, n, f"{path}.vars")
     elif kind == "recipient_tag":
-        need_mech({"duplex_channel"})
+        need_mech("duplex")
     elif kind == "terminal_assert":
         pid = mon.get("process")
         if type(pid) is not int or pid not in valid_pids:
@@ -327,7 +312,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
         elif exp is not None and not _is_word(exp):
             errors.append(f"{path}.expected: must be null, a word, a status token, or a value")
     elif kind == "lost_unread":
-        need_mech(_LOGGED_KINDS)
+        need_mech("logged")
 
 
 # -- builders: mechanisms ------------------------------------------------------

@@ -441,7 +441,7 @@ class TestWitnessCost:
                 self.scans += 1
                 return super().scan(store)
 
-        monkeypatch.setattr(monitors, "TornValue", CountingTornValue)
+        monkeypatch.setitem(monitors.KINDS, "torn_value", CountingTornValue)
         sys = System(torn_read_3x2x2())
         explore(sys)
         states = reachable(sys)

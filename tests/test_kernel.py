@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import lockstep.scenarios as s
 from lockstep import catalog, cli, kernel
 from lockstep.explorer import _Checks, explore, replay, replay_with_checks
-from lockstep.kernel import (GlobalState, KernelError, NotEnabledAtStep,
+from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
                              event_to_doc, label_from_doc, label_to_doc,
                              store_get, store_has, store_set)
@@ -237,6 +237,35 @@ class TestStepping:
     def test_step_checks_enabledness(self, status_sys):
         with pytest.raises(NotEnabledAtStep):
             replay_with_checks(status_sys, [(1, ("read",), "ch")])
+
+    @pytest.mark.parametrize("action", [(0, ("read",), "ch"), (1, ("read",), "ch"),
+                                        (0, ("write", (2,)), "ch"), (0, ("local",), None)])
+    def test_apply_refuses_an_action_the_state_does_not_offer(self, status_sys, action):
+        with pytest.raises(ChoiceNotEnabled):
+            status_sys.apply(status_sys.initial_state(), action)
+
+    def test_apply_refuses_a_send_it_does_not_offer(self):
+        sys = make("one-send", 1, [s.direct_channel("dc")],
+                   [s.process(0, s.send("dc", [5])), s.process(1, s.receive("dc", "x"))])
+        init = sys.initial_state()
+        for label in (("send", (4,), 1), ("send", None, 1), ("send", (5,), 0)):
+            with pytest.raises(ChoiceNotEnabled):
+                sys.apply(init, (0, label, "dc"))
+        assert sys.all_terminated(sys.apply(init, (0, ("send", (5,), 1), "dc")))
+
+    @pytest.mark.parametrize("scenario", [catalog.get(name) for name in catalog.names()]
+                             + _op_scenarios(), ids=lambda sc: sc.name)
+    def test_apply_refuses_each_action_at_the_states_that_do_not_offer_it(self, scenario):
+        """Every step the states offer is cached first, so a cache hit cannot
+        let an action through at a state that does not offer it."""
+        sys = System(scenario)
+        states = reachable(sys)
+        offered = {state: set(sys.enabled_actions(state)) for state in states}
+        anywhere = set().union(*offered.values())
+        for state in states:
+            for action in anywhere - offered[state]:
+                with pytest.raises(ChoiceNotEnabled):
+                    sys.apply(state, action)
 
     def test_step_equals_apply_on_every_reachable_edge(self):
         for name in ("status-channel-exact", "duplex-last-message",

@@ -141,14 +141,14 @@ def _classes(hits):
 class _Checks:
     """The transition layer: stepping and monitor fan-out for every strategy.
 
-    A rule for all steps goes here once, such as turning a ``KernelError``
-    into a violation or counting transitions and time per layer. ``edges``
-    applies nothing; the walks and the replay take one edge of it at a time
-    with ``step``. The searches expand every state with one ``successors``
-    call, which applies each edge only when the caller reaches it, so every
-    hit, apply and fault comes when the strategy visits the edge, as with
-    ``step``, and a state at the depth bound, whose edges are not taken,
-    applies nothing.
+    Every strategy expands a state with ``edges`` and takes each edge with
+    ``step``, so a rule for every expansion or every step goes here once,
+    such as turning a ``KernelError`` into a violation or counting
+    transitions and time per layer. Only ``edges`` asks the kernel for
+    enabled actions, only ``step`` applies one and runs the event hooks, and
+    only ``sink`` runs the terminal hooks. ``edges`` applies nothing, so a
+    state at the depth bound, whose edges the searches do not take, applies
+    nothing.
 
     States come in packed. A state is checked through the monitors' watches:
     each verdict is kept per distinct tuple of intern indices at the slots it
@@ -160,6 +160,7 @@ class _Checks:
 
     def __init__(self, sys):
         self.sys = sys
+        self.apply = sys.apply
         self.monitors = monitors = compile_monitors(sys)
         # (key of a packed state, verdicts by key, slots, verdict), in monitor order
         self.watches = tuple((itemgetter(*slots), {}, slots, verdict) for m in monitors
@@ -176,28 +177,8 @@ class _Checks:
 
     def step(self, state, ev):
         """(post state, hits on the edge) for an action known to be enabled."""
-        post = self.sys.apply(state, ev)
+        post = self.apply(state, ev)
         return post, (self.event(state, ev, post) if self.on_event else ())
-
-    def successors(self, state):
-        """(enabled actions, sink hits, successors): ``edges``, and then an
-        iterator of ``(action, post state, hits on the edge)`` that gives what
-        ``step`` on each action in order would. An edge is applied only when
-        the caller reaches it."""
-        actions = self.sys.enabled_actions(state)
-        if not actions:
-            return actions, self.sink(state), ()
-        return actions, (), self._steps(state, actions)
-
-    def _steps(self, state, actions):
-        apply = self.sys.apply
-        if self.on_event:
-            for ev in actions:
-                post = apply(state, ev)
-                yield ev, post, self.event(state, ev, post)
-        else:
-            for ev in actions:
-                yield ev, apply(state, ev), ()
 
     def state(self, state):
         hits = []
@@ -279,7 +260,8 @@ class _Orbits:
     when one is the other with some members of each group swapped. A
     key's orbit is the set of states with that key; its size is
     ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
-    repeated intern index among the group's slots.
+    repeated intern index among the group's slots. With no group, a key is
+    the state itself and its orbit is that one state.
     """
 
     def __init__(self, sys, groups):
@@ -290,7 +272,9 @@ class _Orbits:
         rest = itemgetter(*rest) if len(rest) > 1 else (
             (lambda state, i=rest[0]: (state[i],)) if rest else (lambda state: ()))
         gets = [itemgetter(*g) for g in self.slots]
-        if len(gets) == 1:
+        if not gets:
+            self.key = tuple   # a state is a tuple, so this returns the state itself
+        elif len(gets) == 1:
             members = gets[0]
             self.key = lambda state: rest(state) + tuple(sorted(members(state)))
         else:
@@ -348,25 +332,25 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     class. The report stays exact: ``states_visited`` adds up orbit sizes,
     each terminal state stands for its orbit, and the search order up to
     each skipped state is unchanged, so the witnesses are too. Without a
-    group the key is the state itself.
+    group the key is the state itself and every orbit is that one state.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
-    groups = _interchangeable(sys, checks.monitors)
-    orbits = _Orbits(sys, groups) if groups else None
-    key_of = orbits and orbits.key
+    orbits = _Orbits(sys, _interchangeable(sys, checks.monitors))
+    key_of, step = orbits.key, checks.step
 
     memo = {}            # key -> maximal-schedule count below its state (None = cut by a bound)
     cut_at = {}          # key whose count is None -> depth its state was expanded from
     violations = {}      # class -> first Violation, in discovery order
     terminals = []       # each sink is closed once, so each terminal key is listed once
     bounds_hit = False
-    # frame: [its state's successors, schedule count accumulator, inbound event, key]
+    # frame: [its state, its enabled actions not yet taken, schedule count
+    # accumulator, inbound event, key]
     stack = []
 
     def trail(extra=None):
-        events = tuple(f[2] for f in stack[1:])
+        events = tuple(f[3] for f in stack[1:])
         return events if extra is None else events + (extra,)
 
     def record(hits, ev, state):
@@ -385,40 +369,42 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         to follow. A state at the depth bound applies nothing."""
         nonlocal bounds_hit
         depth = len(stack)
-        actions, hits, succ = checks.successors(state)
+        actions, hits = checks.edges(state)
         if not actions:
             if sys.all_terminated(state):
                 terminals.append(state)
             record(hits, ev, state)
             memo[key] = 1
             return 1
-        if depth >= b.max_depth:  # successors is lazy, so nothing was applied
+        if depth >= b.max_depth:  # no edge is taken, so nothing is applied
             bounds_hit = True
             memo[key] = None
             cut_at[key] = depth
             return None
         memo[key] = _IN_PROGRESS
-        stack.append([succ, 0, ev, key])
+        stack.append([state, iter(actions), 0, ev, key])
         return _IN_PROGRESS
 
     init = sys.initial_state()
-    root = init if key_of is None else key_of(init)
+    root = key_of(init)
     held = 1             # the states the memo stands for: its keys' orbits
     record(checks.state(init), None, init)
     enter(init, None, root)
 
     while stack:
         frame = stack[-1]
-        for ev, post, hits in frame[0]:
+        state = frame[0]
+        for ev in frame[1]:
+            post, hits = step(state, ev)
             if hits:
                 record(hits, ev, post)
-            key = post if key_of is None else key_of(post)
+            key = key_of(post)
             count = memo.get(key, _UNSEEN)
             if count is _UNSEEN:
                 state_hits = checks.state(post)
                 if state_hits:
                     record(state_hits, ev, post)
-                size = 1 if orbits is None else orbits.size(key)
+                size = orbits.size(key)
                 if held + size <= b.max_states:
                     held += size
                     count = enter(post, ev, key)
@@ -432,18 +418,17 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 raise RuntimeError("cycle in the schedule graph")
             if count is _IN_PROGRESS:
                 break
-            frame[1] = None if (frame[1] is None or count is None) else frame[1] + count
+            frame[2] = None if (frame[2] is None or count is None) else frame[2] + count
         else:
             stack.pop()
-            count = memo[frame[3]] = frame[1]
+            count = memo[frame[4]] = frame[2]
             if count is None:
-                cut_at[frame[3]] = len(stack)
+                cut_at[frame[4]] = len(stack)
             if stack:
                 parent = stack[-1]
-                parent[1] = None if (parent[1] is None or count is None) else parent[1] + count
+                parent[2] = None if (parent[2] is None or count is None) else parent[2] + count
 
-    if orbits is not None:
-        terminals = [image for state in terminals for image in orbits.images(state)]
+    terminals = [image for state in terminals for image in orbits.images(state)]
     total = memo[root]
     return ExplorationReport(
         scenario=sys.scenario.name,
@@ -465,6 +450,7 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
+    step = checks.step
 
     init = sys.initial_state()
     parents = {init: None}
@@ -497,15 +483,16 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     while level:
         below = []
         for state in level:
-            edges, sink, succ = checks.successors(state)
+            edges, sink = checks.edges(state)
             if not edges:
                 v = first_match(sink, state, None, state)
                 if v is not None:
                     return v
                 continue
-            if depth >= b.max_depth:  # successors is lazy, so nothing was applied
+            if depth >= b.max_depth:  # no edge is taken, so nothing is applied
                 continue
-            for ev, post, hits in succ:
+            for ev in edges:
+                post, hits = step(state, ev)
                 if hits:
                     v = first_match(hits, state, ev, post)
                     if v is not None:

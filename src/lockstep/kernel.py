@@ -20,7 +20,7 @@ direct channel appears as a single action carrying both parties: the label
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from . import machines
@@ -55,15 +55,6 @@ class ProcState:
     pc: int
     store: tuple = ()          # sorted (name, value) pairs
     failed: str | None = None  # first failed assert_local, sticky
-    # computed on first use; a System interns its ProcStates, so once per local view
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.pc, self.store, self.failed))  # the dataclass's own hash
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,7 +439,10 @@ class System:
             i = self.n_mechs + label[2]
         else:
             i = self.mech_index.get(mech_id)  # None for a local step
-        key = (action, state[j], None if i is None else state[i])
+        try:
+            key = (action, state[j], None if i is None else state[i])
+        except IndexError:  # a pid or receiver past the last process
+            raise ChoiceNotEnabled(action) from None
         hit = self._steps.get(key)
         if hit is None:
             hit = self._steps[key] = self._step(key)
@@ -463,6 +457,9 @@ class System:
         touched mechanism's next snapshot (a send: the receiver's next ProcState),
         as indices. It raises unless the step's instruction offers the action."""
         (p, label, mech_id), ps, mi = key
+        # a negative pid or receiver indexed a slot before its own; no stored key holds one
+        if not 0 <= p < self.n_procs or label[0] == "send" and not 0 <= label[2] < self.n_procs:
+            raise ChoiceNotEnabled(key[0])
         ps, m = self._parts[ps], None if mi is None else self._parts[mi]
         ins = self._instr_for(p, ps.pc, label, mech_id)
         op = ins.op

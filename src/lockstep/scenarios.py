@@ -49,12 +49,11 @@ class Scenario:
 
     @classmethod
     def from_parts(cls, name, word_width, mechanisms, processes, monitors=(), bounds=None):
-        """Build from builder output, normalizing to plain JSON data."""
-        doc = _plain({"name": name, "word_width": word_width,
-                      "mechanisms": list(mechanisms), "processes": list(processes),
-                      "monitors": list(monitors)})
+        """Build from builder output; ``from_doc`` copies it into plain JSON data."""
+        doc = {"name": name, "word_width": word_width, "mechanisms": list(mechanisms),
+               "processes": list(processes), "monitors": list(monitors)}
         if bounds is not None:
-            doc["bounds"] = _plain(bounds)
+            doc["bounds"] = bounds
         return cls.from_doc(doc)
 
     @classmethod

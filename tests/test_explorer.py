@@ -568,23 +568,29 @@ LAYER_SCENARIOS = _layer_scenarios()
 
 
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
-def test_successors_is_edges_then_each_step(scenario):
-    """At every reachable state, the one layer call that expands a state
-    gives what ``edges`` and then ``step`` on each action give, in the same
-    order, sink hits included, and applies nothing until it is iterated."""
+def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
+    """At every reachable state, ``edges`` gives the kernel's enabled actions
+    in its order and applies nothing, with sink hits only where there is no
+    action; ``step`` on each action applies it once and gives the kernel's
+    post state and every monitor's event hits on that edge, in monitor order."""
     sys = System(scenario)
-    one, each = _Checks(sys), _Checks(sys)
     states = reachable(sys)
     applied, apply = [], sys.apply
     sys.apply = lambda state, ev: applied.append(ev) or apply(state, ev)
+    checks = _Checks(sys)
     for state in states:
-        actions, sink = each.edges(state)
-        got_actions, got_sink, successors = one.successors(state)
-        assert (got_actions, got_sink) == (actions, sink)
+        actions, sink = checks.edges(state)
+        assert actions == System.enabled_actions(sys, state)
+        assert sink == (() if actions else checks.sink(state))
         assert applied == []
-        assert list(successors) == [(ev, *each.step(state, ev)) for ev in actions]
-        assert applied == 2 * actions  # each edge once by each _Checks
-        applied.clear()
+        for ev in actions:
+            post, hits = checks.step(state, ev)
+            assert applied == [ev]
+            assert post == apply(state, ev)
+            prev_view, post_view = sys.view(state), sys.view(post)
+            assert list(hits) == [hit for m in checks.monitors
+                                  for hit in m.on_event(sys, prev_view, ev, post_view)]
+            applied.clear()
 
 
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
@@ -639,8 +645,7 @@ def test_every_strategy_steps_only_through_the_transition_layer():
     witness = find_shortest(system, "torn_read")
     random_walks(system, walks=50, seed=1)
     replay_with_checks(system, witness.trace)
-    assert system.callers == {("edges", True), ("step", True), ("successors", True),
-                              ("_steps", True)}
+    assert system.callers == {("edges", True), ("step", True)}
 
 
 # -- the bounds ------------------------------------------------------------------

@@ -239,7 +239,8 @@ class TestStepping:
             replay_with_checks(status_sys, [(1, ("read",), "ch")])
 
     @pytest.mark.parametrize("action", [(0, ("read",), "ch"), (1, ("read",), "ch"),
-                                        (0, ("write", (2,)), "ch"), (0, ("local",), None)])
+                                        (0, ("write", (2,)), "ch"), (0, ("local",), None),
+                                        (2, ("write", (1,)), "ch"), (-1, ("write", (1,)), "ch")])
     def test_apply_refuses_an_action_the_state_does_not_offer(self, status_sys, action):
         with pytest.raises(ChoiceNotEnabled):
             status_sys.apply(status_sys.initial_state(), action)
@@ -248,7 +249,8 @@ class TestStepping:
         sys = make("one-send", 1, [s.direct_channel("dc")],
                    [s.process(0, s.send("dc", [5])), s.process(1, s.receive("dc", "x"))])
         init = sys.initial_state()
-        for label in (("send", (4,), 1), ("send", None, 1), ("send", (5,), 0)):
+        for label in (("send", (4,), 1), ("send", None, 1), ("send", (5,), 0),
+                      ("send", (5,), 5), ("send", (5,), -1)):
             with pytest.raises(ChoiceNotEnabled):
                 sys.apply(init, (0, label, "dc"))
         assert sys.all_terminated(sys.apply(init, (0, ("send", (5,), 1), "dc")))

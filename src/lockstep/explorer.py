@@ -16,9 +16,10 @@ its memo cannot hide from the walks. Every strategy and the replay step
 only through ``_Checks``, the one transition layer: no other code asks the
 kernel for enabled actions, applies them or runs a monitor. Strategies key
 their memos on packed states, and only views of them leave a call.
-``explore`` keys its memo by a canonical form in which the slots of
-interchangeable processes are sorted (``_interchangeable``, ``_Orbits``),
-so one entry stands for a whole orbit of states and the report stays exact.
+``explore`` keys its memo by a representative state in which the slots of
+each group of interchangeable processes are sorted (``_interchangeable``,
+``_Orbits``), so one entry stands for a whole orbit of states and the
+report stays exact.
 
 Every strategy reads ``max_states`` one way: the initial state is always
 stored, and a new state is stored only while fewer than ``max_states`` are
@@ -252,39 +253,57 @@ def _arrangements(counts):
             counts[v] += 1
 
 
+def _swapped(state, a, b):
+    """``state`` with slots ``a`` and ``b`` swapped."""
+    out = list(state)
+    out[a] = state[b]
+    out[b] = state[a]
+    return tuple(out)
+
+
 class _Orbits:
     """Packed states up to swaps of interchangeable processes.
 
-    ``key(state)`` is the state's canonical form: its ungrouped slots in
-    order, then each group's slots sorted. Two states share a key exactly
-    when one is the other with some members of each group swapped. A
-    key's orbit is the set of states with that key; its size is
+    ``key(state)`` is the orbit's representative: the state with each
+    group's slots sorted in place. Two states share a key exactly when one
+    is the other with some members of each group swapped. A lone group of
+    two slots ``a < b`` is sorted by compare-and-swap: the key is the state
+    itself when ``state[a] <= state[b]``, else the state with the two
+    swapped. A key's orbit is the set of states with that key; its size is
     ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
-    repeated intern index among the group's slots. With no group, a key is
-    the state itself and its orbit is that one state.
+    repeated intern index among the group's slots, so a lone pair's orbit
+    has size 1 when its two slots are equal and 2 otherwise. With no group,
+    a key is the state itself and its orbit is that one state.
     """
 
     def __init__(self, sys, groups):
-        self.slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
-        grouped = {i for g in self.slots for i in g}
-        rest = [i for i in range(sys.n_mechs + sys.n_procs) if i not in grouped]
-        self.n_rest = len(rest)
-        rest = itemgetter(*rest) if len(rest) > 1 else (
-            (lambda state, i=rest[0]: (state[i],)) if rest else (lambda state: ()))
-        gets = [itemgetter(*g) for g in self.slots]
-        if not gets:
+        self.slots = slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
+        self.pair = slots[0] if len(slots) == 1 and len(slots[0]) == 2 else None
+        if not slots:
             self.key = tuple   # a state is a tuple, so this returns the state itself
-        elif len(gets) == 1:
-            members = gets[0]
-            self.key = lambda state: rest(state) + tuple(sorted(members(state)))
+            self.size = lambda key: 1
+        elif self.pair:
+            a, b = self.pair
+            self.key = lambda state: state if state[a] <= state[b] else _swapped(state, a, b)
+            self.size = lambda key: 1 if key[a] == key[b] else 2
         else:
-            self.key = lambda state: rest(state) + tuple(
-                i for members in gets for i in sorted(members(state)))
-        self._sizes = {}   # the sorted group slots of a key -> its orbit size
+            gets = [(g, itemgetter(*g)) for g in slots]
 
-    def size(self, key):
-        """How many states share the canonical form ``key``."""
-        tail = key[self.n_rest:]
+            def key(state):
+                out = list(state)
+                for g, members in gets:
+                    for i, v in zip(g, sorted(members(state))):
+                        out[i] = v
+                return tuple(out)
+
+            self.key = key
+            self._grouped = itemgetter(*(i for g in slots for i in g))
+            self._sizes = {}   # the group slots of a key -> its orbit size
+            self.size = self._size
+
+    def _size(self, key):
+        """How many states share the key ``key``, cached by its group slots."""
+        tail = self._grouped(key)
         n = self._sizes.get(tail)
         if n is None:
             n, at = 1, 0
@@ -302,6 +321,9 @@ class _Orbits:
         The work is the orbit's size: each group's slots are arranged only
         in their distinct orders, never in all ``|G|!``.
         """
+        if self.pair:
+            a, b = self.pair
+            return [state] if state[a] == state[b] else [state, _swapped(state, a, b)]
         out = [state]
         for choice in product(*(list(_arrangements(Counter(itemgetter(*g)(state))))
                                 for g in self.slots)):
@@ -345,9 +367,6 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     violations = {}      # class -> first Violation, in discovery order
     terminals = []       # each sink is closed once, so each terminal key is listed once
     bounds_hit = False
-    # frame: [its state, its enabled actions not yet taken, schedule count
-    # accumulator, inbound event, key]
-    stack = []
 
     def trail(extra=None):
         events = tuple(f[3] for f in stack[1:])
@@ -363,70 +382,69 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 violations[cls] = Violation(kind, name, detail, Trace(trail(ev)),
                                             sys.state_hash(state))
 
-    def enter(state, ev, key):
-        """Expand ``state``, reached from the top frame by ``ev``: push its
-        frame and return _IN_PROGRESS, or return its count when it has no edge
-        to follow. A state at the depth bound applies nothing."""
-        nonlocal bounds_hit
-        depth = len(stack)
-        actions, hits = checks.edges(state)
-        if not actions:
-            if sys.all_terminated(state):
-                terminals.append(state)
-            record(hits, ev, state)
-            memo[key] = 1
-            return 1
-        if depth >= b.max_depth:  # no edge is taken, so nothing is applied
-            bounds_hit = True
-            memo[key] = None
-            cut_at[key] = depth
-            return None
-        memo[key] = _IN_PROGRESS
-        stack.append([state, iter(actions), 0, ev, key])
-        return _IN_PROGRESS
-
     init = sys.initial_state()
     root = key_of(init)
     held = 1             # the states the memo stands for: its keys' orbits
+    # frame: [its state, an iterator over its enabled actions not yet taken
+    # (None until the state is expanded), schedule count accumulator,
+    # inbound event, key]
+    stack = [[init, None, 0, None, root]]
+    memo[root] = _IN_PROGRESS
     record(checks.state(init), None, init)
-    enter(init, None, root)
+    memo_get, size_of, watches = memo.get, orbits.size, checks.watches
+    edges, max_depth, max_states = checks.edges, b.max_depth, b.max_states
 
     while stack:
         frame = stack[-1]
-        state = frame[0]
-        for ev in frame[1]:
+        state, actions, acc = frame[0], frame[1], frame[2]
+        depth = len(stack)   # of the states this frame reaches
+        if actions is None:  # expand the state: its frame was just pushed
+            actions, hits = edges(state)
+            if not actions:
+                if sys.all_terminated(state):
+                    terminals.append(state)
+                record(hits, None, state)
+                acc = 1
+            elif depth > max_depth:  # at the depth bound: no edge is taken, nothing applied
+                bounds_hit = True
+                actions, acc = (), None
+            frame[1] = actions = iter(actions)
+        for ev in actions:
             post, hits = step(state, ev)
             if hits:
                 record(hits, ev, post)
             key = key_of(post)
-            count = memo.get(key, _UNSEEN)
+            count = memo_get(key, _UNSEEN)
             if count is _UNSEEN:
-                state_hits = checks.state(post)
-                if state_hits:
-                    record(state_hits, ev, post)
-                size = orbits.size(key)
-                if held + size <= b.max_states:
-                    held += size
-                    count = enter(post, ev, key)
-                else:
+                if watches:
+                    state_hits = checks.state(post)
+                    if state_hits:
+                        record(state_hits, ev, post)
+                size = size_of(key)
+                if held + size > max_states:
                     bounds_hit = True
-                    count = None
-            elif count is None and cut_at[key] > len(stack):  # reached by a shorter path
+                    acc = None
+                    continue
+                held += size
+            elif count is None and cut_at[key] > depth:  # reached by a shorter path
                 del cut_at[key]
-                count = enter(post, ev, key)
-            elif count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
-                raise RuntimeError("cycle in the schedule graph")
-            if count is _IN_PROGRESS:
-                break
-            frame[2] = None if (frame[2] is None or count is None) else frame[2] + count
+            else:
+                if count is _IN_PROGRESS:  # pragma: no cover - programs only move forward
+                    raise RuntimeError("cycle in the schedule graph")
+                acc = None if (acc is None or count is None) else acc + count
+                continue
+            memo[key] = _IN_PROGRESS
+            frame[2] = acc
+            stack.append([post, None, 0, ev, key])
+            break
         else:
             stack.pop()
-            count = memo[frame[4]] = frame[2]
-            if count is None:
+            memo[frame[4]] = acc
+            if acc is None:
                 cut_at[frame[4]] = len(stack)
             if stack:
                 parent = stack[-1]
-                parent[2] = None if (parent[2] is None or count is None) else parent[2] + count
+                parent[2] = None if (parent[2] is None or acc is None) else parent[2] + acc
 
     terminals = [image for state in terminals for image in orbits.images(state)]
     total = memo[root]

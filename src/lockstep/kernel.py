@@ -435,13 +435,13 @@ class System:
         cache miss checks: a step's key decides whether it is enabled."""
         p, label, mech_id = action
         j = self.n_mechs + p
-        if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
-            i = self.n_mechs + label[2]
-        else:
-            i = self.mech_index.get(mech_id)  # None for a local step
         try:
+            if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
+                i = self.n_mechs + label[2]
+            else:
+                i = self.mech_index.get(mech_id)  # None for a local step
             key = (action, state[j], None if i is None else state[i])
-        except IndexError:  # a pid or receiver past the last process
+        except IndexError:  # a pid or receiver past the last process, or a label too short
             raise ChoiceNotEnabled(action) from None
         hit = self._steps.get(key)
         if hit is None:

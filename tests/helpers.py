@@ -41,6 +41,17 @@ def reachable(sys):
     return seen
 
 
+def sorted_groups_form(sys, groups, state):
+    """A canonical form of a packed state under swaps of the members of each
+    group of pids, built apart from ``explorer._Orbits.key``: the ungrouped
+    slots in order, then each group's slots sorted. Two states share it
+    exactly when one is the other with some members of each group swapped."""
+    slots = [[sys.n_mechs + p for p in g] for g in groups]
+    grouped = {i for g in slots for i in g}
+    rest = tuple(v for i, v in enumerate(state) if i not in grouped)
+    return rest + tuple(v for g in slots for v in sorted(state[i] for i in g))
+
+
 def schedules_to(sys):
     """One shortest schedule to each reachable state, by breadth-first search."""
     init = sys.initial_state()

@@ -240,7 +240,8 @@ class TestStepping:
 
     @pytest.mark.parametrize("action", [(0, ("read",), "ch"), (1, ("read",), "ch"),
                                         (0, ("write", (2,)), "ch"), (0, ("local",), None),
-                                        (2, ("write", (1,)), "ch"), (-1, ("write", (1,)), "ch")])
+                                        (2, ("write", (1,)), "ch"), (-1, ("write", (1,)), "ch"),
+                                        (0, ("send",), "ch"), (0, (), "ch")])
     def test_apply_refuses_an_action_the_state_does_not_offer(self, status_sys, action):
         with pytest.raises(ChoiceNotEnabled):
             status_sys.apply(status_sys.initial_state(), action)

@@ -1,7 +1,7 @@
 """Symmetry reduction: interchangeable processes share one memo entry.
 
-``explore`` keys its memo by a canonical form in which the slots of each
-group of interchangeable processes are sorted. The report must not change:
+``explore`` keys its memo by a representative state in which the slots of
+each group of interchangeable processes are sorted. The report must not change:
 the differential tests run every scenario reduced and unreduced (the group
 detector patched to find no group) and compare everything ``explore``
 reports, and check the counts against the independent oracles.
@@ -18,7 +18,7 @@ from lockstep.explorer import Bounds, _interchangeable, _Orbits, explore
 from lockstep.kernel import System
 from lockstep.monitors import compile_monitors
 
-from helpers import bench_families, maximal_schedule_count, reachable
+from helpers import bench_families, maximal_schedule_count, reachable, sorted_groups_form
 from test_golden import _op_scenarios
 
 families = bench_families()
@@ -173,21 +173,35 @@ def test_torn_value_monitors_must_be_equal():
 # -- orbits --------------------------------------------------------------------------
 
 
-def test_orbits_partition_the_reachable_states():
-    """Each reachable state's images share its key, number its orbit size,
-    and are reachable; the orbits of the distinct keys cover every state once."""
-    sys = System(_family("lost_update", ((2, 2, 1),)))
-    orbits = _Orbits(sys, _groups(sys))
+@pytest.mark.parametrize("name, args, groups", [
+    pytest.param("lost_update", ((2, 2, 1),), ((0, 1),), id="one-pair"),
+    pytest.param("lost_update", ((2, 2, 2),), ((0, 1, 2),), id="group-of-three"),
+    pytest.param("lost_update", ((1, 1, 2, 2),), ((0, 1), (2, 3)), id="two-pairs"),
+    pytest.param("torn_read", (2, 2, 2), ((2, 3),), id="readers-pair")])
+def test_orbits_partition_the_reachable_states(name, args, groups):
+    """Each reachable state's key is one of its images, which share that key,
+    number its orbit size, and are reachable; two states share a key exactly
+    when they share the sorted-groups form; the orbits of the distinct keys
+    cover every state once."""
+    sys = System(_family(name, args))
+    assert _groups(sys) == groups
+    orbits = _Orbits(sys, groups)
     states = reachable(sys)
     keys = {}
+    by_form = {}         # sorted-groups form -> the keys of its states
     for state in states:
         images = orbits.images(state)
+        key = orbits.key(state)
         assert images[0] == state and len(set(images)) == len(images)
-        assert {orbits.key(image) for image in images} == {orbits.key(state)}
+        assert key in images
+        assert {orbits.key(image) for image in images} == {key}
         assert set(images) <= states
-        assert len(images) == orbits.size(orbits.key(state))
-        keys[orbits.key(state)] = len(images)
+        assert len(images) == orbits.size(key)
+        keys[key] = len(images)
+        by_form.setdefault(sorted_groups_form(sys, groups, state), set()).add(key)
     assert sum(keys.values()) == len(states)
+    assert all(len(form_keys) == 1 for form_keys in by_form.values())
+    assert len(by_form) == len(keys)
 
 
 @pytest.mark.parametrize("step", [pytest.param(s.local("g", [1]), id="local"),
@@ -207,11 +221,28 @@ def test_a_large_group_of_equal_slots_lists_its_one_terminal_at_once(step):
 
 
 class CountingSystem(System):
-    expanded = 0
+    expanded = applied = 0
 
     def enabled_actions(self, state):
         self.expanded += 1
         return super().enabled_actions(state)
+
+    def apply(self, state, action):
+        self.applied += 1
+        return super().apply(state, action)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("name, args, expanded, applied", [
+    pytest.param("lost_update", ((3, 3, 2),), 25_441, 56_917, id="lost_update-3-3-2"),
+    pytest.param("torn_read", (3, 2, 2), 7_842, 12_950, id="torn_read-3x2x2")])
+def test_explore_expands_each_entry_once_and_applies_each_edge_once(
+        name, args, expanded, applied, seed):
+    """``explore`` asks the kernel for the enabled actions of each stored
+    entry once, and applies each edge of an expanded entry once."""
+    sys = CountingSystem(_family(name, args, seed))
+    explore(sys)
+    assert (sys.expanded, sys.applied) == (expanded, applied)
 
 
 def test_a_four_process_group_stores_one_entry_per_orbit():

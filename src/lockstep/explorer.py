@@ -9,12 +9,12 @@ counting. find_shortest() answers the same question breadth-first and
 therefore returns a minimal counterexample. random_walks() is the
 cheap cross-check: it must never find a class the exhaustive pass missed.
 The walks of one call share a lazily built graph of the states they stood
-on, so a revisited edge is neither applied nor checked again. That is
+on, so a revisited edge is neither taken nor checked again. That is
 sound because stepping and the monitors are pure functions of the states
 they are shown; the graph is never shared with explore(), so a fault in
 its memo cannot hide from the walks. Every strategy and the replay step
 only through ``_Checks``, the one transition layer: no other code asks the
-kernel for enabled actions, applies them or runs a monitor. Strategies key
+kernel for a state's edges, takes one or runs a monitor. Strategies key
 their memos on packed states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted (``_interchangeable``,
@@ -145,11 +145,12 @@ class _Checks:
     Every strategy expands a state with ``edges`` and takes each edge with
     ``step``, so a rule for every expansion or every step goes here once,
     such as turning a ``KernelError`` into a violation or counting
-    transitions and time per layer. Only ``edges`` asks the kernel for
-    enabled actions, only ``step`` applies one and runs the event hooks, and
-    only ``sink`` runs the terminal hooks. ``edges`` applies nothing, so a
-    state at the depth bound, whose edges the searches do not take, applies
-    nothing.
+    transitions and time per layer. Only ``edges`` asks the kernel for a
+    state's edges, only ``step`` takes one and runs the event hooks, and
+    only ``sink`` runs the terminal hooks. An edge is the kernel's
+    ``[action, move]``, and a strategy records its action. ``edges`` takes
+    nothing, so a state at the depth bound, whose edges the searches do not
+    take, computes no move.
 
     States come in packed. A state is checked through the monitors' watches:
     each verdict is kept per distinct tuple of intern indices at the slots it
@@ -161,7 +162,7 @@ class _Checks:
 
     def __init__(self, sys):
         self.sys = sys
-        self.apply = sys.apply
+        self.take = sys.take
         self.monitors = monitors = compile_monitors(sys)
         # (key of a packed state, verdicts by key, slots, verdict), in monitor order
         self.watches = tuple((itemgetter(*slots), {}, slots, verdict) for m in monitors
@@ -172,14 +173,14 @@ class _Checks:
             for hook in ("on_event", "on_terminal"))
 
     def edges(self, state):
-        """(enabled actions, sink hits); the hits are () unless there are no actions."""
-        actions = self.sys.enabled_actions(state)
-        return actions, (() if actions else self.sink(state))
+        """(the state's edges, sink hits); the hits are () unless there are no edges."""
+        edges = self.sys.edges(state)
+        return edges, (() if edges else self.sink(state))
 
-    def step(self, state, ev):
-        """(post state, hits on the edge) for an action known to be enabled."""
-        post = self.apply(state, ev)
-        return post, (self.event(state, ev, post) if self.on_event else ())
+    def step(self, state, edge):
+        """(post state, hits on the edge) for an edge of ``state``."""
+        post = self.take(state, edge)
+        return post, (self.event(state, edge[0], post) if self.on_event else ())
 
     def state(self, state):
         hits = []
@@ -369,7 +370,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     bounds_hit = False
 
     def trail(extra=None):
-        events = tuple(f[3] for f in stack[1:])
+        events = tuple(f[3][0] for f in stack[1:])
         return events if extra is None else events + (extra,)
 
     def record(hits, ev, state):
@@ -385,9 +386,9 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     init = sys.initial_state()
     root = key_of(init)
     held = 1             # the states the memo stands for: its keys' orbits
-    # frame: [its state, an iterator over its enabled actions not yet taken
-    # (None until the state is expanded), schedule count accumulator,
-    # inbound event, key]
+    # frame: [its state, an iterator over its edges not yet taken (None
+    # until the state is expanded), schedule count accumulator, inbound
+    # edge, key]
     stack = [[init, None, 0, None, root]]
     memo[root] = _IN_PROGRESS
     record(checks.state(init), None, init)
@@ -405,21 +406,21 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                     terminals.append(state)
                 record(hits, None, state)
                 acc = 1
-            elif depth > max_depth:  # at the depth bound: no edge is taken, nothing applied
+            elif depth > max_depth:  # at the depth bound: no edge is taken, no move computed
                 bounds_hit = True
                 actions, acc = (), None
             frame[1] = actions = iter(actions)
-        for ev in actions:
-            post, hits = step(state, ev)
+        for edge in actions:
+            post, hits = step(state, edge)
             if hits:
-                record(hits, ev, post)
+                record(hits, edge[0], post)
             key = key_of(post)
             count = memo_get(key, _UNSEEN)
             if count is _UNSEEN:
                 if watches:
                     state_hits = checks.state(post)
                     if state_hits:
-                        record(state_hits, ev, post)
+                        record(state_hits, edge[0], post)
                 size = size_of(key)
                 if held + size > max_states:
                     bounds_hit = True
@@ -435,7 +436,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 continue
             memo[key] = _IN_PROGRESS
             frame[2] = acc
-            stack.append([post, None, 0, ev, key])
+            stack.append([post, None, 0, edge, key])
             break
         else:
             stack.pop()
@@ -468,7 +469,7 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
-    step = checks.step
+    step, watches = checks.step, checks.watches
 
     init = sys.initial_state()
     parents = {init: None}
@@ -507,20 +508,21 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
                 if v is not None:
                     return v
                 continue
-            if depth >= b.max_depth:  # no edge is taken, so nothing is applied
+            if depth >= b.max_depth:  # no edge is taken, so no move is computed
                 continue
-            for ev in edges:
-                post, hits = step(state, ev)
+            for edge in edges:
+                post, hits = step(state, edge)
                 if hits:
-                    v = first_match(hits, state, ev, post)
+                    v = first_match(hits, state, edge[0], post)
                     if v is not None:
                         return v
                 if post not in parents:
-                    v = first_match(checks.state(post), state, ev, post)
-                    if v is not None:
-                        return v
+                    if watches:
+                        v = first_match(checks.state(post), state, edge[0], post)
+                        if v is not None:
+                            return v
                     if len(parents) < b.max_states:
-                        parents[post] = (state, ev)
+                        parents[post] = (state, edge[0])
                         below.append(post)
         level = below
         depth += 1
@@ -534,7 +536,7 @@ class _WalkNode:
 
     def __init__(self, state, edges):
         self.state = state
-        self.edges = edges                  # the enabled actions, from checks.edges
+        self.edges = edges                  # the state's edges, from checks.edges
         self.n = len(edges)
         self.bits = self.n.bit_length()     # what randrange(n) draws per try
         self.children = [None] * self.n     # edge index -> child node
@@ -544,18 +546,18 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     """Sample maximal schedules uniformly step-wise; collect violation classes.
 
     The walks of one call share a graph of the states they stood on. A
-    state's enabled actions are computed, and its state and sink classes
-    collected, when a walk first reaches it; an edge is applied and its
-    classes collected when a walk first takes it. A later step over a stored
-    edge only draws its index. This collects what checking every step would,
-    since ``apply`` and the monitors are pure, each node built is stood on
+    state's edges are computed, and its state and sink classes collected,
+    when a walk first reaches it; an edge is taken and its classes collected
+    when a walk first takes it. A later step over a stored edge only draws
+    its index. This collects what checking every step would, since stepping
+    and the monitors are pure, each node built is stood on
     at once, and a sink is checked before the depth bound. An index below
     ``n`` is drawn as ``randrange(n)`` draws it, by redrawing
     ``getrandbits(n.bit_length())`` until it is below ``n``, so a seed gives
     the same walks. The graph lives for this call only and shares nothing
     with ``explore``. It holds at most ``max_states`` states, and always the
     initial one; once full it stops growing, and a step it has not stored
-    is applied and checked afresh.
+    is taken and checked afresh.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
@@ -616,9 +618,10 @@ def replay_with_checks(scenario, events, on_step=None):
     edges, sink = checks.edges(state)
     hits = ()  # of the final step
     for k, ev in enumerate(events):
-        if ev not in edges:
-            raise NotEnabledAtStep(k, ev, edges)
-        state, hits = checks.step(state, ev)
+        edge = next((edge for edge in edges if edge[0] == ev), None)
+        if edge is None:
+            raise NotEnabledAtStep(k, ev, [action for action, _ in edges])
+        state, hits = checks.step(state, edge)
         if on_step is not None:
             on_step(k, ev, sys.view(state))
         edges, sink = checks.edges(state)

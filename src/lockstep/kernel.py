@@ -237,19 +237,20 @@ class System:
     addresses (or, in a rendezvous, its partner's), so a step's result and a
     process's offers depend only on that local view. A System therefore keeps
     its tables for its lifetime: an intern table giving an index to each
-    distinct ``ProcState`` and mechanism snapshot it has produced, the local
-    steps it has computed, keyed by ``(action, acting ProcState, touched
-    mechanism or receiver ProcState)``, and one view table per process,
-    keyed by its ProcState index. A view's entry holds a getter of the state
-    slots its offers read (the mechanisms its head instructions touch and,
-    for a send, every other process that receives on its channel) and its
-    offers keyed by what the getter returns, parts as indices. So a process
-    costs ``enabled_actions`` two lookups and one getter call. Each table
-    grows with the distinct local views reached, not with the global states.
-    A state is its mechanisms' indices, then its processes'. A step or offer
-    that raises is not stored, so a fault raises every time. The programs
-    come from ``validate`` when it has checked the scenario, and are
-    compiled here otherwise.
+    distinct ``ProcState`` and mechanism snapshot it has produced, and one
+    view table per process, keyed by its ProcState index. A view's entry
+    holds a getter of the state slots its offers read (the mechanisms its
+    head instructions touch and, for a send, every other process that
+    receives on its channel) and its offers keyed by what the getter
+    returns, parts as indices. An offer is an edge ``[action, move]`` whose
+    move, filled when the edge is first taken, serves every state with that
+    offer key, since the key holds every slot the step reads. So a process
+    costs ``edges`` two lookups and one getter call, and ``take`` a splice.
+    Each table grows with the distinct local views reached, not with the
+    global states. A state is its mechanisms' indices, then its processes'.
+    A step or offer that raises is not stored, so a fault raises every time.
+    The programs come from ``validate`` when it has checked the scenario,
+    and are compiled here otherwise.
     """
 
     def __init__(self, scenario):
@@ -274,7 +275,6 @@ class System:
             for p in procs)
         self._parts = []    # intern index -> ProcState or mechanism snapshot
         self._index = {}    # part -> intern index
-        self._steps = {}
         self._views = tuple({} for _ in procs)  # per process: ProcState index -> its _view entry
         self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
@@ -316,41 +316,51 @@ class System:
 
     # -- enabledness ---------------------------------------------------------
 
-    def enabled_actions(self, state):
-        """All actions the state offers: each process's sorted offers, in pid order."""
-        actions = []
+    def edges(self, state):
+        """Every edge the state offers: each process's sorted offers, in pid order.
+        An edge is ``[action, move]``; ``take`` fills its move when first taken."""
+        edges = []
         for p, ps in enumerate(state[self.n_mechs:]):
-            view = self._views[p].get(ps)
-            if view is None:
-                view = self._views[p][ps] = self._view(p, ps)
-            read, offers, slots = view
-            key = read(state)
-            got = offers.get(key)
-            if got is None:
-                got = offers[key] = self._local_offers((p, ps, *map(state.__getitem__, slots)))
-            actions += got
-        return actions
+            edges += self._edges_of(p, ps, state)
+        return edges
+
+    def enabled_actions(self, state):
+        """All actions the state offers, in the order of its edges."""
+        return [action for action, _ in self.edges(state)]
+
+    def _edges_of(self, p, ps, state):
+        """The edges process ``p`` offers at ``state``, whose ProcState index is ``ps``."""
+        view = self._views[p].get(ps)
+        if view is None:
+            view = self._views[p][ps] = self._view(p, ps)
+        read, offers, slots = view
+        key = read(state)
+        got = offers.get(key)
+        if got is None:
+            got = offers[key] = self._local_offers((p, ps, *map(state.__getitem__, slots)))
+        return got
 
     def _view(self, p, ps):
         """The table entry of process ``p`` at ProcState index ``ps``: a getter
         of the state slots its offers read, its offers keyed by what the getter
         returns, and the slots themselves. The slots are the mechanisms its
-        heads touch and, for a send, every other process that receives on its channel."""
+        heads touch and, for a send, every other process that receives on its
+        channel; a send's or receive's direct channel holds nothing, so it is no slot."""
         program, slots = self.programs[p], set()
         for ins in map(program.instrs.__getitem__, program.heads[self._parts[ps].pc]):
-            if ins.mech is not None:
-                slots.add(ins.mech)
             if ins.op == "send":
                 slots.update(self.n_mechs + q for q, other in enumerate(self.programs) if q != p
                              and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))
+            elif ins.mech is not None and ins.op != "receive":
+                slots.add(ins.mech)
         slots = tuple(sorted(slots))
         # a view that reads no slot is keyed by len(state), the same for every state
         return (itemgetter(*slots) if slots else len), {}, slots
 
     def _local_offers(self, key):
-        """Uncached offers of one process, sorted, given ``(p, ProcState index,
-        *the parts at its view's slots)``. A send's value is computed first, so
-        a value that faults raises even with no receiver ready."""
+        """Uncached edges of one process, sorted, with no move, given ``(p,
+        ProcState index, *the parts at its view's slots)``. A send's value is
+        computed first, so a value that faults raises even with no receiver ready."""
         p, ps = key[0], self._parts[key[1]]
         slots = self._views[p][key[1]][2]
         read = dict(zip(slots, map(self._parts.__getitem__, key[2:])))
@@ -359,14 +369,14 @@ class System:
             if ins.op == "send":
                 value = self._value(ps.store, ins.expr, allow_none=True)
                 actions += [(p, ("send", value, q), ins.mech_id) for q in range(self.n_procs)
-                            if self.n_mechs + q in read and self._receive_instr(
-                                q, read[self.n_mechs + q].pc, ins.mech) is not None]
+                            if self.n_mechs + q in read and self._instr_for(
+                                q, read[self.n_mechs + q].pc, ("receive",), ins.mech_id)]
             elif ins.op != "receive":  # a receive is engaged from the sending side
                 label = self._offer(p, ps, read.get(ins.mech), ins)
                 if label is not None:
                     actions.append((p, label, ins.mech_id))
         actions.sort(key=_action_sort_key)
-        return tuple(actions)
+        return tuple([action, None] for action in actions)
 
     def _offer(self, p, ps, m, ins):
         op = ins.op
@@ -430,48 +440,47 @@ class System:
 
     # -- stepping -------------------------------------------------------------
 
-    def apply(self, state, action) -> tuple:
-        """Apply an action the state offers, or raise ``ChoiceNotEnabled``. Only a
-        cache miss checks: a step's key decides whether it is enabled."""
-        p, label, mech_id = action
-        j = self.n_mechs + p
-        try:
-            if label[0] == "send":  # a rendezvous touches the receiver instead of a mechanism
-                i = self.n_mechs + label[2]
-            else:
-                i = self.mech_index.get(mech_id)  # None for a local step
-            key = (action, state[j], None if i is None else state[i])
-        except IndexError:  # a pid or receiver past the last process, or a label too short
-            raise ChoiceNotEnabled(action) from None
-        hit = self._steps.get(key)
-        if hit is None:
-            hit = self._steps[key] = self._step(key)
-        if hit[1] == key[2]:  # a local step, or the mechanism is unchanged
-            return state[:j] + hit[:1] + state[j + 1:]
+    def take(self, state, edge) -> tuple:
+        """The post state of an edge of ``state`` (from ``edges``): the state
+        with the edge's move ``(j, part, i, part)`` spliced in, which writes
+        intern indices to the acting process's slot ``j`` and to the touched
+        mechanism's or a send receiver's slot ``i`` (``j`` again when only the
+        process changes). A step that raises stores no move."""
+        move = edge[1]
+        if move is None:
+            p, label, mech_id = action = edge[0]
+            j = self.n_mechs + p
+            i = self.n_mechs + label[2] if label[0] == "send" else self.mech_index.get(mech_id)
+            pj, pi = self._step((action, state[j], None if i is None else state[i]))
+            move = edge[1] = (j, pj, j, pj) if pi is None or pi == state[i] else (j, pj, i, pi)
+        j, pj, i, pi = move
         out = list(state)
-        out[j], out[i] = hit
+        out[j], out[i] = pj, pi
         return tuple(out)
 
+    def apply(self, state, action) -> tuple:
+        """Take the edge of ``action`` among its process's offers at ``state``,
+        or raise ``ChoiceNotEnabled`` if that process offers no such action."""
+        p = action[0]
+        if p in range(self.n_procs):
+            for edge in self._edges_of(p, state[self.n_mechs + p], state):
+                if edge[0] == action:
+                    return self.take(state, edge)
+        raise ChoiceNotEnabled(action)
+
     def _step(self, key):
-        """One uncached local step: the acting process's next ProcState and the
-        touched mechanism's next snapshot (a send: the receiver's next ProcState),
-        as indices. It raises unless the step's instruction offers the action."""
+        """One local step, given ``(action, acting ProcState index, index of the
+        touched mechanism or the receiver's ProcState, or None)``: the acting
+        process's next ProcState and the touched part's next one, as indices."""
         (p, label, mech_id), ps, mi = key
-        # a negative pid or receiver indexed a slot before its own; no stored key holds one
-        if not 0 <= p < self.n_procs or label[0] == "send" and not 0 <= label[2] < self.n_procs:
-            raise ChoiceNotEnabled(key[0])
         ps, m = self._parts[ps], None if mi is None else self._parts[mi]
         ins = self._instr_for(p, ps.pc, label, mech_id)
         op = ins.op
         if op == "send":
-            recv = None if label[2] == p else self._receive_instr(label[2], m.pc, ins.mech)
-            if recv is None or label[1] != self._value(ps.store, ins.expr, allow_none=True):
-                raise ChoiceNotEnabled(key[0])
+            recv = self._instr_for(label[2], m.pc, ("receive",), mech_id)
             return (self._intern(ProcState(ins.succ, ps.store, ps.failed)),
                     self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
                                            m.failed)))
-        if op == "receive" or self._offer(p, ps, m, ins) != label:
-            raise ChoiceNotEnabled(key[0])
         # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
         pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
 
@@ -508,22 +517,13 @@ class System:
         store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
         return self._intern(ProcState(pc, store, failed)), mi if m2 is m else self._intern(m2)
 
-    def _receive_instr(self, q, pc, mech):
-        """Process ``q``'s receive on direct channel ``mech`` at ``pc``, or None."""
-        for jdx in self.programs[q].heads[pc]:
-            insq = self.programs[q].instrs[jdx]
-            if insq.op == "receive" and insq.mech == mech:
-                return insq
-        return None
-
     def _instr_for(self, p, pc, label, mech_id):
-        """The head of process ``p`` at ``pc`` that could offer ``label`` on ``mech_id``."""
+        """The head of process ``p`` at ``pc`` that offers ``label`` on ``mech_id``
+        (for ``("receive",)``, that receives on it), or None. Choose alternatives
+        differ in label kind, mechanism or word index, so at most one matches."""
         kind = label[0]
-        for idx in self.programs[p].heads[pc]:
-            ins = self.programs[p].instrs[idx]
-            if LABEL_KIND.get(ins.op) != kind or ins.mech_id != mech_id:
-                continue
-            if kind in ("read_word", "write_word") and label[1:2] != (ins.index,):
-                continue
-            return ins
-        raise ChoiceNotEnabled((p, label, mech_id))
+        for ins in map(self.programs[p].instrs.__getitem__, self.programs[p].heads[pc]):
+            if LABEL_KIND[ins.op] == kind and ins.mech_id == mech_id and (
+                    kind not in ("read_word", "write_word") or label[1] == ins.index):
+                return ins
+        return None

@@ -8,9 +8,10 @@ sequence merging) so agreement with the explorer means something.
 import pathlib
 import sys as _sys
 import types
+from collections import Counter
 
 from lockstep.explorer import Violation, _Checks, _classes
-from lockstep.kernel import NotEnabledAtStep, Trace
+from lockstep.kernel import NotEnabledAtStep, System, Trace
 from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
 
@@ -22,6 +23,25 @@ def bench_families():
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+class CountingSystem(System):
+    """A System that counts every ``edges`` call per state and every
+    ``take`` per (state, action). ``enabled_actions`` and ``apply`` go
+    through these two, so they are counted too."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.offered = Counter()
+        self.applied = Counter()
+
+    def edges(self, state):
+        self.offered[state] += 1
+        return super().edges(state)
+
+    def take(self, state, edge):
+        self.applied[(state, edge[0])] += 1
+        return super().take(state, edge)
 
 
 def reachable(sys):

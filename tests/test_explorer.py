@@ -4,7 +4,6 @@ import json
 import math
 import random
 import sys as _sys
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +18,8 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
                                verify_violation)
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
-from helpers import (bench_families, first_witnesses, maximal_schedule_count, reachable,
-                     reference_replay_with_checks)
+from helpers import (CountingSystem, bench_families, first_witnesses, maximal_schedule_count,
+                     reachable, reference_replay_with_checks)
 from test_golden import FIXTURE, _cases, _op_scenarios
 from test_monitors import unguarded_sections
 
@@ -196,23 +195,6 @@ def reference_walks(sys, walks, seed, bounds=None):
             state = post
             steps += 1
     return WalkSummary(walks=walks, classes=frozenset(classes))
-
-
-class CountingSystem(System):
-    """Counts every apply per (state, action) and every enabled_actions per state."""
-
-    def __init__(self, scenario):
-        super().__init__(scenario)
-        self.applied = Counter()
-        self.offered = Counter()
-
-    def apply(self, state, action):
-        self.applied[(state, action)] += 1
-        return super().apply(state, action)
-
-    def enabled_actions(self, state):
-        self.offered[state] += 1
-        return super().enabled_actions(state)
 
 
 # deadlock-direct-duplex deadlocks after 2 steps, so depth 2 puts a sink
@@ -569,35 +551,40 @@ LAYER_SCENARIOS = _layer_scenarios()
 
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
 def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
-    """At every reachable state, ``edges`` gives the kernel's enabled actions
-    in its order and applies nothing, with sink hits only where there is no
-    action; ``step`` on each action applies it once and gives the kernel's
-    post state and every monitor's event hits on that edge, in monitor order."""
-    sys = System(scenario)
+    """At every reachable state, ``edges`` gives the kernel's edges, whose
+    actions are its enabled actions in its order, and takes nothing, with
+    sink hits only where there is no edge; ``step`` on each edge takes it
+    once and gives the kernel's post state for its action and every
+    monitor's event hits on that edge, in monitor order."""
+    sys = CountingSystem(scenario)
     states = reachable(sys)
-    applied, apply = [], sys.apply
-    sys.apply = lambda state, ev: applied.append(ev) or apply(state, ev)
     checks = _Checks(sys)
     for state in states:
-        actions, sink = checks.edges(state)
-        assert actions == System.enabled_actions(sys, state)
-        assert sink == (() if actions else checks.sink(state))
-        assert applied == []
-        for ev in actions:
-            post, hits = checks.step(state, ev)
-            assert applied == [ev]
-            assert post == apply(state, ev)
+        sys.applied.clear()
+        edges, sink = checks.edges(state)
+        assert [action for action, _ in edges] == System.enabled_actions(sys, state)
+        assert sink == (() if edges else checks.sink(state))
+        assert not sys.applied
+        for edge in edges:
+            ev = edge[0]
+            post, hits = checks.step(state, edge)
+            assert sys.applied == {(state, ev): 1}
+            assert post == System.apply(sys, state, ev)
             prev_view, post_view = sys.view(state), sys.view(post)
             assert list(hits) == [hit for m in checks.monitors
                                   for hit in m.on_event(sys, prev_view, ev, post_view)]
-            applied.clear()
+            sys.applied.clear()
 
 
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
 def test_warm_offer_tables_answer_as_cold_ones(scenario):
-    """A System whose offer tables hold every reachable view offers what one
-    that computes each state's offers afresh does. The two Systems are walked
-    in step, so each state is the same in both, packed by each its own way."""
+    """A System whose offer tables hold every reachable view, with every
+    edge's move filled, offers what one that computes each state's offers
+    afresh does, and taking each edge gives the view and hash the cold
+    System's ``apply`` does, also where the move was filled at another state
+    with the same offer key (``TestCaches`` in test_kernel.py pins that
+    moves are shared so). The two Systems are walked in step, so each state
+    is the same in both, packed by each its own way."""
     warm, cold = System(scenario), System(scenario)
     states = reachable(warm)
     pairs = {warm.initial_state(): cold.initial_state()}
@@ -605,21 +592,25 @@ def test_warm_offer_tables_answer_as_cold_ones(scenario):
     while level:
         below = []
         for state in level:
-            cold._views = tuple({} for _ in cold._views)  # no offer is cached
-            actions = warm.enabled_actions(state)
-            assert actions == cold.enabled_actions(pairs[state])
-            for ev in actions:
-                post = warm.apply(state, ev)
+            cold._views = tuple({} for _ in cold._views)  # no offer or move is cached
+            edges = warm.edges(state)
+            assert [action for action, _ in edges] == cold.enabled_actions(pairs[state])
+            for edge in edges:
+                assert edge[1] is not None
+                post, cold_post = warm.take(state, edge), cold.apply(pairs[state], edge[0])
+                assert warm.view(post) == cold.view(cold_post)
+                assert warm.state_hash(post) == cold.state_hash(cold_post)
                 if post not in pairs:
-                    pairs[post] = cold.apply(pairs[state], ev)
+                    pairs[post] = cold_post
                     below.append(post)
         level = below
     assert pairs.keys() == states
 
 
 class CallerRecordingSystem(System):
-    """Records, for every call that steps the kernel, the calling function's
-    name and whether it is a method of the transition layer."""
+    """Records, for every call that asks the kernel for a state's edges or
+    takes one, the calling function's name and whether it is a method of the
+    transition layer (Python 3.10 has no ``co_qualname``)."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -630,13 +621,13 @@ class CallerRecordingSystem(System):
         self.callers.add((frame.f_code.co_name,
                           isinstance(frame.f_locals.get("self"), explorer._Checks)))
 
-    def apply(self, state, action):
+    def take(self, state, edge):
         self._record()
-        return super().apply(state, action)
+        return super().take(state, edge)
 
-    def enabled_actions(self, state):
+    def edges(self, state):
         self._record()
-        return super().enabled_actions(state)
+        return super().edges(state)
 
 
 def test_every_strategy_steps_only_through_the_transition_layer():

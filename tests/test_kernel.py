@@ -162,6 +162,28 @@ class TestEnabledness:
             with pytest.raises(KernelError, match="cannot apply inc"):
                 sys.apply(st1, (0, ("local",), None))
 
+    def test_a_faulting_step_stores_no_move(self):
+        """p0's step faults and p1's offer faults. The edge whose step raised
+        keeps no move, so taking it raises again, and ``apply`` computes only
+        the acting process's offers, so p1's fault does not reach p2's step."""
+        sys = make("oops", 1, [s.message_cell("mc")],
+                   [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
+                    s.process(1, s.read("mc", "v"), s.write("mc", s.var("v"))),
+                    s.process(2, s.local("x", [1]))])
+        st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
+        edge = sys.edges(st1)[0]
+        assert edge == [(0, ("local",), None), None]
+        for _ in range(2):
+            with pytest.raises(KernelError, match="cannot apply inc"):
+                sys.take(st1, edge)
+            assert edge[1] is None
+        st2 = sys.apply(st1, (1, ("read",), "mc"))  # v is None
+        with pytest.raises(KernelError, match="empty indicator"):
+            sys.edges(st2)
+        assert sys.view(sys.apply(st2, (2, ("local",), None))).procs[2].pc == 1
+        with pytest.raises(KernelError, match="cannot apply inc"):
+            sys.apply(st2, (0, ("local",), None))
+
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
     def test_actions_come_out_in_sort_order_everywhere(self, scenario):
         sys = System(scenario)
@@ -225,8 +247,7 @@ class TestSends:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(System, "_receive_instr",
-                            counting("_receive_instr", System._receive_instr))
+        monkeypatch.setattr(System, "_instr_for", counting("_instr_for", System._instr_for))
         monkeypatch.setattr(kernel, "_action_sort_key",
                             counting("_action_sort_key", kernel._action_sort_key))
         assert any(a[1][0] == "send" for state in states for a in sys.enabled_actions(state))
@@ -276,8 +297,8 @@ class TestStepping:
             sys = System(catalog.get(name))
             checks = _Checks(sys)
             for state in reachable(sys):
-                for a in sys.enabled_actions(state):
-                    assert checks.step(state, a)[0] == sys.apply(state, a)
+                for edge in sys.edges(state):
+                    assert checks.step(state, edge)[0] == sys.apply(state, edge[0])
 
     def test_assert_local_failure_is_sticky(self):
         sys = make("af", 1, [s.message_cell("mc")],

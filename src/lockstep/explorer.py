@@ -148,9 +148,9 @@ class _Checks:
     transitions and time per layer. Only ``edges`` asks the kernel for a
     state's edges, only ``step`` takes one and runs the event hooks, and
     only ``sink`` runs the terminal hooks. An edge is the kernel's
-    ``[action, move]``, and a strategy records its action. ``edges`` takes
-    nothing, so a state at the depth bound, whose edges the searches do not
-    take, computes no move.
+    ``[action, move, instruction]``, and a strategy records its action.
+    ``edges`` takes nothing, so a state at the depth bound, whose edges the
+    searches do not take, computes no move.
 
     States come in packed. A state is checked through the monitors' watches:
     each verdict is kept per distinct tuple of intern indices at the slots it
@@ -620,7 +620,7 @@ def replay_with_checks(scenario, events, on_step=None):
     for k, ev in enumerate(events):
         edge = next((edge for edge in edges if edge[0] == ev), None)
         if edge is None:
-            raise NotEnabledAtStep(k, ev, [action for action, _ in edges])
+            raise NotEnabledAtStep(k, ev, [edge[0] for edge in edges])
         state, hits = checks.step(state, edge)
         if on_step is not None:
             on_step(k, ev, sys.view(state))

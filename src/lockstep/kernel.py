@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import machines
-from .programs import LABEL_KIND, CompileContext, Program, compile_program
+from .programs import CompileContext, Program, compile_program
 
 
 class KernelError(Exception):
@@ -242,10 +242,12 @@ class System:
     holds a getter of the state slots its offers read (the mechanisms its
     head instructions touch and, for a send, every other process that
     receives on its channel) and its offers keyed by what the getter
-    returns, parts as indices. An offer is an edge ``[action, move]`` whose
-    move, filled when the edge is first taken, serves every state with that
-    offer key, since the key holds every slot the step reads. So a process
-    costs ``edges`` two lookups and one getter call, and ``take`` a splice.
+    returns, parts as indices. An offer is an edge ``[action, move,
+    instruction]``: the head instruction that offers the action, and a move
+    that ``take`` computes from that instruction when the edge is first taken
+    and that then serves every state with that offer key, since the key holds
+    every slot the step reads. So a process costs ``edges`` two lookups and
+    one getter call, and ``take`` a splice.
     Each table grows with the distinct local views reached, not with the
     global states. A state is its mechanisms' indices, then its processes'.
     A step or offer that raises is not stored, so a fault raises every time.
@@ -318,7 +320,7 @@ class System:
 
     def edges(self, state):
         """Every edge the state offers: each process's sorted offers, in pid order.
-        An edge is ``[action, move]``; ``take`` fills its move when first taken."""
+        An edge is ``[action, move, instruction]``; ``take`` fills its move."""
         edges = []
         for p, ps in enumerate(state[self.n_mechs:]):
             edges += self._edges_of(p, ps, state)
@@ -326,7 +328,7 @@ class System:
 
     def enabled_actions(self, state):
         """All actions the state offers, in the order of its edges."""
-        return [action for action, _ in self.edges(state)]
+        return [edge[0] for edge in self.edges(state)]
 
     def _edges_of(self, p, ps, state):
         """The edges process ``p`` offers at ``state``, whose ProcState index is ``ps``."""
@@ -337,7 +339,7 @@ class System:
         key = read(state)
         got = offers.get(key)
         if got is None:
-            got = offers[key] = self._local_offers((p, ps, *map(state.__getitem__, slots)))
+            got = offers[key] = self._local_offers(p, ps, state, slots)
         return got
 
     def _view(self, p, ps):
@@ -357,26 +359,30 @@ class System:
         # a view that reads no slot is keyed by len(state), the same for every state
         return (itemgetter(*slots) if slots else len), {}, slots
 
-    def _local_offers(self, key):
-        """Uncached edges of one process, sorted, with no move, given ``(p,
-        ProcState index, *the parts at its view's slots)``. A send's value is
-        computed first, so a value that faults raises even with no receiver ready."""
-        p, ps = key[0], self._parts[key[1]]
-        slots = self._views[p][key[1]][2]
-        read = dict(zip(slots, map(self._parts.__getitem__, key[2:])))
-        program, actions = self.programs[p], []
+    def _local_offers(self, p, ps, state, slots):
+        """Uncached edges of process ``p`` at ``state`` (ProcState index ``ps``, view
+        ``slots``), sorted, each with no move and the head that offers it. A send's
+        value is computed first, so a value that faults raises even with no receiver ready."""
+        ps, read = self._parts[ps], {s: self._parts[state[s]] for s in slots}
+        program, edges = self.programs[p], []
         for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
             if ins.op == "send":
                 value = self._value(ps.store, ins.expr, allow_none=True)
-                actions += [(p, ("send", value, q), ins.mech_id) for q in range(self.n_procs)
-                            if self.n_mechs + q in read and self._instr_for(
-                                q, read[self.n_mechs + q].pc, ("receive",), ins.mech_id)]
+                edges += [[(p, ("send", value, q), ins.mech_id), None, ins]
+                          for q in range(self.n_procs) if self.n_mechs + q in read
+                          and self._receiver(q, read[self.n_mechs + q].pc, ins.mech_id)]
             elif ins.op != "receive":  # a receive is engaged from the sending side
                 label = self._offer(p, ps, read.get(ins.mech), ins)
                 if label is not None:
-                    actions.append((p, label, ins.mech_id))
-        actions.sort(key=_action_sort_key)
-        return tuple([action, None] for action in actions)
+                    edges.append([(p, label, ins.mech_id), None, ins])
+        edges.sort(key=lambda edge: _action_sort_key(edge[0]))
+        return tuple(edges)
+
+    def _receiver(self, q, pc, mech_id):
+        """The head of process ``q`` at ``pc`` that receives on ``mech_id``, or None."""
+        program = self.programs[q]
+        return next((ins for ins in map(program.instrs.__getitem__, program.heads[pc])
+                     if ins.op == "receive" and ins.mech_id == mech_id), None)
 
     def _offer(self, p, ps, m, ins):
         op = ins.op
@@ -434,7 +440,7 @@ class System:
         if expr[0] == "lit":
             return expr[1]
         w = store_get(store, expr[1])
-        if not isinstance(w, int) or not 0 <= w < machines.WORD_DOMAIN:
+        if not machines.is_word(w):
             raise KernelError(f"variable '{expr[1]}' holds {w!r}, not a word")
         return w
 
@@ -442,17 +448,11 @@ class System:
 
     def take(self, state, edge) -> tuple:
         """The post state of an edge of ``state`` (from ``edges``): the state
-        with the edge's move ``(j, part, i, part)`` spliced in, which writes
-        intern indices to the acting process's slot ``j`` and to the touched
-        mechanism's or a send receiver's slot ``i`` (``j`` again when only the
-        process changes). A step that raises stores no move."""
+        with the edge's move ``(j, part, i, part)`` spliced in, filled by
+        ``_move`` when the edge is first taken. A step that raises stores no move."""
         move = edge[1]
         if move is None:
-            p, label, mech_id = action = edge[0]
-            j = self.n_mechs + p
-            i = self.n_mechs + label[2] if label[0] == "send" else self.mech_index.get(mech_id)
-            pj, pi = self._step((action, state[j], None if i is None else state[i]))
-            move = edge[1] = (j, pj, j, pj) if pi is None or pi == state[i] else (j, pj, i, pi)
+            move = edge[1] = self._move(state, edge)
         j, pj, i, pi = move
         out = list(state)
         out[j], out[i] = pj, pi
@@ -468,19 +468,24 @@ class System:
                     return self.take(state, edge)
         raise ChoiceNotEnabled(action)
 
-    def _step(self, key):
-        """One local step, given ``(action, acting ProcState index, index of the
-        touched mechanism or the receiver's ProcState, or None)``: the acting
-        process's next ProcState and the touched part's next one, as indices."""
-        (p, label, mech_id), ps, mi = key
-        ps, m = self._parts[ps], None if mi is None else self._parts[mi]
-        ins = self._instr_for(p, ps.pc, label, mech_id)
-        op = ins.op
+    def _move(self, state, edge):
+        """The move of an edge of ``state``: the acting process's slot ``j`` and
+        the slot ``i`` of the mechanism its instruction touches or of a send's
+        receiver (``j`` again when only the process changes), each with the
+        intern index of its next part. It is exact for every state that shares
+        the edge's offer key, since that key holds every slot the step reads."""
+        (p, label, mech_id), _, ins = edge
+        j = self.n_mechs + p
+        ps, op = self._parts[state[j]], ins.op
         if op == "send":
-            recv = self._instr_for(label[2], m.pc, ("receive",), mech_id)
-            return (self._intern(ProcState(ins.succ, ps.store, ps.failed)),
+            i = self.n_mechs + label[2]
+            m = self._parts[state[i]]
+            recv = self._receiver(label[2], m.pc, mech_id)
+            return (j, self._intern(ProcState(ins.succ, ps.store, ps.failed)), i,
                     self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
                                            m.failed)))
+        i = ins.mech
+        m = None if i is None else self._parts[state[i]]
         # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
         pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
 
@@ -515,15 +520,5 @@ class System:
             raise KernelError(f"cannot apply op {op!r}")
 
         store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
-        return self._intern(ProcState(pc, store, failed)), mi if m2 is m else self._intern(m2)
-
-    def _instr_for(self, p, pc, label, mech_id):
-        """The head of process ``p`` at ``pc`` that offers ``label`` on ``mech_id``
-        (for ``("receive",)``, that receives on it), or None. Choose alternatives
-        differ in label kind, mechanism or word index, so at most one matches."""
-        kind = label[0]
-        for ins in map(self.programs[p].instrs.__getitem__, self.programs[p].heads[pc]):
-            if LABEL_KIND[ins.op] == kind and ins.mech_id == mech_id and (
-                    kind not in ("read_word", "write_word") or label[1] == ins.index):
-                return ins
-        return None
+        pj = self._intern(ProcState(pc, store, failed))
+        return (j, pj, j, pj) if m2 is m else (j, pj, i, self._intern(m2))

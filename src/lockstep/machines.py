@@ -20,6 +20,10 @@ from dataclasses import dataclass, replace
 WORD_DOMAIN = 8  # every word is in 0..7
 
 
+def is_word(x) -> bool:  # a JSON boolean is not a word
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < WORD_DOMAIN
+
+
 def apply_update(fn: tuple, value: tuple) -> tuple:
     """Apply a built-in update function word-wise, wrapping at the domain."""
     name = fn[0]

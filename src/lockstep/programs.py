@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machines import KINDS, WORD_DOMAIN
+from .machines import KINDS, WORD_DOMAIN, is_word
 
 MAX_UNROLLED = 64   # instructions per process after loop unrolling
 MAX_NESTING = 3     # loop/if/choose nesting
@@ -173,7 +173,7 @@ class _Emitter:
 
     def _word(self, step, path, bound):
         w = step.get("word")
-        if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < WORD_DOMAIN:
+        if not is_word(w):
             raise ProgramError(path, f"'word' must be an integer in 0..{WORD_DOMAIN - 1}")
         return w
 
@@ -193,7 +193,7 @@ class _Emitter:
                 raise ProgramError(
                     path, f"value literal has {len(doc)} words, scenario word width is {self.ctx.word_width}")
             for w in doc:
-                if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < WORD_DOMAIN:
+                if not is_word(w):
                     raise ProgramError(path, f"value words must be integers in 0..{WORD_DOMAIN - 1}")
             return ("lit", tuple(doc))
         if isinstance(doc, dict) and set(doc) == {"var"}:
@@ -221,7 +221,7 @@ class _Emitter:
             return ("double",)
         if name == "add":
             k = doc.get("k")
-            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < WORD_DOMAIN:
+            if not is_word(k):
                 raise ProgramError(path, f"'add' needs 'k' in 0..{WORD_DOMAIN - 1}")
             return ("add", k)
         raise ProgramError(path, f"unknown update function: {name!r}")

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import machines, monitors
-from .machines import WORD_DOMAIN
+from .machines import WORD_DOMAIN, is_word
 from .programs import (STATUS_TOKENS, CompileContext, ProgramError, compile_program)
 
 
@@ -123,12 +123,8 @@ def load_file(path) -> Scenario:
 # -- validation ---------------------------------------------------------------
 
 
-def _is_word(x):
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < WORD_DOMAIN
-
-
 def _check_value_literal(doc, width, path, errors):
-    if not isinstance(doc, list) or len(doc) != width or not all(_is_word(w) for w in doc):
+    if not isinstance(doc, list) or len(doc) != width or not all(is_word(w) for w in doc):
         errors.append(f"{path}: must be a list of {width} words in 0..{WORD_DOMAIN - 1}")
         return False
     return True
@@ -174,6 +170,8 @@ def validate(scenario: Scenario) -> None:
                     errors.append(f"{path}.{side}: must be a process id")
             if isinstance(a, int) and a == b:
                 errors.append(f"{path}: side_a and side_b must be distinct processes")
+            if not isinstance(m.get("last_message", False), bool):
+                errors.append(f"{path}.last_message: must be true or false")
             duplex_sides[mid] = (a, b)
 
     pids = []
@@ -308,7 +306,7 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
         elif isinstance(exp, str):
             if exp not in STATUS_TOKENS:
                 errors.append(f"{path}.expected: status token must be one of {STATUS_TOKENS}")
-        elif exp is not None and not _is_word(exp):
+        elif exp is not None and not is_word(exp):
             errors.append(f"{path}.expected: must be null, a word, a status token, or a value")
     elif kind == "lost_unread":
         need_mech("logged")

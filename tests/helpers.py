@@ -14,6 +14,7 @@ from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import NotEnabledAtStep, System, Trace
 from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
+from lockstep.programs import LABEL_KIND
 
 
 def bench_families():
@@ -110,6 +111,19 @@ def offered_sends(sys, state):
                          if q != p and any(r.op == "receive" and r.mech == ins.mech
                                            for r in heads[q]))
     return sends
+
+
+def head_for(sys, p, pc, label, mech_id):
+    """The head of process ``p`` at ``pc`` that offers ``label`` on ``mech_id``
+    (for ``("receive",)``, that receives on it), or None, found back from the
+    label alone: by label kind, mechanism and, for word labels, word index,
+    which the compiler keeps distinct among ``choose`` alternatives."""
+    program, kind = sys.programs[p], label[0]
+    found = [ins for ins in map(program.instrs.__getitem__, program.heads[pc])
+             if LABEL_KIND[ins.op] == kind and ins.mech_id == mech_id
+             and (kind not in ("read_word", "write_word") or label[1] == ins.index)]
+    assert len(found) <= 1, found
+    return found[0] if found else None
 
 
 def reachable_edges(sys):

@@ -15,8 +15,8 @@ from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnab
                              event_to_doc, label_from_doc, label_to_doc,
                              store_get, store_has, store_set)
 
-from helpers import (bench_families, fold, offered_sends, reachable, reachable_edges,
-                     schedules_to)
+from helpers import (bench_families, fold, head_for, offered_sends, reachable,
+                     reachable_edges, schedules_to)
 from test_golden import _op_scenarios
 
 
@@ -67,6 +67,13 @@ def _rendezvous_scenarios():
 RENDEZVOUS = _rendezvous_scenarios()
 SCENARIOS = ([catalog.get(name) for name in catalog.names()] + _op_scenarios()
              + _merge_scenarios() + RENDEZVOUS)
+
+
+def _family_scenarios():
+    """The bench's three families at small sizes."""
+    families, rng = bench_families(), random.Random(0)
+    return [families.lost_update((2, 2), rng), families.torn_read(2, 2, 2, rng),
+            families.relay_chain(2, 2, rng)]
 
 
 @pytest.fixture
@@ -172,7 +179,7 @@ class TestEnabledness:
                     s.process(2, s.local("x", [1]))])
         st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
         edge = sys.edges(st1)[0]
-        assert edge == [(0, ("local",), None), None]
+        assert edge[:2] == [(0, ("local",), None), None]
         for _ in range(2):
             with pytest.raises(KernelError, match="cannot apply inc"):
                 sys.take(st1, edge)
@@ -190,6 +197,23 @@ class TestEnabledness:
         for state in reachable(sys):
             acts = sys.enabled_actions(state)
             assert acts == sorted(acts, key=_action_sort_key)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS + _family_scenarios(),
+                             ids=lambda sc: sc.name)
+    def test_each_edge_keeps_the_head_its_label_names(self, scenario):
+        """Differential against the lookup from action label back to head
+        instruction that edges replaced: at every reachable state, each edge's
+        instruction is the one head its action names, and a send's receiver
+        has the one receive head on that channel that ``_receiver`` finds."""
+        sys = System(scenario)
+        for state in reachable(sys):
+            procs = sys.view(state).procs
+            for (p, label, mech_id), _, ins in sys.edges(state):
+                assert ins is head_for(sys, p, procs[p].pc, label, mech_id)
+                if label[0] == "send":
+                    q = label[2]
+                    recv = head_for(sys, q, procs[q].pc, ("receive",), mech_id)
+                    assert recv is not None and sys._receiver(q, procs[q].pc, mech_id) is recv
 
 
 class TestSends:
@@ -247,7 +271,7 @@ class TestSends:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(System, "_instr_for", counting("_instr_for", System._instr_for))
+        monkeypatch.setattr(System, "_receiver", counting("_receiver", System._receiver))
         monkeypatch.setattr(kernel, "_action_sort_key",
                             counting("_action_sort_key", kernel._action_sort_key))
         assert any(a[1][0] == "send" for state in states for a in sys.enabled_actions(state))
@@ -347,13 +371,17 @@ class CountingSystem(System):
         self.steps = Counter()
         self.offers = Counter()
 
-    def _step(self, key):
-        self.steps[key] += 1
-        return super()._step(key)
+    def _move(self, state, edge):
+        """Counted by (action, acting ProcState index, touched part's index or None)."""
+        (p, label, _), _, ins = edge
+        i = self.n_mechs + label[2] if label[0] == "send" else ins.mech
+        self.steps[(edge[0], state[self.n_mechs + p], None if i is None else state[i])] += 1
+        return super()._move(state, edge)
 
-    def _local_offers(self, key):
-        self.offers[key] += 1
-        return super()._local_offers(key)
+    def _local_offers(self, p, ps, state, slots):
+        """Counted by (p, ProcState index, *the parts at the view's slots)."""
+        self.offers[(p, ps, *map(state.__getitem__, slots))] += 1
+        return super()._local_offers(p, ps, state, slots)
 
 
 class TestCaches:

@@ -109,6 +109,12 @@ class TestStructureValidation:
                                     "side_a": 0, "side_b": 0}])
         assert "side_a and side_b must be distinct" in errors_of(doc)
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, [True]])
+    def test_duplex_last_message_must_be_a_boolean(self, flag):
+        doc = doc_with(mechanisms=[{"id": "d", "kind": "duplex_channel",
+                                    "side_a": 0, "side_b": 1, "last_message": flag}])
+        assert "mechanisms[0].last_message: must be true or false" in errors_of(doc)
+
     def test_duplex_side_must_be_declared(self):
         doc = doc_with(mechanisms=[{"id": "d", "kind": "duplex_channel",
                                     "side_a": 0, "side_b": 9}])

@@ -39,7 +39,7 @@ from itertools import product
 from math import factorial
 from operator import itemgetter
 
-from .kernel import NotEnabledAtStep, System, Trace, store_get, store_has
+from .kernel import NotEnabledAtStep, System, Trace, store_get
 from .machines import KINDS
 from .monitors import Monitor, compile_monitors
 
@@ -273,20 +273,22 @@ class _Orbits:
     swapped. A key's orbit is the set of states with that key; its size is
     ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
     repeated intern index among the group's slots, so a lone pair's orbit
-    has size 1 when its two slots are equal and 2 otherwise. With no group,
-    a key is the state itself and its orbit is that one state.
+    has size 1 when its two slots are equal and 2 otherwise, and its images
+    are found by the same compare. With no group, a key is the state itself
+    and its orbit is that one state.
     """
 
     def __init__(self, sys, groups):
         self.slots = slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
-        self.pair = slots[0] if len(slots) == 1 and len(slots[0]) == 2 else None
+        self.images = self._images
         if not slots:
             self.key = tuple   # a state is a tuple, so this returns the state itself
             self.size = lambda key: 1
-        elif self.pair:
-            a, b = self.pair
+        elif len(slots) == 1 and len(slots[0]) == 2:  # a lone pair: compare, never sort
+            a, b = slots[0]
             self.key = lambda state: state if state[a] <= state[b] else _swapped(state, a, b)
             self.size = lambda key: 1 if key[a] == key[b] else 2
+            self.images = lambda state: [state] if state[a] == state[b] else [state, _swapped(state, a, b)]
         else:
             gets = [(g, itemgetter(*g)) for g in slots]
 
@@ -316,15 +318,12 @@ class _Orbits:
             self._sizes[tail] = n
         return n
 
-    def images(self, state):
+    def _images(self, state):
         """Every state in the orbit of ``state``, starting with ``state`` itself.
 
         The work is the orbit's size: each group's slots are arranged only
         in their distinct orders, never in all ``|G|!``.
         """
-        if self.pair:
-            a, b = self.pair
-            return [state] if state[a] == state[b] else [state, _swapped(state, a, b)]
         out = [state]
         for choice in product(*(list(_arrangements(Counter(itemgetter(*g)(state))))
                                 for g in self.slots)):
@@ -650,8 +649,7 @@ def terminal_variable_values(sys, report, pid, names):
     out = set()
     for state in report.terminal_states:
         store = state.procs[pid].store
-        out.add(tuple(store_get(store, n) if store_has(store, n) else None
-                      for n in names))
+        out.add(tuple(store_get(store, n, None) for n in names))
     return out
 
 

@@ -65,15 +65,17 @@ class GlobalState:
     procs: tuple
 
 
-def store_get(store, name):
+_UNBOUND = object()  # no value at all; None is a value a variable can hold
+
+
+def store_get(store, name, default=_UNBOUND):
+    """The value ``name`` holds in ``store``; if unbound, ``default`` when given, else KeyError."""
     for n, v in store:
         if n == name:
             return v
-    raise KeyError(name)
-
-
-def store_has(store, name):
-    return any(n == name for n, _ in store)
+    if default is _UNBOUND:
+        raise KeyError(name)
+    return default
 
 
 def store_set(store, name, value):
@@ -226,9 +228,6 @@ def _action_sort_key(action):
 
 
 # -- the engine --------------------------------------------------------------
-
-_UNBOUND = object()  # an op that binds no variable; None is a value a read can bind
-
 
 class System:
     """A compiled scenario, ready to step.

@@ -10,7 +10,8 @@ Every whole-value mechanism (message cell, the three channels, shared
 register) offers one interface to the kernel: ``can_write(pid)``,
 ``can_read(pid)``, ``write(pid, value) -> mechanism`` and
 ``read(pid) -> (value, mechanism)``. A mechanism that does not care who
-writes or reads ignores ``pid``.
+writes or reads ignores ``pid``. The two mechanisms with a lock (locked
+cell, shared register) share one lock protocol, ``Lockable``.
 """
 
 from __future__ import annotations
@@ -55,8 +56,28 @@ class RawCell:
         return RawCell(_set(self.words, index, word))
 
 
+class Lockable:
+    """The lock protocol of a mechanism whose ``owner`` field holds the pid
+    of the lock holder, or None: a free lock goes to whoever takes it, and
+    only its holder releases it."""
+
+    __slots__ = ()
+
+    def can_lock(self, pid: int) -> bool:
+        return self.owner is None
+
+    def can_unlock(self, pid: int) -> bool:
+        return self.owner == pid
+
+    def lock(self, pid: int):
+        return replace(self, owner=pid)
+
+    def unlock(self):
+        return replace(self, owner=None)
+
+
 @dataclass(frozen=True, slots=True)
-class LockedCell:
+class LockedCell(Lockable):
     """Word-addressable storage paired with a lock.
 
     An encapsulated cell admits word access only to the current lock holder.
@@ -69,20 +90,8 @@ class LockedCell:
     owner: int | None = None
     encapsulated: bool = True
 
-    def can_lock(self, pid: int) -> bool:
-        return self.owner is None
-
-    def can_unlock(self, pid: int) -> bool:
-        return self.owner == pid
-
     def can_access(self, pid: int) -> bool:
         return self.owner == pid if self.encapsulated else True
-
-    def lock(self, pid: int) -> "LockedCell":
-        return replace(self, owner=pid)
-
-    def unlock(self) -> "LockedCell":
-        return replace(self, owner=None)
 
     def write_word(self, index: int, word: int) -> "LockedCell":
         return replace(self, words=_set(self.words, index, word))
@@ -219,7 +228,7 @@ class DuplexChannel:
 
 
 @dataclass(frozen=True, slots=True)
-class SharedRegister:
+class SharedRegister(Lockable):
     """Whole-value storage any party may read, write, or update in place.
 
     An update applies a built-in function as one indivisible step. The
@@ -231,27 +240,11 @@ class SharedRegister:
     content: tuple
     owner: int | None = None
 
-    def can_lock(self, pid: int) -> bool:
-        return self.owner is None
-
-    def can_unlock(self, pid: int) -> bool:
-        return self.owner == pid
-
     def can_access(self, pid: int) -> bool:
         return self.owner is None or self.owner == pid
 
     # reads, writes and updates all share the one ownership guard
-    def can_read(self, pid: int) -> bool:
-        return self.can_access(pid)
-
-    def can_write(self, pid: int) -> bool:
-        return self.can_access(pid)
-
-    def lock(self, pid: int) -> "SharedRegister":
-        return replace(self, owner=pid)
-
-    def unlock(self) -> "SharedRegister":
-        return replace(self, owner=None)
+    can_read = can_write = can_access
 
     def write(self, pid: int, value: tuple) -> "SharedRegister":
         return replace(self, content=value)
@@ -269,21 +262,23 @@ class DirectChannel:
 
 
 # mechanism kind -> (its initial snapshot built from the mechanism's document,
-# the families it serves). A family is a group of ops or monitors that may
-# address the kind; a pooled kind holds no pid of a process that never locks it.
+# the families it serves, the fields its document may have besides id and kind).
+# A family is a group of ops or monitors that may address the kind; a pooled
+# kind holds no pid of a process that never locks it.
 KINDS = {
-    "raw_cell": (lambda doc: RawCell(tuple(doc["initial"])), ("word", "pooled")),
+    "raw_cell": (lambda doc: RawCell(tuple(doc["initial"])), ("word", "pooled"), ("initial",)),
     "locked_cell": (lambda doc: LockedCell(tuple(doc["initial"]),
                                            encapsulated=doc["mode"] == "encapsulated"),
-                    ("word", "lock")),
-    "message_cell": (lambda doc: MessageCell(), ("value", "logged")),
-    "status_channel": (lambda doc: StatusChannel(), ("value", "status", "logged")),
-    "last_message_channel": (lambda doc: LastMessageChannel(), ("value", "status", "logged")),
+                    ("word", "lock"), ("initial", "mode")),
+    "message_cell": (lambda doc: MessageCell(), ("value", "logged"), ()),
+    "status_channel": (lambda doc: StatusChannel(), ("value", "status", "logged"), ()),
+    "last_message_channel": (lambda doc: LastMessageChannel(),
+                             ("value", "status", "logged"), ()),
     "duplex_channel": (lambda doc: DuplexChannel(
         side_a=doc["side_a"], side_b=doc["side_b"],
         last_message=bool(doc.get("last_message", False))),
-        ("value", "status", "logged", "duplex")),
+        ("value", "status", "logged", "duplex"), ("side_a", "side_b", "last_message")),
     "shared_register": (lambda doc: SharedRegister(tuple(doc["initial"])),
-                        ("value", "lock", "update", "pooled")),
-    "direct_channel": (lambda doc: DirectChannel(), ("direct",)),
+                        ("value", "lock", "update", "pooled"), ("initial",)),
+    "direct_channel": (lambda doc: DirectChannel(), ("direct",), ()),
 }

@@ -20,7 +20,7 @@ signatures; a signature of None allows no swap.
 
 from __future__ import annotations
 
-from .kernel import store_get, store_has
+from .kernel import store_get
 from .machines import DuplexChannel, MessageCell
 
 
@@ -86,9 +86,7 @@ class MutualExclusion(Monitor):
     def verdict(self, *procs):
         inside = []
         for (pid, name), ps in zip(self.markers, procs):
-            if not store_has(ps.store, name):
-                continue
-            v = store_get(ps.store, name)
+            v = store_get(ps.store, name, None)
             if isinstance(v, tuple) and v and v[0] == 1:
                 inside.append(pid)
         if len(inside) >= 2:
@@ -146,9 +144,7 @@ class TornValue(Monitor):
         """The hits for one reader store, as a tuple."""
         got = []
         for name in self.names:
-            if not store_has(store, name):
-                return ()
-            w = store_get(store, name)
+            w = store_get(store, name, None)
             if not isinstance(w, int):
                 return ()
             got.append(w)
@@ -188,7 +184,7 @@ class TerminalAssert(Monitor):
 
     def on_terminal(self, sys, state):
         store = state.procs[self.pid].store
-        got = store_get(store, self.var) if store_has(store, self.var) else "<unbound>"
+        got = store_get(store, self.var, "<unbound>")
         if got != self.expected:
             return [("monitor_assert", "terminal_assert",
                      f"p{self.pid}.{self.var} is {got!r}, expected {self.expected!r}")]

@@ -48,7 +48,6 @@ LABEL_KIND = {op: row[0] for op, row in OPS.items()}
 # if_word and if_status: the step's keys for the branch taken and the other one
 _BRANCH_KEYS = {"if_word": ("then", "else"), "if_status": ("full", "empty")}
 _SIMPLE_OPS = frozenset(OPS) - set(_BRANCH_KEYS)
-_STEP_OPS = frozenset(OPS) | {"loop", "choose"}
 
 
 class ProgramError(ValueError):
@@ -245,12 +244,15 @@ class _Emitter:
             return v
         raise ProgramError(path, "expected must be null, a word, a status token, or a value")
 
-    # OPS operand -> (the Instr field it fills, the check that reads it)
-    _OPERANDS = {"bind": ("var", _bind), "bound_var": ("var", _bound_var),
-                 "index": ("index", _index), "word": ("word", _word),
-                 "word_expr": ("expr", _word_expr), "value": ("expr", _value),
-                 "value_or_null": ("expr", _value_or_null), "fn": ("fn", _fn),
-                 "expected": ("expected", _expected)}
+    # OPS operand -> (the Instr field it fills, the check that reads it, the step
+    # keys that check reads)
+    _OPERANDS = {"bind": ("var", _bind, ("var",)), "bound_var": ("var", _bound_var, ("var",)),
+                 "index": ("index", _index, ("index",)), "word": ("word", _word, ("word",)),
+                 "word_expr": ("expr", _word_expr, ("word",)),
+                 "value": ("expr", _value, ("value",)),
+                 "value_or_null": ("expr", _value_or_null, ("value",)),
+                 "fn": ("fn", _fn, ("fn", "k")),
+                 "expected": ("expected", _expected, ("expected",))}
 
     def _append(self, fields):
         idx = len(self.instrs)
@@ -287,8 +289,11 @@ class _Emitter:
         if not isinstance(step, dict) or "op" not in step:
             raise ProgramError(path, "each step must be an object with an 'op'")
         op = step["op"]
-        if not isinstance(op, str) or op not in _STEP_OPS:
+        if not isinstance(op, str) or op not in _STEP_KEYS:
             raise ProgramError(path, f"unknown step op: {op!r}")
+        if not _STEP_KEYS[op].issuperset(step):
+            unknown = next(k for k in step if k not in _STEP_KEYS[op])
+            raise ProgramError(path, f"unknown field '{unknown}'")
         if op in _SIMPLE_OPS:
             idx, bound = self._emit_instr(op, step, path, bound)
             return idx, [(idx, "succ")], bound
@@ -310,7 +315,7 @@ class _Emitter:
             fields["mech_id"] = mid = self._mech(step, path, family, op)
             fields["mech"] = self.ctx.mech_index[mid]
         for name in operands:
-            field, check = self._OPERANDS[name]
+            field, check, _ = self._OPERANDS[name]
             fields[field] = check(self, step, path, bound)
         if "bind" in operands:
             bound = bound | {fields["var"]}
@@ -323,24 +328,20 @@ class _Emitter:
         return self.emit_seq(step.get("body"), f"{path}.body", depth + 1, bound, count)
 
     def _emit_branch(self, idx, step, path, keys, depth, bound):
-        taken_key, other_key = keys
-        taken, other = step.get(taken_key), step.get(other_key)
-        t_e, t_x, t_b = self.emit_seq(taken if taken is not None else [],
-                                      f"{path}.{taken_key}", depth + 1, bound)
-        o_e, o_x, o_b = self.emit_seq(other if other is not None else [],
-                                      f"{path}.{other_key}", depth + 1, bound)
-        exits = []
-        if t_e is None:
-            exits.append((idx, "succ"))
-        else:
-            self.instrs[idx]["succ"] = t_e
-            exits.extend(t_x)
-        if o_e is None:
-            exits.append((idx, "succ_else"))
-        else:
-            self.instrs[idx]["succ_else"] = o_e
-            exits.extend(o_x)
-        return idx, exits, t_b & o_b
+        """Wire the branch taken to ``succ`` and the other to ``succ_else`` (an empty
+        one leaves its field an exit); bound after the step: bound on both."""
+        exits, bounds_out = [], []
+        for key, fld in zip(keys, ("succ", "succ_else")):
+            steps = step.get(key)
+            e, x, b = self.emit_seq([] if steps is None else steps, f"{path}.{key}",
+                                    depth + 1, bound)
+            if e is None:
+                exits.append((idx, fld))
+            else:
+                self.instrs[idx][fld] = e
+                exits.extend(x)
+            bounds_out.append(b)
+        return idx, exits, frozenset.intersection(*bounds_out)
 
     def _emit_choose(self, step, path, depth, bound):
         alts = step.get("alternatives")
@@ -369,8 +370,13 @@ class _Emitter:
             exits.extend(x)
             bounds_out.append(b)
         self.instrs[idx]["alts"] = tuple(entries)
-        out = bounds_out[0]
-        for b in bounds_out[1:]:
-            out = out & b
-        return idx, exits, out
+        return idx, exits, frozenset.intersection(*bounds_out)
 
+
+# step op -> the keys its document may have: its mechanism if it has a family,
+# the keys its operands read, its branches; and the keys of loop and choose
+_STEP_KEYS = {op: frozenset({"op", *(("mechanism",) if family else ()), *_BRANCH_KEYS.get(op, ()),
+                             *(key for name in operands for key in _Emitter._OPERANDS[name][2])})
+              for op, (_, family, operands) in OPS.items()}
+_STEP_KEYS.update(loop=frozenset({"op", "count", "body"}),
+                  choose=frozenset({"op", "alternatives"}))

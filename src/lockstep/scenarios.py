@@ -159,6 +159,9 @@ def validate(scenario: Scenario) -> None:
             errors.append(f"{path}.kind: unknown mechanism kind {kind!r}")
             continue
         mech_kind[mid] = kind
+        fields = machines.KINDS[kind][2]
+        errors += [f"{path}: unknown field '{k}'" for k in m
+                   if k not in fields and k not in ("id", "kind")]
         if kind in ("raw_cell", "locked_cell", "shared_register"):
             _check_value_literal(m.get("initial"), width, f"{path}.initial", errors)
         if kind == "locked_cell" and m.get("mode") not in ("encapsulated", "undisciplined"):
@@ -181,6 +184,7 @@ def validate(scenario: Scenario) -> None:
             errors.append(f"{path}: must be an object with an integer 'id'")
             continue
         pids.append(p["id"])
+        errors += [f"{path}: unknown field '{k}'" for k in p if k not in ("id", "steps")]
     if sorted(pids) != list(range(len(scenario.processes))):
         errors.append("processes: ids must be exactly 0..N-1, each once")
     valid_pids = set(range(len(scenario.processes)))

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, cli, kernel
-from lockstep.explorer import _Checks, explore, replay, replay_with_checks
+from lockstep import catalog, cli, kernel, machines
+from lockstep.explorer import (_Checks, _interchangeable, explore, replay, replay_with_checks,
+                               terminal_mechanism_states)
+from lockstep.monitors import compile_monitors
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
                              event_to_doc, label_from_doc, label_to_doc,
-                             store_get, store_has, store_set)
+                             store_get, store_set)
 
 from helpers import (bench_families, fold, head_for, offered_sends, reachable,
                      reachable_edges, schedules_to)
@@ -98,7 +100,9 @@ class TestStore:
     def test_get_and_has(self):
         st_ = (("a", 1),)
         assert store_get(st_, "a") == 1
-        assert store_has(st_, "a") and not store_has(st_, "b")
+        assert store_get(st_, "a", None) == 1
+        assert store_get(st_, "b", None) is None
+        assert store_get((("a", None),), "a", 0) is None  # None is a value, not "unbound"
         with pytest.raises(KeyError):
             store_get(st_, "b")
 
@@ -346,6 +350,84 @@ class TestStepping:
         assert not status_sys.all_terminated(st)
         st = status_sys.apply(st, (1, ("read",), "ch"))
         assert status_sys.all_terminated(st)
+
+
+class TestLocksAndOperands:
+    def test_shared_register_locked_in_turn_by_two_processes(self):
+        sys = make("register-locks", 1, [s.shared_register("r", [0])],
+                   [s.process(p, s.lock("r"), s.read("r", "v"),
+                              s.write("r", s.applied("inc", "v")), s.unlock("r"))
+                    for p in (0, 1)])
+        st0 = sys.initial_state()
+        assert sys.enabled_actions(st0) == [(0, ("lock",), "r"), (1, ("lock",), "r")]
+        st1 = sys.apply(st0, (0, ("lock",), "r"))
+        assert sys.view(st1).mechs == (machines.SharedRegister((0,), owner=0),)
+        assert sys.enabled_actions(st1) == [(0, ("read",), "r")]  # p1 may not even lock
+        st2 = fold(sys, [(0, ("lock",), "r"), (0, ("read",), "r"),
+                         (0, ("write", (1,)), "r")])
+        assert sys.enabled_actions(st2) == [(0, ("unlock",), "r")]
+        st3 = sys.apply(st2, (0, ("unlock",), "r"))
+        assert sys.view(st3).mechs == (machines.SharedRegister((1,)),)
+        assert sys.enabled_actions(st3) == [(1, ("lock",), "r")]
+        report = explore(sys)
+        assert report.schedules_complete == 2 and not report.violations
+        assert terminal_mechanism_states(sys, report, "r") == {machines.SharedRegister((2,))}
+        # an owner is a pid, so processes that lock are never interchangeable
+        assert _interchangeable(sys, compile_monitors(sys)) == ()
+
+    def test_update_doubles_in_one_step(self):
+        sys = make("double", 2, [s.shared_register("r", [3, 5])],
+                   [s.process(0, s.update("r", "double"))])
+        st0 = sys.initial_state()
+        assert sys.enabled_actions(st0) == [(0, ("update", ("double",)), "r")]
+        st1 = sys.apply(st0, (0, ("update", ("double",)), "r"))
+        assert sys.view(st1).mechs == (machines.SharedRegister((6, 2)),)
+
+    def test_encapsulated_cell_offers_words_only_to_the_holder(self):
+        sys = make("encapsulated", 1, [s.locked_cell("c", [0])],
+                   [s.process(0, s.lock("c"), s.write_word("c", 0, 1), s.unlock("c")),
+                    s.process(1, s.write_word("c", 0, 2))])
+        st0 = sys.initial_state()
+        assert sys.enabled_actions(st0) == [(0, ("lock",), "c")]
+        st1 = sys.apply(st0, (0, ("lock",), "c"))
+        assert sys.enabled_actions(st1) == [(0, ("write_word", 0, 1), "c")]
+        with pytest.raises(ChoiceNotEnabled):
+            sys.apply(st1, (1, ("write_word", 0, 2), "c"))
+
+    def test_write_word_from_a_variable(self):
+        sys = make("word-var", 1, [s.raw_cell("a", [6]), s.raw_cell("b", [0])],
+                   [s.process(0, s.read_word("a", 0, "w"), s.write_word("b", 0, s.var("w")))])
+        st1 = sys.apply(sys.initial_state(), (0, ("read_word", 0), "a"))
+        assert sys.enabled_actions(st1) == [(0, ("write_word", 0, 6), "b")]
+        st2 = sys.apply(st1, (0, ("write_word", 0, 6), "b"))
+        assert sys.view(st2).mechs[1] == machines.RawCell((6,))
+
+    def test_write_word_of_a_variable_holding_a_value_faults(self):
+        sys = make("word-var", 1, [s.raw_cell("b", [0])],
+                   [s.process(0, s.local("w", [6]), s.write_word("b", 0, s.var("w")))])
+        st1 = sys.apply(sys.initial_state(), (0, ("local",), None))
+        with pytest.raises(KernelError, match=r"variable 'w' holds \(6,\), not a word"):
+            sys.enabled_actions(st1)
+
+    def test_write_of_a_variable_holding_a_word_faults(self):
+        sys = make("value-var", 1, [s.raw_cell("a", [6]), s.message_cell("mc")],
+                   [s.process(0, s.read_word("a", 0, "w"), s.write("mc", s.var("w")))])
+        st1 = sys.apply(sys.initial_state(), (0, ("read_word", 0), "a"))
+        with pytest.raises(KernelError, match="expected a 1-word value, got 6"):
+            sys.enabled_actions(st1)
+
+    @pytest.mark.parametrize("mech, first, holds, other", [
+        (s.raw_cell("m", [3]), s.read_word("m", 0, "x"), 3, 4),
+        (s.status_channel("m"), s.check("m", "x"), "empty", "full")])
+    def test_assert_local_compares_a_word_or_a_status_token(self, mech, first, holds, other):
+        sys = make("asserts", 1, [mech],
+                   [s.process(0, first, s.assert_local("x", holds), s.assert_local("x", other))])
+        st = sys.initial_state()
+        failed = []
+        while sys.enabled_actions(st):
+            st = sys.apply(st, sys.enabled_actions(st)[0])
+            failed.append(sys.view(st).procs[0].failed)
+        assert failed == [None, None, "p0.x"]
 
 
 class TestHashing:

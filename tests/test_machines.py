@@ -2,7 +2,8 @@
 
 import pytest
 
-from lockstep.machines import (WORD_DOMAIN, DuplexChannel, LastMessageChannel,
+from lockstep import machines
+from lockstep.machines import (WORD_DOMAIN, DuplexChannel, LastMessageChannel, Lockable,
                                LockedCell, MessageCell, RawCell, SharedRegister,
                                StatusChannel, apply_update)
 
@@ -189,7 +190,27 @@ class TestSharedRegister:
     def test_write_replaces(self):
         assert SharedRegister((2,)).write(0, (7,)).content == (7,)
 
+    def test_lock_cycle(self):
+        r = SharedRegister((0,))
+        assert r.can_lock(0) and r.can_lock(1)
+        r = r.lock(1)
+        assert not r.can_lock(0) and not r.can_lock(1)
+        assert r.can_unlock(1) and not r.can_unlock(0)
+        assert r.unlock() == SharedRegister((0,))
+
     def test_read_leaves_register_unchanged(self):
         r = SharedRegister((5,)).lock(1)
         v, r2 = r.read(1)
         assert v == (5,) and r2 is r
+
+
+def test_the_lock_protocol_is_written_once():
+    protocol = ("can_lock", "can_unlock", "lock", "unlock")
+    classes = [c for c in vars(machines).values() if isinstance(c, type)]
+    assert [c for c in classes if any(m in vars(c) for m in protocol)] == [Lockable]
+    assert [c for c in classes if issubclass(c, Lockable)] == [Lockable, LockedCell,
+                                                               SharedRegister]
+    # the base has no fields, so snapshots keep their reprs, equality and hashes
+    assert not hasattr(LockedCell((0,)), "__dict__")
+    assert repr(SharedRegister((1,)).lock(0)) == "SharedRegister(content=(1,), owner=0)"
+    assert LockedCell((0,)).lock(2).unlock() == LockedCell((0,))

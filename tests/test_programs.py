@@ -4,8 +4,8 @@ import pytest
 
 import lockstep.scenarios as s
 from lockstep import kernel
-from lockstep.programs import (LABEL_KIND, MAX_NESTING, MAX_UNROLLED, MAX_VARS, OPS,
-                               CompileContext, ProgramError, compile_program)
+from lockstep.programs import (_STEP_KEYS, LABEL_KIND, MAX_NESTING, MAX_UNROLLED, MAX_VARS,
+                               OPS, CompileContext, ProgramError, compile_program)
 
 KINDS = {"cell": "raw_cell", "lc": "locked_cell", "mc": "message_cell",
          "sc": "status_channel", "lm": "last_message_channel",
@@ -226,6 +226,21 @@ class TestLiterals:
         assert "expected must be" in compile_err(
             s.local("t", [1, 1]), s.assert_local("t", True)).message
 
+    @pytest.mark.parametrize("expected, message", [
+        ({"word": 1}, "expected must be null, a word, a status token, or a value"),
+        (1.5, "expected must be null, a word, a status token, or a value"),
+        (8, "expected word must be in 0..7"),
+        ([1], "value literal has 1 words, scenario word width is 2")])
+    def test_assert_literal_rejects_other_forms(self, expected, message):
+        e = compile_err(s.local("t", [1, 1]), s.assert_local("t", expected))
+        assert (e.path, e.message) == ("steps[1].expected", message)
+
+    @pytest.mark.parametrize("expected", [None, 3, "full", [1, 2]])
+    def test_assert_literal_forms(self, expected):
+        p = compile_ok(s.local("t", [1, 1]), s.assert_local("t", expected))
+        assert p.instrs[1].expected == (tuple(expected) if isinstance(expected, list)
+                                        else expected)
+
 
 class TestChoose:
     def test_needs_two_alternatives(self):
@@ -271,6 +286,29 @@ class TestShapeErrors:
 
     def test_bad_var_name(self):
         assert "'var'" in compile_err(s.read("mc", "not a name")).message
+
+    @pytest.mark.parametrize("step, field", [
+        ({**s.read("mc", "x"), "vaar": "y"}, "vaar"),
+        ({**s.if_status("sc", [], []), "else": []}, "else"),
+        ({**s.loop(1, []), "alternatives": []}, "alternatives"),
+        ({**s.choose([s.receive("dc", "x")], [s.update("reg", "inc")]), "count": 2}, "count"),
+        ({**s.local("x", [1, 1]), "mechanism": "mc"}, "mechanism"),
+        ({**s.update("reg", "inc"), "value": [1, 1]}, "value"),
+    ], ids=["read", "if_status", "loop", "choose", "local", "update"])
+    def test_unknown_field(self, step, field):
+        e = compile_err(s.loop(2, [step]))
+        assert (e.path, e.message) == ("steps[0].body[0]", f"unknown field '{field}'")
+
+    def test_each_op_takes_the_fields_its_operands_read(self):
+        # derived from OPS, _BRANCH_KEYS and _Emitter._OPERANDS; pinned here as literals
+        assert _STEP_KEYS == {op: frozenset({"op", *fields.split()}) for op, fields in {
+            "lock": "mechanism", "unlock": "mechanism", "read": "mechanism var",
+            "write": "mechanism value", "send": "mechanism value", "receive": "mechanism var",
+            "read_word": "mechanism index var", "wait_word": "mechanism index word",
+            "if_word": "mechanism index word then else", "write_word": "mechanism index word",
+            "check": "mechanism var", "if_status": "mechanism full empty",
+            "update": "mechanism fn k", "local": "var value", "assert_local": "var expected",
+            "loop": "count body", "choose": "alternatives"}.items()}
 
     def test_error_carries_path(self):
         e = compile_err(s.loop(2, [s.write("mc", s.var("q"))]))

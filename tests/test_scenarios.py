@@ -133,6 +133,64 @@ class TestStructureValidation:
         assert len(ei.value.errors) >= 3
 
 
+# valid as it stands; each case of TestUnknownFields misspells one field of it,
+# and each mechanism is referenced by both processes, so that is the only error
+FIELDS = """
+{
+  "name": "fields",
+  "word_width": 1,
+  "mechanisms": [
+    {"id": "cell", "kind": "raw_cell", "initial": [0]},
+    {"id": "dx", "kind": "duplex_channel", "side_a": 0, "side_b": 1, "last_message": true}
+  ],
+  "processes": [
+    {"id": 0, "steps": [
+      {"op": "if_word", "mechanism": "cell", "index": 0, "word": 0,
+       "then": [{"op": "write", "mechanism": "dx", "value": [1]}],
+       "else": [{"op": "write_word", "mechanism": "cell", "index": 0, "word": 1}]}]},
+    {"id": 1, "steps": [{"op": "read", "mechanism": "dx", "var": "v"},
+                        {"op": "read_word", "mechanism": "cell", "index": 0, "var": "w"}]}
+  ]
+}
+"""
+
+
+def _renamed(doc, old, new):
+    """``doc`` with its key ``old`` renamed to ``new``, in place."""
+    doc[new] = doc.pop(old)
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("misspell, message", [
+        (lambda d: _renamed(d["processes"][0]["steps"][0], "else", "els"),
+         "processes[0].steps[0]: unknown field 'els'"),
+        (lambda d: _renamed(d["mechanisms"][1], "last_message", "last_mesage"),
+         "mechanisms[1]: unknown field 'last_mesage'"),
+        (lambda d: _renamed(d["processes"][1], "steps", "stpes"),
+         "processes[1]: unknown field 'stpes'"),
+        (lambda d: _renamed(d["processes"][1]["steps"][0], "var", "vaar"),
+         "processes[1].steps[0]: unknown field 'vaar'"),
+        (lambda d: d["processes"][0]["steps"][0]["then"][0].update(index=0),
+         "processes[0].steps[0].then[0]: unknown field 'index'"),
+    ], ids=["if_word-els", "duplex-last_mesage", "process-stpes", "read-vaar",
+            "write-index"])
+    def test_a_misspelled_field_is_the_one_error(self, misspell, message):
+        validate(loads(FIELDS))
+        doc = json.loads(FIELDS)
+        misspell(doc)
+        assert errors_of(doc) == message
+
+    def test_unknown_fields_are_listed_with_the_other_problems(self):
+        doc = json.loads(FIELDS)
+        doc["name"] = ""
+        doc["mechanisms"][0]["note"] = "x"
+        doc["processes"][1]["steps2"] = []
+        assert errors_of(doc).splitlines() == [
+            "name: must be a non-empty string",
+            "mechanisms[0]: unknown field 'note'",
+            "processes[1]: unknown field 'steps2'"]
+
+
 class TestProgramValidation:
     def test_undeclared_mechanism_is_named_with_process_path(self):
         doc = json.loads(MINIMAL)
@@ -193,6 +251,10 @@ class TestMonitorValidation:
     def test_mutual_exclusion_marker_shape(self):
         mon = {"kind": "mutual_exclusion", "markers": [[0, "v"], ["p1", 2]]}
         assert "markers[1]" in errors_of(self.base(mon))
+
+    def test_mutual_exclusion_marker_names_a_declared_process(self):
+        mon = {"kind": "mutual_exclusion", "markers": [[1, "v"], [5, "v"]]}
+        assert errors_of(self.base(mon)) == "monitors[0].markers[1]: process 5 is not declared"
 
     def test_recipient_tag_needs_a_duplex(self):
         mon = {"kind": "recipient_tag", "mechanism": "ch"}

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 clean, 1 violations found (or a recorded violation refuted),
-2 exploration hit its bounds without finding a violation, 3 the scenario or
-schedule could not be loaded or replayed.
+2 exploration hit its bounds without finding a violation, 3 the command line
+was not understood or the scenario or schedule could not be loaded or replayed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,16 @@ EXIT_BOUNDS = 2
 EXIT_ERROR = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints the usage and is an input error, which ``main``
+    prints and exits 3 for, not argparse's 2, which ``explore`` gives for
+    bounds hit. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        raise ValueError(message)
+
+
 def _add_source(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--catalog", metavar="NAME", help="a built-in scenario (see 'list')")
@@ -41,9 +51,8 @@ def _add_bounds(p):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="lockstep",
-                                 description="explore every interleaving of small "
-                                             "communicating processes")
+    ap = _Parser(prog="lockstep",
+                 description="explore every interleaving of small communicating processes")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("explore", help="exhaustively explore a scenario")
@@ -249,10 +258,10 @@ def cmd_catalog_check(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"explore": cmd_explore, "run": cmd_run, "replay": cmd_replay,
                 "list": cmd_list, "catalog-check": cmd_catalog_check}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, ValidationError) as e:
         print(f"error: invalid scenario:\n{e}", file=_sys.stderr)
@@ -261,7 +270,8 @@ def main(argv=None) -> int:
         print(f"error: stale schedule: {e}", file=_sys.stderr)
         return EXIT_ERROR
     except (KernelError, KeyError, ValueError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=_sys.stderr)
+        # a KeyError's str() is its message quoted, so it is printed by its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=_sys.stderr)
         return EXIT_ERROR
 
 

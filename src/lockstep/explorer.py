@@ -186,8 +186,9 @@ class _Checks:
         hits = []
         for key_of, verdicts, slots, verdict in self.watches:
             key = key_of(state)
-            got = verdicts.get(key)
-            if got is None:
+            try:
+                got = verdicts[key]
+            except KeyError:
                 got = verdicts[key] = verdict(*self.sys.parts(state, slots))
             if got:
                 hits += got
@@ -254,14 +255,6 @@ def _arrangements(counts):
             counts[v] += 1
 
 
-def _swapped(state, a, b):
-    """``state`` with slots ``a`` and ``b`` swapped."""
-    out = list(state)
-    out[a] = state[b]
-    out[b] = state[a]
-    return tuple(out)
-
-
 class _Orbits:
     """Packed states up to swaps of interchangeable processes.
 
@@ -270,8 +263,9 @@ class _Orbits:
     is the other with some members of each group swapped. A lone group of
     two slots ``a < b`` is sorted by compare-and-swap: the key is the state
     itself when ``state[a] <= state[b]``, else the state with the two
-    swapped. A key's orbit is the set of states with that key; its size is
-    ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
+    swapped, by one ``itemgetter`` that lists every slot with ``a`` and
+    ``b`` exchanged. A key's orbit is the set of states with that key; its
+    size is ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
     repeated intern index among the group's slots, so a lone pair's orbit
     has size 1 when its two slots are equal and 2 otherwise, and its images
     are found by the same compare. With no group, a key is the state itself
@@ -286,9 +280,12 @@ class _Orbits:
             self.size = lambda key: 1
         elif len(slots) == 1 and len(slots[0]) == 2:  # a lone pair: compare, never sort
             a, b = slots[0]
-            self.key = lambda state: state if state[a] <= state[b] else _swapped(state, a, b)
+            order = list(range(sys.n_mechs + sys.n_procs))
+            order[a], order[b] = b, a
+            swap = itemgetter(*order)   # the state with slots a and b exchanged
+            self.key = lambda state: state if state[a] <= state[b] else swap(state)
             self.size = lambda key: 1 if key[a] == key[b] else 2
-            self.images = lambda state: [state] if state[a] == state[b] else [state, _swapped(state, a, b)]
+            self.images = lambda state: [state] if state[a] == state[b] else [state, swap(state)]
         else:
             gets = [(g, itemgetter(*g)) for g in slots]
 

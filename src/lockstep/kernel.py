@@ -65,7 +65,7 @@ class GlobalState:
     procs: tuple
 
 
-_UNBOUND = object()  # no value at all; None is a value a variable can hold
+_UNBOUND = object()  # no value at all; None is a value a variable or a view entry can hold
 
 
 def store_get(store, name, default=_UNBOUND):
@@ -241,12 +241,14 @@ class System:
     holds a getter of the state slots its offers read (the mechanisms its
     head instructions touch and, for a send, every other process that
     receives on its channel) and its offers keyed by what the getter
-    returns, parts as indices. An offer is an edge ``[action, move,
+    returns, parts as indices; the entry is None for an idle ProcState, whose
+    heads can offer nothing. An offer is an edge ``[action, move,
     instruction]``: the head instruction that offers the action, and a move
     that ``take`` computes from that instruction when the edge is first taken
     and that then serves every state with that offer key, since the key holds
-    every slot the step reads. So a process costs ``edges`` two lookups and
-    one getter call, and ``take`` a splice.
+    every slot the step reads. So in ``edges`` a warm process costs two
+    subscripts and one getter call, an idle one a subscript, and a miss fills
+    the tables through ``_edges_of``; ``take`` costs a splice.
     Each table grows with the distinct local views reached, not with the
     global states. A state is its mechanisms' indices, then its processes'.
     A step or offer that raises is not stored, so a fault raises every time.
@@ -305,7 +307,11 @@ class System:
         return self._parts[state[self.n_mechs + pid]].pc >= len(self.programs[pid].instrs)
 
     def all_terminated(self, state) -> bool:
-        return all(self.terminated(state, p) for p in range(self.n_procs))
+        parts = self._parts
+        for ps, program in zip(state[self.n_mechs:], self.programs):
+            if parts[ps].pc < len(program.instrs):
+                return False
+        return True
 
     def live_processes(self, state):
         return [p for p in range(self.n_procs) if not self.terminated(state, p)]
@@ -322,7 +328,14 @@ class System:
         An edge is ``[action, move, instruction]``; ``take`` fills its move."""
         edges = []
         for p, ps in enumerate(state[self.n_mechs:]):
-            edges += self._edges_of(p, ps, state)
+            try:
+                view = self._views[p][ps]
+                if view is None:  # idle: its heads offer nothing
+                    continue
+                got = view[1][view[0](state)]
+            except KeyError:
+                got = self._edges_of(p, ps, state)
+            edges += got
         return edges
 
     def enabled_actions(self, state):
@@ -331,9 +344,11 @@ class System:
 
     def _edges_of(self, p, ps, state):
         """The edges process ``p`` offers at ``state``, whose ProcState index is ``ps``."""
-        view = self._views[p].get(ps)
-        if view is None:
+        view = self._views[p].get(ps, _UNBOUND)
+        if view is _UNBOUND:
             view = self._views[p][ps] = self._view(p, ps)
+        if view is None:  # idle
+            return ()
         read, offers, slots = view
         key = read(state)
         got = offers.get(key)
@@ -344,11 +359,16 @@ class System:
     def _view(self, p, ps):
         """The table entry of process ``p`` at ProcState index ``ps``: a getter
         of the state slots its offers read, its offers keyed by what the getter
-        returns, and the slots themselves. The slots are the mechanisms its
+        returns, and the slots themselves; or None when its heads can offer
+        nothing (it has terminated, or its every head is a receive, which is
+        engaged from the sending side). The slots are the mechanisms its
         heads touch and, for a send, every other process that receives on its
         channel; a send's or receive's direct channel holds nothing, so it is no slot."""
         program, slots = self.programs[p], set()
-        for ins in map(program.instrs.__getitem__, program.heads[self._parts[ps].pc]):
+        heads = [program.instrs[i] for i in program.heads[self._parts[ps].pc]]
+        if all(ins.op == "receive" for ins in heads):
+            return None
+        for ins in heads:
             if ins.op == "send":
                 slots.update(self.n_mechs + q for q, other in enumerate(self.programs) if q != p
                              and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))

@@ -59,6 +59,12 @@ class ProgramError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _check_keys(doc, keys, path):
+    """Raise a ProgramError naming the first key of ``doc`` not in ``keys``."""
+    if not keys.issuperset(doc):
+        raise ProgramError(path, f"unknown field '{next(k for k in doc if k not in keys)}'")
+
+
 @dataclass(frozen=True)
 class CompileContext:
     """Everything a program needs to know about the rest of the scenario."""
@@ -199,6 +205,7 @@ class _Emitter:
             return ("var", self._use(doc["var"], path, bound))
         if isinstance(doc, dict) and "fn" in doc:
             fn = self._fn(doc, path, bound)
+            _check_keys(doc, _FN_EXPR_KEYS, path)
             return ("fn", fn, self._use(doc.get("var"), path, bound))
         raise ProgramError(path, f"unrecognized value expression: {doc!r}")
 
@@ -214,10 +221,10 @@ class _Emitter:
 
     def _fn(self, doc, path, bound):
         name = doc.get("fn")
-        if name == "inc":
-            return ("inc",)
-        if name == "double":
-            return ("double",)
+        if name in ("inc", "double"):
+            if "k" in doc:  # only add reads k
+                raise ProgramError(path, "unknown field 'k'")
+            return (name,)
         if name == "add":
             k = doc.get("k")
             if not is_word(k):
@@ -291,9 +298,7 @@ class _Emitter:
         op = step["op"]
         if not isinstance(op, str) or op not in _STEP_KEYS:
             raise ProgramError(path, f"unknown step op: {op!r}")
-        if not _STEP_KEYS[op].issuperset(step):
-            unknown = next(k for k in step if k not in _STEP_KEYS[op])
-            raise ProgramError(path, f"unknown field '{unknown}'")
+        _check_keys(step, _STEP_KEYS[op], path)
         if op in _SIMPLE_OPS:
             idx, bound = self._emit_instr(op, step, path, bound)
             return idx, [(idx, "succ")], bound
@@ -380,3 +385,5 @@ _STEP_KEYS = {op: frozenset({"op", *(("mechanism",) if family else ()), *_BRANCH
               for op, (_, family, operands) in OPS.items()}
 _STEP_KEYS.update(loop=frozenset({"op", "count", "body"}),
                   choose=frozenset({"op", "alternatives"}))
+# the keys of a value expression that applies an update function to a variable
+_FN_EXPR_KEYS = frozenset({"fn", "var", "k"})

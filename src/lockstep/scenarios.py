@@ -235,6 +235,13 @@ def validate(scenario: Scenario) -> None:
     object.__setattr__(scenario, "compiled", tuple(programs[p] for p in sorted(programs)))
 
 
+# monitor kind -> the keys its document may hold: "kind" and those its checks below read
+_MONITOR_KEYS = {kind: frozenset(("kind", *keys.split())) for kind, keys in {
+    "mutual_exclusion": "mechanism markers", "sent_received_order": "mechanism",
+    "torn_value": "mechanism allowed process vars", "recipient_tag": "mechanism",
+    "terminal_assert": "process var expected", "lost_unread": "mechanism"}.items()}
+
+
 def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors):
     if not isinstance(mon, dict):
         errors.append(f"{path}: must be an object")
@@ -243,6 +250,8 @@ def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors)
     if not isinstance(kind, str) or kind not in monitors.KINDS:
         errors.append(f"{path}.kind: unknown monitor kind {kind!r}")
         return
+    if not _MONITOR_KEYS[kind].issuperset(mon):
+        errors += [f"{path}: unknown field '{k}'" for k in mon if k not in _MONITOR_KEYS[kind]]
 
     def need_mech(family):
         """The monitor's mechanism must serve ``family`` (None: any kind)."""

@@ -126,6 +126,27 @@ def head_for(sys, p, pc, label, mech_id):
     return found[0] if found else None
 
 
+def offers_by_process(sys, state):
+    """Every process's offers at ``state``, idle processes included, in pid
+    order, each computed afresh by ``System._local_offers`` with every slot
+    but the process's own in view, so no table and no idleness test is read.
+    Each offer is an (action, instruction) pair."""
+    n = sys.n_mechs
+    return [[(action, ins) for action, _, ins in
+             sys._local_offers(p, state[n + p], state,
+                               tuple(i for i in range(len(state)) if i != n + p))]
+            for p in range(sys.n_procs)]
+
+
+def swapped(state, a, b):
+    """``state`` with slots ``a`` and ``b`` swapped, by a list: the lone-pair
+    swap ``explorer._Orbits`` used before it took one ``itemgetter``."""
+    out = list(state)
+    out[a] = state[b]
+    out[b] = state[a]
+    return tuple(out)
+
+
 def reachable_edges(sys):
     """All (state, action, state) transitions over the reachable graph."""
     edges = []

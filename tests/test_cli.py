@@ -63,7 +63,9 @@ class TestExplore:
 
     def test_unknown_catalog_name_exits_three(self, capsys):
         code, _, err = run(capsys, "explore", "--catalog", "nope")
-        assert code == ERROR and "nope" in err
+        assert code == ERROR
+        # printed by its message, not by a KeyError's quoted repr
+        assert err == "error: no catalog scenario named 'nope'; see 'lockstep list'\n"
 
     def test_structured_report_is_self_contained(self, capsys):
         code, doc = explore_structured(capsys, "deadlock-direct-duplex")
@@ -158,6 +160,34 @@ class TestExplore:
                            "--max-states", "0")
         assert code == BOUNDS
         assert "states visited: 1\n" in out and "bounds hit: yes" in out
+
+
+class TestUsage:
+    """A command line the parser rejects is an input error: exit 3, not
+    ``explore``'s exit 2 for bounds hit."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["explore", "--catalog", "torn-read-raw", "--max-depth", "abc"],
+         "argument --max-depth: invalid int value: 'abc'"),
+        (["explore"], "one of the arguments --catalog --file is required"),
+        (["explore", "--catalog", "torn-read-raw", "--file", "x.json"],
+         "argument --file: not allowed with argument --catalog"),
+        (["replay", "--catalog", "torn-read-raw"],
+         "the following arguments are required: --schedule"),
+        (["list", "--format", "bogus"], "argument --format: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_a_usage_error_exits_three_with_usage_and_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == ERROR and out == ""
+        assert err.startswith("usage: lockstep") and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["explore", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lockstep")
 
 
 class TestRun:

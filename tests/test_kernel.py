@@ -17,8 +17,8 @@ from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnab
                              event_to_doc, label_from_doc, label_to_doc,
                              store_get, store_set)
 
-from helpers import (bench_families, fold, head_for, offered_sends, reachable,
-                     reachable_edges, schedules_to)
+from helpers import (bench_families, fold, head_for, offered_sends, offers_by_process,
+                     reachable, reachable_edges, schedules_to)
 from test_golden import _op_scenarios
 
 
@@ -218,6 +218,49 @@ class TestEnabledness:
                     q = label[2]
                     recv = head_for(sys, q, procs[q].pc, ("receive",), mech_id)
                     assert recv is not None and sys._receiver(q, procs[q].pc, mech_id) is recv
+
+
+class TestFastPaths:
+    """``edges`` and ``all_terminated`` against the per-process paths they inline."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS + _family_scenarios(),
+                             ids=lambda sc: sc.name)
+    def test_edges_are_every_process_s_local_offers(self, scenario):
+        """At every reachable state, the warm tables give each process's
+        offers as computed afresh, in pid order, through ``edges`` and
+        through ``_edges_of`` (``apply``'s path), which gives () for a
+        process that ``edges`` skips as idle."""
+        sys = System(scenario)
+        for state in reachable(sys):
+            by_process = offers_by_process(sys, state)
+            assert [(e[0], e[2]) for e in sys.edges(state)] == \
+                [offer for offers in by_process for offer in offers]
+            for p, ps in enumerate(state[sys.n_mechs:]):
+                assert [(e[0], e[2]) for e in sys._edges_of(p, ps, state)] == by_process[p]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_all_terminated_is_every_process_terminated(self, scenario):
+        sys = System(scenario)
+        for state in reachable(sys):
+            assert sys.all_terminated(state) == \
+                all(sys.terminated(state, p) for p in range(sys.n_procs))
+
+    def test_an_idle_process_has_no_view(self):
+        """A terminated or receive-only ProcState's entry is None; a process
+        whose heads include any other op has a view."""
+        sys = make("idle", 1, [s.direct_channel("dc")],
+                   [s.process(0, s.send("dc", [5])), s.process(1, s.receive("dc", "x"))])
+        init = sys.initial_state()
+        post = sys.apply(init, (0, ("send", (5,), 1), "dc"))
+        sys.edges(init)
+        sys.edges(post)
+        n = sys.n_mechs
+        assert sys._views[0][init[n]] is not None                           # a send
+        assert sys._views[1][init[n + 1]] is None                           # a receive
+        assert sys._views[0][post[n]] is sys._views[1][post[n + 1]] is None  # terminated
+        assert sys.edges(post) == [] and sys._edges_of(1, init[n + 1], init) == ()
+        with pytest.raises(ChoiceNotEnabled):
+            sys.apply(init, (1, ("local",), None))
 
 
 class TestSends:
@@ -505,12 +548,13 @@ class TestCaches:
         # the caches key on intern indices: a packed state is the mechanisms', then the processes'
         steps = {(a, pre[n + a[0]], pre[reg] if a[2] else None)
                  for pre, a, _ in edges}
-        offers = set()
+        offers = set()  # a process at a terminated head is idle and computes no offers
         for state in reachable(sys):
             for p, ps in enumerate(sys.view(state).procs):
                 instrs = sys.programs[p].instrs
-                touches = ps.pc < len(instrs) and instrs[ps.pc].op != "local"
-                offers.add((p, state[n + p], state[reg]) if touches else (p, state[n + p]))
+                if ps.pc < len(instrs):
+                    touches = instrs[ps.pc].op != "local"
+                    offers.add((p, state[n + p], state[reg]) if touches else (p, state[n + p]))
         assert sys.steps.keys() == steps and set(sys.steps.values()) == {1}
         assert sys.offers.keys() == offers and set(sys.offers.values()) == {1}
         assert len(steps) < len(edges) / 3 and len(offers) < report.states_visited

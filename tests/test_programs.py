@@ -299,6 +299,25 @@ class TestShapeErrors:
         e = compile_err(s.loop(2, [step]))
         assert (e.path, e.message) == ("steps[0].body[0]", f"unknown field '{field}'")
 
+    @pytest.mark.parametrize("expr, field", [
+        ({"fn": "inc", "var": "v", "k": 3}, "k"),
+        ({"fn": "double", "var": "v", "k": 1}, "k"),
+        ({"fn": "add", "var": "v", "k": 1, "note": 0}, "note"),
+    ], ids=["inc-k", "double-k", "add-note"])
+    def test_unknown_field_in_a_value_expression(self, expr, field):
+        e = compile_err(s.read("mc", "v"), s.local("w", expr))
+        assert (e.path, e.message) == ("steps[1].value", f"unknown field '{field}'")
+
+    @pytest.mark.parametrize("fn", ["inc", "double"])
+    def test_an_update_step_with_no_k_takes_none(self, fn):
+        e = compile_err(s.loop(2, [{**s.update("reg", fn), "k": 3}]))
+        assert (e.path, e.message) == ("steps[0].body[0]", "unknown field 'k'")
+
+    @pytest.mark.parametrize("expr", [s.applied("inc", "v"), s.applied("double", "v"),
+                                      s.applied("add", "v", 1)])
+    def test_a_value_expression_takes_its_function_s_fields(self, expr):
+        assert compile_ok(s.read("mc", "v"), s.local("w", expr)).instrs[1].expr[0] == "fn"
+
     def test_each_op_takes_the_fields_its_operands_read(self):
         # derived from OPS, _BRANCH_KEYS and _Emitter._OPERANDS; pinned here as literals
         assert _STEP_KEYS == {op: frozenset({"op", *fields.split()}) for op, fields in {

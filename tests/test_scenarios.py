@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, kernel
+from lockstep import catalog, kernel, monitors
 from lockstep.kernel import System
-from lockstep.scenarios import (ParseError, Scenario, ValidationError, load_file,
-                                loads, serialize, validate)
+from lockstep.scenarios import (_MONITOR_KEYS, ParseError, Scenario, ValidationError,
+                                load_file, loads, serialize, validate)
 
 MINIMAL = """
 {
@@ -179,6 +179,27 @@ class TestUnknownFields:
         doc = json.loads(FIELDS)
         misspell(doc)
         assert errors_of(doc) == message
+
+    def test_a_misspelled_field_in_a_value_expression(self):
+        doc = json.loads(FIELDS)
+        doc["processes"][1]["steps"].append(
+            {"op": "local", "var": "u", "value": {"fn": "add", "var": "v", "k": 1, "note": 0}})
+        assert errors_of(doc) == "processes[1].steps[2].value: unknown field 'note'"
+
+    def test_a_misspelled_monitor_field_is_listed_with_the_other_problems(self):
+        doc = json.loads(FIELDS)
+        doc["monitors"] = [{"kind": "sent_received_order", "mechanism": "dx",
+                            "mechansim": "dx"},
+                           {"kind": "terminal_assert", "process": 9, "var": "v",
+                            "expected": 1, "note": ""}]
+        assert errors_of(doc).splitlines() == [
+            "monitors[0]: unknown field 'mechansim'",
+            "monitors[1]: unknown field 'note'",
+            "monitors[1].process: process 9 is not declared"]
+
+    def test_every_monitor_kind_lists_its_fields(self):
+        assert _MONITOR_KEYS.keys() == monitors.KINDS.keys()
+        assert all("kind" in keys for keys in _MONITOR_KEYS.values())
 
     def test_unknown_fields_are_listed_with_the_other_problems(self):
         doc = json.loads(FIELDS)

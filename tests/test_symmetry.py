@@ -19,7 +19,7 @@ from lockstep.kernel import System
 from lockstep.monitors import compile_monitors
 
 from helpers import (CountingSystem, bench_families, maximal_schedule_count, reachable,
-                     sorted_groups_form)
+                     sorted_groups_form, swapped)
 from test_golden import _op_scenarios
 
 families = bench_families()
@@ -203,6 +203,22 @@ def test_orbits_partition_the_reachable_states(name, args, groups):
     assert sum(keys.values()) == len(states)
     assert all(len(form_keys) == 1 for form_keys in by_form.values())
     assert len(by_form) == len(keys)
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param("lost_update", ((2, 2, 1),), id="lost_update-2-2-1"),
+    pytest.param("torn_read", (2, 2, 2), id="torn_read-2x2x2")])
+def test_a_lone_pair_swaps_as_the_list_swap_did(name, args):
+    """Differential against the list-built swap the lone pair's ``itemgetter``
+    replaced: at every reachable state, the key and the images agree."""
+    sys = System(_family(name, args))
+    (pair,) = _groups(sys)
+    orbits = _Orbits(sys, (pair,))
+    a, b = (sys.n_mechs + p for p in pair)
+    for state in reachable(sys):
+        assert orbits.key(state) == (state if state[a] <= state[b] else swapped(state, a, b))
+        assert orbits.images(state) == \
+            ([state] if state[a] == state[b] else [state, swapped(state, a, b)])
 
 
 @pytest.mark.parametrize("step", [pytest.param(s.local("g", [1]), id="local"),

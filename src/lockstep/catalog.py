@@ -361,7 +361,10 @@ class CheckRow:
 
 
 def catalog_check(only=None, bounds=None):
-    """Explore each entry and compare against its documented outcome."""
+    """Explore each entry (or those ``only`` names, each checked by ``get_entry``
+    first) and compare against its documented outcome."""
+    for name in only or ():
+        get_entry(name)
     rows = []
     for entry in CATALOG:
         if only and entry.name not in only:

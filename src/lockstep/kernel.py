@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import machines
-from .programs import CompileContext, Program, compile_program
+from .programs import LABEL_KIND, CompileContext, Program, compile_program
 
 
 class KernelError(Exception):
@@ -112,20 +112,22 @@ class Trace:
 
 
 # label kind -> (the label's fields after the kind, named as in its JSON
-# document; the text run and replay print for an event with the label).
-# A ``value`` is a tuple of words, and a send's may be None (nothing to send);
-# an ``fn`` is an update function, ``("inc",)`` or ``("add", k)``.
+# document; the text run and replay print for an event with the label; the
+# mechanism guard ``can_*(pid)`` that offers the kind, or None). A ``value`` is
+# a tuple of words, and a send's may be None (nothing to send); an ``fn`` is an
+# update function, ``("inc",)`` or ``("add", k)``. The step of a write,
+# write_word, lock, unlock or update is the mechanism's ``<kind>(pid, *fields)``.
 LABELS = {
-    "lock": ((), "p{pid} lock {mech}"),
-    "unlock": ((), "p{pid} unlock {mech}"),
-    "read": ((), "p{pid} read {mech}"),
-    "check": ((), "p{pid} check {mech}"),
-    "local": ((), "p{pid} local"),
-    "write": (("value",), "p{pid} write {value} -> {mech}"),
-    "send": (("value", "receiver"), "p{pid} send {value} -> p{receiver} via {mech}"),
-    "read_word": (("index",), "p{pid} read {mech}[{index}]"),
-    "write_word": (("index", "word"), "p{pid} write {mech}[{index}] = {word}"),
-    "update": (("fn",), "p{pid} update {mech} ({fn})"),
+    "lock": ((), "p{pid} lock {mech}", "can_lock"),
+    "unlock": ((), "p{pid} unlock {mech}", "can_unlock"),
+    "read": ((), "p{pid} read {mech}", "can_read"),
+    "check": ((), "p{pid} check {mech}", None),
+    "local": ((), "p{pid} local", None),
+    "write": (("value",), "p{pid} write {value} -> {mech}", "can_write"),
+    "send": (("value", "receiver"), "p{pid} send {value} -> p{receiver} via {mech}", None),
+    "read_word": (("index",), "p{pid} read {mech}[{index}]", "can_access"),
+    "write_word": (("index", "word"), "p{pid} write {mech}[{index}] = {word}", "can_access"),
+    "update": (("fn",), "p{pid} update {mech} ({fn})", "can_access"),
 }
 
 
@@ -181,7 +183,7 @@ def label_from_doc(doc, path="action"):
 def format_event(event):
     """One event as ``run`` and ``replay`` print it."""
     pid, label, mech = event
-    fields, text = LABELS[label[0]]
+    fields, text, _ = LABELS[label[0]]
     shown = {}
     for name, x in zip(fields, label[1:]):
         if name == "fn":
@@ -208,23 +210,10 @@ def event_from_doc(doc, path="event"):
     return (pid, label_from_doc(doc.get("action"), f"{path}.action"), mech)
 
 
-def _norm_label(label):
-    out = []
-    for x in label:
-        if x is None:
-            out.append((0, 0))
-        elif isinstance(x, int):
-            out.append((1, x))
-        elif isinstance(x, str):
-            out.append((2, x))
-        else:
-            out.append((3, tuple(x)))
-    return tuple(out)
-
-
 def _action_sort_key(action):
+    """By pid, label field by field (a send's value of None first), mechanism."""
     pid, label, mech = action
-    return (pid, _norm_label(label), mech or "")
+    return (pid, tuple((x is not None, x) for x in label), mech or "")
 
 
 # -- the engine --------------------------------------------------------------
@@ -404,34 +393,24 @@ class System:
                      if ins.op == "receive" and ins.mech_id == mech_id), None)
 
     def _offer(self, p, ps, m, ins):
-        op = ins.op
-        if op in ("local", "assert_local"):
-            return ("local",)
-        if op == "write":
-            if not m.can_write(p):
-                return None
-            return ("write", self._value(ps.store, ins.expr, allow_none=False))
-        if op == "read":
-            return ("read",) if m.can_read(p) else None
-        if op in ("read_word", "if_word"):
-            return ("read_word", ins.index) if m.can_access(p) else None
-        if op == "wait_word":
-            if m.can_access(p) and m.words[ins.index] == ins.word:
-                return ("read_word", ins.index)
+        """The label ``ins`` offers with its mechanism at ``m``, or None: the
+        kind's guard is checked before any field is evaluated, so a value that
+        faults raises only when the guard holds."""
+        kind = LABEL_KIND[ins.op]
+        fields, _, guard = LABELS[kind]
+        if guard is not None and not getattr(m, guard)(p):
             return None
-        if op == "write_word":
-            if not m.can_access(p):
-                return None
-            return ("write_word", ins.index, self._word(ps.store, ins.expr))
-        if op in ("check", "if_status"):
-            return ("check",)
-        if op == "lock":
-            return ("lock",) if m.can_lock(p) else None
-        if op == "unlock":
-            return ("unlock",) if m.can_unlock(p) else None
-        if op == "update":
-            return ("update", ins.fn) if m.can_access(p) else None
-        raise KernelError(f"cannot offer op {op!r}")  # pragma: no cover
+        if ins.op == "wait_word" and m.words[ins.index] != ins.word:
+            return None
+        label = (kind,)
+        for name in fields:
+            if name == "value":
+                label += (self._value(ps.store, ins.expr, allow_none=False),)
+            elif name == "word":
+                label += (self._word(ps.store, ins.expr),)
+            else:  # index, fn
+                label += (getattr(ins, name),)
+        return label
 
     # -- expression evaluation ----------------------------------------------
 
@@ -513,8 +492,6 @@ class System:
         elif op == "assert_local":
             if store_get(ps.store, ins.var) != ins.expected and failed is None:
                 failed = f"p{p}.{ins.var}"
-        elif op == "write":
-            m2 = m.write(p, label[1])
         elif op == "read":
             v, m2 = m.read(p)
         elif op == "read_word":
@@ -522,21 +499,13 @@ class System:
         elif op == "if_word":
             if m.words[ins.index] != ins.word:
                 pc = ins.succ_else
-        elif op == "write_word":
-            m2 = m.write_word(ins.index, label[2])
         elif op == "check":
             v = m.status_token(p)
         elif op == "if_status":
             if m.status_token(p) != "full":
                 pc = ins.succ_else
-        elif op == "lock":
-            m2 = m.lock(p)
-        elif op == "unlock":
-            m2 = m.unlock()
-        elif op == "update":
-            m2 = m.update(ins.fn)
-        elif op != "wait_word":  # pragma: no cover
-            raise KernelError(f"cannot apply op {op!r}")
+        elif op != "wait_word":  # write, write_word, lock, unlock, update: its kind's transition
+            m2 = getattr(m, label[0])(p, *label[1:])
 
         store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
         pj = self._intern(ProcState(pc, store, failed))

@@ -6,12 +6,14 @@ exploration branches. Channel variants carry small sent/received logs, which
 lets delivery properties be phrased against a single state instead of a
 schedule history; the logs never influence any guard.
 
-Every whole-value mechanism (message cell, the three channels, shared
-register) offers one interface to the kernel: ``can_write(pid)``,
-``can_read(pid)``, ``write(pid, value) -> mechanism`` and
-``read(pid) -> (value, mechanism)``. A mechanism that does not care who
-writes or reads ignores ``pid``. The two mechanisms with a lock (locked
-cell, shared register) share one lock protocol, ``Lockable``.
+Every guard and transition takes the acting pid first; a mechanism that
+does not care who acts ignores it. A transition is named by the action-label
+kind that takes it, and gets the label's fields after the pid:
+``write(pid, value)``, ``write_word(pid, index, word)``, ``lock(pid)``,
+``unlock(pid)`` and ``update(pid, fn)`` return the next mechanism, and
+``read(pid)`` returns ``(value, mechanism)``. The whole-value mechanisms
+share ``can_write``, ``can_read``, ``write`` and ``read``, and the two with
+a lock (locked cell, shared register) share ``Lockable``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class RawCell:
     def can_access(self, pid: int) -> bool:
         return True
 
-    def write_word(self, index: int, word: int) -> "RawCell":
+    def write_word(self, pid: int, index: int, word: int) -> "RawCell":
         return RawCell(_set(self.words, index, word))
 
 
@@ -72,7 +74,7 @@ class Lockable:
     def lock(self, pid: int):
         return replace(self, owner=pid)
 
-    def unlock(self):
+    def unlock(self, pid: int):
         return replace(self, owner=None)
 
 
@@ -93,7 +95,7 @@ class LockedCell(Lockable):
     def can_access(self, pid: int) -> bool:
         return self.owner == pid if self.encapsulated else True
 
-    def write_word(self, index: int, word: int) -> "LockedCell":
+    def write_word(self, pid: int, index: int, word: int) -> "LockedCell":
         return replace(self, words=_set(self.words, index, word))
 
 
@@ -252,7 +254,7 @@ class SharedRegister(Lockable):
     def read(self, pid: int) -> tuple:
         return self.content, self  # reading leaves the register as it is
 
-    def update(self, fn: tuple) -> "SharedRegister":
+    def update(self, pid: int, fn: tuple) -> "SharedRegister":
         return replace(self, content=apply_update(fn, self.content))
 
 

@@ -138,6 +138,59 @@ def offers_by_process(sys, state):
             for p in range(sys.n_procs)]
 
 
+def reference_offer(sys, p, ps, m, ins):
+    """The label head ``ins`` of process ``p`` (ProcState ``ps``) offers with
+    its mechanism at ``m``, or None, by the per-op switch ``System._offer``
+    was before it read each label kind's guard and fields from
+    ``kernel.LABELS``. A send or receive head is not asked."""
+    op = ins.op
+    if op in ("local", "assert_local"):
+        return ("local",)
+    if op == "write":
+        if not m.can_write(p):
+            return None
+        return ("write", sys._value(ps.store, ins.expr, allow_none=False))
+    if op == "read":
+        return ("read",) if m.can_read(p) else None
+    if op in ("read_word", "if_word"):
+        return ("read_word", ins.index) if m.can_access(p) else None
+    if op == "wait_word":
+        if m.can_access(p) and m.words[ins.index] == ins.word:
+            return ("read_word", ins.index)
+        return None
+    if op == "write_word":
+        if not m.can_access(p):
+            return None
+        return ("write_word", ins.index, sys._word(ps.store, ins.expr))
+    if op in ("check", "if_status"):
+        return ("check",)
+    if op == "lock":
+        return ("lock",) if m.can_lock(p) else None
+    if op == "unlock":
+        return ("unlock",) if m.can_unlock(p) else None
+    if op == "update":
+        return ("update", ins.fn) if m.can_access(p) else None
+    raise AssertionError(f"no offer for op {op!r}")
+
+
+def reference_sort_key(action):
+    """The order of one process's actions as the kernel first defined it:
+    by pid, then label field by field with each field ranked by type (None,
+    int, str, then any tuple), then mechanism id."""
+    pid, label, mech = action
+    ranked = []
+    for x in label:
+        if x is None:
+            ranked.append((0, 0))
+        elif isinstance(x, int):
+            ranked.append((1, x))
+        elif isinstance(x, str):
+            ranked.append((2, x))
+        else:
+            ranked.append((3, tuple(x)))
+    return (pid, tuple(ranked), mech or "")
+
+
 def swapped(state, a, b):
     """``state`` with slots ``a`` and ``b`` swapped, by a list: the lone-pair
     swap ``explorer._Orbits`` used before it took one ``itemgetter``."""

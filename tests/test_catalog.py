@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lockstep import machines
+from lockstep import catalog, machines
 from lockstep.catalog import CATALOG, catalog_check, entries, get, get_entry, names
 from lockstep.explorer import Bounds, explore, terminal_mechanism_states
 from lockstep.kernel import System
@@ -135,6 +135,13 @@ class TestCatalogCheck:
     def test_only_filter(self):
         rows = catalog_check(only=["dekker-mutex"])
         assert [r.name for r in rows] == ["dekker-mutex"]
+
+    @pytest.mark.parametrize("only", [["nosuch"], ["dekker-mutex", "nosuch", "other"]])
+    def test_an_unknown_name_raises_before_anything_is_explored(self, monkeypatch, only):
+        monkeypatch.setattr(catalog, "explore", lambda *a: pytest.fail("explored"))
+        with pytest.raises(KeyError) as err:
+            catalog_check(only=only)
+        assert err.value.args[0] == "no catalog scenario named 'nosuch'; see 'lockstep list'"
 
     def test_tight_bounds_are_reported_not_hidden(self):
         rows = catalog_check(bounds=Bounds(max_depth=2))

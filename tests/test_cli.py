@@ -326,8 +326,11 @@ class TestCatalogCheck:
         assert "1/1 entries match" in out
 
     def test_unknown_only_exits_three(self, capsys):
-        code, _, err = run(capsys, "catalog-check", "--only", "bogus")
-        assert code == ERROR and "bogus" in err
+        code, out, err = run(capsys, "catalog-check", "--only", "dekker-mutex", "--only", "bogus")
+        assert code == ERROR and out == ""
+        # the message explore --catalog gives for the same name
+        assert err == run(capsys, "explore", "--catalog", "bogus")[2]
+        assert err == "error: no catalog scenario named 'bogus'; see 'lockstep list'\n"
 
     def test_tight_bounds_fail_loudly(self, capsys):
         code, out, _ = run(capsys, "catalog-check", "--max-depth", "2",

@@ -475,7 +475,7 @@ def fault_on_unwritten_read():
 
 
 @pytest.mark.xfail(strict=True, raises=KernelError,
-                   reason="a reachable program fault aborts explore (ROADMAP item 4)")
+                   reason="a reachable program fault aborts explore (ROADMAP open item 2)")
 def test_a_reachable_fault_does_not_abort_explore():
     assert isinstance(explore(fault_on_unwritten_read()), ExplorationReport)
 

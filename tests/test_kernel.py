@@ -18,7 +18,8 @@ from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnab
                              store_get, store_set)
 
 from helpers import (bench_families, fold, head_for, offered_sends, offers_by_process,
-                     reachable, reachable_edges, schedules_to)
+                     reachable, reachable_edges, reference_offer, reference_sort_key,
+                     schedules_to)
 from test_golden import _op_scenarios
 
 
@@ -62,6 +63,13 @@ def _rendezvous_scenarios():
              s.process(1, s.loop(2, [s.choose([s.send("a", [1])], [s.send("b", [2])],
                                               [s.write_word("c", 0, 3)])])),
              s.process(2, s.receive("a", "x"))]),
+        s.Scenario.from_parts(
+            "choose-a-send-of-nothing-or-of-one", 1,
+            [s.direct_channel("a"), s.direct_channel("b")],
+            [s.process(0, s.local("m", None),
+                       s.choose([s.send("a", [1])], [s.send("b", s.var("m"))])),
+             s.process(1, s.choose([s.receive("a", "x")], [s.receive("b", "x")])),
+             s.process(2, s.choose([s.receive("a", "y")], [s.receive("b", "y")]))]),
         bench_families().relay_chain(2, 2, random.Random(0)),
     ]
 
@@ -261,6 +269,51 @@ class TestFastPaths:
         assert sys.edges(post) == [] and sys._edges_of(1, init[n + 1], init) == ()
         with pytest.raises(ChoiceNotEnabled):
             sys.apply(init, (1, ("local",), None))
+
+
+class TestLabelRules:
+    """Offers and their order against the per-op switch and the type-ranked
+    sort key that ``kernel.LABELS`` and ``_action_sort_key`` replaced."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS + _family_scenarios(),
+                             ids=lambda sc: sc.name)
+    def test_offers_and_their_order_match_the_per_op_switch(self, scenario):
+        """At every reachable state, every head but a send or receive offers
+        what the switch gives, and each process's offers, computed afresh,
+        come out in the reference order."""
+        sys = System(scenario)
+        for state in reachable(sys):
+            view = sys.view(state)
+            for p, ps in enumerate(view.procs):
+                program = sys.programs[p]
+                for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
+                    if ins.op not in ("send", "receive"):
+                        m = None if ins.mech is None else view.mechs[ins.mech]
+                        assert sys._offer(p, ps, m, ins) == reference_offer(sys, p, ps, m, ins)
+            for offers in offers_by_process(sys, state):
+                actions = [a for a, _ in offers]
+                assert actions == sorted(actions, key=reference_sort_key)
+
+    def test_a_send_of_nothing_comes_before_a_send_of_a_value(self):
+        sys = System(next(sc for sc in RENDEZVOUS
+                          if sc.name == "choose-a-send-of-nothing-or-of-one"))
+        state = sys.apply(sys.initial_state(), (0, ("local",), None))
+        assert sys.enabled_actions(state) == [
+            (0, ("send", None, 1), "b"), (0, ("send", None, 2), "b"),
+            (0, ("send", (1,), 1), "a"), (0, ("send", (1,), 2), "a")]
+
+    def test_a_faulting_write_raises_only_when_its_guard_holds(self):
+        """The guard is checked before the value is evaluated: p1's write of
+        the empty indicator is not offered on a full channel, and faults on an
+        empty one."""
+        sys = make("guarded", 1, [s.status_channel("ch")],
+                   [s.process(0, s.write("ch", [1])),
+                    s.process(1, s.local("v", None), s.write("ch", s.var("v")))])
+        full = sys.apply(sys.initial_state(), (0, ("write", (1,)), "ch"))
+        assert sys.enabled_actions(sys.apply(full, (1, ("local",), None))) == []
+        empty = sys.apply(sys.initial_state(), (1, ("local",), None))
+        with pytest.raises(KernelError, match="empty indicator"):
+            sys.enabled_actions(empty)
 
 
 class TestSends:

@@ -33,7 +33,7 @@ class TestRawCell:
         assert c.can_access(0) and c.can_access(7)
 
     def test_write_word_is_persistent(self):
-        c = RawCell((0, 0)).write_word(1, 5)
+        c = RawCell((0, 0)).write_word(0, 1, 5)
         assert c.words == (0, 5)
 
     def test_value_equality(self):
@@ -48,7 +48,7 @@ class TestLockedCell:
         c = c.lock(0)
         assert not c.can_lock(1)
         assert c.can_unlock(0) and not c.can_unlock(1)
-        assert c.unlock().owner is None
+        assert c.unlock(0).owner is None
 
     def test_encapsulated_gates_words(self):
         c = LockedCell((0,), encapsulated=True).lock(1)
@@ -181,10 +181,10 @@ class TestSharedRegister:
         r = SharedRegister((0,)).lock(0)
         assert r.can_access(0) and not r.can_access(1)
         assert not r.can_read(1) and not r.can_write(1)
-        assert r.unlock().can_access(1)
+        assert r.unlock(0).can_access(1)
 
     def test_update_is_one_transition(self):
-        r = SharedRegister((2,)).update(("inc",))
+        r = SharedRegister((2,)).update(0, ("inc",))
         assert r.content == (3,)
 
     def test_write_replaces(self):
@@ -196,7 +196,7 @@ class TestSharedRegister:
         r = r.lock(1)
         assert not r.can_lock(0) and not r.can_lock(1)
         assert r.can_unlock(1) and not r.can_unlock(0)
-        assert r.unlock() == SharedRegister((0,))
+        assert r.unlock(1) == SharedRegister((0,))
 
     def test_read_leaves_register_unchanged(self):
         r = SharedRegister((5,)).lock(1)
@@ -213,4 +213,4 @@ def test_the_lock_protocol_is_written_once():
     # the base has no fields, so snapshots keep their reprs, equality and hashes
     assert not hasattr(LockedCell((0,)), "__dict__")
     assert repr(SharedRegister((1,)).lock(0)) == "SharedRegister(content=(1,), owner=0)"
-    assert LockedCell((0,)).lock(2).unlock() == LockedCell((0,))
+    assert LockedCell((0,)).lock(2).unlock(2) == LockedCell((0,))

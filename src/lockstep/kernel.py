@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import machines
-from .programs import LABEL_KIND, CompileContext, Program, compile_program
+# compile_program is not called here; bench/tracer.py wraps kernel.compile_program by name
+from .programs import LABEL_KIND, Program, compile_program  # noqa: F401
 
 
 class KernelError(Exception):
@@ -241,33 +242,24 @@ class System:
     Each table grows with the distinct local views reached, not with the
     global states. A state is its mechanisms' indices, then its processes'.
     A step or offer that raises is not stored, so a fault raises every time.
-    The programs come from ``validate`` when it has checked the scenario,
-    and are compiled here otherwise.
+    A System validates a scenario that ``validate`` has not checked, and
+    takes the programs ``validate`` compiled.
     """
 
     def __init__(self, scenario):
+        if scenario.compiled is None:
+            from .scenarios import validate  # scenarios imports monitors, which imports kernel
+            validate(scenario)
         self.scenario = scenario
         self.word_width = scenario.word_width
-        self.mech_ids = tuple(m["id"] for m in scenario.mechanisms)
-        self.mech_index = {mid: i for i, mid in enumerate(self.mech_ids)}
+        self.mech_index = {m["id"]: i for i, m in enumerate(scenario.mechanisms)}
         self.mech_kind = {m["id"]: m["kind"] for m in scenario.mechanisms}
-        for kind in self.mech_kind.values():  # only an unvalidated scenario can fail this
-            if not isinstance(kind, str) or kind not in machines.KINDS:
-                raise KernelError(f"unknown mechanism kind: {kind!r}")
-        duplex_sides = {m["id"]: (m["side_a"], m["side_b"])
-                        for m in scenario.mechanisms if m["kind"] == "duplex_channel"}
-        procs = sorted(scenario.processes, key=lambda p: p["id"])
-        self.n_procs = len(procs)
-        self.n_mechs = len(self.mech_ids)
-        self.programs: tuple[Program, ...] = scenario.compiled or tuple(
-            compile_program(p["steps"], CompileContext(
-                pid=p["id"], word_width=scenario.word_width,
-                mech_kind=self.mech_kind, mech_index=self.mech_index,
-                duplex_sides=duplex_sides))
-            for p in procs)
+        self.programs: tuple[Program, ...] = scenario.compiled
+        self.n_procs = len(self.programs)
+        self.n_mechs = len(self.mech_index)
         self._parts = []    # intern index -> ProcState or mechanism snapshot
         self._index = {}    # part -> intern index
-        self._views = tuple({} for _ in procs)  # per process: ProcState index -> its _view entry
+        self._views = tuple({} for _ in self.programs)  # per process: ProcState index -> _view entry
         self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
 

@@ -215,10 +215,15 @@ class LostUnread(MechanismMonitor):
         return [("lost_message", None, None)]
 
 
-# monitor kind -> its class; compile_monitors gives a MechanismMonitor its slot
-KINDS = {"mutual_exclusion": MutualExclusion, "sent_received_order": SentReceivedOrder,
-         "torn_value": TornValue, "recipient_tag": RecipientTag,
-         "terminal_assert": TerminalAssert, "lost_unread": LostUnread}
+# monitor kind -> (its class, the family of machines.KINDS its mechanism must
+# serve, or None if any kind will do and the mechanism may be left out, and its
+# document's fields besides kind, in the order scenarios.validate checks them)
+KINDS = {"mutual_exclusion": (MutualExclusion, None, ("mechanism", "markers")),
+         "sent_received_order": (SentReceivedOrder, "logged", ("mechanism",)),
+         "torn_value": (TornValue, "word", ("mechanism", "allowed", "process", "vars")),
+         "recipient_tag": (RecipientTag, "duplex", ("mechanism",)),
+         "terminal_assert": (TerminalAssert, None, ("process", "var", "expected")),
+         "lost_unread": (LostUnread, "logged", ("mechanism",))}
 
 
 def compile_monitors(sys):
@@ -226,10 +231,7 @@ def compile_monitors(sys):
     out = [LocalAsserts(p for p, program in enumerate(sys.programs)
                         if any(ins.op == "assert_local" for ins in program.instrs))]
     for doc in sys.scenario.monitors:
-        kind = doc["kind"]
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise ValueError(f"unknown monitor kind: {kind!r}")
-        cls = KINDS[kind]
+        cls = KINDS[doc["kind"]][0]
         out.append(cls(doc, sys.mech_index[doc["mechanism"]])
                    if issubclass(cls, MechanismMonitor) else cls(doc))
     return tuple(out)

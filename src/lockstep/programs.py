@@ -73,7 +73,7 @@ class CompileContext:
     word_width: int
     mech_kind: dict          # mechanism id -> kind string
     mech_index: dict         # mechanism id -> position in the state vector
-    duplex_sides: dict       # mechanism id -> (side_a, side_b)
+    duplex_sides: dict       # mechanism id -> (side_a, side_b), for each one with sides
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,11 +142,9 @@ class _Emitter:
             raise ProgramError(path, f"references undeclared mechanism '{mid}'")
         if family not in KINDS[kind][1]:
             raise ProgramError(path, f"{op} is not defined for mechanism '{mid}' of kind {kind}")
-        if kind == "duplex_channel":
-            sides = self.ctx.duplex_sides[mid]
-            if self.ctx.pid not in sides:
-                raise ProgramError(
-                    path, f"process {self.ctx.pid} is not a side of duplex channel '{mid}'")
+        if mid in self.ctx.duplex_sides and self.ctx.pid not in self.ctx.duplex_sides[mid]:
+            raise ProgramError(
+                path, f"process {self.ctx.pid} is not a side of duplex channel '{mid}'")
         self.mechs.add(mid)
         return mid
 

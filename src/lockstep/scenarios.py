@@ -44,7 +44,7 @@ class Scenario:
     monitors: tuple = ()
     bounds: dict | None = None
     # The programs ``validate`` compiled, in pid order, once it found no
-    # problem; a System takes them instead of compiling each process again.
+    # problem; a System validates a scenario that has none and takes them.
     compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -123,13 +123,6 @@ def load_file(path) -> Scenario:
 # -- validation ---------------------------------------------------------------
 
 
-def _check_value_literal(doc, width, path, errors):
-    if not isinstance(doc, list) or len(doc) != width or not all(is_word(w) for w in doc):
-        errors.append(f"{path}: must be a list of {width} words in 0..{WORD_DOMAIN - 1}")
-        return False
-    return True
-
-
 def validate(scenario: Scenario) -> None:
     """Check every scenario rule; raise ValidationError listing all problems."""
     errors = []
@@ -138,9 +131,8 @@ def validate(scenario: Scenario) -> None:
     width_ok = type(scenario.word_width) is int and 1 <= scenario.word_width <= 4
     if not width_ok:
         errors.append("word_width: must be an integer in 1..4")
-    width = scenario.word_width if width_ok else 2
-
-    mech_kind = {}
+    checks = _FieldChecks(scenario.word_width if width_ok else 2, len(scenario.processes))
+    mech_kind, programs = checks.mech_kind, checks.programs
     duplex_sides = {}
     for i, m in enumerate(scenario.mechanisms):
         path = f"mechanisms[{i}]"
@@ -162,20 +154,10 @@ def validate(scenario: Scenario) -> None:
         fields = machines.KINDS[kind][2]
         errors += [f"{path}: unknown field '{k}'" for k in m
                    if k not in fields and k not in ("id", "kind")]
-        if kind in ("raw_cell", "locked_cell", "shared_register"):
-            _check_value_literal(m.get("initial"), width, f"{path}.initial", errors)
-        if kind == "locked_cell" and m.get("mode") not in ("encapsulated", "undisciplined"):
-            errors.append(f"{path}.mode: must be 'encapsulated' or 'undisciplined'")
-        if kind == "duplex_channel":
-            a, b = m.get("side_a"), m.get("side_b")
-            for side, v in (("side_a", a), ("side_b", b)):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    errors.append(f"{path}.{side}: must be a process id")
-            if isinstance(a, int) and a == b:
-                errors.append(f"{path}: side_a and side_b must be distinct processes")
-            if not isinstance(m.get("last_message", False), bool):
-                errors.append(f"{path}.last_message: must be true or false")
-            duplex_sides[mid] = (a, b)
+        for name in fields:
+            errors += getattr(checks, name)(m, path)
+        if "side_a" in fields:
+            duplex_sides[mid] = (m.get("side_a"), m.get("side_b"))
 
     pids = []
     for i, p in enumerate(scenario.processes):
@@ -187,11 +169,10 @@ def validate(scenario: Scenario) -> None:
         errors += [f"{path}: unknown field '{k}'" for k in p if k not in ("id", "steps")]
     if sorted(pids) != list(range(len(scenario.processes))):
         errors.append("processes: ids must be exactly 0..N-1, each once")
-    valid_pids = set(range(len(scenario.processes)))
 
     for mid, (a, b) in duplex_sides.items():
         for side, v in (("side_a", a), ("side_b", b)):
-            if isinstance(v, int) and v not in valid_pids:
+            if isinstance(v, int) and v not in checks.pids:
                 errors.append(f"duplex channel '{mid}'.{side}: process {v} is not declared")
 
     if errors:
@@ -200,10 +181,9 @@ def validate(scenario: Scenario) -> None:
     # With the structure sound, compile every program and then check monitors
     # against what the programs actually bind.
     mech_index = {mid: i for i, mid in enumerate(mech_kind)}
-    programs = {}
     referenced = set()
     for i, p in enumerate(sorted(scenario.processes, key=lambda q: q["id"])):
-        ctx = CompileContext(pid=p["id"], word_width=width, mech_kind=mech_kind,
+        ctx = CompileContext(pid=p["id"], word_width=checks.width, mech_kind=mech_kind,
                              mech_index=mech_index, duplex_sides=duplex_sides)
         try:
             prog = compile_program(p.get("steps"), ctx)
@@ -218,8 +198,7 @@ def validate(scenario: Scenario) -> None:
             errors.append(f"mechanism '{mid}' is never referenced by any process step")
 
     for j, mon in enumerate(scenario.monitors):
-        _validate_monitor(mon, f"monitors[{j}]", mech_kind, programs, valid_pids,
-                          width, errors)
+        errors += _validate_monitor(mon, f"monitors[{j}]", checks)
 
     if scenario.bounds is not None:
         b = scenario.bounds
@@ -235,94 +214,122 @@ def validate(scenario: Scenario) -> None:
     object.__setattr__(scenario, "compiled", tuple(programs[p] for p in sorted(programs)))
 
 
-# monitor kind -> the keys its document may hold: "kind" and those its checks below read
-_MONITOR_KEYS = {kind: frozenset(("kind", *keys.split())) for kind, keys in {
-    "mutual_exclusion": "mechanism markers", "sent_received_order": "mechanism",
-    "torn_value": "mechanism allowed process vars", "recipient_tag": "mechanism",
-    "terminal_assert": "process var expected", "lost_unread": "mechanism"}.items()}
+class _FieldChecks:
+    """A check per document field that a machines.KINDS or monitors.KINDS row
+    lists, named after it: ``check(doc, path)`` yields the problems it finds,
+    reading what the scenario declares and the programs that compiled."""
 
+    def __init__(self, width, n_procs):
+        self.width = width
+        self.mech_kind = {}   # mechanism id -> kind
+        self.pids = set(range(n_procs))  # the declared process ids
+        self.programs = {}    # pid -> Program, for each process that compiled
 
-def _validate_monitor(mon, path, mech_kind, programs, valid_pids, width, errors):
-    if not isinstance(mon, dict):
-        errors.append(f"{path}: must be an object")
-        return
-    kind = mon.get("kind")
-    if not isinstance(kind, str) or kind not in monitors.KINDS:
-        errors.append(f"{path}.kind: unknown monitor kind {kind!r}")
-        return
-    if not _MONITOR_KEYS[kind].issuperset(mon):
-        errors += [f"{path}: unknown field '{k}'" for k in mon if k not in _MONITOR_KEYS[kind]]
+    def _literal(self, doc, path):
+        if not isinstance(doc, list) or len(doc) != self.width or not all(map(is_word, doc)):
+            yield f"{path}: must be a list of {self.width} words in 0..{WORD_DOMAIN - 1}"
 
-    def need_mech(family):
-        """The monitor's mechanism must serve ``family`` (None: any kind)."""
-        mid = mon.get("mechanism")
-        if not isinstance(mid, str) or mid not in mech_kind:
-            errors.append(f"{path}.mechanism: undeclared mechanism {mid!r}")
-        elif family is not None and family not in machines.KINDS[mech_kind[mid]][1]:
-            errors.append(f"{path}.mechanism: '{mid}' has kind {mech_kind[mid]}, "
-                          f"which this monitor does not apply to")
-
-    def need_var(pid, name, where):
-        prog = programs.get(pid)
+    def _binds(self, pid, name, where):
+        prog = self.programs.get(pid) if type(pid) is int else None  # true equals 1 but is no pid
         if prog is not None and name not in prog.vars:
-            errors.append(f"{where}: process {pid} never binds variable {name!r}")
+            yield f"{where}: process {pid} never binds variable {name!r}"
 
-    if kind == "mutual_exclusion":
-        if "mechanism" in mon:
-            need_mech(None)
+    def initial(self, m, path):
+        return self._literal(m.get("initial"), f"{path}.initial")
+
+    def mode(self, m, path):
+        if m.get("mode") not in ("encapsulated", "undisciplined"):
+            yield f"{path}.mode: must be 'encapsulated' or 'undisciplined'"
+
+    def side_a(self, m, path):
+        if type(m.get("side_a")) is not int:
+            yield f"{path}.side_a: must be a process id"
+
+    def side_b(self, m, path):
+        if type(m.get("side_b")) is not int:
+            yield f"{path}.side_b: must be a process id"
+        if isinstance(m.get("side_a"), int) and m.get("side_a") == m.get("side_b"):
+            yield f"{path}: side_a and side_b must be distinct processes"
+
+    def last_message(self, m, path):
+        if not isinstance(m.get("last_message", False), bool):
+            yield f"{path}.last_message: must be true or false"
+
+    def mechanism(self, mon, path):
+        family = monitors.KINDS[mon["kind"]][1]
+        if family is None and "mechanism" not in mon:  # only a kind with a family needs one
+            return
+        mid = mon.get("mechanism")
+        if not isinstance(mid, str) or mid not in self.mech_kind:
+            yield f"{path}.mechanism: undeclared mechanism {mid!r}"
+        elif family is not None and family not in machines.KINDS[self.mech_kind[mid]][1]:
+            yield (f"{path}.mechanism: '{mid}' has kind {self.mech_kind[mid]}, "
+                   f"which this monitor does not apply to")
+
+    def markers(self, mon, path):
         markers = mon.get("markers")
         if not isinstance(markers, list) or len(markers) < 2:
-            errors.append(f"{path}.markers: needs at least two [process, var] pairs")
+            yield f"{path}.markers: needs at least two [process, var] pairs"
             return
         for k, mk in enumerate(markers):
             if (not isinstance(mk, list) or len(mk) != 2
                     or type(mk[0]) is not int or not isinstance(mk[1], str)):
-                errors.append(f"{path}.markers[{k}]: must be a [process, var] pair")
-                continue
-            if mk[0] not in valid_pids:
-                errors.append(f"{path}.markers[{k}]: process {mk[0]} is not declared")
+                yield f"{path}.markers[{k}]: must be a [process, var] pair"
+            elif mk[0] not in self.pids:
+                yield f"{path}.markers[{k}]: process {mk[0]} is not declared"
             else:
-                need_var(mk[0], mk[1], f"{path}.markers[{k}]")
-    elif kind == "sent_received_order":
-        need_mech("logged")
-    elif kind == "torn_value":
-        need_mech("word")
+                yield from self._binds(mk[0], mk[1], f"{path}.markers[{k}]")
+
+    def allowed(self, mon, path):
         allowed = mon.get("allowed")
         if not isinstance(allowed, list) or not allowed:
-            errors.append(f"{path}.allowed: needs at least one value")
-        else:
-            for k, v in enumerate(allowed):
-                _check_value_literal(v, width, f"{path}.allowed[{k}]", errors)
+            yield f"{path}.allowed: needs at least one value"
+            return
+        for k, v in enumerate(allowed):
+            yield from self._literal(v, f"{path}.allowed[{k}]")
+
+    def process(self, mon, path):
         pid = mon.get("process")
-        if type(pid) is not int or pid not in valid_pids:
-            errors.append(f"{path}.process: process {pid!r} is not declared")
+        if type(pid) is not int or pid not in self.pids:
+            yield f"{path}.process: process {pid!r} is not declared"
+
+    def vars(self, mon, path):
         names = mon.get("vars")
         if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-            errors.append(f"{path}.vars: needs a list of variable names")
-        elif isinstance(pid, int) and pid in valid_pids:
-            for n in names:
-                need_var(pid, n, f"{path}.vars")
-    elif kind == "recipient_tag":
-        need_mech("duplex")
-    elif kind == "terminal_assert":
-        pid = mon.get("process")
-        if type(pid) is not int or pid not in valid_pids:
-            errors.append(f"{path}.process: process {pid!r} is not declared")
-        name = mon.get("var")
-        if not isinstance(name, str):
-            errors.append(f"{path}.var: must be a variable name")
-        elif isinstance(pid, int) and pid in valid_pids:
-            need_var(pid, name, f"{path}.var")
+            yield f"{path}.vars: needs a list of variable names"
+            return
+        for n in names:
+            yield from self._binds(mon.get("process"), n, f"{path}.vars")
+
+    def var(self, mon, path):
+        if not isinstance(mon.get("var"), str):
+            yield f"{path}.var: must be a variable name"
+        else:
+            yield from self._binds(mon.get("process"), mon["var"], f"{path}.var")
+
+    def expected(self, mon, path):
         exp = mon.get("expected")
         if isinstance(exp, list):
-            _check_value_literal(exp, width, f"{path}.expected", errors)
+            yield from self._literal(exp, f"{path}.expected")
         elif isinstance(exp, str):
             if exp not in STATUS_TOKENS:
-                errors.append(f"{path}.expected: status token must be one of {STATUS_TOKENS}")
+                yield f"{path}.expected: status token must be one of {STATUS_TOKENS}"
         elif exp is not None and not is_word(exp):
-            errors.append(f"{path}.expected: must be null, a word, a status token, or a value")
-    elif kind == "lost_unread":
-        need_mech("logged")
+            yield f"{path}.expected: must be null, a word, a status token, or a value"
+
+
+def _validate_monitor(mon, path, checks):
+    """The problems of one monitor document: its kind, unknown fields, then each field's."""
+    if not isinstance(mon, dict):
+        return [f"{path}: must be an object"]
+    kind = mon.get("kind")
+    if not isinstance(kind, str) or kind not in monitors.KINDS:
+        return [f"{path}.kind: unknown monitor kind {kind!r}"]
+    fields = monitors.KINDS[kind][2]
+    problems = [f"{path}: unknown field '{k}'" for k in mon if k not in fields and k != "kind"]
+    for name in fields:
+        problems += getattr(checks, name)(mon, path)
+    return problems
 
 
 # -- builders: mechanisms ------------------------------------------------------

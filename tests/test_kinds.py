@@ -5,12 +5,13 @@ The expected values are literals, so a change to ``machines.KINDS`` or
 ``monitors.KINDS`` that moves any of them fails here.
 """
 
-import re
+import copy
 
 import pytest
 
 from lockstep import machines, monitors
-from lockstep.kernel import KernelError, System
+from lockstep.explorer import explore, find_shortest, random_walks, replay_with_checks
+from lockstep.kernel import System
 from lockstep.scenarios import Scenario, ValidationError, validate
 
 MECHANISM_KINDS = ("raw_cell", "locked_cell", "message_cell", "status_channel",
@@ -51,11 +52,13 @@ OP_STEPS = {
     "write_word": {"index": 0, "word": 1}, "check": {"var": "v"},
     "if_status": {"full": [], "empty": []}, "update": {"fn": "inc"},
 }
-# the fields of each monitor case besides its kind and mechanism
+# the fields of each monitor case besides its kind
 MONITOR_FIELDS = {
-    "mutual_exclusion": {"markers": [[0, "v"], [1, "v"]]},
-    "sent_received_order": {}, "recipient_tag": {}, "lost_unread": {},
-    "torn_value": {"allowed": [[0]], "process": 0, "vars": ["v"]},
+    "mutual_exclusion": {"mechanism": "m", "markers": [[0, "v"], [1, "v"]]},
+    "sent_received_order": {"mechanism": "m"}, "recipient_tag": {"mechanism": "m"},
+    "lost_unread": {"mechanism": "m"},
+    "torn_value": {"mechanism": "m", "allowed": [[0]], "process": 0, "vars": ["v"]},
+    "terminal_assert": {"process": 0, "var": "v", "expected": [0]},
 }
 # a step that every mechanism of the kind accepts, so a monitor case references it
 REFERENCE_STEP = {"raw_cell": "read_word", "locked_cell": "read_word",
@@ -77,28 +80,38 @@ def step(op):
     return {"op": op, "mechanism": "m", **OP_STEPS[op]}
 
 
+def scenario(doc):
+    return Scenario.from_doc({"name": "k", "word_width": 1, **doc})
+
+
 def errors(doc):
     """The validator's messages for a document, () if it is valid."""
     try:
-        validate(Scenario.from_doc({"name": "k", "word_width": 1, **doc}))
+        validate(scenario(doc))
     except ValidationError as e:
         return e.errors
     return ()
 
 
+def op_doc(op, kind):
+    return {"mechanisms": [mechanism(kind)],
+            "processes": [{"id": 0, "steps": [step(op)]}, {"id": 1, "steps": []}]}
+
+
+def monitor_doc(monitor, kind):
+    local = {"op": "local", "var": "v", "value": [0]}
+    first = step(REFERENCE_STEP.get(kind, "read")) | {"var": "w"}
+    return {"mechanisms": [mechanism(kind)],
+            "processes": [{"id": 0, "steps": [first, local]}, {"id": 1, "steps": [local]}],
+            "monitors": [{"kind": monitor, **MONITOR_FIELDS[monitor]}]}
+
+
 def op_case(op, kind):
-    return errors({"mechanisms": [mechanism(kind)],
-                   "processes": [{"id": 0, "steps": [step(op)]}, {"id": 1, "steps": []}]})
+    return errors(op_doc(op, kind))
 
 
 def monitor_case(monitor, kind):
-    local = {"op": "local", "var": "v", "value": [0]}
-    first = step(REFERENCE_STEP.get(kind, "read")) | {"var": "w"}
-    return errors({"mechanisms": [mechanism(kind)],
-                   "processes": [{"id": 0, "steps": [first, local]},
-                                 {"id": 1, "steps": [local]}],
-                   "monitors": [{"kind": monitor, "mechanism": "m",
-                                 **MONITOR_FIELDS[monitor]}]})
+    return errors(monitor_doc(monitor, kind))
 
 
 def cases(accepts):
@@ -172,17 +185,90 @@ def test_initial_snapshot_of_every_kind(validated):
 
 @pytest.mark.parametrize("kind", ["mailbox", ["raw_cell"]])
 @pytest.mark.parametrize("referenced", [True, False])
-def test_an_unvalidated_unknown_kind_is_a_kernel_error(referenced, kind):
+def test_an_unvalidated_unknown_kind_stops_at_system(referenced, kind):
     steps = [{"op": "read", "mechanism": "box", "var": "v"}] if referenced else []
-    sc = Scenario.from_doc({"name": "k", "word_width": 1,
-                            "mechanisms": [{"id": "box", "kind": kind}],
-                            "processes": [{"id": 0, "steps": steps}]})
-    with pytest.raises(KernelError, match=re.escape(f"unknown mechanism kind: {kind!r}")):
-        System(sc)
+    doc = {"mechanisms": [{"id": "box", "kind": kind}],
+           "processes": [{"id": 0, "steps": steps}]}
+    with pytest.raises(ValidationError) as ei:
+        System(scenario(doc))
+    assert ei.value.errors == errors(doc) == (
+        f"mechanisms[0].kind: unknown mechanism kind {kind!r}",)
 
 
 @pytest.mark.parametrize("kind", ["liveness", ["torn_value"]])
-def test_an_unvalidated_unknown_monitor_kind_is_a_value_error(kind):
+def test_an_unvalidated_unknown_monitor_kind_stops_at_system(kind):
     sc = Scenario.from_doc(all_kinds().to_doc() | {"monitors": [{"kind": kind}]})
-    with pytest.raises(ValueError, match=re.escape(f"unknown monitor kind: {kind!r}")):
-        monitors.compile_monitors(System(sc))
+    with pytest.raises(ValidationError) as ei:
+        System(sc)
+    assert ei.value.errors == (f"monitors[0].kind: unknown monitor kind {kind!r}",)
+
+
+STRATEGIES = {"explore": explore, "find_shortest": lambda sc: find_shortest(sc, "deadlock"),
+              "random_walks": lambda sc: random_walks(sc, walks=3),
+              "replay_with_checks": lambda sc: replay_with_checks(sc, ())}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES.values(), ids=STRATEGIES)
+def test_every_strategy_validates_what_it_is_given(strategy):
+    """A strategy given a scenario that was never validated validates it: it
+    raises validate's own errors for an invalid one, and keeps the programs
+    of a valid one on the scenario."""
+    bad = scenario(op_doc("lock", "raw_cell"))
+    with pytest.raises(ValidationError) as ei:
+        strategy(bad)
+    assert ei.value.errors == op_case("lock", "raw_cell") and bad.compiled is None
+    sc = Scenario.from_doc(all_kinds().to_doc())
+    strategy(sc)
+    assert sc.compiled == all_kinds().compiled
+
+
+def edited(doc, table, drop=None, **fields):
+    """A copy of ``doc`` whose first mechanism or monitor (``table``) has
+    ``fields`` set and the field ``drop`` removed."""
+    doc = copy.deepcopy(doc)
+    doc[table][0].update(fields)
+    doc[table][0].pop(drop, None)
+    return doc
+
+
+@pytest.mark.parametrize("twin", MECHANISM_KINDS)
+def test_a_mechanism_kind_is_one_row(monkeypatch, twin):
+    """A row added to machines.KINDS alone, its twin's under a new name, is
+    validated as its twin is: every op and monitor is accepted or refused with
+    the same messages, and so is a bad value in each field the row lists, or
+    an unknown field. A System builds the twin's initial snapshot from it."""
+    new = f"{twin}_again"
+    monkeypatch.setitem(machines.KINDS, new, machines.KINDS[twin])
+    base = op_doc(REFERENCE_STEP.get(twin, "read"), twin)
+    docs = [op_doc(op, twin) for op in OP_ACCEPTS]
+    docs += [monitor_doc(monitor, twin) for monitor in MONITOR_FIELDS]
+    docs += [edited(base, "mechanisms", note=0)]
+    docs += [edited(base, "mechanisms", **{name: "?"}) for name in machines.KINDS[twin][2]]
+    for doc in docs:
+        got = errors(edited(doc, "mechanisms", kind=new))
+        assert tuple(e.replace(new, twin) for e in got) == errors(doc)
+    assert errors(base) == ()
+    sys, twin_sys = System(scenario(edited(base, "mechanisms", kind=new))), System(scenario(base))
+    assert sys.view(sys.initial_state()) == twin_sys.view(twin_sys.initial_state())
+
+
+@pytest.mark.parametrize("twin", MONITOR_FIELDS)
+def test_a_monitor_kind_is_one_row(monkeypatch, twin):
+    """A row added to monitors.KINDS alone, its twin's under a new name, is
+    validated as its twin is: on a mechanism of every kind, and with each
+    field the row lists left out, null, True or a bad value, or beside an
+    unknown field. A System explores it as it explores its twin."""
+    new = f"{twin}_again"
+    monkeypatch.setitem(monitors.KINDS, new, monitors.KINDS[twin])
+    accepts = MONITOR_ACCEPTS.get(twin, "x" * len(MECHANISM_KINDS))
+    base = monitor_doc(twin, MECHANISM_KINDS[accepts.index("x")])
+    docs = [monitor_doc(twin, kind) for kind in MECHANISM_KINDS]
+    docs += [edited(base, "monitors", note=0)]
+    for name in monitors.KINDS[twin][2]:
+        docs += [edited(base, "monitors", drop=name)]
+        docs += [edited(base, "monitors", **{name: value}) for value in (None, True, "?")]
+    for doc in docs:
+        assert errors(edited(doc, "monitors", kind=new)) == errors(doc)
+    assert errors(base) == ()
+    report = explore(scenario(edited(base, "monitors", kind=new)))
+    assert report.to_doc() == explore(scenario(base)).to_doc()

@@ -9,10 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, kernel, monitors
+from lockstep import catalog, kernel, machines, monitors
 from lockstep.kernel import System
-from lockstep.scenarios import (_MONITOR_KEYS, ParseError, Scenario, ValidationError,
-                                load_file, loads, serialize, validate)
+from lockstep.scenarios import (ParseError, Scenario, ValidationError, load_file, loads,
+                                serialize, validate)
 
 MINIMAL = """
 {
@@ -197,9 +197,14 @@ class TestUnknownFields:
             "monitors[1]: unknown field 'note'",
             "monitors[1].process: process 9 is not declared"]
 
-    def test_every_monitor_kind_lists_its_fields(self):
-        assert _MONITOR_KEYS.keys() == monitors.KINDS.keys()
-        assert all("kind" in keys for keys in _MONITOR_KEYS.values())
+    def test_every_listed_field_has_a_check_and_every_check_a_field(self):
+        """validate checks each field that a row of machines.KINDS or
+        monitors.KINDS lists with the _FieldChecks method named after it,
+        and some row lists each of those methods."""
+        listed = {name for table in (machines.KINDS, monitors.KINDS)
+                  for row in table.values() for name in row[2]}
+        checks = {name for name in vars(s._FieldChecks) if not name.startswith("_")}
+        assert listed == checks
 
     def test_unknown_fields_are_listed_with_the_other_problems(self):
         doc = json.loads(FIELDS)
@@ -256,6 +261,34 @@ class TestMonitorValidation:
         doc["processes"][0]["steps"].insert(
             0, {"op": "write_word", "mechanism": "c", "index": 0, "word": 1})
         assert "process 1 never binds variable 'ghost'" in errors_of(doc)
+
+    @pytest.mark.parametrize("mon", [
+        {"kind": "torn_value", "mechanism": "c", "allowed": [[1]], "process": True,
+         "vars": ["a"]},
+        {"kind": "terminal_assert", "process": True, "var": "a", "expected": None}],
+        ids=["torn_value", "terminal_assert"])
+    def test_a_boolean_process_is_one_error(self, mon):
+        """True is no pid, so the variables of process 1, which True equals,
+        are not checked against the monitor's."""
+        doc = doc_with(
+            mechanisms=[{"id": "c", "kind": "raw_cell", "initial": [0]},
+                        {"id": "ch", "kind": "status_channel"}],
+            monitors=[mon])
+        doc["processes"][0]["steps"].insert(
+            0, {"op": "write_word", "mechanism": "c", "index": 0, "word": 1})
+        assert errors_of(doc) == "monitors[0].process: process True is not declared"
+
+    @pytest.mark.parametrize("kind", ["sent_received_order", "torn_value", "recipient_tag",
+                                      "lost_unread"])
+    def test_a_monitor_kind_with_a_family_names_its_mechanism(self, kind):
+        assert "monitors[0].mechanism: undeclared mechanism None" in \
+            errors_of(self.base({"kind": kind})).splitlines()
+
+    def test_mutual_exclusion_may_leave_its_mechanism_out_but_not_null(self):
+        mon = {"kind": "mutual_exclusion", "markers": [[1, "v"], [1, "v"]]}
+        validate(Scenario.from_doc(self.base(mon)))
+        assert errors_of(self.base(mon | {"mechanism": None})) == \
+            "monitors[0].mechanism: undeclared mechanism None"
 
     def test_terminal_assert_process_must_exist(self):
         mon = {"kind": "terminal_assert", "process": 7, "var": "v", "expected": [1]}
@@ -335,7 +368,8 @@ class TestRoundTrip:
 
 def test_each_program_is_compiled_once(monkeypatch):
     """loads compiles each process once, to validate it, and a System built
-    from what it returns takes those programs: the ones it would compile."""
+    from what it returns takes those programs: the ones it gets when it
+    validates the catalog entry itself."""
     calls = []
 
     def counting(compile_program):
@@ -351,7 +385,7 @@ def test_each_program_is_compiled_once(monkeypatch):
         calls.clear()
         sys = System(loads(text))
         assert sorted(calls) == list(range(sys.n_procs))
-        assert sys.programs == System(catalog.get(name)).programs  # compiled by System
+        assert sys.programs == System(catalog.get(name)).programs  # validated by System
         assert len(calls) == 2 * sys.n_procs
 
 

@@ -9,7 +9,9 @@ counting. find_shortest() answers the same question breadth-first and
 therefore returns a minimal counterexample. random_walks() is the
 cheap cross-check: it must never find a class the exhaustive pass missed.
 The walks of one call share a lazily built graph of the states they stood
-on, so a revisited edge is neither taken nor checked again. That is
+on, so a revisited edge is neither taken nor checked again, and once every
+edge of every stored state is taken to a stored state the walks stop: no
+later walk could find a class. That is
 sound because stepping and the monitors are pure functions of the states
 they are shown; the graph is never shared with explore(), so a fault in
 its memo cannot hide from the walks. Every strategy and the replay step
@@ -35,7 +37,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from math import factorial
 from operator import itemgetter
 
@@ -242,17 +243,20 @@ def _interchangeable(sys, monitors):
     return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
-def _arrangements(counts):
-    """The distinct orderings of a multiset, given as a value -> count Counter, in sorted order."""
-    if not any(counts.values()):
-        yield ()
-        return
-    for v in sorted(counts):
-        if counts[v]:
-            counts[v] -= 1
-            for rest in _arrangements(counts):
-                yield (v, *rest)
-            counts[v] += 1
+def _next_arrangement(values):
+    """Step the list ``values`` in place to its next distinct ordering in
+    sorted order. From the last ordering it wraps to the first, the sorted
+    one, and returns False."""
+    i = len(values) - 2
+    while i >= 0 and values[i] >= values[i + 1]:
+        i -= 1
+    if i >= 0:
+        j = len(values) - 1
+        while values[j] <= values[i]:
+            j -= 1
+        values[i], values[j] = values[j], values[i]
+    values[i + 1:] = values[i + 1:][::-1]
+    return i >= 0
 
 
 class _Orbits:
@@ -274,6 +278,7 @@ class _Orbits:
 
     def __init__(self, sys, groups):
         self.slots = slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
+        self._gets = gets = [(g, itemgetter(*g)) for g in slots]  # a group has 2+ slots
         self.images = self._images
         if not slots:
             self.key = tuple   # a state is a tuple, so this returns the state itself
@@ -287,8 +292,6 @@ class _Orbits:
             self.size = lambda key: 1 if key[a] == key[b] else 2
             self.images = lambda state: [state] if state[a] == state[b] else [state, swap(state)]
         else:
-            gets = [(g, itemgetter(*g)) for g in slots]
-
             def key(state):
                 out = list(state)
                 for g, members in gets:
@@ -318,20 +321,25 @@ class _Orbits:
     def _images(self, state):
         """Every state in the orbit of ``state``, starting with ``state`` itself.
 
-        The work is the orbit's size: each group's slots are arranged only
-        in their distinct orders, never in all ``|G|!``.
+        Each group's slots run through their distinct orders from sorted,
+        the last group fastest, so the work is the orbit's size, never
+        ``|G|!`` per group.
         """
         out = [state]
-        for choice in product(*(list(_arrangements(Counter(itemgetter(*g)(state))))
-                                for g in self.slots)):
-            image = list(state)
-            for g, values in zip(self.slots, choice):
+        image = list(state)
+        groups = [(g, sorted(members(state))) for g, members in self._gets]
+        while True:
+            for g, values in groups:
                 for i, v in zip(g, values):
                     image[i] = v
-            image = tuple(image)
-            if image != state:
-                out.append(image)
-        return out
+            arranged = tuple(image)
+            if arranged != state:
+                out.append(arranged)
+            for _, values in reversed(groups):
+                if _next_arrangement(values):
+                    break
+            else:
+                return out
 
 
 def explore(scenario, bounds=None) -> ExplorationReport:
@@ -554,6 +562,12 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     with ``explore``. It holds at most ``max_states`` states, and always the
     initial one; once full it stops growing, and a step it has not stored
     is taken and checked afresh.
+
+    The walks stop once the graph is closed, when ``untaken``, the edges of
+    stored nodes with no stored child, is 0 before a walk: each later walk
+    would only redraw stored edges, so the summary is the same. A full
+    graph, or a node reached only at the depth bound, keeps untaken edges,
+    so such a call walks to the end.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
@@ -561,6 +575,12 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     draw = random.Random(seed).getrandbits
     classes = set()
     nodes = {}           # state -> _WalkNode, for this call only
+    untaken = 0          # edges of stored nodes with no stored child yet
+
+    def store(node):
+        nonlocal untaken
+        nodes[node.state] = node
+        untaken += node.n
 
     def node_for(state):
         node = nodes.get(state)
@@ -570,21 +590,27 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
             classes.update(_classes(sink))
             node = _WalkNode(state, edges)
             if len(nodes) < b.max_states:
-                nodes[state] = node
+                store(node)
         return node
 
     def take(node, i):
+        nonlocal untaken
         post, hits = checks.step(node.state, node.edges[i])
         classes.update(_classes(hits))
         child = node_for(post)
         if len(nodes) < b.max_states:  # then child is in the graph
             node.children[i] = child
+            untaken -= 1
         return child
 
     init = sys.initial_state()
-    root = nodes[init] = node_for(init)
+    root = node_for(init)
+    if init not in nodes:  # the initial state is stored even in a full graph
+        store(root)
     depth = range(b.max_depth)
     for _ in range(walks):
+        if not untaken:  # the graph is closed: no later walk can take a new edge
+            break
         node = root
         for _ in depth:
             n = node.n

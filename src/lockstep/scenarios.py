@@ -172,7 +172,7 @@ def validate(scenario: Scenario) -> None:
 
     for mid, (a, b) in duplex_sides.items():
         for side, v in (("side_a", a), ("side_b", b)):
-            if isinstance(v, int) and v not in checks.pids:
+            if type(v) is int and v not in checks.pids:  # a JSON boolean is no pid
                 errors.append(f"duplex channel '{mid}'.{side}: process {v} is not declared")
 
     if errors:
@@ -246,9 +246,10 @@ class _FieldChecks:
             yield f"{path}.side_a: must be a process id"
 
     def side_b(self, m, path):
-        if type(m.get("side_b")) is not int:
+        a, b = m.get("side_a"), m.get("side_b")
+        if type(b) is not int:
             yield f"{path}.side_b: must be a process id"
-        if isinstance(m.get("side_a"), int) and m.get("side_a") == m.get("side_b"):
+        elif type(a) is int and a == b:  # true equals 1 but is no pid
             yield f"{path}: side_a and side_b must be distinct processes"
 
     def last_message(self, m, path):

@@ -9,6 +9,7 @@ import pathlib
 import sys as _sys
 import types
 from collections import Counter
+from itertools import product
 
 from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import NotEnabledAtStep, System, Trace
@@ -198,6 +199,35 @@ def swapped(state, a, b):
     out[a] = state[b]
     out[b] = state[a]
     return tuple(out)
+
+
+def arrangements(counts):
+    """The distinct orderings of a multiset, given as a value -> count Counter,
+    in sorted order, by recursion on the first value."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for v in sorted(counts):
+        if counts[v]:
+            counts[v] -= 1
+            for rest in arrangements(counts):
+                yield (v, *rest)
+            counts[v] += 1
+
+
+def reference_images(slots, state):
+    """The orbit of ``state`` under rearranging each group of ``slots``, as
+    ``_Orbits.images`` lists it: ``state`` first, then every other image with
+    the groups' orderings taken as a product, the last group fastest."""
+    out = [state]
+    for choice in product(*(list(arrangements(Counter(state[i] for i in g))) for g in slots)):
+        image = list(state)
+        for g, values in zip(slots, choice):
+            for i, v in zip(g, values):
+                image[i] = v
+        if tuple(image) != state:
+            out.append(tuple(image))
+    return out
 
 
 def reachable_edges(sys):

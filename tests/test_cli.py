@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from lockstep.kernel import System, Trace
 from test_scenarios import _fields, _replaced
 
 CLEAN, VIOLATIONS, BOUNDS, ERROR = 0, 1, 2, 3
+INVALID = pathlib.Path(__file__).parent / "data" / "invalid"
 
 
 def run(capsys, *argv):
@@ -104,6 +106,14 @@ class TestExplore:
                                     "processes": []}))
         code, _, err = run(capsys, "explore", "--file", str(path))
         assert code == ERROR and "mechanisms[0].kind" in err
+
+    @pytest.mark.parametrize("doc", sorted(INVALID.glob("*.json")), ids=lambda p: p.stem)
+    def test_an_invalid_document_prints_its_recorded_messages(self, capsys, doc):
+        """Each document under tests/data/invalid/ exits 3 with the
+        validator's messages, in order, as the .txt beside it holds."""
+        code, out, err = run(capsys, "explore", "--file", str(doc))
+        assert (code, out) == (ERROR, "")
+        assert err == doc.with_suffix(".txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("section, field, where", [
         ("monitors", "mechanism", "monitors[0].mechanism"),

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys as _sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -197,28 +198,35 @@ def reference_walks(sys, walks, seed, bounds=None):
     return WalkSummary(walks=walks, classes=frozenset(classes))
 
 
-# deadlock-direct-duplex deadlocks after 2 steps, so depth 2 puts a sink
-# exactly at the cut-off, where the sink check must come first.
-# max_states=3 fills the walk graph at once, so most steps run uncached.
-WALK_CASES = [(seed, bounds) for seed in (5, 2026)
-              for bounds in (None, Bounds(max_depth=2), Bounds(max_depth=3))]
-WALK_CASES.append((5, Bounds(max_states=3)))
+# (seed, bounds, walk counts). deadlock-direct-duplex deadlocks after 2
+# steps, so depth 2 puts a sink exactly at the cut-off, where the sink check
+# must come first. Most graphs close within a few walks, so with one walk,
+# two and a thousand the walks stop in the middle of a call.
+WALK_CASES = [(seed, bounds, (1, 2, 1000)) for seed in (5, 2026)
+              for bounds in (None, Bounds(max_depth=1), Bounds(max_depth=2), Bounds(max_depth=3))]
+# max_states 0-3 fill most graphs before they close, so most steps run uncached
+# and the walks never stop early; a thousand walks there would add only time.
+WALK_CASES += [(5, Bounds(max_states=max_states), (1, 2, 200)) for max_states in range(4)]
+
+
+def assert_walks_match_the_uncached_reference(sc):
+    for seed, bounds, walk_counts in WALK_CASES:
+        for walks in walk_counts:
+            cached, reference = CountingSystem(sc), CountingSystem(sc)
+            got = random_walks(cached, walks=walks, seed=seed, bounds=bounds)
+            assert got == reference_walks(reference, walks, seed, bounds), (seed, bounds, walks)
+            # No edge is applied that no walk took.
+            assert cached.applied.keys() == reference.applied.keys()
+            if bounds is None or bounds.max_states > 3:
+                # Each edge taken is applied, and each state reached offered
+                # its actions, once per call.
+                assert max(cached.applied.values(), default=1) == 1
+                assert max(cached.offered.values()) == 1
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_walks_match_the_uncached_reference(name):
-    for seed, bounds in WALK_CASES:
-        cached = CountingSystem(catalog.get(name))
-        reference = CountingSystem(catalog.get(name))
-        got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
-        assert got == reference_walks(reference, 200, seed, bounds)
-        # No edge is applied that no walk took.
-        assert cached.applied.keys() == reference.applied.keys()
-        if bounds is None or bounds.max_states > 3:
-            # Each edge taken is applied, and each state reached offered its
-            # actions, once per call.
-            assert max(cached.applied.values(), default=1) == 1
-            assert max(cached.offered.values()) == 1
+    assert_walks_match_the_uncached_reference(catalog.get(name))
 
 
 def test_a_full_walk_graph_steps_afresh():
@@ -233,6 +241,45 @@ def test_a_full_walk_graph_steps_afresh():
     assert sum(sys.applied.values()) >= sum(reference.applied.values()) - 2 * 50
 
 
+def draws_per_call(monkeypatch, sc, walk_counts, seed, bounds=None):
+    """The ``getrandbits`` calls ``random_walks`` makes for each walk count,
+    through a ``random.Random`` subclass patched into ``explorer.random``."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(explorer, "random", types.SimpleNamespace(Random=CountingRandom))
+    for walks in walk_counts:
+        draws.append(0)
+        random_walks(sc, walks=walks, seed=seed, bounds=bounds)
+    return draws
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2026])
+def test_walks_stop_once_the_walk_graph_is_closed(monkeypatch, seed):
+    """status-channel-exact's graph is closed after its first walk, so a
+    thousand walks draw no more than the first few do, and find the same."""
+    sc = catalog.get("status-channel-exact")
+    few, many = draws_per_call(monkeypatch, sc, (3, 1000), seed)
+    assert 0 < many == few
+    assert random_walks(sc, walks=1000, seed=seed) == \
+        reference_walks(System(sc), 1000, seed)
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 3])
+@pytest.mark.parametrize("name", catalog.names())
+def test_walks_in_a_full_walk_graph_never_stop_early(monkeypatch, name, max_states):
+    """Every catalog entry has more than three states, so a graph with room
+    for three or fewer is full before it is closed, and every walk draws:
+    each added walk adds draws."""
+    draws = draws_per_call(monkeypatch, catalog.get(name), range(13), 1,
+                           Bounds(max_states=max_states))
+    assert all(a < b for a, b in zip(draws, draws[1:]))
+
+
 def _walk_differential_scenarios():
     """The bench's three families at small sizes and the golden op scenarios."""
     families, rng = bench_families(), random.Random(0)
@@ -242,17 +289,7 @@ def _walk_differential_scenarios():
 
 @pytest.mark.parametrize("sc", _walk_differential_scenarios(), ids=lambda sc: sc.name)
 def test_walks_match_the_uncached_reference_beyond_the_catalog(sc):
-    for seed, bounds in WALK_CASES:
-        cached, reference = CountingSystem(sc), CountingSystem(sc)
-        got = random_walks(cached, walks=200, seed=seed, bounds=bounds)
-        assert got == reference_walks(reference, 200, seed, bounds)
-        # No edge is applied that no walk took.
-        assert cached.applied.keys() == reference.applied.keys()
-        if bounds is None or bounds.max_states > 3:
-            # Each edge taken is applied, and each state reached offered its
-            # actions, once per call.
-            assert max(cached.applied.values(), default=1) == 1
-            assert max(cached.offered.values()) == 1
+    assert_walks_match_the_uncached_reference(sc)
 
 
 def test_an_edge_index_is_drawn_as_randrange_draws_it():

@@ -115,6 +115,18 @@ class TestStructureValidation:
                                     "side_a": 0, "side_b": 1, "last_message": flag}])
         assert "mechanisms[0].last_message: must be true or false" in errors_of(doc)
 
+    @pytest.mark.parametrize("sides, bad", [((True, 1), "side_a"), ((1, True), "side_b")])
+    def test_a_boolean_duplex_side_is_no_process(self, sides, bad):
+        """A JSON true equals 1 but is no pid: it draws its field's message
+        alone, and the integer side is still checked against the processes."""
+        doc = doc_with(processes=[{"id": 0, "steps": []}],
+                       mechanisms=[{"id": "d", "kind": "duplex_channel",
+                                    "side_a": sides[0], "side_b": sides[1]}])
+        other = "side_b" if bad == "side_a" else "side_a"
+        assert errors_of(doc).splitlines() == [
+            f"mechanisms[0].{bad}: must be a process id",
+            f"duplex channel 'd'.{other}: process 1 is not declared"]
+
     def test_duplex_side_must_be_declared(self):
         doc = doc_with(mechanisms=[{"id": "d", "kind": "duplex_channel",
                                     "side_a": 0, "side_b": 9}])

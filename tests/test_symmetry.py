@@ -9,6 +9,7 @@ reports, and check the counts against the independent oracles.
 
 import math
 import random
+import types
 
 import pytest
 
@@ -19,7 +20,7 @@ from lockstep.kernel import System
 from lockstep.monitors import compile_monitors
 
 from helpers import (CountingSystem, bench_families, maximal_schedule_count, reachable,
-                     sorted_groups_form, swapped)
+                     reference_images, sorted_groups_form, swapped)
 from test_golden import _op_scenarios
 
 families = bench_families()
@@ -204,6 +205,41 @@ def test_orbits_partition_the_reachable_states(name, args, groups):
     assert sum(keys.values()) == len(states)
     assert all(len(form_keys) == 1 for form_keys in by_form.values())
     assert len(by_form) == len(keys)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_images_list_the_orbit_as_the_recursive_arrangements_did(seed):
+    """Differential against the ``Counter``, recursive-arrangement and
+    ``product`` listing that the next-permutation loop replaced: one to three
+    groups of 2-6 slots, at states with repeated values, in the same order.
+    The general listing is called directly, so a lone pair runs it too."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 2))] + [2] * rng.randint(0, 1)
+    n_mechs, n_procs = rng.randint(0, 2), sum(sizes) + rng.randint(0, 2)
+    pids = rng.sample(range(n_procs), sum(sizes))
+    groups, at = [], 0
+    for size in sizes:
+        groups.append(tuple(sorted(pids[at:at + size])))
+        at += size
+    sys = types.SimpleNamespace(n_mechs=n_mechs, n_procs=n_procs)
+    orbits = _Orbits(sys, groups)
+    for _ in range(10):
+        hi = rng.randint(0, 2)
+        state = tuple(rng.randint(0, hi) for _ in range(n_mechs + n_procs))
+        assert orbits._images(state) == reference_images(orbits.slots, state)
+        assert orbits.images(state) == orbits._images(state)
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param("lost_update", ((2, 2, 1),), id="one-pair"),
+    pytest.param("lost_update", ((2, 2, 2),), id="group-of-three"),
+    pytest.param("lost_update", ((1, 1, 2, 2),), id="two-pairs"),
+    pytest.param("torn_read", (3, 2, 2), id="readers-pair")])
+def test_images_of_the_families_match_the_recursive_arrangements(name, args):
+    sys = System(_family(name, args))
+    orbits = _Orbits(sys, _groups(sys))
+    for state in reachable(sys):
+        assert orbits._images(state) == reference_images(orbits.slots, state)
 
 
 @pytest.mark.parametrize("name, args", [

@@ -5,8 +5,9 @@ states that coincide, and reports the first witness of each violation
 class together with a replayable schedule. Programs cannot revisit a
 position (loops are unrolled), so the state graph is acyclic and the
 number of maximal schedules can be counted exactly by memoized path
-counting. find_shortest() answers the same question breadth-first and
-therefore returns a minimal counterexample. random_walks() is the
+counting. find_shortest() answers the same question breadth-first, checking
+every hit at one depth before any at the next, and therefore returns a
+minimal counterexample. random_walks() is the
 cheap cross-check: it must never find a class the exhaustive pass missed.
 The walks of one call share a lazily built graph of the states they stood
 on, so a revisited edge is neither taken nor checked again, and once every
@@ -16,7 +17,8 @@ sound because stepping and the monitors are pure functions of the states
 they are shown; the graph is never shared with explore(), so a fault in
 its memo cannot hide from the walks. Every strategy and the replay step
 only through ``_Checks``, the one transition layer: no other code asks the
-kernel for a state's edges, takes one or runs a monitor. Strategies key
+kernel for a state's edges, takes one or runs a monitor. (When no monitor
+has an event hook, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
 their memos on packed states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted (``_interchangeable``,
@@ -29,7 +31,8 @@ held. ``explore`` counts what it holds by orbit: a new entry is stored only
 while the states held plus the entry's own orbit stay within
 ``max_states``, which without interchangeable processes is the same rule.
 A state found when the store is full is still checked, but it is not
-stored, and ``explore`` and ``find_shortest`` do not expand it.
+stored, and ``explore`` and ``find_shortest`` neither expand it nor check
+its sink.
 """
 
 from __future__ import annotations
@@ -151,7 +154,12 @@ class _Checks:
     only ``sink`` runs the terminal hooks. An edge is the kernel's
     ``[action, move, instruction]``, and a strategy records its action.
     ``edges`` takes nothing, so a state at the depth bound, whose edges the
-    searches do not take, computes no move.
+    searches do not take, computes no move. ``step`` returns the post state
+    and refills the list ``hits`` in place with the edge's event hits, so a
+    strategy binds both once and reads ``hits`` right after each step. When
+    no monitor has an event hook, ``step`` is the kernel's ``take`` itself,
+    one call per edge, and ``hits`` stays empty; a rule added for every
+    step must then replace that binding.
 
     States come in packed. A state is checked through the monitors' watches:
     each verdict is kept per distinct tuple of intern indices at the slots it
@@ -172,6 +180,9 @@ class _Checks:
             tuple(getattr(m, hook) for m in monitors
                   if getattr(type(m), hook) is not getattr(Monitor, hook))
             for hook in ("on_event", "on_terminal"))
+        self.hits = []   # the hits on the edge ``step`` took last, refilled in place
+        if not self.on_event:  # no edge can hit, so a step is the kernel's take
+            self.step = sys.take
 
     def edges(self, state):
         """(the state's edges, sink hits); the hits are () unless there are no edges."""
@@ -179,9 +190,10 @@ class _Checks:
         return edges, (() if edges else self.sink(state))
 
     def step(self, state, edge):
-        """(post state, hits on the edge) for an edge of ``state``."""
+        """The post state of an edge of ``state``; the edge's hits go in ``hits``."""
         post = self.take(state, edge)
-        return post, (self.event(state, edge[0], post) if self.on_event else ())
+        self.hits[:] = self.event(state, edge[0], post)
+        return post
 
     def state(self, state):
         hits = []
@@ -365,7 +377,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
     orbits = _Orbits(sys, _interchangeable(sys, checks.monitors))
-    key_of, step = orbits.key, checks.step
+    key_of, step, edge_hits = orbits.key, checks.step, checks.hits
 
     memo = {}            # key -> maximal-schedule count below its state (None = cut by a bound)
     cut_at = {}          # key whose count is None -> depth its state was expanded from
@@ -415,9 +427,9 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 actions, acc = (), None
             frame[1] = actions = iter(actions)
         for edge in actions:
-            post, hits = step(state, edge)
-            if hits:
-                record(hits, edge[0], post)
+            post = step(state, edge)
+            if edge_hits:
+                record(edge_hits, edge[0], post)
             key = key_of(post)
             count = memo_get(key, _UNSEEN)
             if count is _UNSEEN:
@@ -469,11 +481,18 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
 
     ``kind`` may be a bare kind ("deadlock", "torn_read", "monitor_assert")
     or a full class string ("lost_message:own-outgoing").
+
+    Every hit at depth d is checked before any at depth d + 1, so the first
+    match is a shortest witness: while the states first reached at depth d
+    are expanded, each edge's hits are checked, then each new state's state
+    hits and, when it is stored, its sink hits. A level holds each stored
+    state with its edges, computed once when the state is stored; a state
+    at the depth bound is stored and sink-checked but takes no edge.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
-    step, watches = checks.step, checks.watches
+    step, hits, watches = checks.step, checks.hits, checks.watches
 
     init = sys.initial_state()
     parents = {init: None}
@@ -497,25 +516,18 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
                 return Violation(hk, hn, hd, Trace(build(at, extra)), sys.state_hash(state))
         return None
 
-    v = first_match(checks.state(init), init, None, init)
+    edges, sink = checks.edges(init)
+    v = first_match([*checks.state(init), *sink], init, None, init)
     if v is not None:
         return v
 
-    level = [init]       # the states first reached at this depth, in BFS order
+    level = [(init, edges)]   # the states first reached at this depth, with their edges
     depth = 0
-    while level:
+    while level and depth < b.max_depth:   # a level at the depth bound takes no edge
         below = []
-        for state in level:
-            edges, sink = checks.edges(state)
-            if not edges:
-                v = first_match(sink, state, None, state)
-                if v is not None:
-                    return v
-                continue
-            if depth >= b.max_depth:  # no edge is taken, so no move is computed
-                continue
+        for state, edges in level:
             for edge in edges:
-                post, hits = step(state, edge)
+                post = step(state, edge)
                 if hits:
                     v = first_match(hits, state, edge[0], post)
                     if v is not None:
@@ -527,7 +539,12 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
                             return v
                     if len(parents) < b.max_states:
                         parents[post] = (state, edge[0])
-                        below.append(post)
+                        post_edges, sink = checks.edges(post)
+                        if sink:
+                            v = first_match(sink, post, None, post)
+                            if v is not None:
+                                return v
+                        below.append((post, post_edges))
         level = below
         depth += 1
     return None
@@ -560,18 +577,20 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     ``getrandbits(n.bit_length())`` until it is below ``n``, so a seed gives
     the same walks. The graph lives for this call only and shares nothing
     with ``explore``. It holds at most ``max_states`` states, and always the
-    initial one; once full it stops growing, and a step it has not stored
-    is taken and checked afresh.
+    initial one; once full it stops growing, and a step from or to a state
+    it has not stored is taken and checked afresh. An edge between two
+    stored states is stored when first taken, whatever the graph's size.
 
     The walks stop once the graph is closed, when ``untaken``, the edges of
     stored nodes with no stored child, is 0 before a walk: each later walk
-    would only redraw stored edges, so the summary is the same. A full
-    graph, or a node reached only at the depth bound, keeps untaken edges,
-    so such a call walks to the end.
+    would only redraw stored edges, so the summary is the same. A graph
+    full before it holds every reachable state, or a node reached only at
+    the depth bound, keeps untaken edges, so such a call walks to the end.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)
+    step, hits = checks.step, checks.hits
     draw = random.Random(seed).getrandbits
     classes = set()
     nodes = {}           # state -> _WalkNode, for this call only
@@ -595,10 +614,11 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
 
     def take(node, i):
         nonlocal untaken
-        post, hits = checks.step(node.state, node.edges[i])
-        classes.update(_classes(hits))
+        post = step(node.state, node.edges[i])
+        if hits:
+            classes.update(_classes(hits))
         child = node_for(post)
-        if len(nodes) < b.max_states:  # then child is in the graph
+        if post in nodes and nodes.get(node.state) is node:  # an edge of the graph
             node.children[i] = child
             untaken -= 1
         return child
@@ -638,16 +658,15 @@ def replay_with_checks(scenario, events, on_step=None):
     checks = _Checks(sys)
     state = sys.initial_state()
     edges, sink = checks.edges(state)
-    hits = ()  # of the final step
     for k, ev in enumerate(events):
         edge = next((edge for edge in edges if edge[0] == ev), None)
         if edge is None:
             raise NotEnabledAtStep(k, ev, [edge[0] for edge in edges])
-        state, hits = checks.step(state, edge)
+        state = checks.step(state, edge)
         if on_step is not None:
             on_step(k, ev, sys.view(state))
         edges, sink = checks.edges(state)
-    classes = _classes(hits)
+    classes = _classes(checks.hits)  # of the final step, if any
     classes.update(_classes(checks.state(state)))
     classes.update(_classes(sink))
     return sys.view(state), classes

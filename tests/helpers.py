@@ -310,6 +310,56 @@ def first_witnesses(sys):
     return [(v.kind, v.name, v.detail, v.trace, v.state_hash) for v in kept.values()]
 
 
+def shortest_lengths(sys):
+    """The length of a shortest schedule prefix at whose end each class, and
+    each bare kind, is present, as replay_with_checks reads a prefix's end:
+    the final edge's event hits, the final state's state hits, and its sink
+    hits if it has no enabled action.
+
+    Prefixes are searched by length, one length at a time, over
+    ``enabled_actions`` and ``apply``, with every monitor run on views. The
+    classes at a prefix's end depend only on its final edge, so of the
+    prefixes that end in one state only the first one found is extended:
+    any other is no shorter. Returns {class or bare kind: length}.
+    """
+    monitors = compile_monitors(sys)
+    lengths = {}
+
+    def keep(hits, length):
+        for kind, name, detail in hits:
+            for key in (kind, Violation(kind, name, detail, None, "").cls):
+                lengths.setdefault(key, length)
+
+    def at_end(state, length):
+        view = sys.view(state)
+        keep([h for m in monitors for h in m.on_state(sys, view)], length)
+        if sys.enabled_actions(state):
+            return
+        if sys.all_terminated(state):
+            keep([h for m in monitors for h in m.on_terminal(sys, view)], length)
+        else:
+            keep([("deadlock", None, "")], length)
+
+    init = sys.initial_state()
+    seen = {init}
+    at_end(init, 0)
+    prefixes, length = [init], 0
+    while prefixes:
+        length += 1
+        longer = []
+        for state in prefixes:
+            for a in sys.enabled_actions(state):
+                post = sys.apply(state, a)
+                keep([h for m in monitors
+                      for h in m.on_event(sys, sys.view(state), a, sys.view(post))], length)
+                if post not in seen:
+                    seen.add(post)
+                    at_end(post, length)
+                    longer.append(post)
+        prefixes = longer
+    return lengths
+
+
 def merges(*seqs):
     """Yield every interleaving of the given sequences.
 

@@ -1,7 +1,9 @@
 """Exploration tests: counting, witnesses, bounds, cross-validation."""
 
+import ast
 import json
 import math
+import pathlib
 import random
 import sys as _sys
 import types
@@ -20,8 +22,9 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
 from helpers import (CountingSystem, bench_families, first_witnesses, maximal_schedule_count,
-                     reachable, reference_replay_with_checks)
+                     reachable, reference_replay_with_checks, shortest_lengths)
 from test_golden import FIXTURE, _cases, _op_scenarios
+from test_kernel import SCENARIOS
 from test_monitors import unguarded_sections
 
 
@@ -267,6 +270,18 @@ def test_walks_stop_once_the_walk_graph_is_closed(monkeypatch, seed):
     assert 0 < many == few
     assert random_walks(sc, walks=1000, seed=seed) == \
         reference_walks(System(sc), 1000, seed)
+
+
+@pytest.mark.parametrize("max_states", [16, 17])
+def test_a_full_walk_graph_that_holds_every_state_closes(monkeypatch, max_states):
+    """register-atomic-update has 16 reachable states. A graph with room for
+    16 holds them all, so it links each edge between them when first taken
+    and closes as one with room for 17 does: a thousand walks draw no more
+    than a hundred do."""
+    sc = catalog.get("register-atomic-update")
+    assert len(reachable(System(sc))) == 16
+    few, many = draws_per_call(monkeypatch, sc, (100, 1000), 1, Bounds(max_states=max_states))
+    assert 0 < many == few
 
 
 @pytest.mark.parametrize("max_states", [1, 2, 3])
@@ -593,7 +608,7 @@ def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
     actions are its enabled actions in its order, and takes nothing, with
     sink hits only where there is no edge; ``step`` on each edge takes it
     once and gives the kernel's post state for its action and every
-    monitor's event hits on that edge, in monitor order."""
+    monitor's event hits on that edge, in monitor order, in ``hits``."""
     sys = CountingSystem(scenario)
     states = reachable(sys)
     checks = _Checks(sys)
@@ -605,12 +620,12 @@ def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
         assert not sys.applied
         for edge in edges:
             ev = edge[0]
-            post, hits = checks.step(state, edge)
+            post = checks.step(state, edge)
             assert sys.applied == {(state, ev): 1}
             assert post == System.apply(sys, state, ev)
             prev_view, post_view = sys.view(state), sys.view(post)
-            assert list(hits) == [hit for m in checks.monitors
-                                  for hit in m.on_event(sys, prev_view, ev, post_view)]
+            assert list(checks.hits) == [hit for m in checks.monitors
+                                         for hit in m.on_event(sys, prev_view, ev, post_view)]
             sys.applied.clear()
 
 
@@ -669,12 +684,63 @@ class CallerRecordingSystem(System):
 
 
 def test_every_strategy_steps_only_through_the_transition_layer():
-    system = CallerRecordingSystem(catalog.get("torn-read-raw"))
+    """With an event hook to run, every step is the layer's ``step``. (With
+    none, ``step`` is the kernel's ``take`` itself, called by the strategy.)"""
+    system = CallerRecordingSystem(catalog.get("lost-message-basic"))
+    assert _Checks(system).on_event
     explore(system)
-    witness = find_shortest(system, "torn_read")
+    witness = find_shortest(system, "lost_message")
     random_walks(system, walks=50, seed=1)
     replay_with_checks(system, witness.trace)
     assert system.callers == {("edges", True), ("step", True)}
+
+
+KERNEL_STEPS = {"take", "edges", "apply", "enabled_actions"}
+
+
+def kernel_steps_outside_the_layer(source):
+    """Each ``(line, text)`` in ``source`` outside class ``_Checks`` that calls
+    ``take``, ``edges``, ``apply`` or ``enabled_actions`` on anything but a
+    ``_Checks`` (named ``checks``), or reads one of them off a System
+    (named ``sys`` or ``<...>.sys``), which would let a strategy step by an
+    alias."""
+    found, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "_Checks":
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called, of = node.func, node.func.value
+            if called.attr in KERNEL_STEPS and not (isinstance(of, ast.Name)
+                                                    and of.id == "checks"):
+                found.append((called.lineno, ast.unparse(called)))
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_STEPS:
+            of = node.value
+            if (isinstance(of, ast.Name) and of.id == "sys") or (
+                    isinstance(of, ast.Attribute) and of.attr == "sys"):
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(set(found))  # a call off a System is found as both
+
+
+def test_no_code_outside_the_transition_layer_steps_the_kernel():
+    """The static half of the pin above, which also covers a System with no
+    event hook: no module of the package but the kernel, which defines them,
+    asks a System for a state's edges or takes one, except in ``_Checks``."""
+    package = pathlib.Path(explorer.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "kernel.py":
+            assert kernel_steps_outside_the_layer(path.read_text(encoding="utf-8")) == [], \
+                path.name
+
+
+def test_the_static_pin_finds_a_strategy_that_steps_the_kernel():
+    source = pathlib.Path(explorer.__file__).read_text(encoding="utf-8")
+    for bypass in ("step = sys.take", "post = sys.apply(state, ev)",
+                   "edges = self.sys.edges(state)", "acts = node.enabled_actions(state)"):
+        tree = source.replace("    sys = as_system(scenario)\n",
+                              f"    sys = as_system(scenario)\n    {bypass}\n")
+        assert len(kernel_steps_outside_the_layer(tree)) >= 5, bypass
 
 
 # -- the bounds ------------------------------------------------------------------
@@ -778,3 +844,49 @@ def test_explore_reports_a_class_iff_a_bounded_search_finds_it(name, cls):
         assert (cls in report.violation_classes) == (d >= length)
         for v in report.violations:
             assert len(v.trace) <= d and verify_violation(sys, v)
+
+
+def terminal_beside_a_read():
+    """p0 writes 1, then 2, to a message cell; p1 either does a local step
+    and then reads the cell, or reads a raw cell's word. A
+    sent_received_order hit is a state hit when p1 reads the cell after
+    both writes (4 steps) and a terminal hit when p1 takes the other arm
+    (3 steps): a search that checks a sink one level late returns the 4."""
+    return s.Scenario.from_parts(
+        "terminal-beside-a-read", 1, [s.message_cell("m"), s.raw_cell("r", [0])],
+        [s.process(0, s.write("m", [1]), s.write("m", [2])),
+         s.process(1, s.choose([s.local("x", [0]), s.read("m", "t")],
+                               [s.read_word("r", 0, "z")]))],
+        [s.sent_received_order("m")])
+
+
+@pytest.mark.parametrize("kind", ["monitor_assert:sent_received_order", "monitor_assert"])
+def test_a_sink_hit_is_checked_at_the_depth_it_is_reached(kind):
+    sys = System(terminal_beside_a_read())
+    v = find_shortest(sys, kind)
+    assert len(v.trace) == shortest_lengths(sys)[kind] == 3
+    assert verify_violation(sys, v)
+
+
+def _shortest_scenarios():
+    """The catalog, the kernel tests' scenarios and the layer scenarios, once each."""
+    by_name = {}
+    for sc in SCENARIOS + LAYER_SCENARIOS:
+        by_name.setdefault(sc.name, sc)
+    return list(by_name.values())
+
+
+@pytest.mark.parametrize("scenario", _shortest_scenarios(), ids=lambda sc: sc.name)
+def test_find_shortest_returns_a_shortest_witness_of_every_class(scenario):
+    """For every class explore reports and every bare kind among them,
+    find_shortest's witness is as long as the shortest schedule prefix that
+    ends in it, and replays to it."""
+    sys = System(scenario)
+    lengths = shortest_lengths(sys)
+    report = explore(sys)
+    assert not report.bounds_hit
+    assert lengths.keys() == report.violation_classes | {v.kind for v in report.violations}
+    for kind, length in lengths.items():
+        v = find_shortest(sys, kind)
+        assert len(v.trace) == length, kind
+        assert verify_violation(sys, v), kind

@@ -422,7 +422,7 @@ class TestStepping:
             checks = _Checks(sys)
             for state in reachable(sys):
                 for edge in sys.edges(state):
-                    assert checks.step(state, edge)[0] == sys.apply(state, edge[0])
+                    assert checks.step(state, edge) == sys.apply(state, edge[0])
 
     def test_assert_local_failure_is_sticky(self):
         sys = make("af", 1, [s.message_cell("mc")],

@@ -214,7 +214,7 @@ def _check_single_schedule(sys, report):
 def _check_final_read(sys, report):
     got = terminal_variable_values(sys, report, 1, ("r",))
     if got != {((3,),)}:
-        return [f"final reads {sorted(got)}, expected always (3,)"]
+        return [f"final reads {sorted(got, key=repr)}, expected always (3,)"]
     return []
 
 
@@ -245,8 +245,8 @@ def _check_decomposition(sys, report):
     direct_two_step = _reader_sequences(sys, report, 2)
     one_cell = _reader_sequences(base_sys, base, 1)
     if direct_two_step != one_cell:
-        only_a = sorted(direct_two_step - one_cell)
-        only_b = sorted(one_cell - direct_two_step)
+        only_a = sorted(direct_two_step - one_cell, key=repr)  # None is unordered
+        only_b = sorted(one_cell - direct_two_step, key=repr)
         return [f"observable reader sequences differ: relay-only {only_a}, cell-only {only_b}"]
     return []
 

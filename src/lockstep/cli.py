@@ -14,7 +14,7 @@ import sys as _sys
 from .catalog import catalog_check as _catalog_check
 from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
-from .explorer import Bounds, explore, replay_with_checks, resolve_bounds
+from .explorer import explore, replay_with_checks
 from .kernel import KernelError, NotEnabledAtStep, System, Trace, format_event
 from .scenarios import ParseError, ValidationError, load_file
 
@@ -92,14 +92,17 @@ def _load_system(args):
     return System(scenario)
 
 
-def _bounds(args, base):
-    """The bounds the command line asks for; each one not given comes from ``base``."""
-    for flag, value in (("--max-depth", args.max_depth), ("--max-states", args.max_states)):
-        if value is not None and value < 0:
-            raise ValueError(f"{flag}: expected a non-negative bound, got {value}")
-    depth = args.max_depth if args.max_depth is not None else base.max_depth
-    states = args.max_states if args.max_states is not None else base.max_states
-    return Bounds(max_depth=depth, max_states=states)
+def _bounds(args):
+    """The bounds the command line gives, by name; a strategy takes each other
+    bound from the scenario, then from the default."""
+    given = {}
+    for flag, key in (("--max-depth", "max_depth"), ("--max-states", "max_states")):
+        value = getattr(args, key)
+        if value is not None:
+            if value < 0:
+                raise ValueError(f"{flag}: expected a non-negative bound, got {value}")
+            given[key] = value
+    return given
 
 
 def _load_schedule(path):
@@ -150,7 +153,7 @@ def _print_report(report, fmt, out):
 
 def cmd_explore(args):
     sys = _load_system(args)
-    report = explore(sys, _bounds(args, resolve_bounds(sys, None)))
+    report = explore(sys, _bounds(args))
     _print_report(report, args.format, _sys.stdout)
     if report.violations:
         return EXIT_VIOLATIONS
@@ -178,13 +181,7 @@ def cmd_run(args):
 def cmd_replay(args):
     sys = _load_system(args)
     events, claim = _load_schedule(args.schedule)
-
-    lines = []
-
-    def show(k, ev, state):
-        lines.append(f"[{k}] {format_event(ev)}")
-
-    final, classes = replay_with_checks(sys, events, on_step=show)  # stale -> exit 3
+    final, classes = replay_with_checks(sys, events)  # stale -> exit 3
     observed = sorted(classes)
     final_hash = sys.state_hash(final)
 
@@ -200,8 +197,8 @@ def cmd_replay(args):
                "claim": claim, "verdict": verdict}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        for k, ev in enumerate(events):
+            print(f"[{k}] {format_event(ev)}")
         print(f"final state hash: {final_hash}")
         print(f"violation classes at the end: {', '.join(observed) or 'none'}")
         if verdict == "confirmed":
@@ -228,10 +225,7 @@ def cmd_list(args):
 
 
 def cmd_catalog_check(args):
-    bounds = None
-    if args.max_depth is not None or args.max_states is not None:
-        bounds = _bounds(args, Bounds())
-    rows = _catalog_check(only=args.only, bounds=bounds)
+    rows = _catalog_check(only=args.only, bounds=_bounds(args))
     if args.format == "structured":
         doc = [{"name": r.name, "ok": r.ok, "expected": list(r.expected),
                 "found": list(r.found), "problems": list(r.problems),

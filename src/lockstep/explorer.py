@@ -46,6 +46,7 @@ from operator import itemgetter
 from .kernel import NotEnabledAtStep, System, Trace, store_get
 from .machines import KINDS
 from .monitors import Monitor, compile_monitors
+from .scenarios import bounds_problems
 
 _IN_PROGRESS = object()
 _UNSEEN = object()
@@ -126,16 +127,16 @@ def as_system(scenario_or_system) -> System:
     return System(scenario_or_system)
 
 
-def resolve_bounds(sys: System, override) -> Bounds:
-    if isinstance(override, Bounds):
-        return override
-    if isinstance(override, dict):
-        return Bounds(**override)
-    doc = sys.scenario.bounds
-    if doc:
-        return Bounds(max_depth=doc.get("max_depth", Bounds.max_depth),
-                      max_states=doc.get("max_states", Bounds.max_states))
-    return Bounds()
+def resolve_bounds(sys: System, override=None) -> Bounds:
+    """The bounds a strategy call on ``sys`` runs with. Each bound comes from
+    ``override`` if it names it (a ``Bounds`` names both, a dict its keys),
+    else from the scenario's ``bounds``, else from the default. An override
+    is held to the rule ``validate`` applies to a document's ``bounds``, and
+    a ValueError names the field it breaks."""
+    given = vars(override) if isinstance(override, Bounds) else override
+    if given is not None and (problems := bounds_problems(given)):
+        raise ValueError("; ".join(problems))
+    return Bounds(**{**(sys.scenario.bounds or {}), **(given or {})})
 
 
 def _classes(hits):
@@ -587,6 +588,8 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     full before it holds every reachable state, or a node reached only at
     the depth bound, keeps untaken edges, so such a call walks to the end.
     """
+    if type(walks) is not int or walks < 0:
+        raise ValueError(f"walks: must be a non-negative integer, got {walks!r}")
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
     checks = _Checks(sys)

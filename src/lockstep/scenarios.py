@@ -201,17 +201,19 @@ def validate(scenario: Scenario) -> None:
         errors += _validate_monitor(mon, f"monitors[{j}]", checks)
 
     if scenario.bounds is not None:
-        b = scenario.bounds
-        if not isinstance(b, dict) or set(b) - {"max_depth", "max_states"}:
-            errors.append("bounds: must be an object with only max_depth / max_states")
-        else:
-            for k, v in b.items():
-                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                    errors.append(f"bounds.{k}: must be a non-negative integer")
+        errors += bounds_problems(scenario.bounds)
 
     if errors:
         raise ValidationError(errors)
     object.__setattr__(scenario, "compiled", tuple(programs[p] for p in sorted(programs)))
+
+
+def bounds_problems(bounds):
+    """The problems with a document's ``bounds`` or a strategy's override of them."""
+    if not isinstance(bounds, dict) or set(bounds) - {"max_depth", "max_states"}:
+        return ["bounds: must be an object with only max_depth / max_states"]
+    return [f"bounds.{k}: must be a non-negative integer" for k, v in bounds.items()
+            if type(v) is not int or v < 0]  # a JSON boolean is no bound
 
 
 class _FieldChecks:

@@ -1,5 +1,6 @@
 """Catalog conformance: frozen counts, value oracles, and the check runner."""
 
+import dataclasses
 import math
 
 import pytest
@@ -124,6 +125,48 @@ class TestValueOracles:
         closed = {(v(k1), v(k2), v(k3))
                   for k1 in range(4) for k2 in range(k1, 4) for k3 in range(k2, 4)}
         assert model == closed and len(model) == 20
+
+
+def _start(sys):
+    """The initial state, as a tuple of terminal states."""
+    return (sys.view(sys.initial_state()),)
+
+
+# (entry, the report fields to replace, the problem its extra check must
+# report then): each fact an entry's extra check holds, failed once
+BROKEN_FACTS = [
+    ("status-channel-exact", lambda sys, r: {"terminal_states": _start(sys)},
+     "terminal channel logs sent=() received=()"),
+    ("status-channel-exact", lambda sys, r: {"states_visited": 10_000},
+     "visited 10000 states, expected well under 10000"),
+    ("duplex-strict", lambda sys, r: {"schedules_complete": 2},
+     "2 schedules, expected exactly 1"),
+    ("last-message-unidirectional", lambda sys, r: {"terminal_states": _start(sys)},
+     "final reads [(None,)]"),
+    ("last-message-unidirectional",
+     lambda sys, r: {"terminal_states": r.terminal_states + _start(sys)},
+     "final reads [((3,),), (None,)]"),
+    ("register-atomic-update", lambda sys, r: {"terminal_states": _start(sys)},
+     "terminal register contents [(0,)]"),
+    ("register-lost-update", lambda sys, r: {"terminal_states": _start(sys)},
+     "worst terminal value is [0]"),
+    ("register-lost-update", lambda sys, r: {"terminal_states": _start(sys)},
+     "best terminal value is [0]"),
+    ("register-lost-update", lambda sys, r: {"terminal_states": ()},
+     "worst terminal value is []"),
+    ("decomposition-equivalence", lambda sys, r: {"terminal_states": r.terminal_states[:1]},
+     "observable reader sequences differ"),
+]
+
+
+@pytest.mark.parametrize("name,change,problem", BROKEN_FACTS)
+def test_each_extra_check_reports_its_fact_failing(reports, name, change, problem):
+    entry = get_entry(name)
+    sys = System(entry.build())
+    assert entry.extra(sys, reports[name]) == []
+    broken = dataclasses.replace(reports[name], **change(sys, reports[name]))
+    problems = entry.extra(sys, broken)
+    assert any(p.startswith(problem) for p in problems), problems
 
 
 class TestCatalogCheck:

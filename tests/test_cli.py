@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from lockstep import catalog
 from lockstep.cli import main
+from lockstep.explorer import explore
 from lockstep.kernel import System, Trace
+from lockstep.scenarios import load_file
 
 from test_scenarios import _fields, _replaced
 
@@ -170,6 +172,29 @@ class TestExplore:
                            "--max-states", "0")
         assert code == BOUNDS
         assert "states visited: 1\n" in out and "bounds hit: yes" in out
+
+    @pytest.mark.parametrize("name", ["register-lost-update", "torn-read-raw"])
+    @pytest.mark.parametrize("embedded", [None, {"max_states": 5}, {"max_depth": 3},
+                                          {"max_depth": 3, "max_states": 5}])
+    @pytest.mark.parametrize("override", [{}, {"max_depth": 50}, {"max_states": 100},
+                                          {"max_depth": 50, "max_states": 1000}])
+    def test_the_flags_and_a_dict_override_give_one_answer(self, capsys, tmp_path, name,
+                                                           embedded, override):
+        # each flag, like each key of a dict, overrides only its own bound; the
+        # other comes from the document's bounds, then from the default
+        doc = catalog.get(name).to_doc()
+        if embedded is not None:
+            doc["bounds"] = embedded
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps(doc))
+        report = explore(load_file(path), override)
+        flags = [arg for key, value in override.items()
+                 for arg in ("--" + key.replace("_", "-"), str(value))]
+        code, out, _ = run(capsys, "explore", "--file", str(path), "--format", "structured",
+                           *flags)
+        assert json.loads(out) == report.to_doc()
+        assert code == (VIOLATIONS if report.violations
+                        else BOUNDS if report.bounds_hit else CLEAN)
 
 
 class TestUsage:

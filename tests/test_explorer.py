@@ -112,6 +112,16 @@ class TestFindShortest:
     def test_empty_scenario_gives_none(self):
         assert find_shortest(empty_scenario(), "deadlock") is None
 
+    def test_a_hit_in_the_initial_state_is_a_zero_step_witness(self):
+        # each process receives before it sends, so neither can move
+        sc = s.Scenario.from_parts(
+            "receive-first", 1, [s.direct_channel("a"), s.direct_channel("b")],
+            [s.process(0, s.receive("a", "x"), s.send("b", [1])),
+             s.process(1, s.receive("b", "y"), s.send("a", [1]))])
+        v = find_shortest(sc, "deadlock")
+        assert v.trace.events == ()
+        assert verify_violation(sc, v)
+
 
 class TestBounds:
     def test_depth_bound_truncates_and_poisons_the_count(self):
@@ -147,6 +157,55 @@ class TestBounds:
     def test_bounds_do_not_invent_violations(self):
         report = explore(catalog.get("register-lost-update"), Bounds(max_depth=3))
         assert report.violations == ()
+
+    def test_a_dict_overrides_only_the_bounds_it_names(self):
+        sc = with_bounds("register-lost-update", {"max_states": 5})
+        assert resolve_bounds(System(sc), {"max_depth": 50}) == Bounds(50, 5)
+        assert resolve_bounds(System(sc), {}) == Bounds(200, 5)
+        report = explore(sc, {"max_depth": 50})
+        assert (report.states_visited, report.bounds_hit) == (5, True)
+        assert not explore(sc, {"max_states": 1000}).bounds_hit
+
+    @pytest.mark.parametrize("search", [
+        lambda sys, bounds: find_shortest(sys, "deadlock", bounds),
+        lambda sys, bounds: random_walks(sys, walks=200, seed=3, bounds=bounds)],
+        ids=["find_shortest", "random_walks"])
+    def test_every_strategy_reads_the_merged_bounds(self, search):
+        sc = with_bounds("register-lost-update", {"max_states": 5})
+        merged, spelled_out, unbounded = (CountingSystem(sc) for _ in range(3))
+        assert search(merged, {"max_depth": 50}) == search(spelled_out, Bounds(50, 5))
+        assert (merged.offered, merged.applied) == (spelled_out.offered, spelled_out.applied)
+        search(unbounded, Bounds(max_depth=50))
+        assert (merged.offered, merged.applied) != (unbounded.offered, unbounded.applied)
+
+    @pytest.mark.parametrize("override,field", [
+        ({"max_depth": -1}, "bounds.max_depth: "),
+        ({"max_depth": True}, "bounds.max_depth: "),
+        ({"max_states": 2.5}, "bounds.max_states: "),
+        ({"max_states": "5"}, "bounds.max_states: "),
+        ({"max_dept": 3}, "bounds: "),
+        (Bounds(max_states=-1), "bounds.max_states: "),
+        (5, "bounds: ")])
+    @pytest.mark.parametrize("strategy", [
+        lambda bounds: explore(catalog.get("duplex-strict"), bounds),
+        lambda bounds: find_shortest(catalog.get("duplex-strict"), "deadlock", bounds),
+        lambda bounds: random_walks(catalog.get("duplex-strict"), walks=10, bounds=bounds),
+        lambda bounds: catalog.catalog_check(only=["duplex-strict"], bounds=bounds)],
+        ids=["explore", "find_shortest", "random_walks", "catalog_check"])
+    def test_a_bad_override_raises_naming_its_field(self, strategy, override, field):
+        with pytest.raises(ValueError) as raised:
+            strategy(override)
+        assert str(raised.value).startswith(field)
+
+    @pytest.mark.parametrize("walks", [-1, 2.5, True, "5", None])
+    def test_walks_must_be_a_non_negative_integer(self, walks):
+        with pytest.raises(ValueError, match="^walks: "):
+            random_walks(catalog.get("duplex-strict"), walks=walks)
+
+
+def with_bounds(name, bounds):
+    """The catalog scenario ``name`` with ``bounds`` embedded in its document."""
+    return s.Scenario.from_doc({**catalog.get(name).to_doc(), "bounds": bounds})
 
 
 class TestRandomWalks:

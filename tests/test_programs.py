@@ -188,6 +188,11 @@ class TestLiterals:
     def test_word_out_of_domain(self):
         assert "'word'" in compile_err(s.wait_word("cell", 0, 8)).message
 
+    @pytest.mark.parametrize("word", [-1, 8])
+    def test_write_word_literal_out_of_domain(self, word):
+        e = compile_err(s.write_word("cell", 0, word))
+        assert (e.path, e.message) == ("steps[0].word", "word literal must be in 0..7")
+
     def test_value_wrong_width(self):
         e = compile_err(s.write("mc", [1]))
         assert "word width is 2" in e.message

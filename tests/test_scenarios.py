@@ -377,6 +377,24 @@ class TestRoundTrip:
         for name in catalog.names():
             validate(catalog.get(name))
 
+    def test_embedded_bounds_round_trip(self):
+        bounds = {"max_depth": 4, "max_states": 9}
+        sc = Scenario.from_parts("bounded", 1, [s.raw_cell("c", [0])],
+                                 [s.process(0, s.write_word("c", 0, 1))], bounds=bounds)
+        text = serialize(sc)
+        assert json.loads(text)["bounds"] == bounds
+        assert loads(text) == sc and loads(text).bounds == bounds
+
+    def test_a_mutual_exclusion_monitor_may_name_a_mechanism(self):
+        monitor = s.mutual_exclusion([[0, "cs"], [1, "cs"]], mech="c")
+        assert monitor["mechanism"] == "c"
+        sc = Scenario.from_parts(
+            "named-section", 1, [s.raw_cell("c", [0])],
+            [s.process(p, s.local("cs", [1]), s.write_word("c", 0, p), s.local("cs", [0]))
+             for p in range(2)], [monitor])
+        validate(sc)
+        assert loads(serialize(sc)).monitors == (monitor,)
+
 
 def test_each_program_is_compiled_once(monkeypatch):
     """loads compiles each process once, to validate it, and a System built

@@ -8,7 +8,7 @@ documents (scenarios), the stepping engine (kernel), safety monitors
 """
 
 from .explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
-                       explore, find_shortest, random_walks, replay, replay_with_checks,
+                       explore, find_shortest, random_walks, replay_with_checks,
                        verify_violation)
 from .kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                      System, Trace)
@@ -23,6 +23,6 @@ __all__ = [
     "KernelError", "NotEnabledAtStep", "ParseError", "Scenario", "System",
     "Trace", "ValidationError", "Violation", "WalkSummary", "catalog",
     "catalog_check", "entries", "explore", "find_shortest", "get", "loads",
-    "load_file", "names", "random_walks", "replay", "replay_with_checks",
+    "load_file", "names", "random_walks", "replay_with_checks",
     "serialize", "verify_violation", "__version__",
 ]

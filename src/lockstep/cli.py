@@ -14,7 +14,7 @@ import sys as _sys
 from .catalog import catalog_check as _catalog_check
 from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
-from .explorer import explore, replay_with_checks
+from .explorer import Violation, explore, replay_with_checks, verify_violation
 from .kernel import KernelError, NotEnabledAtStep, System, Trace, format_event
 from .scenarios import ParseError, ValidationError, load_file
 
@@ -115,16 +115,11 @@ def _load_schedule(path):
 
 
 def _parse_schedule(doc):
-    claim = None
-    where = "events"
+    """(events, the Violation recorded, or None for a bare trace)."""
     if isinstance(doc, dict) and "trace" in doc:
-        claim = {"class": doc.get("class"), "state_hash": doc.get("state_hash")}
-        for key, value in claim.items():
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{key}: expected a string, got {value!r}")
-        doc = doc["trace"]
-        where = "trace.events"
-    return Trace.from_doc(doc, where).events, claim
+        violation = Violation.from_doc(doc)
+        return violation.trace.events, violation
+    return Trace.from_doc(doc).events, None
 
 
 def _print_report(report, fmt, out):
@@ -180,16 +175,14 @@ def cmd_run(args):
 
 def cmd_replay(args):
     sys = _load_system(args)
-    events, claim = _load_schedule(args.schedule)
+    events, violation = _load_schedule(args.schedule)
     final, classes = replay_with_checks(sys, events)  # stale -> exit 3
     observed = sorted(classes)
     final_hash = sys.state_hash(final)
-
-    verdict = None
-    if claim and claim.get("class"):
-        recurs = claim["class"] in classes
-        hash_ok = claim.get("state_hash") in (None, final_hash)
-        verdict = "confirmed" if recurs and hash_ok else "refuted"
+    verdict = claim = None
+    if violation is not None:
+        claim = {"class": violation.cls, "state_hash": violation.state_hash}
+        verdict = "confirmed" if verify_violation(sys, violation) else "refuted"
 
     if args.format == "structured":
         doc = {"steps": [format_event(e) for e in events],
@@ -202,10 +195,10 @@ def cmd_replay(args):
         print(f"final state hash: {final_hash}")
         print(f"violation classes at the end: {', '.join(observed) or 'none'}")
         if verdict == "confirmed":
-            print(f"CONFIRMED: {claim['class']} recurs at the end of this schedule")
+            print(f"CONFIRMED: {violation.cls} recurs at the end of this schedule")
         elif verdict == "refuted":
-            print(f"REFUTED: recorded {claim['class']} "
-                  f"(hash {claim.get('state_hash')}) did not recur")
+            print(f"REFUTED: recorded {violation.cls} "
+                  f"(hash {violation.state_hash}) did not recur")
     return EXIT_VIOLATIONS if verdict == "refuted" else EXIT_CLEAN
 
 

@@ -87,9 +87,23 @@ class Violation:
 
     @classmethod
     def from_doc(cls, doc):
-        return cls(kind=doc["kind"], name=doc.get("name"), detail=doc.get("detail"),
-                   trace=Trace.from_doc(doc["trace"], "trace.events"),
-                   state_hash=doc["state_hash"])
+        """Read a violation as ``to_doc`` writes it; a ValueError names the
+        field at fault. A ``class``, when given, must be the one the other
+        fields make."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"violation: expected an object, got {doc!r}")
+        for key in ("kind", "name", "detail", "state_hash", "class"):
+            value, optional = doc.get(key), key in ("name", "detail", "class")
+            if not (isinstance(value, str) or optional and value is None):
+                raise ValueError(f"{key}: expected a string{' or null' if optional else ''}, "
+                                 f"got {value!r}")
+        v = cls(kind=doc["kind"], name=doc.get("name"), detail=doc.get("detail"),
+                trace=Trace.from_doc(doc.get("trace"), "trace.events"),
+                state_hash=doc["state_hash"])
+        if doc.get("class") not in (None, v.cls):
+            raise ValueError(f"class: {doc['class']!r} is not the class of kind "
+                             f"{v.kind!r}, which is {v.cls!r}")
+        return v
 
 
 @dataclass(frozen=True)
@@ -647,14 +661,13 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     return WalkSummary(walks=walks, classes=frozenset(classes if walks else ()))
 
 
-def replay_with_checks(scenario, events, on_step=None):
+def replay_with_checks(scenario, events):
     """Replay a schedule and report the violation classes present at its end.
 
     ``events`` is a Trace or an iterable of events. Returns (the view of the
     final state, classes). Classes cover the final transition, the final
     state, and, where the schedule ends in a state with no enabled action,
-    the deadlock/terminal checks. ``on_step(k, event, view)`` is called
-    after each step. A step the state does not offer raises
+    the deadlock/terminal checks. A step the state does not offer raises
     ``NotEnabledAtStep`` with its index and the actions that were enabled.
     """
     sys = as_system(scenario)
@@ -666,19 +679,11 @@ def replay_with_checks(scenario, events, on_step=None):
         if edge is None:
             raise NotEnabledAtStep(k, ev, [edge[0] for edge in edges])
         state = checks.step(state, edge)
-        if on_step is not None:
-            on_step(k, ev, sys.view(state))
         edges, sink = checks.edges(state)
     classes = _classes(checks.hits)  # of the final step, if any
     classes.update(_classes(checks.state(state)))
     classes.update(_classes(sink))
     return sys.view(state), classes
-
-
-def replay(scenario, events, on_step=None):
-    """Replay a schedule, as ``replay_with_checks`` does, and return the view
-    of its final state."""
-    return replay_with_checks(scenario, events, on_step)[0]
 
 
 def verify_violation(scenario, violation: Violation) -> bool:

@@ -163,8 +163,7 @@ class RecipientTag(MechanismMonitor):
         pid, label, mech_id = event
         if mech_id != self.mech_id or label[0] != "read":
             return ()
-        m = prev.mechs[self.index]
-        if isinstance(m, DuplexChannel) and m.pending_writer() == pid:
+        if prev.mechs[self.index].pending_writer() == pid:  # validate admits only a duplex_channel
             return [("wrong_recipient", None,
                      f"p{pid} consumed the message it wrote itself")]
         return ()

@@ -210,10 +210,13 @@ def validate(scenario: Scenario) -> None:
 
 def bounds_problems(bounds):
     """The problems with a document's ``bounds`` or a strategy's override of them."""
-    if not isinstance(bounds, dict) or set(bounds) - {"max_depth", "max_states"}:
+    if not isinstance(bounds, dict):
         return ["bounds: must be an object with only max_depth / max_states"]
-    return [f"bounds.{k}: must be a non-negative integer" for k, v in bounds.items()
-            if type(v) is not int or v < 0]  # a JSON boolean is no bound
+    problems = [f"bounds: unknown field '{k}'" for k in bounds
+                if k not in ("max_depth", "max_states")]
+    return problems + [f"bounds.{k}: must be a non-negative integer" for k, v in bounds.items()
+                       if k in ("max_depth", "max_states")  # a JSON boolean is no bound
+                       and (type(v) is not int or v < 0)]
 
 
 class _FieldChecks:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lockstep import catalog
 from lockstep.cli import main
-from lockstep.explorer import explore
+from lockstep.explorer import Violation, explore, verify_violation
 from lockstep.kernel import System, Trace
 from lockstep.scenarios import load_file
 
@@ -272,7 +272,7 @@ class TestReplay:
 
     def test_refutes_a_mislabelled_claim(self, capsys, tmp_path, torn_schedule):
         doc = json.loads(torn_schedule.read_text())
-        doc["class"] = "deadlock"
+        doc["kind"] = doc["class"] = "deadlock"
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "replay", "--catalog", "torn-read-raw",
@@ -282,11 +282,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("field,value", [("class", ["x"]), ("state_hash", 5)])
     def test_a_malformed_claim_exits_three_naming_its_field(self, capsys, tmp_path,
-                                                            field, value):
-        doc = {"class": "deadlock", "trace": {"events": []}, field: value}
+                                                            torn_schedule, field, value):
+        doc = {**json.loads(torn_schedule.read_text()), field: value}
         path = tmp_path / "claim.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "replay", "--catalog", "status-channel-exact",
+        code, out, err = run(capsys, "replay", "--catalog", "torn-read-raw",
                              "--schedule", str(path))
         assert code == ERROR and out == ""
         assert err.startswith(f"error: {field}: ")
@@ -332,6 +332,45 @@ class TestReplay:
         assert code == CLEAN
         assert doc["verdict"] == "confirmed"
         assert doc["observed_classes"] == ["torn_read"]
+
+
+def _variants(doc):
+    """A recorded violation's document as emitted, tampered one field at a
+    time, and the exit code ``replay`` gives each."""
+    other = "torn_read" if doc["kind"] == "deadlock" else "deadlock"
+    return {"as emitted": (doc, CLEAN),
+            "class changed": ({**doc, "class": other}, ERROR),
+            "kind changed": ({**doc, "kind": other}, ERROR),
+            "state_hash changed": ({**doc, "state_hash": "0" * 64}, VIOLATIONS),
+            "state_hash dropped": ({k: v for k, v in doc.items() if k != "state_hash"}, ERROR),
+            "kind dropped": ({k: v for k, v in doc.items() if k != "kind"}, ERROR),
+            "class dropped": ({k: v for k, v in doc.items() if k != "class"}, CLEAN),
+            "name of the wrong type": ({**doc, "name": 5}, ERROR)}
+
+
+WITNESSES = [(name, v.to_doc()) for name in catalog.names()
+             for v in explore(catalog.get(name)).violations]
+
+
+@pytest.mark.parametrize("variant", list(_variants(WITNESSES[0][1])))
+@pytest.mark.parametrize("name, emitted", WITNESSES,
+                         ids=[f"{name}-{doc['class']}" for name, doc in WITNESSES])
+def test_replay_gives_the_verdict_of_the_library(capsys, tmp_path, name, emitted, variant):
+    """``lockstep replay`` exits 0 or 1 as ``verify_violation`` says True or
+    False, and 3 with its message where ``Violation.from_doc`` refuses the
+    document."""
+    doc, expected = _variants(emitted)[variant]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", "--catalog", name, "--schedule", str(path))
+    try:
+        violation = Violation.from_doc(doc)
+    except ValueError as e:
+        assert (code, out, err) == (ERROR, "", f"error: {e}\n")
+    else:
+        verified = verify_violation(System(catalog.get(name)), violation)
+        assert code == (CLEAN if verified else VIOLATIONS) and err == ""
+    assert code == expected
 
 
 class TestList:
@@ -451,7 +490,8 @@ def test_a_mutated_schedule_exits_zero_to_three(fuzz_dir, data):
         state = sys.apply(state, events[-1])
     doc = Trace(tuple(events)).to_doc()
     if data.draw(st.booleans()):  # a recorded violation claims a class and a state
-        doc = {"class": "deadlock", "state_hash": sys.state_hash(state), "trace": doc}
+        doc = {"class": "deadlock", "kind": "deadlock", "state_hash": sys.state_hash(state),
+               "trace": doc}
     path = fuzz_dir / "schedule.json"
     path.write_text(json.dumps(_mutated(data, doc)))
     _outcome(["replay", "--catalog", name, "--schedule", str(path)])

@@ -197,6 +197,11 @@ class TestBounds:
             strategy(override)
         assert str(raised.value).startswith(field)
 
+    def test_an_unknown_override_key_is_named(self):
+        with pytest.raises(ValueError) as raised:
+            explore(catalog.get("duplex-strict"), {"max_dept": 3})
+        assert str(raised.value) == "bounds: unknown field 'max_dept'"
+
     @pytest.mark.parametrize("walks", [-1, 2.5, True, "5", None])
     def test_walks_must_be_a_non_negative_integer(self, walks):
         with pytest.raises(ValueError, match="^walks: "):
@@ -457,6 +462,35 @@ class TestDeterminism:
     def test_violation_doc_round_trip(self):
         v = explore(catalog.get("deadlock-direct-duplex")).violations[0]
         assert Violation.from_doc(v.to_doc()) == v
+
+    def test_every_golden_violation_round_trips(self):
+        golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        docs = [v for case in golden.values() for v in case["report"]["violations"]
+                + [v for v in case["shortest"].values() if v]]
+        assert len(docs) == 24
+        for doc in docs:
+            assert Violation.from_doc(doc).to_doc() == doc
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", None), ("kind", 5), ("state_hash", None), ("state_hash", ["x"]),
+        ("name", 5), ("detail", ["p1.y"]), ("class", 5), ("class", "deadlock"),
+        ("trace", None), ("trace", {"events": [5]})])
+    def test_a_malformed_violation_raises_naming_its_field(self, field, value):
+        doc = {**explore(catalog.get("torn-read-raw")).violations[0].to_doc(), field: value}
+        with pytest.raises(ValueError) as raised:
+            Violation.from_doc(doc)
+        assert str(raised.value).startswith(field)
+
+    def test_a_class_must_be_the_one_its_kind_makes(self):
+        doc = {**explore(catalog.get("torn-read-raw")).violations[0].to_doc(),
+               "class": "deadlock"}
+        with pytest.raises(ValueError, match="^class: 'deadlock' is not the class of kind "
+                                             "'torn_read', which is 'torn_read'$"):
+            Violation.from_doc(doc)
+
+    def test_a_violation_is_an_object(self):
+        with pytest.raises(ValueError, match="^violation: expected an object, got \\[\\]$"):
+            Violation.from_doc([])
 
     def test_report_doc_shape(self):
         doc = explore(catalog.get("status-channel-exact")).to_doc()

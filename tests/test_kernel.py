@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog, cli, kernel, machines
-from lockstep.explorer import (_Checks, _interchangeable, explore, replay, replay_with_checks,
+from lockstep.explorer import (_Checks, _interchangeable, explore, replay_with_checks,
                                terminal_mechanism_states)
 from lockstep.monitors import compile_monitors
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
@@ -615,32 +615,28 @@ class TestCaches:
 
 class TestReplay:
     def test_empty_schedule_is_the_initial_state(self, status_sys):
-        assert replay(status_sys, ()) == status_sys.view(status_sys.initial_state())
+        assert replay_with_checks(status_sys, ())[0] == \
+            status_sys.view(status_sys.initial_state())
 
     def test_replay_reaches_the_folded_state(self, status_sys):
         events = [(0, ("write", (1,)), "ch"), (1, ("read",), "ch")]
-        assert replay(status_sys, events) == status_sys.view(fold(status_sys, events))
+        assert replay_with_checks(status_sys, events)[0] == \
+            status_sys.view(fold(status_sys, events))
 
     def test_stale_step_reports_index_and_alternatives(self, status_sys):
         with pytest.raises(NotEnabledAtStep) as ei:
-            replay(status_sys, [(1, ("read",), "ch")])
+            replay_with_checks(status_sys, [(1, ("read",), "ch")])
         assert ei.value.index == 0
         assert ei.value.enabled == ((0, ("write", (1,)), "ch"),)
 
-    def test_on_step_sees_every_transition(self, status_sys):
-        seen = []
-        replay(status_sys, [(0, ("write", (1,)), "ch")],
-               on_step=lambda k, ev, st: seen.append((k, ev)))
-        assert seen == [(0, (0, ("write", (1,)), "ch"))]
-
-    def test_module_level_wrapper(self):
-        final = replay(catalog.get("status-channel-exact"),
-                       [(0, ("write", (1,)), "ch")])
+    def test_a_scenario_is_accepted_in_place_of_a_system(self):
+        final = replay_with_checks(catalog.get("status-channel-exact"),
+                                   [(0, ("write", (1,)), "ch")])[0]
         assert final.mechs[0].content == (1,)
 
     def test_trace_accepted_in_place_of_events(self, status_sys):
         t = Trace(((0, ("write", (1,)), "ch"),))
-        assert replay(status_sys, t) == replay(status_sys, t.events)
+        assert replay_with_checks(status_sys, t) == replay_with_checks(status_sys, t.events)
 
 
 def random_schedule(sys, seed):
@@ -668,15 +664,8 @@ class TestViews:
         report = explore(sc)
         assert report.terminal_states
         assert all(type(st_) is GlobalState for st_ in report.terminal_states)
-        trace = report.violations[0].trace
-        seen = []
-        final, _ = replay_with_checks(sc, trace, on_step=lambda k, ev, st_: seen.append(st_))
-        assert type(final) is GlobalState and final == seen[-1]
-        assert all(type(st_) is GlobalState for st_ in seen)
-        assert replay(sc, trace) == final
-        shown = []
-        replay(sc, trace, on_step=lambda k, ev, st_: shown.append(st_))
-        assert shown == seen
+        final, _ = replay_with_checks(sc, report.violations[0].trace)
+        assert type(final) is GlobalState
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
     def test_two_systems_agree_on_views_and_hashes(self, scenario):

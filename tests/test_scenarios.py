@@ -346,6 +346,9 @@ class TestMonitorValidation:
 class TestBoundsValidation:
     def test_unknown_bounds_key(self):
         assert "bounds" in errors_of(doc_with(bounds={"max_width": 2}))
+        assert errors_of(doc_with(bounds={"max_dept": 3})) == "bounds: unknown field 'max_dept'"
+        assert errors_of(doc_with(bounds=[3])) == \
+            "bounds: must be an object with only max_depth / max_states"
 
     def test_negative_bound(self):
         assert "bounds.max_depth: must be a non-negative integer" in \

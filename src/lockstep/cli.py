@@ -93,16 +93,11 @@ def _load_system(args):
 
 
 def _bounds(args):
-    """The bounds the command line gives, by name; a strategy takes each other
-    bound from the scenario, then from the default."""
-    given = {}
-    for flag, key in (("--max-depth", "max_depth"), ("--max-states", "max_states")):
-        value = getattr(args, key)
-        if value is not None:
-            if value < 0:
-                raise ValueError(f"{flag}: expected a non-negative bound, got {value}")
-            given[key] = value
-    return given
+    """The bounds the command line gives, by name; a strategy checks them like
+    any override and takes each other bound from the scenario, then from the
+    default."""
+    return {key: getattr(args, key) for key in ("max_depth", "max_states")
+            if getattr(args, key) is not None}
 
 
 def _load_schedule(path):

@@ -87,8 +87,8 @@ class MutualExclusion(Monitor):
         inside = []
         for (pid, name), ps in zip(self.markers, procs):
             v = store_get(ps.store, name, None)
-            if isinstance(v, tuple) and v and v[0] == 1:
-                inside.append(pid)
+            if isinstance(v, tuple) and v and v[0] == 1 and pid not in inside:
+                inside.append(pid)  # a process marked twice is inside once
         if len(inside) >= 2:
             who = ", ".join(f"p{q}" for q in inside)
             return (("monitor_assert", "mutual_exclusion", f"{who} inside together"),)

@@ -59,6 +59,25 @@ class ProgramError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def literal_problem(doc, width):
+    """Why ``doc`` is no value literal of ``width`` words, or None."""
+    if not isinstance(doc, list) or len(doc) != width or not all(map(is_word, doc)):
+        return f"must be a list of {width} words in 0..{WORD_DOMAIN - 1}"
+    return None
+
+
+def expected_problem(doc, width):
+    """Why ``doc`` is not what a check may expect (null, a word, a status
+    token, or a value literal of ``width`` words), or None."""
+    if isinstance(doc, list):
+        return literal_problem(doc, width)
+    if isinstance(doc, str):
+        return None if doc in STATUS_TOKENS else f"status token must be one of {STATUS_TOKENS}"
+    if doc is not None and not is_word(doc):
+        return "must be null, a word, a status token, or a value"
+    return None
+
+
 def _check_keys(doc, keys, path):
     """Raise a ProgramError naming the first key of ``doc`` not in ``keys``."""
     if not keys.issuperset(doc):
@@ -156,10 +175,7 @@ class _Emitter:
         return name
 
     def _bound_var(self, step, path, bound):
-        name = step.get("var")
-        if not isinstance(name, str) or name not in bound:
-            raise ProgramError(path, f"assert_local reads variable '{name}', which may be unbound here")
-        return name
+        return self._use(step.get("var"), path, bound)
 
     def _use(self, name, path, bound):
         """A variable an expression reads: it must be bound on every path here."""
@@ -192,12 +208,8 @@ class _Emitter:
                 raise ProgramError(path, "null value is not allowed here")
             return ("lit", None)
         if isinstance(doc, list):
-            if len(doc) != self.ctx.word_width:
-                raise ProgramError(
-                    path, f"value literal has {len(doc)} words, scenario word width is {self.ctx.word_width}")
-            for w in doc:
-                if not is_word(w):
-                    raise ProgramError(path, f"value words must be integers in 0..{WORD_DOMAIN - 1}")
+            if problem := literal_problem(doc, self.ctx.word_width):
+                raise ProgramError(path, problem)
             return ("lit", tuple(doc))
         if isinstance(doc, dict) and set(doc) == {"var"}:
             return ("var", self._use(doc["var"], path, bound))
@@ -231,23 +243,10 @@ class _Emitter:
         raise ProgramError(path, f"unknown update function: {name!r}")
 
     def _expected(self, step, path, bound):
-        doc, path = step.get("expected"), f"{path}.expected"
-        if doc is None:
-            return None
-        if isinstance(doc, bool):
-            raise ProgramError(path, "expected must be null, a word, a status token, or a value")
-        if isinstance(doc, int):
-            if not 0 <= doc < WORD_DOMAIN:
-                raise ProgramError(path, f"expected word must be in 0..{WORD_DOMAIN - 1}")
-            return doc
-        if isinstance(doc, str):
-            if doc not in STATUS_TOKENS:
-                raise ProgramError(path, f"expected status token must be one of {STATUS_TOKENS}")
-            return doc
-        if isinstance(doc, list):
-            kind, v = self._value_expr(doc, path, frozenset(), allow_none=False)
-            return v
-        raise ProgramError(path, "expected must be null, a word, a status token, or a value")
+        doc = step.get("expected")
+        if problem := expected_problem(doc, self.ctx.word_width):
+            raise ProgramError(f"{path}.expected", problem)
+        return tuple(doc) if isinstance(doc, list) else doc
 
     # OPS operand -> (the Instr field it fills, the check that reads it, the step
     # keys that check reads)

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 
 from . import machines, monitors
-from .machines import WORD_DOMAIN, is_word
-from .programs import (STATUS_TOKENS, CompileContext, ProgramError, compile_program)
+from .programs import (CompileContext, ProgramError, compile_program, expected_problem,
+                       literal_problem)
 
 
 class ParseError(ValueError):
@@ -170,11 +170,6 @@ def validate(scenario: Scenario) -> None:
     if sorted(pids) != list(range(len(scenario.processes))):
         errors.append("processes: ids must be exactly 0..N-1, each once")
 
-    for mid, (a, b) in duplex_sides.items():
-        for side, v in (("side_a", a), ("side_b", b)):
-            if type(v) is int and v not in checks.pids:  # a JSON boolean is no pid
-                errors.append(f"duplex channel '{mid}'.{side}: process {v} is not declared")
-
     if errors:
         raise ValidationError(errors)
 
@@ -231,8 +226,12 @@ class _FieldChecks:
         self.programs = {}    # pid -> Program, for each process that compiled
 
     def _literal(self, doc, path):
-        if not isinstance(doc, list) or len(doc) != self.width or not all(map(is_word, doc)):
-            yield f"{path}: must be a list of {self.width} words in 0..{WORD_DOMAIN - 1}"
+        if problem := literal_problem(doc, self.width):
+            yield f"{path}: {problem}"
+
+    def _pid(self, pid, path):
+        if type(pid) is not int or pid not in self.pids:  # a JSON boolean is no pid
+            yield f"{path}: process {pid!r} is not declared"
 
     def _binds(self, pid, name, where):
         prog = self.programs.get(pid) if type(pid) is int else None  # true equals 1 but is no pid
@@ -247,14 +246,12 @@ class _FieldChecks:
             yield f"{path}.mode: must be 'encapsulated' or 'undisciplined'"
 
     def side_a(self, m, path):
-        if type(m.get("side_a")) is not int:
-            yield f"{path}.side_a: must be a process id"
+        return self._pid(m.get("side_a"), f"{path}.side_a")
 
     def side_b(self, m, path):
         a, b = m.get("side_a"), m.get("side_b")
-        if type(b) is not int:
-            yield f"{path}.side_b: must be a process id"
-        elif type(a) is int and a == b:  # true equals 1 but is no pid
+        yield from self._pid(b, f"{path}.side_b")
+        if type(a) is type(b) is int and a == b:  # true equals 1 but is no pid
             yield f"{path}: side_a and side_b must be distinct processes"
 
     def last_message(self, m, path):
@@ -278,13 +275,12 @@ class _FieldChecks:
             yield f"{path}.markers: needs at least two [process, var] pairs"
             return
         for k, mk in enumerate(markers):
-            if (not isinstance(mk, list) or len(mk) != 2
-                    or type(mk[0]) is not int or not isinstance(mk[1], str)):
-                yield f"{path}.markers[{k}]: must be a [process, var] pair"
-            elif mk[0] not in self.pids:
-                yield f"{path}.markers[{k}]: process {mk[0]} is not declared"
+            where = f"{path}.markers[{k}]"
+            if not isinstance(mk, list) or len(mk) != 2 or not isinstance(mk[1], str):
+                yield f"{where}: must be a [process, var] pair"
             else:
-                yield from self._binds(mk[0], mk[1], f"{path}.markers[{k}]")
+                yield from self._pid(mk[0], where)
+                yield from self._binds(mk[0], mk[1], where)
 
     def allowed(self, mon, path):
         allowed = mon.get("allowed")
@@ -295,9 +291,7 @@ class _FieldChecks:
             yield from self._literal(v, f"{path}.allowed[{k}]")
 
     def process(self, mon, path):
-        pid = mon.get("process")
-        if type(pid) is not int or pid not in self.pids:
-            yield f"{path}.process: process {pid!r} is not declared"
+        return self._pid(mon.get("process"), f"{path}.process")
 
     def vars(self, mon, path):
         names = mon.get("vars")
@@ -314,14 +308,8 @@ class _FieldChecks:
             yield from self._binds(mon.get("process"), mon["var"], f"{path}.var")
 
     def expected(self, mon, path):
-        exp = mon.get("expected")
-        if isinstance(exp, list):
-            yield from self._literal(exp, f"{path}.expected")
-        elif isinstance(exp, str):
-            if exp not in STATUS_TOKENS:
-                yield f"{path}.expected: status token must be one of {STATUS_TOKENS}"
-        elif exp is not None and not is_word(exp):
-            yield f"{path}.expected: must be null, a word, a status token, or a value"
+        if problem := expected_problem(mon.get("expected"), self.width):
+            yield f"{path}.expected: {problem}"
 
 
 def _validate_monitor(mon, path, checks):

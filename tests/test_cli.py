@@ -61,9 +61,11 @@ class TestExplore:
 
     @pytest.mark.parametrize("flag", ["--max-depth", "--max-states"])
     def test_a_negative_bound_exits_three(self, capsys, flag):
+        """A flag is held to the rule a document's bounds are, with its message."""
         code, out, err = run(capsys, "explore", "--catalog", "torn-read-raw", flag, "-1")
         assert code == ERROR and out == ""
-        assert err.startswith(f"error: {flag}: ")
+        key = flag[2:].replace("-", "_")
+        assert err == f"error: bounds.{key}: must be a non-negative integer\n"
 
     def test_unknown_catalog_name_exits_three(self, capsys):
         code, _, err = run(capsys, "explore", "--catalog", "nope")
@@ -424,7 +426,8 @@ class TestCatalogCheck:
     def test_a_negative_bound_exits_three(self, capsys, flag):
         code, out, err = run(capsys, "catalog-check", flag, "-1", "--only", "duplex-strict")
         assert code == ERROR and out == ""
-        assert err.startswith(f"error: {flag}: ")
+        key = flag[2:].replace("-", "_")
+        assert err == f"error: bounds.{key}: must be a non-negative integer\n"
 
     def test_structured(self, capsys):
         code, out, _ = run(capsys, "catalog-check", "--format", "structured",

@@ -40,6 +40,17 @@ class TestMutualExclusion:
         st = state(stores=((), (("cs", (1,)),)))
         assert self.mon.on_state(None, st) == ()
 
+    def test_a_process_marked_twice_is_inside_once(self):
+        """A process cannot exclude itself: it is one process inside, however
+        many of the markers name it."""
+        st = state(stores=((("cs", (1,)),), (("cs", (1,)),)))
+        assert MutualExclusion({"markers": [[0, "cs"], [0, "cs"]]}).on_state(None, st) == ()
+        twice = MutualExclusion({"markers": [[0, "cs"], [1, "cs"], [0, "cs"]]})
+        assert twice.on_state(None, st)[0][2] == "p0, p1 inside together"
+        sc = s.Scenario.from_parts("marked-twice", 1, [], [s.process(0, s.local("cs", [1]))],
+                                   [s.mutual_exclusion([[0, "cs"], [0, "cs"]])])
+        assert explore(System(sc)).violations == ()
+
 
 class TestSentReceivedOrder:
     mon = SentReceivedOrder({"mechanism": "ch"}, index=0)

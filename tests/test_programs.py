@@ -141,7 +141,7 @@ class TestBinding:
 
     def test_assert_local_needs_binding(self):
         e = compile_err(s.assert_local("x", 1))
-        assert "unbound" in e.message
+        assert (e.path, e.message) == ("steps[0]", "variable 'x' may be unbound here")
 
     def test_word_expr_var(self):
         compile_ok(s.read_word("cell", 0, "w"), s.write_word("cell", 1, s.var("w")))
@@ -195,10 +195,11 @@ class TestLiterals:
 
     def test_value_wrong_width(self):
         e = compile_err(s.write("mc", [1]))
-        assert "word width is 2" in e.message
+        assert (e.path, e.message) == ("steps[0].value", "must be a list of 2 words in 0..7")
 
     def test_value_word_out_of_domain(self):
-        assert "0..7" in compile_err(s.write("mc", [1, 9])).message
+        e = compile_err(s.write("mc", [1, 9]))
+        assert (e.path, e.message) == ("steps[0].value", "must be a list of 2 words in 0..7")
 
     def test_null_write_rejected(self):
         e = compile_err(s.write("mc", None))
@@ -225,17 +226,17 @@ class TestLiterals:
 
     def test_assert_literal_rejects_bad_token(self):
         e = compile_err(s.check("sc", "t"), s.assert_local("t", "busy"))
-        assert "status token" in e.message
+        assert e.message == "status token must be one of ('empty', 'full', 'full-other')"
 
     def test_assert_literal_rejects_bool(self):
-        assert "expected must be" in compile_err(
-            s.local("t", [1, 1]), s.assert_local("t", True)).message
+        assert compile_err(s.local("t", [1, 1]), s.assert_local("t", True)).message == \
+            "must be null, a word, a status token, or a value"
 
     @pytest.mark.parametrize("expected, message", [
-        ({"word": 1}, "expected must be null, a word, a status token, or a value"),
-        (1.5, "expected must be null, a word, a status token, or a value"),
-        (8, "expected word must be in 0..7"),
-        ([1], "value literal has 1 words, scenario word width is 2")])
+        ({"word": 1}, "must be null, a word, a status token, or a value"),
+        (1.5, "must be null, a word, a status token, or a value"),
+        (8, "must be null, a word, a status token, or a value"),
+        ([1], "must be a list of 2 words in 0..7")], ids=["object", "float", "word", "width"])
     def test_assert_literal_rejects_other_forms(self, expected, message):
         e = compile_err(s.local("t", [1, 1]), s.assert_local("t", expected))
         assert (e.path, e.message) == ("steps[1].expected", message)

@@ -122,15 +122,14 @@ class TestStructureValidation:
         doc = doc_with(processes=[{"id": 0, "steps": []}],
                        mechanisms=[{"id": "d", "kind": "duplex_channel",
                                     "side_a": sides[0], "side_b": sides[1]}])
-        other = "side_b" if bad == "side_a" else "side_a"
         assert errors_of(doc).splitlines() == [
-            f"mechanisms[0].{bad}: must be a process id",
-            f"duplex channel 'd'.{other}: process 1 is not declared"]
+            f"mechanisms[0].{side}: process {'True' if side == bad else 1} is not declared"
+            for side in ("side_a", "side_b")]
 
     def test_duplex_side_must_be_declared(self):
         doc = doc_with(mechanisms=[{"id": "d", "kind": "duplex_channel",
                                     "side_a": 0, "side_b": 9}])
-        assert "duplex channel 'd'.side_b: process 9 is not declared" in errors_of(doc)
+        assert "mechanisms[0].side_b: process 9 is not declared" in errors_of(doc)
 
     def test_process_ids_must_be_dense(self):
         doc = json.loads(MINIMAL)
@@ -341,6 +340,52 @@ class TestMonitorValidation:
                         {"kind": "terminal_assert", "process": 1, "var": "v",
                          "expected": [1]})
         validate(Scenario.from_doc(doc))
+
+
+def _problems(doc):
+    """The (path, message) of each problem with ``doc``, in order."""
+    return [tuple(line.split(": ", 1)) for line in errors_of(doc).splitlines()]
+
+
+class TestOneRuleOneMessage:
+    """A rule on a document value is one check, so the compiler and the
+    validator, and each field the rule covers, refuse a value in one message."""
+
+    @pytest.mark.parametrize("expected", [8, True, 1.5, "busy", [1], [1, 8], {"word": 1}])
+    def test_an_expected_value(self, expected):
+        doc = doc_with(word_width=2, mechanisms=[], processes=[
+            s.process(0, s.local("x", [1, 1]), s.assert_local("x", expected)),
+            s.process(1, s.local("x", [1, 1]))],
+            monitors=[s.terminal_assert(1, "x", expected)])
+        (step, message), (monitor, other) = _problems(doc)
+        assert (step, monitor) == ("processes[0].steps[1].expected", "monitors[0].expected")
+        assert message == other
+
+    @pytest.mark.parametrize("literal", [[1], [1, 8], [1, -1], [1, True], [1, "2"], []])
+    def test_a_value_literal(self, literal):
+        initial = _problems(doc_with(word_width=2, mechanisms=[s.raw_cell("c", literal)],
+                                     processes=[s.process(0)]))
+        value_and_allowed = _problems(doc_with(
+            word_width=2, mechanisms=[s.raw_cell("c", [0, 0]), s.message_cell("m")],
+            processes=[s.process(0, s.write("m", literal)),
+                       s.process(1, s.read("m", "v"), s.read_word("c", 0, "w"))],
+            monitors=[s.torn_value("c", [literal], 1, ["w"])]))
+        message = "must be a list of 2 words in 0..7"
+        assert initial + value_and_allowed == [
+            ("mechanisms[0].initial", message), ("processes[0].steps[0].value", message),
+            ("monitors[0].allowed[0]", message)]
+
+    @pytest.mark.parametrize("pid", [True, 5, "0", None])
+    def test_a_process_id(self, pid):
+        problems = [_problems(doc_with(**fields)) for fields in (
+            {"mechanisms": [s.duplex_channel("d", pid, 1)]},
+            {"mechanisms": [s.duplex_channel("d", 0, pid)]},
+            {"monitors": [s.terminal_assert(pid, "v", None)]},
+            {"monitors": [s.mutual_exclusion([[1, "v"], [pid, "v"]])]})]
+        message = f"process {pid!r} is not declared"
+        assert problems == [[(path, message)] for path in (
+            "mechanisms[0].side_a", "mechanisms[0].side_b", "monitors[0].process",
+            "monitors[0].markers[1]")]
 
 
 class TestBoundsValidation:

@@ -10,14 +10,15 @@ every hit at one depth before any at the next, and therefore returns a
 minimal counterexample. random_walks() is the
 cheap cross-check: it must never find a class the exhaustive pass missed.
 The walks of one call share a lazily built graph of the states they stood
-on, so a revisited edge is neither taken nor checked again, and once every
-edge of every stored state is taken to a stored state the walks stop: no
-later walk could find a class. That is
+on, so a revisited edge is neither taken nor checked again. They stop
+once every edge of every stored state is taken to a stored state, or once
+they hold every class a breadth-first pass before them found within the
+depth bound (``_walk_classes``): no later walk could find a class. That is
 sound because stepping and the monitors are pure functions of the states
-they are shown; the graph is never shared with explore(), so a fault in
-its memo cannot hide from the walks. Every strategy and the replay step
-only through ``_Checks``, the one transition layer: no other code asks the
-kernel for a state's edges, takes one or runs a monitor. (When no monitor
+they are shown; neither the graph nor the pass is shared with explore(),
+so a fault in its memo cannot hide from the walks. Every strategy and the
+replay step only through ``_Checks``, the one transition layer: no other
+code asks the kernel for a state's edges, takes one or runs a monitor. (When no monitor
 has an event hook, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
 their memos on packed states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
@@ -578,6 +579,34 @@ class _WalkNode:
         self.children = [None] * self.n     # edge index -> child node
 
 
+def _walk_classes(checks, init, max_depth, budget):
+    """Every class a walk from ``init`` could collect, or None once more than
+    ``budget`` states would be held: the state and sink classes of each state
+    within ``max_depth`` steps, and the event classes of each edge leaving a
+    state nearer than that. Breadth-first, with its own ``seen`` set."""
+    step, hits = checks.step, checks.hits
+    if budget < 1:
+        return None
+    classes, seen, level, depth = set(), {init}, [init], 0
+    while level:   # a level at the depth bound takes no edge, so the one below is empty
+        below = []
+        for state in level:
+            classes.update(_classes(checks.state(state)))
+            edges, sink = checks.edges(state)
+            classes.update(_classes(sink))
+            for edge in edges if depth < max_depth else ():
+                post = step(state, edge)
+                if hits:
+                    classes.update(_classes(hits))
+                if post not in seen:
+                    if len(seen) == budget:
+                        return None
+                    seen.add(post)
+                    below.append(post)
+        level, depth = below, depth + 1
+    return classes
+
+
 def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     """Sample maximal schedules uniformly step-wise; collect violation classes.
 
@@ -600,7 +629,21 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     stored nodes with no stored child, is 0 before a walk: each later walk
     would only redraw stored edges, so the summary is the same. A graph
     full before it holds every reachable state, or a node reached only at
-    the depth bound, keeps untaken edges, so such a call walks to the end.
+    the depth bound, keeps untaken edges, and is never closed.
+
+    They also stop before a walk when the classes they hold are every
+    class a walk could collect. Before the first walk, ``_walk_classes``
+    finds these breadth-first: the state and sink classes of each state
+    within ``max_depth`` steps, and the event classes of each edge leaving a
+    state nearer than that. The rule is exact: a walk stands on a state no
+    nearer than its distance and takes an edge only before the depth bound,
+    so what it collects is in that set, and once the walks hold the set no
+    later walk can add a class. The pass holds at most ``min(walks,
+    max_states)`` states and gives up, returning None, when more lie within
+    the depth bound; the walks then run to the end or until the graph
+    closes. A pass that gives up has stepped through that many states for
+    nothing: 3-7% of the time of 1000 walks on lost-update 3/3/2,
+    relay-chain 5x3 and torn-read 3x2x2.
     """
     if type(walks) is not int or walks < 0:
         raise ValueError(f"walks: must be a non-negative integer, got {walks!r}")
@@ -644,9 +687,10 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     root = node_for(init)
     if init not in nodes:  # the initial state is stored even in a full graph
         store(root)
+    everything = _walk_classes(checks, init, b.max_depth, min(walks, b.max_states))
     depth = range(b.max_depth)
     for _ in range(walks):
-        if not untaken:  # the graph is closed: no later walk can take a new edge
+        if not untaken or classes == everything:  # no later walk can add a class
             break
         node = root
         for _ in depth:

@@ -19,7 +19,6 @@ direct channel appears as a single action carrying both parties: the label
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -299,6 +298,7 @@ class System:
 
     def state_hash(self, state) -> str:
         """Of a packed state of this System, or of a view: from the view's repr."""
+        import hashlib  # loaded on first use: a run that records no violation never hashes
         view = state if isinstance(state, GlobalState) else self.view(state)
         return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
 

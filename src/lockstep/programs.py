@@ -66,6 +66,13 @@ def literal_problem(doc, width):
     return None
 
 
+def _checked_word(doc, path):
+    """``doc`` if it is a word, else a ProgramError at ``path``: the one word rule."""
+    if not is_word(doc):
+        raise ProgramError(path, f"must be a word in 0..{WORD_DOMAIN - 1}")
+    return doc
+
+
 def expected_problem(doc, width):
     """Why ``doc`` is not what a check may expect (null, a word, a status
     token, or a value literal of ``width`` words), or None."""
@@ -187,14 +194,11 @@ class _Emitter:
     def _index(self, step, path, bound):
         i = step.get("index")
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.ctx.word_width:
-            raise ProgramError(path, f"'index' must be an integer in 0..{self.ctx.word_width - 1}")
+            raise ProgramError(f"{path}.index", f"must be an integer in 0..{self.ctx.word_width - 1}")
         return i
 
     def _word(self, step, path, bound):
-        w = step.get("word")
-        if not is_word(w):
-            raise ProgramError(path, f"'word' must be an integer in 0..{WORD_DOMAIN - 1}")
-        return w
+        return _checked_word(step.get("word"), f"{path}.word")
 
     def _value(self, step, path, bound):
         return self._value_expr(step.get("value"), f"{path}.value", bound, allow_none=False)
@@ -222,9 +226,7 @@ class _Emitter:
     def _word_expr(self, step, path, bound):
         doc, path = step.get("word"), f"{path}.word"
         if isinstance(doc, int) and not isinstance(doc, bool):
-            if not 0 <= doc < WORD_DOMAIN:
-                raise ProgramError(path, f"word literal must be in 0..{WORD_DOMAIN - 1}")
-            return ("lit", doc)
+            return ("lit", _checked_word(doc, path))
         if isinstance(doc, dict) and set(doc) == {"var"}:
             return ("var", self._use(doc["var"], path, bound))
         raise ProgramError(path, f"unrecognized word expression: {doc!r}")
@@ -236,10 +238,7 @@ class _Emitter:
                 raise ProgramError(path, "unknown field 'k'")
             return (name,)
         if name == "add":
-            k = doc.get("k")
-            if not is_word(k):
-                raise ProgramError(path, f"'add' needs 'k' in 0..{WORD_DOMAIN - 1}")
-            return ("add", k)
+            return ("add", _checked_word(doc.get("k"), f"{path}.k"))
         raise ProgramError(path, f"unknown update function: {name!r}")
 
     def _expected(self, step, path, bound):

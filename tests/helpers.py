@@ -239,6 +239,38 @@ def reachable_edges(sys):
     return edges
 
 
+def walkable_classes(sys, max_depth):
+    """(every class a walk of at most ``max_depth`` steps could collect, how
+    many states lie within ``max_depth`` steps).
+
+    Each reachable state's distance from the initial one is found by
+    relaxing every edge until no distance shrinks, not breadth-first. A walk
+    stands on the states within ``max_depth`` steps, where it collects state
+    and sink classes, and takes the edges of those nearer than that."""
+    checks = _Checks(sys)
+    init, states = sys.initial_state(), reachable(sys)
+    succ = {s: [(a, sys.apply(s, a)) for a in sys.enabled_actions(s)] for s in states}
+    dist = dict.fromkeys(states, len(states))
+    dist[init] = 0
+    changed = True
+    while changed:
+        changed = False
+        for s, out in succ.items():
+            for _, t in out:
+                if dist[s] + 1 < dist[t]:
+                    dist[t], changed = dist[s] + 1, True
+    near = [s for s in states if dist[s] <= max_depth]
+    classes = set()
+    for s in near:
+        classes |= _classes(checks.state(s))
+        if not succ[s]:
+            classes |= _classes(checks.sink(s))
+        if dist[s] < max_depth:
+            for a, t in succ[s]:
+                classes |= _classes(checks.event(s, a, t))
+    return classes, len(near)
+
+
 def maximal_schedule_count(sys):
     """Count schedules ending in a state with no enabled action.
 

@@ -7,6 +7,7 @@ import pathlib
 import random
 import sys as _sys
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
 from helpers import (CountingSystem, bench_families, first_witnesses, maximal_schedule_count,
-                     reachable, reference_replay_with_checks, shortest_lengths)
+                     reachable, reference_replay_with_checks, shortest_lengths,
+                     walkable_classes)
 from test_golden import FIXTURE, _cases, _op_scenarios
 from test_kernel import SCENARIOS
 from test_monitors import unguarded_sections
@@ -276,19 +278,49 @@ WALK_CASES = [(seed, bounds, (1, 2, 1000)) for seed in (5, 2026)
 WALK_CASES += [(5, Bounds(max_states=max_states), (1, 2, 200)) for max_states in range(4)]
 
 
+def viewed_counts(sys):
+    """A ``CountingSystem``'s counts keyed by views, which two Systems that
+    interned their parts in different orders share: (applied by (view,
+    action), offered by view)."""
+    applied, offered = Counter(), Counter()
+    for (state, action), n in sys.applied.items():
+        applied[sys.view(state), action] += n
+    for state, n in sys.offered.items():
+        offered[sys.view(state)] += n
+    return applied, offered
+
+
+def pass_before_the_walks(sys, walks, bounds=None):
+    """What ``random_walks(sys, walks, bounds=bounds)``'s pass before its
+    first walk returns: the classes every walk could collect, or None."""
+    b = resolve_bounds(sys, bounds)
+    return explorer._walk_classes(_Checks(sys), sys.initial_state(), b.max_depth,
+                                  min(walks, b.max_states))
+
+
 def assert_walks_match_the_uncached_reference(sc):
     for seed, bounds, walk_counts in WALK_CASES:
         for walks in walk_counts:
-            cached, reference = CountingSystem(sc), CountingSystem(sc)
+            cached, reference, alone = CountingSystem(sc), CountingSystem(sc), CountingSystem(sc)
             got = random_walks(cached, walks=walks, seed=seed, bounds=bounds)
             assert got == reference_walks(reference, walks, seed, bounds), (seed, bounds, walks)
-            # No edge is applied that no walk took.
-            assert cached.applied.keys() == reference.applied.keys()
+            # Take away what the pass before the walks applied and offered,
+            # as a call of the pass alone shows it; the rest is the walks'.
+            everything = pass_before_the_walks(alone, walks, bounds)
+            applied, offered = viewed_counts(cached)
+            applied_by_pass, offered_by_pass = viewed_counts(alone)
+            applied, offered = applied - applied_by_pass, offered - offered_by_pass
+            # No edge is applied that no walk took, and when the pass gave up,
+            # so that only a closed graph stops the walks, every such edge is.
+            taken = viewed_counts(reference)[0].keys()
+            assert applied.keys() <= taken
+            if everything is None:
+                assert applied.keys() == taken
             if bounds is None or bounds.max_states > 3:
                 # Each edge taken is applied, and each state reached offered
                 # its actions, once per call.
-                assert max(cached.applied.values(), default=1) == 1
-                assert max(cached.offered.values()) == 1
+                assert max(applied.values(), default=1) == 1
+                assert max(offered.values()) == 1
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -327,25 +359,68 @@ def draws_per_call(monkeypatch, sc, walk_counts, seed, bounds=None):
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2026])
 def test_walks_stop_once_the_walk_graph_is_closed(monkeypatch, seed):
-    """status-channel-exact's graph is closed after its first walk, so a
-    thousand walks draw no more than the first few do, and find the same."""
+    """status-channel-exact's graph is closed after its first walk. It has 7
+    reachable states, so with fewer walks the pass before them gives up and
+    only the closed graph stops them: six walks draw no more than three do,
+    and find the same."""
     sc = catalog.get("status-channel-exact")
-    few, many = draws_per_call(monkeypatch, sc, (3, 1000), seed)
+    assert len(reachable(System(sc))) == 7
+    assert pass_before_the_walks(System(sc), 6) is None
+    few, many = draws_per_call(monkeypatch, sc, (3, 6), seed)
     assert 0 < many == few
-    assert random_walks(sc, walks=1000, seed=seed) == \
-        reference_walks(System(sc), 1000, seed)
+    assert random_walks(sc, walks=6, seed=seed) == reference_walks(System(sc), 6, seed)
 
 
 @pytest.mark.parametrize("max_states", [16, 17])
 def test_a_full_walk_graph_that_holds_every_state_closes(monkeypatch, max_states):
     """register-atomic-update has 16 reachable states. A graph with room for
     16 holds them all, so it links each edge between them when first taken
-    and closes as one with room for 17 does: a thousand walks draw no more
-    than a hundred do."""
+    and closes as one with room for 17 does: at seed 1 after the fourteenth
+    walk, so a fifteenth draws nothing. With fewer walks than states, the
+    pass before them gives up."""
     sc = catalog.get("register-atomic-update")
     assert len(reachable(System(sc))) == 16
-    few, many = draws_per_call(monkeypatch, sc, (100, 1000), 1, Bounds(max_states=max_states))
-    assert 0 < many == few
+    b = Bounds(max_states=max_states)
+    assert pass_before_the_walks(System(sc), 15, b) is None
+    thirteen, fourteen, fifteen = draws_per_call(monkeypatch, sc, (13, 14, 15), 1, b)
+    assert thirteen < fourteen == fifteen
+
+
+def walks_to_find(sys, seed, classes):
+    """How many of ``reference_walks``' walks it takes to find ``classes``."""
+    walks = 0
+    while not reference_walks(sys, walks, seed).classes >= classes:
+        walks += 1
+    return walks
+
+
+@pytest.mark.parametrize("seed", [1, 9901])
+@pytest.mark.parametrize("name", catalog.names())
+def test_walks_stop_once_they_hold_every_class_a_walk_can_find(monkeypatch, name, seed):
+    """Every catalog entry has at most 677 states, so before a thousand walks
+    the pass finishes and the walks stop at the first walk after which they
+    hold every class explore finds: the kth walk draws, and a thousand walks
+    draw what k do. An entry with no class draws nothing."""
+    sc = catalog.get(name)
+    report = explore(sc)
+    assert not report.bounds_hit
+    k = walks_to_find(System(sc), seed, report.violation_classes)
+    assert (k == 0) == (not report.violation_classes)
+    draws = draws_per_call(monkeypatch, sc, (max(k - 1, 0), k, 1000), seed)
+    assert draws[2] == draws[1] and (k == 0 or draws[0] < draws[1])
+    assert random_walks(sc, walks=1000, seed=seed) == \
+        WalkSummary(1000, report.violation_classes)
+
+
+def test_walks_that_are_fewer_than_the_states_never_stop_for_their_classes(monkeypatch):
+    """register-lost-update has 677 states and never closes its graph, so
+    with fewer walks than that the pass gives up and each added walk draws."""
+    sc = catalog.get("register-lost-update")
+    draws = draws_per_call(monkeypatch, sc, range(13), 1)
+    assert all(a < b for a, b in zip(draws, draws[1:]))
+    assert random_walks(sc, walks=12, seed=1) == reference_walks(System(sc), 12, 1)
+
+
 
 
 @pytest.mark.parametrize("max_states", [1, 2, 3])
@@ -369,6 +444,23 @@ def _walk_differential_scenarios():
 @pytest.mark.parametrize("sc", _walk_differential_scenarios(), ids=lambda sc: sc.name)
 def test_walks_match_the_uncached_reference_beyond_the_catalog(sc):
     assert_walks_match_the_uncached_reference(sc)
+
+
+@pytest.mark.parametrize("sc", [catalog.get(n) for n in catalog.names()]
+                         + _walk_differential_scenarios(), ids=lambda sc: sc.name)
+def test_the_pass_before_the_walks_finds_what_brute_force_does(sc):
+    """The pass returns every class a walk within the depth bound could
+    collect, as ``walkable_classes`` finds them from every reachable state's
+    distance, and gives up exactly when the states within that depth
+    outnumber its budget."""
+    sys = System(sc)
+    checks = _Checks(sys)
+    for depth in (None, 0, 1, 2, 3):
+        max_depth = resolve_bounds(sys, None if depth is None else {"max_depth": depth}).max_depth
+        want, held = walkable_classes(sys, max_depth)
+        for budget, got in ((held - 1, None), (held, want), (held + 1, want)):
+            assert explorer._walk_classes(checks, sys.initial_state(), max_depth,
+                                          budget) == got, (depth, budget)
 
 
 def test_an_edge_index_is_drawn_as_randrange_draws_it():

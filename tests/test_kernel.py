@@ -1,6 +1,11 @@
 """Stepping-engine tests: enabledness, application, replay, serialization."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys as _sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -539,6 +544,27 @@ class TestHashing:
             states = reachable(sys)
             hashes = {sys.state_hash(st) for st in states}
             assert len(hashes) == len(states)
+
+    def test_hashlib_is_loaded_only_when_a_state_is_hashed(self):
+        """A run that records no violation hashes no state, so it does not
+        load ``hashlib`` and OpenSSL with it. Checked in a fresh interpreter,
+        since pytest may have imported ``hashlib`` in this one."""
+        code = textwrap.dedent("""
+            import sys
+            import lockstep
+            from lockstep import catalog, explore, random_walks
+            assert not explore(catalog.get("torn-read-locked")).violations
+            assert random_walks(catalog.get("torn-read-raw"), walks=50, seed=1).classes
+            assert "hashlib" not in sys.modules
+            assert explore(catalog.get("torn-read-raw")).violations
+            assert "hashlib" in sys.modules
+        """)
+        src = str(pathlib.Path(kernel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([_sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class CountingSystem(System):

@@ -183,15 +183,16 @@ class TestMechanismCompatibility:
 class TestLiterals:
     def test_index_out_of_range(self):
         e = compile_err(s.read_word("cell", 2, "v"))
-        assert "'index'" in e.message
+        assert (e.path, e.message) == ("steps[0].index", "must be an integer in 0..1")
 
     def test_word_out_of_domain(self):
-        assert "'word'" in compile_err(s.wait_word("cell", 0, 8)).message
+        e = compile_err(s.wait_word("cell", 0, 8))
+        assert (e.path, e.message) == ("steps[0].word", "must be a word in 0..7")
 
     @pytest.mark.parametrize("word", [-1, 8])
     def test_write_word_literal_out_of_domain(self, word):
         e = compile_err(s.write_word("cell", 0, word))
-        assert (e.path, e.message) == ("steps[0].word", "word literal must be in 0..7")
+        assert (e.path, e.message) == ("steps[0].word", "must be a word in 0..7")
 
     def test_value_wrong_width(self):
         e = compile_err(s.write("mc", [1]))
@@ -218,7 +219,18 @@ class TestLiterals:
             s.local("t", [1, 1]), s.local("g", s.applied("neg", "t"))).message
 
     def test_add_requires_k(self):
-        assert "'k'" in compile_err(s.update("reg", "add")).message
+        e = compile_err(s.update("reg", "add"))
+        assert (e.path, e.message) == ("steps[0].k", "must be a word in 0..7")
+
+    @pytest.mark.parametrize("steps, path", [
+        ([s.wait_word("cell", 0, True)], "steps[0].word"),
+        ([s.if_word("cell", 0, 8, [])], "steps[0].word"),
+        ([s.update("reg", "add", k=-1)], "steps[0].k"),
+        ([s.read("mc", "v"), s.local("w", s.applied("add", "v", 8))], "steps[1].value.k"),
+    ], ids=["wait_word-bool", "if_word", "update", "value-expression"])
+    def test_every_word_a_step_names_has_one_rule(self, steps, path):
+        e = compile_err(*steps)
+        assert (e.path, e.message) == (path, "must be a word in 0..7")
 
     def test_add_with_k(self):
         p = compile_ok(s.update("reg", "add", k=3))

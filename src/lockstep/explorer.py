@@ -5,18 +5,19 @@ states that coincide, and reports the first witness of each violation
 class together with a replayable schedule. Programs cannot revisit a
 position (loops are unrolled), so the state graph is acyclic and the
 number of maximal schedules can be counted exactly by memoized path
-counting. find_shortest() answers the same question breadth-first, checking
-every hit at one depth before any at the next, and therefore returns a
-minimal counterexample. random_walks() is the
-cheap cross-check: it must never find a class the exhaustive pass missed.
-The walks of one call share a lazily built graph of the states they stood
-on, so a revisited edge is neither taken nor checked again. They stop
-once every edge of every stored state is taken to a stored state, or once
-they hold every class a breadth-first pass before them found within the
-depth bound (``_walk_classes``): no later walk could find a class. That is
-sound because stepping and the monitors are pure functions of the states
-they are shown; neither the graph nor the pass is shared with explore(),
-so a fault in its memo cannot hide from the walks. Every strategy and the
+counting. ``_breadth_first`` is the one breadth-first search: it yields
+every hit at one depth before any at the next, so find_shortest(), which
+returns the first hit of a class, returns a minimal counterexample.
+random_walks() is the cheap cross-check: it must never find a class the
+exhaustive pass missed. Before the first walk it runs the search once
+(``_walk_classes``) to learn every class a walk could collect, and the
+walks stop once they hold them all, since no later walk could add one;
+that is their one stop rule. The walks of one call share a lazily built
+graph of the states they stood on, so a revisited edge is neither taken
+nor checked again. This is sound because stepping and the monitors are
+pure functions of the states they are shown; neither the graph nor the
+pass is shared with explore(), so a fault in its memo cannot hide from
+the walks. Every strategy and the
 replay step only through ``_Checks``, the one transition layer: no other
 code asks the kernel for a state's edges, takes one or runs a monitor. (When no monitor
 has an event hook, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
@@ -32,7 +33,7 @@ held. ``explore`` counts what it holds by orbit: a new entry is stored only
 while the states held plus the entry's own orbit stay within
 ``max_states``, which without interchangeable processes is the same rule.
 A state found when the store is full is still checked, but it is not
-stored, and ``explore`` and ``find_shortest`` neither expand it nor check
+stored, and ``explore`` and ``_breadth_first`` neither expand it nor check
 its sink.
 """
 
@@ -492,77 +493,71 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     )
 
 
+def _breadth_first(checks, init, max_depth, max_states, parents):
+    """Yield each non-empty group of hits as ``(hits, at, ev, state)``: hits
+    in ``state``, reached by the trail to ``at`` in ``parents``, then ``ev``.
+
+    Every hit at depth d comes before any at depth d + 1: as the states first
+    reached at depth d are expanded, each edge's hits, then each new state's
+    state hits and, if it is stored (as ``parents[state] = (at, ev)``), its
+    sink hits. A new state found when ``max_states`` are held is checked but
+    not stored, and yields ``(None, at, ev, state)``. A state's edges are
+    computed once, when it is stored; a state at the depth bound takes none.
+    """
+    step, hits, watches = checks.step, checks.hits, checks.watches
+    parents[init] = None
+    edges, sink = checks.edges(init)
+    for found in (checks.state(init), sink):
+        if found:
+            yield found, init, None, init
+    level = [(init, edges)]   # the states first reached at this depth, with their edges
+    depth = 0
+    while level and depth < max_depth:   # a level at the depth bound takes no edge
+        below = []
+        for state, edges in level:
+            for edge in edges:
+                post = step(state, edge)
+                if hits:
+                    yield hits, state, edge[0], post
+                if post not in parents:
+                    if watches and (found := checks.state(post)):
+                        yield found, state, edge[0], post
+                    if len(parents) < max_states:
+                        parents[post] = (state, edge[0])
+                        post_edges, sink = checks.edges(post)
+                        if sink:
+                            yield sink, post, None, post
+                        below.append((post, post_edges))
+                    else:
+                        yield None, state, edge[0], post
+        level = below
+        depth += 1
+
+
 def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     """Breadth-first search for the shortest schedule hitting a violation class.
 
     ``kind`` may be a bare kind ("deadlock", "torn_read", "monitor_assert")
     or a full class string ("lost_message:own-outgoing").
 
-    Every hit at depth d is checked before any at depth d + 1, so the first
-    match is a shortest witness: while the states first reached at depth d
-    are expanded, each edge's hits are checked, then each new state's state
-    hits and, when it is stored, its sink hits. A level holds each stored
-    state with its edges, computed once when the state is stored; a state
-    at the depth bound is stored and sink-checked but takes no edge.
+    The witness is the first hit of the class that ``_breadth_first``
+    yields, with its trail, so it is a shortest one: every hit at depth d is
+    checked before any at depth d + 1.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
-    checks = _Checks(sys)
-    step, hits, watches = checks.step, checks.hits, checks.watches
-
     init = sys.initial_state()
-    parents = {init: None}
-
-    def build(state, extra=None):
-        events = []
-        cur = state
-        while parents[cur] is not None:
-            prev, ev = parents[cur]
-            events.append(ev)
-            cur = prev
-        events.reverse()
-        if extra is not None:
-            events.append(extra)
-        return tuple(events)
-
-    def first_match(hits, at, extra, state):
-        """The first hit of the requested class; its trace leads to ``at``, then ``extra``."""
-        for hk, hn, hd in hits:
+    parents = {}
+    for hits, at, ev, state in _breadth_first(_Checks(sys), init, b.max_depth,
+                                              b.max_states, parents):
+        for hk, hn, hd in hits or ():
             if kind in (hk, _class_of(hk, hn, hd)):
-                return Violation(hk, hn, hd, Trace(build(at, extra)), sys.state_hash(state))
-        return None
-
-    edges, sink = checks.edges(init)
-    v = first_match([*checks.state(init), *sink], init, None, init)
-    if v is not None:
-        return v
-
-    level = [(init, edges)]   # the states first reached at this depth, with their edges
-    depth = 0
-    while level and depth < b.max_depth:   # a level at the depth bound takes no edge
-        below = []
-        for state, edges in level:
-            for edge in edges:
-                post = step(state, edge)
-                if hits:
-                    v = first_match(hits, state, edge[0], post)
-                    if v is not None:
-                        return v
-                if post not in parents:
-                    if watches:
-                        v = first_match(checks.state(post), state, edge[0], post)
-                        if v is not None:
-                            return v
-                    if len(parents) < b.max_states:
-                        parents[post] = (state, edge[0])
-                        post_edges, sink = checks.edges(post)
-                        if sink:
-                            v = first_match(sink, post, None, post)
-                            if v is not None:
-                                return v
-                        below.append((post, post_edges))
-        level = below
-        depth += 1
+                events = [] if ev is None else [ev]
+                while parents[at] is not None:
+                    at, ev = parents[at]
+                    events.append(ev)
+                events.reverse()
+                return Violation(hk, hn, hd, Trace(tuple(events)), sys.state_hash(state))
     return None
 
 
@@ -583,27 +578,15 @@ def _walk_classes(checks, init, max_depth, budget):
     """Every class a walk from ``init`` could collect, or None once more than
     ``budget`` states would be held: the state and sink classes of each state
     within ``max_depth`` steps, and the event classes of each edge leaving a
-    state nearer than that. Breadth-first, with its own ``seen`` set."""
-    step, hits = checks.step, checks.hits
+    state nearer than that. These are the hits ``_breadth_first`` yields,
+    with its own ``parents``."""
     if budget < 1:
         return None
-    classes, seen, level, depth = set(), {init}, [init], 0
-    while level:   # a level at the depth bound takes no edge, so the one below is empty
-        below = []
-        for state in level:
-            classes.update(_classes(checks.state(state)))
-            edges, sink = checks.edges(state)
-            classes.update(_classes(sink))
-            for edge in edges if depth < max_depth else ():
-                post = step(state, edge)
-                if hits:
-                    classes.update(_classes(hits))
-                if post not in seen:
-                    if len(seen) == budget:
-                        return None
-                    seen.add(post)
-                    below.append(post)
-        level, depth = below, depth + 1
+    classes = set()
+    for hits, _, _, _ in _breadth_first(checks, init, max_depth, budget, {}):
+        if hits is None:
+            return None
+        classes.update(_classes(hits))
     return classes
 
 
@@ -625,25 +608,22 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     it has not stored is taken and checked afresh. An edge between two
     stored states is stored when first taken, whatever the graph's size.
 
-    The walks stop once the graph is closed, when ``untaken``, the edges of
-    stored nodes with no stored child, is 0 before a walk: each later walk
-    would only redraw stored edges, so the summary is the same. A graph
-    full before it holds every reachable state, or a node reached only at
-    the depth bound, keeps untaken edges, and is never closed.
-
-    They also stop before a walk when the classes they hold are every
-    class a walk could collect. Before the first walk, ``_walk_classes``
-    finds these breadth-first: the state and sink classes of each state
-    within ``max_depth`` steps, and the event classes of each edge leaving a
-    state nearer than that. The rule is exact: a walk stands on a state no
-    nearer than its distance and takes an edge only before the depth bound,
-    so what it collects is in that set, and once the walks hold the set no
-    later walk can add a class. The pass holds at most ``min(walks,
-    max_states)`` states and gives up, returning None, when more lie within
-    the depth bound; the walks then run to the end or until the graph
-    closes. A pass that gives up has stepped through that many states for
-    nothing: 3-7% of the time of 1000 walks on lost-update 3/3/2,
-    relay-chain 5x3 and torn-read 3x2x2.
+    The walks stop before a walk once the classes they hold are every class
+    a walk could collect; that is their one stop rule. Before the first walk,
+    ``_walk_classes`` finds these breadth-first: the state and sink classes
+    of each state within ``max_depth`` steps, and the event classes of each
+    edge leaving a state nearer than that. The rule is exact: a walk stands
+    on a state no nearer than its distance and takes an edge only before the
+    depth bound, so what it collects is in that set, and once the walks hold
+    the set no later walk can add a class. The pass holds at most
+    ``min(walks, max_states)`` states and gives up, returning None, when more
+    lie within the depth bound; the walks then all run. No other stop is
+    needed: a graph whose stored states have every edge taken to a stored
+    state holds every reachable state, so walks that close it hold the
+    pass's set, or, if the pass gave up, are fewer than the states and from
+    then on only redraw stored edges. A pass that gives up has stepped
+    through that many states for nothing: 3-7% of the time of 1000 walks on
+    lost-update 3/3/2, relay-chain 5x3 and torn-read 3x2x2.
     """
     if type(walks) is not int or walks < 0:
         raise ValueError(f"walks: must be a non-negative integer, got {walks!r}")
@@ -654,12 +634,6 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     draw = random.Random(seed).getrandbits
     classes = set()
     nodes = {}           # state -> _WalkNode, for this call only
-    untaken = 0          # edges of stored nodes with no stored child yet
-
-    def store(node):
-        nonlocal untaken
-        nodes[node.state] = node
-        untaken += node.n
 
     def node_for(state):
         node = nodes.get(state)
@@ -669,28 +643,24 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
             classes.update(_classes(sink))
             node = _WalkNode(state, edges)
             if len(nodes) < b.max_states:
-                store(node)
+                nodes[state] = node
         return node
 
     def take(node, i):
-        nonlocal untaken
         post = step(node.state, node.edges[i])
         if hits:
             classes.update(_classes(hits))
         child = node_for(post)
         if post in nodes and nodes.get(node.state) is node:  # an edge of the graph
             node.children[i] = child
-            untaken -= 1
         return child
 
     init = sys.initial_state()
-    root = node_for(init)
-    if init not in nodes:  # the initial state is stored even in a full graph
-        store(root)
+    root = nodes[init] = node_for(init)   # stored even in a full graph
     everything = _walk_classes(checks, init, b.max_depth, min(walks, b.max_states))
     depth = range(b.max_depth)
     for _ in range(walks):
-        if not untaken or classes == everything:  # no later walk can add a class
+        if classes == everything:  # no later walk can add a class
             break
         node = root
         for _ in depth:

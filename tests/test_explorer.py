@@ -269,12 +269,14 @@ def reference_walks(sys, walks, seed, bounds=None):
 
 # (seed, bounds, walk counts). deadlock-direct-duplex deadlocks after 2
 # steps, so depth 2 puts a sink exactly at the cut-off, where the sink check
-# must come first. Most graphs close within a few walks, so with one walk,
-# two and a thousand the walks stop in the middle of a call.
+# must come first. With one walk and two the pass before the walks gives up
+# on most scenarios and every walk runs; with a thousand it finishes, so the
+# walks stop in the middle of a call once they hold every class it found.
 WALK_CASES = [(seed, bounds, (1, 2, 1000)) for seed in (5, 2026)
               for bounds in (None, Bounds(max_depth=1), Bounds(max_depth=2), Bounds(max_depth=3))]
-# max_states 0-3 fill most graphs before they close, so most steps run uncached
-# and the walks never stop early; a thousand walks there would add only time.
+# max_states 0-3 fill most graphs, so most steps run uncached, and cap the pass
+# at three states, so it gives up and the walks never stop early; a thousand
+# walks there would add only time.
 WALK_CASES += [(5, Bounds(max_states=max_states), (1, 2, 200)) for max_states in range(4)]
 
 
@@ -311,7 +313,7 @@ def assert_walks_match_the_uncached_reference(sc):
             applied_by_pass, offered_by_pass = viewed_counts(alone)
             applied, offered = applied - applied_by_pass, offered - offered_by_pass
             # No edge is applied that no walk took, and when the pass gave up,
-            # so that only a closed graph stops the walks, every such edge is.
+            # so that every walk runs, every such edge is.
             taken = viewed_counts(reference)[0].keys()
             assert applied.keys() <= taken
             if everything is None:
@@ -358,32 +360,34 @@ def draws_per_call(monkeypatch, sc, walk_counts, seed, bounds=None):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2026])
-def test_walks_stop_once_the_walk_graph_is_closed(monkeypatch, seed):
-    """status-channel-exact's graph is closed after its first walk. It has 7
-    reachable states, so with fewer walks the pass before them gives up and
-    only the closed graph stops them: six walks draw no more than three do,
-    and find the same."""
+def test_walks_draw_on_in_a_closed_walk_graph_when_the_pass_gives_up(monkeypatch, seed):
+    """status-channel-exact's graph is closed after its first walk: every
+    edge of its 7 reachable states is taken. With fewer walks than that the
+    pass before them gives up, so the class stop never fires and each added
+    walk draws, only redrawing stored edges: six walks draw more than three
+    do, and find what the reference walker finds."""
     sc = catalog.get("status-channel-exact")
     assert len(reachable(System(sc))) == 7
     assert pass_before_the_walks(System(sc), 6) is None
     few, many = draws_per_call(monkeypatch, sc, (3, 6), seed)
-    assert 0 < many == few
+    assert 0 < few < many
     assert random_walks(sc, walks=6, seed=seed) == reference_walks(System(sc), 6, seed)
 
 
 @pytest.mark.parametrize("max_states", [16, 17])
-def test_a_full_walk_graph_that_holds_every_state_closes(monkeypatch, max_states):
+def test_walks_draw_on_in_a_walk_graph_that_holds_every_state(monkeypatch, max_states):
     """register-atomic-update has 16 reachable states. A graph with room for
-    16 holds them all, so it links each edge between them when first taken
-    and closes as one with room for 17 does: at seed 1 after the fourteenth
-    walk, so a fifteenth draws nothing. With fewer walks than states, the
-    pass before them gives up."""
+    16 holds them all and links each edge between them when first taken, as
+    one with room for 17 does. With fewer walks than states the pass before
+    them gives up, so every walk runs: at seed 1 each of the thirteenth to
+    fifteenth walks draws, and they find what the reference walker finds."""
     sc = catalog.get("register-atomic-update")
     assert len(reachable(System(sc))) == 16
     b = Bounds(max_states=max_states)
     assert pass_before_the_walks(System(sc), 15, b) is None
     thirteen, fourteen, fifteen = draws_per_call(monkeypatch, sc, (13, 14, 15), 1, b)
-    assert thirteen < fourteen == fifteen
+    assert thirteen < fourteen < fifteen
+    assert random_walks(sc, walks=15, seed=1, bounds=b) == reference_walks(System(sc), 15, 1, b)
 
 
 def walks_to_find(sys, seed, classes):
@@ -461,6 +465,23 @@ def test_the_pass_before_the_walks_finds_what_brute_force_does(sc):
         for budget, got in ((held - 1, None), (held, want), (held + 1, want)):
             assert explorer._walk_classes(checks, sys.initial_state(), max_depth,
                                           budget) == got, (depth, budget)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 6, 10, None])
+@pytest.mark.parametrize("sc", [catalog.get(n) for n in catalog.names()]
+                         + _walk_differential_scenarios(), ids=lambda sc: sc.name)
+def test_both_callers_of_the_breadth_first_search_agree_with_both_oracles(sc, depth):
+    """Within a depth bound, the classes the pass before the walks finds, the
+    classes find_shortest finds a witness of, the classes ``walkable_classes``
+    finds from relaxed distances, and the classes of explore whose shortest
+    prefix (``shortest_lengths``) fits are one set."""
+    sys = System(sc)
+    b = resolve_bounds(sys, None if depth is None else {"max_depth": depth})
+    found, lengths = explore(sys).violation_classes, shortest_lengths(sys)
+    want = walkable_classes(sys, b.max_depth)[0]
+    assert want == {c for c in found if lengths[c] <= b.max_depth}
+    assert want == {c for c in found if find_shortest(sys, c, b) is not None}
+    assert want == pass_before_the_walks(sys, b.max_states, b)
 
 
 def test_an_edge_index_is_drawn_as_randrange_draws_it():
@@ -881,6 +902,9 @@ def test_every_strategy_steps_only_through_the_transition_layer():
 
 
 KERNEL_STEPS = {"take", "edges", "apply", "enabled_actions"}
+# The functions that expand states and take edges: one depth-first search, one
+# breadth-first search, the walks and the replay.
+SEARCHES = {"explore", "_breadth_first", "random_walks", "replay_with_checks"}
 
 
 def kernel_steps_outside_the_layer(source):
@@ -888,13 +912,21 @@ def kernel_steps_outside_the_layer(source):
     ``take``, ``edges``, ``apply`` or ``enabled_actions`` on anything but a
     ``_Checks`` (named ``checks``), or reads one of them off a System
     (named ``sys`` or ``<...>.sys``), which would let a strategy step by an
-    alias."""
-    found, todo = [], [ast.parse(source)]
+    alias. Also each read of a ``_Checks``' ``edges`` or ``step`` outside
+    the top-level functions ``SEARCHES``, so a further search loop, such
+    as a second breadth-first one, is found."""
+    found, todo = [], [(ast.parse(source), None)]
     while todo:
-        node = todo.pop()
+        node, within = todo.pop()   # within: the name of the top-level def, if any
         if isinstance(node, ast.ClassDef) and node.name == "_Checks":
             continue
-        todo.extend(ast.iter_child_nodes(node))
+        if within is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            within = node.name
+        todo.extend((child, within) for child in ast.iter_child_nodes(node))
+        if (isinstance(node, ast.Attribute) and node.attr in ("edges", "step")
+                and isinstance(node.value, ast.Name) and node.value.id == "checks"
+                and within not in SEARCHES):
+            found.append((node.lineno, ast.unparse(node)))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             called, of = node.func, node.func.value
             if called.attr in KERNEL_STEPS and not (isinstance(of, ast.Name)
@@ -926,6 +958,22 @@ def test_the_static_pin_finds_a_strategy_that_steps_the_kernel():
         tree = source.replace("    sys = as_system(scenario)\n",
                               f"    sys = as_system(scenario)\n    {bypass}\n")
         assert len(kernel_steps_outside_the_layer(tree)) >= 5, bypass
+
+
+def test_the_static_pin_finds_a_search_loop_outside_the_searches():
+    """A ``_Checks``' ``edges`` or ``step`` read in ``find_shortest`` or
+    ``verify_violation`` (two of the five functions that open with
+    ``sys = as_system(scenario)``), or in a new function, is found."""
+    source = pathlib.Path(explorer.__file__).read_text(encoding="utf-8")
+    for bypass in ("step = checks.step", "edges, sink = checks.edges(init)"):
+        tree = source.replace("    sys = as_system(scenario)\n",
+                              f"    sys = as_system(scenario)\n    {bypass}\n")
+        assert len(kernel_steps_outside_the_layer(tree)) == 2, bypass
+    third = ("\n\ndef _levels(checks, level):\n"
+             "    for state, edges in level:\n"
+             "        yield [(post, checks.edges(post)[0]) for post in\n"
+             "               (checks.step(state, edge) for edge in edges)]\n")
+    assert len(kernel_steps_outside_the_layer(source + third)) == 2
 
 
 # -- the bounds ------------------------------------------------------------------

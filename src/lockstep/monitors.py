@@ -175,7 +175,7 @@ class TerminalAssert(Monitor):
     def __init__(self, doc):
         self.pid = doc["process"]
         self.var = doc["var"]
-        exp = doc["expected"]
+        exp = doc.get("expected")  # left out, it is null, as scenarios.validate reads it
         self.expected = tuple(exp) if isinstance(exp, list) else exp
 
     def named(self):

@@ -85,6 +85,20 @@ def expected_problem(doc, width):
     return None
 
 
+def mechanism_problem(mid, referrer, family, mech_kind, pid=None, duplex_sides=()):
+    """Why ``referrer``, an op or a monitor kind, may not name ``mid``, or None: it
+    must be declared in ``mech_kind`` as a kind serving ``family`` (None: any), and
+    a duplex channel in ``duplex_sides`` must have the acting process ``pid`` as a side."""
+    kind = mech_kind.get(mid) if isinstance(mid, str) else None  # a list or object is no id
+    if kind is None:
+        return f"undeclared mechanism {mid!r}"
+    if family is not None and family not in KINDS[kind][1]:
+        return f"{referrer} is not defined for mechanism {mid!r} of kind {kind}"
+    if mid in duplex_sides and pid not in duplex_sides[mid]:
+        return f"process {pid} is not a side of duplex channel {mid!r}"
+    return None
+
+
 def _check_keys(doc, keys, path):
     """Raise a ProgramError naming the first key of ``doc`` not in ``keys``."""
     if not keys.issuperset(doc):
@@ -160,17 +174,9 @@ class _Emitter:
     # -- checks (an OPS operand takes (step, path, bound), returns its Instr field)
 
     def _mech(self, step, path, family, op):
-        mid = step.get("mechanism")
-        if not isinstance(mid, str) or not mid:
-            raise ProgramError(path, f"{op} needs a 'mechanism' id")
-        kind = self.ctx.mech_kind.get(mid)
-        if kind is None:
-            raise ProgramError(path, f"references undeclared mechanism '{mid}'")
-        if family not in KINDS[kind][1]:
-            raise ProgramError(path, f"{op} is not defined for mechanism '{mid}' of kind {kind}")
-        if mid in self.ctx.duplex_sides and self.ctx.pid not in self.ctx.duplex_sides[mid]:
-            raise ProgramError(
-                path, f"process {self.ctx.pid} is not a side of duplex channel '{mid}'")
+        mid, ctx = step.get("mechanism"), self.ctx
+        if problem := mechanism_problem(mid, op, family, ctx.mech_kind, ctx.pid, ctx.duplex_sides):
+            raise ProgramError(f"{path}.mechanism", problem)
         self.mechs.add(mid)
         return mid
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import machines, monitors
 from .programs import (CompileContext, ProgramError, compile_program, expected_problem,
-                       literal_problem)
+                       literal_problem, mechanism_problem)
 
 
 class ParseError(ValueError):
@@ -262,12 +262,8 @@ class _FieldChecks:
         family = monitors.KINDS[mon["kind"]][1]
         if family is None and "mechanism" not in mon:  # only a kind with a family needs one
             return
-        mid = mon.get("mechanism")
-        if not isinstance(mid, str) or mid not in self.mech_kind:
-            yield f"{path}.mechanism: undeclared mechanism {mid!r}"
-        elif family is not None and family not in machines.KINDS[self.mech_kind[mid]][1]:
-            yield (f"{path}.mechanism: '{mid}' has kind {self.mech_kind[mid]}, "
-                   f"which this monitor does not apply to")
+        if problem := mechanism_problem(mon.get("mechanism"), mon["kind"], family, self.mech_kind):
+            yield f"{path}.mechanism: {problem}"
 
     def markers(self, mon, path):
         markers = mon.get("markers")
@@ -295,8 +291,9 @@ class _FieldChecks:
 
     def vars(self, mon, path):
         names = mon.get("vars")
-        if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-            yield f"{path}.vars: needs a list of variable names"
+        if not isinstance(names, list) or len(names) != self.width \
+                or not all(isinstance(n, str) for n in names):  # one name per word of a value
+            yield f"{path}.vars: needs a list of {self.width} variable names, one per word"
             return
         for n in names:
             yield from self._binds(mon.get("process"), n, f"{path}.vars")

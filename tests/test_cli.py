@@ -14,9 +14,10 @@ from lockstep import catalog
 from lockstep.cli import main
 from lockstep.explorer import Violation, explore, verify_violation
 from lockstep.kernel import System, Trace
-from lockstep.scenarios import load_file
+from lockstep.monitors import compile_monitors
+from lockstep.scenarios import ParseError, ValidationError, load_file, loads
 
-from test_scenarios import _fields, _replaced
+from test_scenarios import _deleted, _fields, _replaced
 
 CLEAN, VIOLATIONS, BOUNDS, ERROR = 0, 1, 2, 3
 INVALID = pathlib.Path(__file__).parent / "data" / "invalid"
@@ -110,6 +111,15 @@ class TestExplore:
                                     "processes": []}))
         code, _, err = run(capsys, "explore", "--file", str(path))
         assert code == ERROR and "mechanisms[0].kind" in err
+
+    def test_a_terminal_assert_without_expected_expects_null(self, capsys, tmp_path):
+        doc = catalog.get("last-message-unidirectional").to_doc()
+        del doc["monitors"][0]["expected"]
+        path = tmp_path / "no_expected.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "explore", "--file", str(path))
+        assert (code, err) == (VIOLATIONS, "")
+        assert "p1.r is (3,), expected None" in out
 
     @pytest.mark.parametrize("doc", sorted(INVALID.glob("*.json")), ids=lambda p: p.stem)
     def test_an_invalid_document_prints_its_recorded_messages(self, capsys, doc):
@@ -446,14 +456,15 @@ JSON_VALUES = st.one_of(
 
 
 def _mutated(data, doc):
-    """``doc`` with one to three of its fields replaced by drawn JSON values."""
+    """``doc`` with one to three of its fields deleted or replaced by drawn JSON values."""
     paths = list(_fields(doc))
     for _ in range(data.draw(st.integers(1, 3))):
-        path, value = data.draw(st.sampled_from(paths)), data.draw(JSON_VALUES)
+        path = data.draw(st.sampled_from(paths))
         try:
-            doc = _replaced(doc, path, value)
+            doc = _replaced(doc, path, data.draw(JSON_VALUES)) if data.draw(st.booleans()) \
+                else _deleted(doc, path)
         except (KeyError, IndexError, TypeError):
-            pass  # an earlier replacement took this field away
+            pass  # an earlier edit took this field away
     return doc
 
 
@@ -480,6 +491,19 @@ def test_a_mutated_scenario_exits_zero_to_three(fuzz_dir, data):
     path = fuzz_dir / "scenario.json"
     path.write_text(json.dumps(doc))
     _outcome(["explore", "--file", str(path), "--max-states", "300", "--max-depth", "40"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_scenario_that_loads_builds_its_system_and_monitors(data):
+    """What validation accepts, the checker runs: a document that loads
+    builds a System and its monitors without raising."""
+    doc = _mutated(data, catalog.get(data.draw(st.sampled_from(catalog.names()))).to_doc())
+    try:
+        scenario = loads(json.dumps(doc))
+    except (ParseError, ValidationError):
+        return
+    compile_monitors(System(scenario))
 
 
 @settings(max_examples=150, deadline=None)

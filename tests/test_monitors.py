@@ -1,5 +1,6 @@
 """Monitor behavior, both directly on fabricated states and via exploration."""
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from lockstep.machines import DuplexChannel, MessageCell, StatusChannel
 from lockstep.monitors import (LostUnread, MutualExclusion, RecipientTag,
                                SentReceivedOrder, TerminalAssert, TornValue,
                                compile_monitors)
+from lockstep.scenarios import loads
 
 from helpers import bench_families, reachable
 from test_golden import _op_scenarios
@@ -150,6 +152,15 @@ class TestTerminalAssert:
     def test_status_token_expectation(self):
         mon = TerminalAssert({"process": 0, "var": "t", "expected": "empty"})
         assert mon.on_terminal(None, state(stores=((("t", "empty"),),))) == ()
+
+    def test_a_left_out_expected_is_null(self):
+        """validate reads a terminal_assert without ``expected`` as expecting
+        null, and so does the monitor, so the run reports a hit."""
+        doc = catalog.get("last-message-unidirectional").to_doc()
+        del doc["monitors"][0]["expected"]
+        report = explore(loads(json.dumps(doc)))
+        assert [(v.name, v.detail) for v in report.violations] == [
+            ("terminal_assert", "p1.r is (3,), expected None")]
 
 
 class TestLostUnread:

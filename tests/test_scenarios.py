@@ -261,7 +261,8 @@ class TestMonitorValidation:
     def test_monitor_mechanism_kind_mismatch(self):
         mon = {"kind": "torn_value", "mechanism": "ch", "allowed": [[1]],
                "process": 1, "vars": ["v"]}
-        assert "which this monitor does not apply to" in errors_of(self.base(mon))
+        assert "monitors[0].mechanism: torn_value is not defined for mechanism 'ch' of kind " \
+            "status_channel" in errors_of(self.base(mon)).splitlines()
 
     def test_torn_value_checks_vars_are_bound(self):
         doc = doc_with(
@@ -323,7 +324,9 @@ class TestMonitorValidation:
 
     def test_recipient_tag_needs_a_duplex(self):
         mon = {"kind": "recipient_tag", "mechanism": "ch"}
-        assert "does not apply" in errors_of(self.base(mon))
+        assert errors_of(self.base(mon)) == \
+            "monitors[0].mechanism: recipient_tag is not defined for mechanism 'ch' of kind " \
+            "status_channel"
 
     def test_lost_unread_rejects_unlogged_kinds(self):
         doc = doc_with(
@@ -332,7 +335,8 @@ class TestMonitorValidation:
             monitors=[{"kind": "lost_unread", "mechanism": "c"}])
         doc["processes"][0]["steps"].insert(
             0, {"op": "write_word", "mechanism": "c", "index": 0, "word": 1})
-        assert "does not apply" in errors_of(doc)
+        assert errors_of(doc) == \
+            "monitors[0].mechanism: lost_unread is not defined for mechanism 'c' of kind raw_cell"
 
     def test_valid_monitors_pass(self):
         doc = self.base({"kind": "sent_received_order", "mechanism": "ch"},
@@ -368,12 +372,37 @@ class TestOneRuleOneMessage:
         value_and_allowed = _problems(doc_with(
             word_width=2, mechanisms=[s.raw_cell("c", [0, 0]), s.message_cell("m")],
             processes=[s.process(0, s.write("m", literal)),
-                       s.process(1, s.read("m", "v"), s.read_word("c", 0, "w"))],
-            monitors=[s.torn_value("c", [literal], 1, ["w"])]))
+                       s.process(1, s.read("m", "v"), s.read_word("c", 0, "w"),
+                                 s.read_word("c", 1, "x"))],
+            monitors=[s.torn_value("c", [literal], 1, ["w", "x"])]))
         message = "must be a list of 2 words in 0..7"
         assert initial + value_and_allowed == [
             ("mechanisms[0].initial", message), ("processes[0].steps[0].value", message),
             ("monitors[0].allowed[0]", message)]
+
+    @pytest.mark.parametrize("mid, problem", [
+        ("nope", "undeclared mechanism 'nope'"), (None, "undeclared mechanism None"),
+        ("", "undeclared mechanism ''"), ([], "undeclared mechanism []"),
+        ({}, "undeclared mechanism {}"),
+        ("c", "is not defined for mechanism 'c' of kind raw_cell")])
+    def test_a_mechanism_reference(self, mid, problem):
+        """A step and a monitor that name the same mechanism are refused in one
+        message, which names the op or the monitor kind when the kind is wrong."""
+        doc = doc_with(mechanisms=[s.raw_cell("c", [0])], processes=[
+            s.process(0, s.read_word("c", 0, "w")), s.process(1, s.read(mid, "v"))],
+            monitors=[s.lost_unread(mid)])
+        step, monitor = ("read ", "lost_unread ") if problem.startswith("is not") else ("", "")
+        assert _problems(doc) == [("processes[1].steps[0].mechanism", step + problem),
+                                  ("monitors[0].mechanism", monitor + problem)]
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "a"], []])
+    def test_torn_value_reads_one_var_per_word(self, names):
+        """Every allowed value has word_width words, so a read of any other
+        length would always be flagged as torn."""
+        doc = catalog.get("torn-read-locked").to_doc()
+        doc["monitors"][0]["vars"] = names
+        assert _problems(doc) == [("monitors[0].vars",
+                                   "needs a list of 2 variable names, one per word")]
 
     @pytest.mark.parametrize("pid", [True, 5, "0", None])
     def test_a_process_id(self, pid):
@@ -491,6 +520,12 @@ def _replaced(doc, path, value):
     return doc
 
 
+def _deleted(doc, path):
+    doc = json.loads(json.dumps(doc))
+    del functools.reduce(operator.getitem, path[:-1], doc)[path[-1]]
+    return doc
+
+
 def test_a_list_or_object_in_any_field_is_rejected_not_raised():
     """Each field of each catalog document, replaced by a JSON object and by
     a list, is either accepted or rejected with a document error: a lookup
@@ -503,6 +538,23 @@ def test_a_list_or_object_in_any_field_is_rejected_not_raised():
                     loads(json.dumps(_replaced(doc, path, value)))
                 except (ParseError, ValidationError):
                     pass
+
+
+def test_a_document_without_any_one_field_is_rejected_or_runs():
+    """Each catalog document with one field deleted is either rejected or
+    builds a System and its monitors: a field that validation reads as left
+    out, the checker reads as left out too."""
+    ran = 0
+    for name in catalog.names():
+        doc = catalog.get(name).to_doc()
+        for path in _fields(doc):
+            try:
+                scenario = loads(json.dumps(_deleted(doc, path)))
+            except (ParseError, ValidationError):
+                continue
+            monitors.compile_monitors(System(scenario))
+            ran += 1
+    assert ran > 100
 
 
 def test_a_json_boolean_is_not_an_integer():

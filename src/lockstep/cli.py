@@ -14,9 +14,10 @@ import sys as _sys
 from .catalog import catalog_check as _catalog_check
 from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
+from .catalog import get_entry as _catalog_entry
 from .explorer import Violation, explore, replay_with_checks, verify_violation
 from .kernel import KernelError, NotEnabledAtStep, System, Trace, format_event
-from .scenarios import ParseError, ValidationError, load_file
+from .scenarios import ParseError, ValidationError, bounds_problems, load_file
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -84,37 +85,39 @@ def build_parser():
     return ap
 
 
-def _load_system(args):
-    if args.catalog:
-        scenario = _catalog_get(args.catalog)
-    else:
-        scenario = load_file(args.file)
-    return System(scenario)
-
-
-def _bounds(args):
-    """The bounds the command line gives, by name; a strategy checks them like
-    any override and takes each other bound from the scenario, then from the
-    default."""
-    return {key: getattr(args, key) for key in ("max_depth", "max_states")
-            if getattr(args, key) is not None}
-
-
 def _load_schedule(path):
+    """(events, the Violation recorded, or None for a bare trace)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:  # decoding or quoting a deeply nested value recurses
-        return _parse_schedule(json.loads(text))
+        doc = json.loads(text)
+        if isinstance(doc, dict) and "trace" in doc:
+            violation = Violation.from_doc(doc)
+            return violation.trace.events, violation
+        return Trace.from_doc(doc).events, None
     except RecursionError:
         raise ValueError("schedule: document nested too deeply") from None
 
 
-def _parse_schedule(doc):
-    """(events, the Violation recorded, or None for a bare trace)."""
-    if isinstance(doc, dict) and "trace" in doc:
-        violation = Violation.from_doc(doc)
-        return violation.trace.events, violation
-    return Trace.from_doc(doc).events, None
+def _inputs(args):
+    """The inputs the command line names, each read and checked, as keyword
+    arguments of its command; a bad one raises what ``main`` reports. The
+    bounds flags are held to the rule a document's bounds are, and a
+    strategy takes each bound not given from the scenario, then the default."""
+    inputs = {}
+    if hasattr(args, "catalog"):        # explore, run and replay
+        inputs["sys"] = System(_catalog_get(args.catalog) if args.catalog
+                               else load_file(args.file))
+    if hasattr(args, "schedule"):       # run and replay
+        inputs["schedule"] = _load_schedule(args.schedule)
+    if hasattr(args, "max_depth"):      # explore and catalog-check
+        bounds = inputs["bounds"] = {key: getattr(args, key) for key in ("max_depth", "max_states")
+                                     if getattr(args, key) is not None}
+        if problems := bounds_problems(bounds):
+            raise ValueError("; ".join(problems))
+    for name in getattr(args, "only", None) or ():
+        _catalog_entry(name)
+    return inputs
 
 
 def _print_report(report, fmt, out):
@@ -141,9 +144,8 @@ def _print_report(report, fmt, out):
             print(f"    state: {v.state_hash}", file=out)
 
 
-def cmd_explore(args):
-    sys = _load_system(args)
-    report = explore(sys, _bounds(args))
+def cmd_explore(args, sys, bounds):
+    report = explore(sys, bounds)
     _print_report(report, args.format, _sys.stdout)
     if report.violations:
         return EXIT_VIOLATIONS
@@ -152,9 +154,8 @@ def cmd_explore(args):
     return EXIT_CLEAN
 
 
-def cmd_run(args):
-    sys = _load_system(args)
-    events, _ = _load_schedule(args.schedule)
+def cmd_run(args, sys, schedule):
+    events, _ = schedule
     final, _ = replay_with_checks(sys, events)  # stale -> exit 3
     done = all(ps.pc >= len(program.instrs) for ps, program in zip(final.procs, sys.programs))
     if args.format == "structured":
@@ -168,9 +169,8 @@ def cmd_run(args):
     return EXIT_CLEAN
 
 
-def cmd_replay(args):
-    sys = _load_system(args)
-    events, violation = _load_schedule(args.schedule)
+def cmd_replay(args, sys, schedule):
+    events, violation = schedule
     final, classes = replay_with_checks(sys, events)  # stale -> exit 3
     observed = sorted(classes)
     final_hash = sys.state_hash(final)
@@ -212,8 +212,8 @@ def cmd_list(args):
     return EXIT_CLEAN
 
 
-def cmd_catalog_check(args):
-    rows = _catalog_check(only=args.only, bounds=_bounds(args))
+def cmd_catalog_check(args, bounds):
+    rows = _catalog_check(only=args.only, bounds=bounds)
     if args.format == "structured":
         doc = [{"name": r.name, "ok": r.ok, "expected": list(r.expected),
                 "found": list(r.found), "problems": list(r.problems),
@@ -237,18 +237,21 @@ def cmd_catalog_check(args):
 def main(argv=None) -> int:
     handlers = {"explore": cmd_explore, "run": cmd_run, "replay": cmd_replay,
                 "list": cmd_list, "catalog-check": cmd_catalog_check}
-    try:
+    try:  # only reading the inputs: any other KeyError or ValueError is a fault
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        inputs = _inputs(args)
     except (ParseError, ValidationError) as e:
         print(f"error: invalid scenario:\n{e}", file=_sys.stderr)
         return EXIT_ERROR
-    except NotEnabledAtStep as e:
-        print(f"error: stale schedule: {e}", file=_sys.stderr)
-        return EXIT_ERROR
-    except (KernelError, KeyError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (KeyError, ValueError, OSError) as e:  # a file that is not UTF-8 is a ValueError
         # a KeyError's str() is its message quoted, so it is printed by its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=_sys.stderr)
+        return EXIT_ERROR
+    try:
+        return handlers[args.command](args, **inputs)
+    except KernelError as e:
+        stale = "stale schedule: " if isinstance(e, NotEnabledAtStep) else ""
+        print(f"error: {stale}{e}", file=_sys.stderr)
         return EXIT_ERROR
 
 

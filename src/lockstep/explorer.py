@@ -20,7 +20,7 @@ pass is shared with explore(), so a fault in its memo cannot hide from
 the walks. Every strategy and the
 replay step only through ``_Checks``, the one transition layer: no other
 code asks the kernel for a state's edges, takes one or runs a monitor. (When no monitor
-has an event hook, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
+watches events, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
 their memos on packed states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted (``_interchangeable``,
@@ -47,7 +47,7 @@ from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get
 from .machines import KINDS
-from .monitors import Monitor, compile_monitors
+from .monitors import compile_monitors
 from .scenarios import bounds_problems
 
 _IN_PROGRESS = object()
@@ -167,38 +167,35 @@ class _Checks:
     ``step``, so a rule for every expansion or every step goes here once,
     such as turning a ``KernelError`` into a violation or counting
     transitions and time per layer. Only ``edges`` asks the kernel for a
-    state's edges, only ``step`` takes one and runs the event hooks, and
-    only ``sink`` runs the terminal hooks. An edge is the kernel's
+    state's edges, only ``step`` takes one and runs the event verdicts, and
+    only ``sink`` runs the terminal verdicts. An edge is the kernel's
     ``[action, move, instruction]``, and a strategy records its action.
     ``edges`` takes nothing, so a state at the depth bound, whose edges the
     searches do not take, computes no move. ``step`` returns the post state
     and refills the list ``hits`` in place with the edge's event hits, so a
     strategy binds both once and reads ``hits`` right after each step. When
-    no monitor has an event hook, ``step`` is the kernel's ``take`` itself,
+    no monitor watches events, ``step`` is the kernel's ``take`` itself,
     one call per edge, and ``hits`` stays empty; a rule added for every
     step must then replace that binding.
 
-    States come in packed. A state is checked through the monitors' watches:
-    each verdict is kept per distinct tuple of intern indices at the slots it
-    reads, for the life of the layer (one strategy call), as ``System`` keeps
-    offers. So a state costs one lookup per watch and builds no view. Event
-    and terminal hooks are shown views, and each runs only on the monitors
-    that override it, so an edge that no event monitor watches builds none.
+    States come in packed, and each check is a watch over their slots
+    (``monitors``), split once by when it runs. A state or terminal verdict is
+    kept per distinct intern indices at its slots for the life of the layer
+    (one strategy call), as ``System`` keeps offers: a lookup per watch. An
+    event verdict runs afresh on every step. No check builds a view.
     """
 
     def __init__(self, sys):
         self.sys = sys
         self.take = sys.take
         self.monitors = monitors = compile_monitors(sys)
-        # (key of a packed state, verdicts by key, slots, verdict), in monitor order
-        self.watches = tuple((itemgetter(*slots), {}, slots, verdict) for m in monitors
-                             for slots, verdict in m.watches(sys.n_mechs, sys.n_procs))
-        self.on_event, self.on_terminal = (
-            tuple(getattr(m, hook) for m in monitors
-                  if getattr(type(m), hook) is not getattr(Monitor, hook))
-            for hook in ("on_event", "on_terminal"))
+        # by when: (key of a packed state, verdicts by key, slots, verdict), in monitor order
+        watches = [(when, (itemgetter(*slots), {}, slots, verdict)) for m in monitors
+                   for when, slots, verdict in m.watches(sys.n_mechs, sys.n_procs)]
+        self.watches, self.events, self.terminal = (tuple(w for at, w in watches if at == when)
+                                                    for when in ("state", "event", "terminal"))
         self.hits = []   # the hits on the edge ``step`` took last, refilled in place
-        if not self.on_event:  # no edge can hit, so a step is the kernel's take
+        if not self.events:  # no edge can hit, so a step is the kernel's take
             self.step = sys.take
 
     def edges(self, state):
@@ -209,12 +206,13 @@ class _Checks:
     def step(self, state, edge):
         """The post state of an edge of ``state``; the edge's hits go in ``hits``."""
         post = self.take(state, edge)
-        self.hits[:] = self.event(state, edge[0], post)
+        self.hits[:] = self.event(state, edge[0])
         return post
 
-    def state(self, state):
+    def state(self, state, watches=None):
+        """The hits of the state watches, or of ``watches``, on a packed state."""
         hits = []
-        for key_of, verdicts, slots, verdict in self.watches:
+        for key_of, verdicts, slots, verdict in self.watches if watches is None else watches:
             key = key_of(state)
             try:
                 got = verdicts[key]
@@ -224,15 +222,16 @@ class _Checks:
                 hits += got
         return hits
 
-    def event(self, prev, ev, post):
-        prev, post = self.sys.view(prev), self.sys.view(post)
-        return [hit for hook in self.on_event for hit in hook(self.sys, prev, ev, post)]
+    def event(self, state, action):
+        """The hits of the event watches on ``action`` taken at a packed state."""
+        parts = self.sys.parts
+        return [hit for _, _, slots, verdict in self.events
+                for hit in verdict(action, *parts(state, slots))]
 
     def sink(self, state):
         """Hits for a state with no enabled action: deadlock or terminal checks."""
         if self.sys.all_terminated(state):
-            view = self.on_terminal and self.sys.view(state)
-            return [hit for hook in self.on_terminal for hit in hook(self.sys, view)]
+            return self.state(state, self.terminal)
         stuck = ", ".join(f"p{q}" for q in self.sys.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 

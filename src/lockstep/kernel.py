@@ -8,9 +8,8 @@ states that compare equal behave identically from then on.
 
 A System's states are packed: tuples of intern indices that only that
 System can read. ``System.view`` decodes one into a ``GlobalState`` of the
-parts themselves, which is what event and terminal monitors and callers of
-other modules see; ``System.parts`` decodes only the slots a state monitor
-reads.
+parts themselves, which callers of other modules see; a monitor is given
+only the parts at the slots it watches (``System.parts``).
 
 An action is the tuple ``(process, label, mechanism id)``. Rendezvous on a
 direct channel appears as a single action carrying both parties: the label

@@ -6,11 +6,14 @@ state a monitor needs lives inside the mechanism snapshots themselves (the
 send/receive logs, the read-since-write flag), so a hit is a pure function
 of what it is shown and exploration may merge states freely.
 
-States are checked through *watches*, pairs ``(slots, verdict)``. The slots
+Every check is a *watch*, a triple ``(when, slots, verdict)``. The slots
 index a state's parts as a ``System`` packs them: its mechanisms, then its
-processes. ``verdict(*parts)`` is given the parts at those slots and returns
-a tuple of hits. It may depend on nothing else, so a verdict can be kept per
-distinct parts it reads. Events and terminal states are checked on views.
+processes. A ``"state"`` verdict judges every state, a ``"terminal"`` one
+every state where all processes have stopped, as ``verdict(*parts)`` of the
+parts at its slots; an ``"event"`` one every step, as ``verdict(action,
+*parts)`` of the parts at its slots before it. A verdict returns a tuple of
+hits and depends on nothing else, so a state or terminal verdict can be kept
+per distinct parts it reads. No monitor is shown a whole state.
 
 A monitor that reads or reports a process by its pid says so through
 ``named()``: pairs ``(pid, signature)``. Two processes can swap places
@@ -26,7 +29,7 @@ from .machines import DuplexChannel, MessageCell
 
 class Monitor:
     def watches(self, n_mechs, n_procs):
-        """The (slots, verdict) pairs for states of n_mechs mechanisms and n_procs processes."""
+        """The (when, slots, verdict) triples for n_mechs mechanisms and n_procs processes."""
         return ()
 
     def named(self):
@@ -34,16 +37,10 @@ class Monitor:
         return ()
 
     def on_state(self, sys, state):
-        """The hits on a view: each watch's verdict on the parts it reads, in order."""
-        parts = state.mechs + state.procs
-        return tuple(hit for slots, verdict in self.watches(len(state.mechs), len(state.procs))
-                     for hit in verdict(*map(parts.__getitem__, slots)))
-
-    def on_event(self, sys, prev, event, post):
-        return ()
-
-    def on_terminal(self, sys, state):
-        return ()
+        """The hits on a view: each state watch's verdict on the parts it reads, in order."""
+        parts, n_mechs = state.mechs + state.procs, len(state.mechs)
+        return tuple(hit for when, slots, verdict in self.watches(n_mechs, len(state.procs))
+                     if when == "state" for hit in verdict(*map(parts.__getitem__, slots)))
 
 
 class LocalAsserts(Monitor):
@@ -57,7 +54,7 @@ class LocalAsserts(Monitor):
         self.pids = tuple(pids)
 
     def watches(self, n_mechs, n_procs):
-        return [((n_mechs + p,), self.verdict) for p in self.pids]
+        return [("state", (n_mechs + p,), self.verdict) for p in self.pids]
 
     def named(self):
         return tuple((p, None) for p in self.pids)
@@ -78,7 +75,7 @@ class MutualExclusion(Monitor):
         self.markers = [(m[0], m[1]) for m in doc["markers"]]
 
     def watches(self, n_mechs, n_procs):
-        return [(tuple(n_mechs + pid for pid, _ in self.markers), self.verdict)]
+        return [("state", tuple(n_mechs + pid for pid, _ in self.markers), self.verdict)]
 
     def named(self):
         return tuple((pid, None) for pid, _ in self.markers)
@@ -96,18 +93,24 @@ class MutualExclusion(Monitor):
 
 
 class MechanismMonitor(Monitor):
-    """A monitor of one mechanism, built with the mechanism's slot, ``index``."""
+    """A monitor of one mechanism, built with the mechanism's slot, ``index``.
+    Unless it declares other watches, it judges each event by ``on_event``
+    on the mechanism's snapshot before the step."""
 
     def __init__(self, doc, index):
         self.mech_id = doc["mechanism"]
         self.index = index
+
+    def watches(self, n_mechs, n_procs):
+        return [("event", (self.index,), self.on_event)]
 
 
 class SentReceivedOrder(MechanismMonitor):
     """Received must always be a prefix of sent; equal once everyone stops."""
 
     def watches(self, n_mechs, n_procs):
-        return [((self.index,), self.verdict)]
+        return [("state", (self.index,), self.verdict),
+                ("terminal", (self.index,), self.on_terminal)]
 
     @staticmethod
     def verdict(m):
@@ -116,8 +119,7 @@ class SentReceivedOrder(MechanismMonitor):
                      f"received {m.received!r} is not a prefix of sent {m.sent!r}"),)
         return ()
 
-    def on_terminal(self, sys, state):
-        m = state.mechs[self.index]
+    def on_terminal(self, m):
         if m.received != m.sent:
             return [("monitor_assert", "sent_received_order",
                      f"terminated with received {m.received!r} != sent {m.sent!r}")]
@@ -134,7 +136,7 @@ class TornValue(Monitor):
         self.mech_id = doc["mechanism"]
 
     def watches(self, n_mechs, n_procs):
-        return [((n_mechs + self.pid,), lambda ps: self.scan(ps.store))]
+        return [("state", (n_mechs + self.pid,), lambda ps: self.scan(ps.store))]
 
     def named(self):
         """Readers with equal variables, allowed values and mechanism may swap."""
@@ -159,11 +161,11 @@ class TornValue(Monitor):
 class RecipientTag(MechanismMonitor):
     """A message must be consumed by the side it was addressed to."""
 
-    def on_event(self, sys, prev, event, post):
+    def on_event(self, event, m):
         pid, label, mech_id = event
         if mech_id != self.mech_id or label[0] != "read":
             return ()
-        if prev.mechs[self.index].pending_writer() == pid:  # validate admits only a duplex_channel
+        if m.pending_writer() == pid:  # validate admits only a duplex_channel
             return [("wrong_recipient", None,
                      f"p{pid} consumed the message it wrote itself")]
         return ()
@@ -178,12 +180,14 @@ class TerminalAssert(Monitor):
         exp = doc.get("expected")  # left out, it is null, as scenarios.validate reads it
         self.expected = tuple(exp) if isinstance(exp, list) else exp
 
+    def watches(self, n_mechs, n_procs):
+        return [("terminal", (n_mechs + self.pid,), self.on_terminal)]
+
     def named(self):
         return ((self.pid, None),)
 
-    def on_terminal(self, sys, state):
-        store = state.procs[self.pid].store
-        got = store_get(store, self.var, "<unbound>")
+    def on_terminal(self, ps):
+        got = store_get(ps.store, self.var, "<unbound>")
         if got != self.expected:
             return [("monitor_assert", "terminal_assert",
                      f"p{self.pid}.{self.var} is {got!r}, expected {self.expected!r}")]
@@ -197,21 +201,16 @@ class LostUnread(MechanismMonitor):
     outgoing message from destroying an incoming one.
     """
 
-    def on_event(self, sys, prev, event, post):
+    def on_event(self, event, m):
         pid, label, mech_id = event
-        if mech_id != self.mech_id or label[0] != "write":
+        if mech_id != self.mech_id or label[0] != "write" or m.content is None:
             return ()
-        m = prev.mechs[self.index]
-        if m.content is None:
+        if isinstance(m, MessageCell) and m.read_since_write:
             return ()
-        if isinstance(m, MessageCell):
-            if m.read_since_write:
-                return ()
-            return [("lost_message", None, None)]
+        side = None
         if isinstance(m, DuplexChannel):
             side = "own-outgoing" if m.dest != pid else "incoming"
-            return [("lost_message", None, side)]
-        return [("lost_message", None, None)]
+        return [("lost_message", None, side)]
 
 
 # monitor kind -> (its class, the family of machines.KINDS its mechanism must

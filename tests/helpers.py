@@ -11,6 +11,7 @@ import types
 from collections import Counter
 from itertools import product
 
+from lockstep import scenarios
 from lockstep.explorer import Violation, _Checks, _classes
 from lockstep.kernel import NotEnabledAtStep, System, Trace
 from lockstep.machines import apply_update
@@ -25,6 +26,24 @@ def bench_families():
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def event_monitors(writes, reads, writes2, reads2):
+    """Two writer-reader pairs on two message cells, each under a
+    ``lost_unread`` monitor: p0 writes 1, 2, ... to ``mc`` while p1 reads it,
+    and p2 writes to ``mc2`` while p3 reads it, each read into its own
+    variable. ``event_monitors(5, 4, 4, 4)`` is the document
+    ``tests/data/scaled/event_monitors.json``."""
+    def pair(writer, mech, n_writes, n_reads):
+        return [scenarios.process(writer, *(scenarios.write(mech, [k + 1])
+                                            for k in range(n_writes))),
+                scenarios.process(writer + 1, *(scenarios.read(mech, f"r{k}")
+                                                for k in range(n_reads)))]
+
+    return scenarios.Scenario.from_parts(
+        "event-monitors", 1, [scenarios.message_cell("mc"), scenarios.message_cell("mc2")],
+        pair(0, "mc", writes, reads) + pair(2, "mc2", writes2, reads2),
+        [scenarios.lost_unread("mc"), scenarios.lost_unread("mc2")])
 
 
 class CountingSystem(System):
@@ -266,8 +285,8 @@ def walkable_classes(sys, max_depth):
         if not succ[s]:
             classes |= _classes(checks.sink(s))
         if dist[s] < max_depth:
-            for a, t in succ[s]:
-                classes |= _classes(checks.event(s, a, t))
+            for a, _ in succ[s]:
+                classes |= _classes(checks.event(s, a))
     return classes, len(near)
 
 
@@ -291,16 +310,28 @@ def maximal_schedule_count(sys):
     return go(sys.initial_state())
 
 
+def view_hits(monitors, when, view, action=None):
+    """The hits of every ``when`` watch (``"state"``, ``"event"`` or
+    ``"terminal"``) of ``monitors`` on a view, in monitor order, each verdict
+    run afresh on the parts at its slots. An event verdict is given
+    ``action`` first, and ``view`` is the state before it."""
+    parts = view.mechs + view.procs
+    given = (action,) if when == "event" else ()
+    return [hit for m in monitors
+            for w, slots, verdict in m.watches(len(view.mechs), len(view.procs)) if w == when
+            for hit in verdict(*given, *map(parts.__getitem__, slots))]
+
+
 def first_witnesses(sys):
     """The first witness of each violation class, in the order explore meets them.
 
     A recursive depth-first search over ``enabled_actions`` in order, with a
     visited set. The monitors run where explore runs them: on the initial
     state; per edge, on the event and then, if the state it reaches is new,
-    on that state; and on a state with no enabled action. The monitors see
-    each state's view. Every hit builds its witness at once, and the first
-    of each class is kept. Returns a list of (kind, name, detail, trace,
-    state hash).
+    on that state; and on a state with no enabled action. Each watch is
+    judged on a view by ``view_hits``. Every hit builds its witness at once,
+    and the first of each class is kept. Returns a list of (kind, name,
+    detail, trace, state hash).
     """
     _sys.setrecursionlimit(10_000)
     monitors = compile_monitors(sys)
@@ -313,11 +344,11 @@ def first_witnesses(sys):
             kept.setdefault(v.cls, v)
 
     def state_hits(state):
-        return [h for m in monitors for h in m.on_state(sys, sys.view(state))]
+        return view_hits(monitors, "state", sys.view(state))
 
     def sink_hits(state):
         if sys.all_terminated(state):
-            return [h for m in monitors for h in m.on_terminal(sys, sys.view(state))]
+            return view_hits(monitors, "terminal", sys.view(state))
         stuck = ", ".join(f"p{q}" for q in sys.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
@@ -328,8 +359,7 @@ def first_witnesses(sys):
         for a in actions:
             post = sys.apply(state, a)
             step = path + (a,)
-            keep([h for m in monitors
-                  for h in m.on_event(sys, sys.view(state), a, sys.view(post))], step, post)
+            keep(view_hits(monitors, "event", sys.view(state), a), step, post)
             if post not in seen:
                 seen.add(post)
                 keep(state_hits(post), step, post)
@@ -349,7 +379,7 @@ def shortest_lengths(sys):
     hits if it has no enabled action.
 
     Prefixes are searched by length, one length at a time, over
-    ``enabled_actions`` and ``apply``, with every monitor run on views. The
+    ``enabled_actions`` and ``apply``, with every watch judged on views. The
     classes at a prefix's end depend only on its final edge, so of the
     prefixes that end in one state only the first one found is extended:
     any other is no shorter. Returns {class or bare kind: length}.
@@ -364,11 +394,11 @@ def shortest_lengths(sys):
 
     def at_end(state, length):
         view = sys.view(state)
-        keep([h for m in monitors for h in m.on_state(sys, view)], length)
+        keep(view_hits(monitors, "state", view), length)
         if sys.enabled_actions(state):
             return
         if sys.all_terminated(state):
-            keep([h for m in monitors for h in m.on_terminal(sys, view)], length)
+            keep(view_hits(monitors, "terminal", view), length)
         else:
             keep([("deadlock", None, "")], length)
 
@@ -382,8 +412,7 @@ def shortest_lengths(sys):
         for state in prefixes:
             for a in sys.enabled_actions(state):
                 post = sys.apply(state, a)
-                keep([h for m in monitors
-                      for h in m.on_event(sys, sys.view(state), a, sys.view(post))], length)
+                keep(view_hits(monitors, "event", sys.view(state), a), length)
                 if post not in seen:
                     seen.add(post)
                     at_end(post, length)
@@ -500,13 +529,12 @@ def reference_replay_with_checks(sys, events):
     step, as replay_with_checks does."""
     checks = _Checks(sys)
     state = sys.initial_state()
-    last = None  # (state before, event, state after) of the final step
+    last = None  # (state before, event) of the final step
     for k, ev in enumerate(events):
         enabled = sys.enabled_actions(state)
         if ev not in enabled:
             raise NotEnabledAtStep(k, ev, enabled)
-        post = sys.apply(state, ev)
-        last, state = (state, ev, post), post
+        last, state = (state, ev), sys.apply(state, ev)
     classes = set(_classes(checks.event(*last))) if last else set()
     classes.update(_classes(checks.state(state)))
     if not sys.enabled_actions(state):

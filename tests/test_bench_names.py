@@ -10,6 +10,9 @@ import importlib.util
 import json
 import pathlib
 
+from lockstep import catalog
+from lockstep.explorer import explore
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +34,16 @@ def test_the_wrapped_layers_are_the_declared_per_layer_metrics():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     timed = {m["name"] for m in declared if m["name"].endswith((".calls", ".s"))}
     assert {f"{layer}.{what}" for layer in layers for what in ("calls", "s")} == timed
+
+
+def test_the_monitor_hook_layers_see_calls():
+    """The tracer counts a monitor hook by its name, so a verdict that stops
+    being called by that name would read 0 without any error."""
+    tracer = _tracer()
+    with tracer.Tracer() as duplex:
+        explore(catalog.get("duplex-strict"))
+    assert duplex.calls["monitors.on_event"] > 0
+    assert duplex.calls["monitors.on_terminal"] > 0
+    with tracer.Tracer() as last_message:
+        explore(catalog.get("last-message-unidirectional"))
+    assert last_message.calls["monitors.on_terminal"] > 0

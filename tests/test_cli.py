@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lockstep import catalog
+from lockstep import catalog, monitors
 from lockstep.cli import main
 from lockstep.explorer import Violation, explore, verify_violation
 from lockstep.kernel import System, Trace
@@ -178,6 +178,27 @@ class TestExplore:
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, "explore", "--file", str(tmp_path / "none.json"))
         assert code == ERROR
+
+    def test_a_file_that_is_not_utf8_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps({"name": "caf\u00e9"}).encode("ascii").replace(
+            b"\\u00e9", b"\xe9"))
+        for argv in (["explore", "--file", str(path)],
+                     ["run", "--catalog", "torn-read-raw", "--schedule", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == ERROR and out == ""
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9"), argv
+
+    @pytest.mark.parametrize("fault", [KeyError, ValueError])
+    def test_a_fault_after_the_inputs_are_read_is_raised(self, capsys, monkeypatch, fault):
+        """Only reading the inputs turns a KeyError or ValueError into exit 3;
+        one from a monitor during the run is a fault, and it propagates."""
+        def raising(*args):
+            raise fault("a monitor fault")
+
+        monkeypatch.setattr(monitors.LostUnread, "on_event", raising)
+        with pytest.raises(fault, match="a monitor fault"):
+            main(["explore", "--catalog", "lost-message-basic"])
 
     def test_a_zero_state_bound_keeps_only_the_initial_state(self, capsys):
         code, out, _ = run(capsys, "explore", "--catalog", "deadlock-direct-duplex",

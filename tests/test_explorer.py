@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lockstep.scenarios as s
-from lockstep import catalog, explorer, monitors
+from lockstep import catalog, explorer, monitors, serialize
 from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
                                _Checks, explore, find_shortest, random_walks,
                                replay_with_checks, resolve_bounds,
@@ -22,9 +22,9 @@ from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary
                                verify_violation)
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
-from helpers import (CountingSystem, bench_families, first_witnesses, maximal_schedule_count,
-                     reachable, reference_replay_with_checks, shortest_lengths,
-                     walkable_classes)
+from helpers import (CountingSystem, bench_families, event_monitors, first_witnesses,
+                     maximal_schedule_count, reachable, reference_replay_with_checks,
+                     shortest_lengths, view_hits, walkable_classes)
 from test_golden import FIXTURE, _cases, _op_scenarios
 from test_kernel import SCENARIOS
 from test_monitors import unguarded_sections
@@ -260,7 +260,7 @@ def reference_walks(sys, walks, seed, bounds=None):
                 break
             ev = edges[rng.randrange(len(edges))]
             post = sys.apply(state, ev)
-            collect(checks.event(state, ev, post))
+            collect(checks.event(state, ev))
             collect(checks.state(post))
             state = post
             steps += 1
@@ -691,38 +691,61 @@ class TestWitnessCost:
             assert m.scans == len({sys.view(st).procs[m.pid] for st in states})
 
     @pytest.mark.parametrize("scenario", [torn_read_3x2x2(), catalog.get("dekker-mutex"),
-                                          unguarded_sections()], ids=lambda sc: sc.name)
+                                          unguarded_sections()]
+                             + [catalog.get(name) for name in (
+                                 "lost-message-basic", "duplex-strict", "status-channel-exact",
+                                 "last-message-unidirectional")], ids=lambda sc: sc.name)
     def test_states_build_no_view_and_verdicts_run_once_per_parts(self, monkeypatch,
                                                                    scenario):
         """A view is built only for a kept witness's hash and a terminal state
-        of the report; each watch's verdict runs once per distinct parts it reads."""
+        of the report. Each state watch's verdict runs once per distinct parts
+        it reads, and each terminal watch's once per distinct parts it reads
+        in a terminal state; each event watch's runs once per edge taken, on
+        the action and the parts it reads in the state before the edge."""
         views = []
         decode = System.view
         monkeypatch.setattr(System, "view", lambda sys, st: views.append(st) or decode(sys, st))
-        runs = []  # (monitor index, slots, parts) of each verdict run
+        runs = []  # (monitor index, when, slots, what the verdict is given) of each verdict run
 
         def counted(sys):
             made = monitors.compile_monitors(sys)
             for k, m in enumerate(made):
                 def watches(n_mechs, n_procs, inner=m.watches, k=k):
-                    return [(slots, lambda *parts, slots=slots, verdict=verdict:
-                             runs.append((k, slots, parts)) or verdict(*parts))
-                            for slots, verdict in inner(n_mechs, n_procs)]
+                    return [(when, slots, lambda *given, when=when, slots=slots, verdict=verdict:
+                             runs.append((k, when, slots, given)) or verdict(*given))
+                            for when, slots, verdict in inner(n_mechs, n_procs)]
                 m.watches = watches
             return made
 
         monkeypatch.setattr(explorer, "compile_monitors", counted)
-        sys = System(scenario)
+        sys = CountingSystem(scenario)
         report = explore(sys)
+        taken = Counter(sys.applied)
         assert len(views) <= len(report.violations) + report.distinct_terminal_states
         monkeypatch.undo()
 
         made = monitors.compile_monitors(sys)
-        parts = [view.mechs + view.procs for view in map(sys.view, reachable(sys))]
-        expected = {(k, slots, tuple(map(p.__getitem__, slots))) for p in parts
-                    for k, m in enumerate(made) for slots, _ in m.watches(sys.n_mechs, sys.n_procs)}
-        assert len(runs) == len(set(runs))
-        assert set(runs) == expected
+        expected, events = set(), Counter()
+        for state in reachable(sys):
+            view = sys.view(state)
+            parts = view.mechs + view.procs
+            sink = not sys.enabled_actions(state) and sys.all_terminated(state)
+            for k, m in enumerate(made):
+                for when, slots, _ in m.watches(sys.n_mechs, sys.n_procs):
+                    at = tuple(map(parts.__getitem__, slots))
+                    if when == "state" or when == "terminal" and sink:
+                        expected.add((k, when, slots, at))
+                    elif when == "event":
+                        for (prev, action), n in taken.items():
+                            if prev == state:
+                                events[k, when, slots, (action, *at)] += n
+        judged = [run for run in runs if run[1] != "event"]
+        assert len(judged) == len(set(judged))
+        assert set(judged) == expected
+        assert Counter(run for run in runs if run[1] == "event") == events
+        # every kind of watch the monitors declare ran
+        assert {run[1] for run in runs} == {when for m in made
+                                            for when, _, _ in m.watches(sys.n_mechs, sys.n_procs)}
 
 
 def fault_on_unwritten_read():
@@ -814,7 +837,8 @@ def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
     actions are its enabled actions in its order, and takes nothing, with
     sink hits only where there is no edge; ``step`` on each edge takes it
     once and gives the kernel's post state for its action and every
-    monitor's event hits on that edge, in monitor order, in ``hits``."""
+    monitor's event hits on that edge, in monitor order, in ``hits``, as
+    ``view_hits`` judges them on the view of the state before it."""
     sys = CountingSystem(scenario)
     states = reachable(sys)
     checks = _Checks(sys)
@@ -829,10 +853,54 @@ def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
             post = checks.step(state, edge)
             assert sys.applied == {(state, ev): 1}
             assert post == System.apply(sys, state, ev)
-            prev_view, post_view = sys.view(state), sys.view(post)
-            assert list(checks.hits) == [hit for m in checks.monitors
-                                         for hit in m.on_event(sys, prev_view, ev, post_view)]
+            assert list(checks.hits) == view_hits(checks.monitors, "event", sys.view(state), ev)
             sys.applied.clear()
+
+
+DIFFERENTIAL_SCENARIOS = LAYER_SCENARIOS + [event_monitors(3, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("scenario", DIFFERENTIAL_SCENARIOS, ids=lambda sc: sc.name)
+def test_the_layer_gives_the_hits_of_the_uncached_view_helper(scenario):
+    """On every reachable state, edge and terminal sink, one layer, which
+    keeps state and terminal verdicts per parts throughout, gives the hits
+    that ``view_hits`` gives by judging every watch afresh on views."""
+    sys = System(scenario)
+    checks = _Checks(sys)
+    for state in reachable(sys):
+        view = sys.view(state)
+        assert checks.state(state) == view_hits(checks.monitors, "state", view)
+        edges, sink = checks.edges(state)
+        if not edges and sys.all_terminated(state):
+            assert sink == view_hits(checks.monitors, "terminal", view)
+        for edge in edges:
+            checks.step(state, edge)
+            assert checks.hits == view_hits(checks.monitors, "event", view, edge[0])
+
+
+def test_the_differential_sees_event_and_terminal_hits():
+    """Every event and terminal monitor hits somewhere in the differential,
+    except ``recipient_tag``, which no real mechanism lets hit."""
+    seen = set()
+    for scenario in DIFFERENTIAL_SCENARIOS:
+        sys = System(scenario)
+        checks = _Checks(sys)
+        for state in reachable(sys):
+            edges, sink = checks.edges(state)
+            if not edges and sys.all_terminated(state):
+                seen.update(("terminal", kind, name) for kind, name, _ in sink)
+            for edge in edges:
+                checks.step(state, edge)
+                seen.update(("event", kind, name) for kind, name, _ in checks.hits)
+    assert seen == {("event", "lost_message", None),
+                    ("terminal", "monitor_assert", "sent_received_order"),
+                    ("terminal", "monitor_assert", "terminal_assert")}
+
+
+def test_the_scaled_event_monitor_document_is_built_by_its_helper():
+    """The document the CI explores at scale is ``event_monitors(5, 4, 4, 4)``."""
+    path = pathlib.Path(__file__).parent / "data" / "scaled" / "event_monitors.json"
+    assert path.read_text(encoding="utf-8") == serialize(event_monitors(5, 4, 4, 4)) + "\n"
 
 
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
@@ -890,10 +958,10 @@ class CallerRecordingSystem(System):
 
 
 def test_every_strategy_steps_only_through_the_transition_layer():
-    """With an event hook to run, every step is the layer's ``step``. (With
+    """With an event watch to run, every step is the layer's ``step``. (With
     none, ``step`` is the kernel's ``take`` itself, called by the strategy.)"""
     system = CallerRecordingSystem(catalog.get("lost-message-basic"))
-    assert _Checks(system).on_event
+    assert _Checks(system).events
     explore(system)
     witness = find_shortest(system, "lost_message")
     random_walks(system, walks=50, seed=1)
@@ -942,7 +1010,7 @@ def kernel_steps_outside_the_layer(source):
 
 def test_no_code_outside_the_transition_layer_steps_the_kernel():
     """The static half of the pin above, which also covers a System with no
-    event hook: no module of the package but the kernel, which defines them,
+    event watch: no module of the package but the kernel, which defines them,
     asks a System for a state's edges or takes one, except in ``_Checks``."""
     package = pathlib.Path(explorer.__file__).parent
     for path in sorted(package.glob("*.py")):

@@ -7,7 +7,7 @@ import pytest
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import _Checks, explore
+from lockstep.explorer import _Checks, explore, terminal_variable_values
 from lockstep.kernel import GlobalState, ProcState, System
 from lockstep.machines import DuplexChannel, MessageCell, StatusChannel
 from lockstep.monitors import (LostUnread, MutualExclusion, RecipientTag,
@@ -68,7 +68,7 @@ class TestSentReceivedOrder:
 
     def test_terminal_requires_equality(self):
         ch = StatusChannel(sent=((1,), (2,)), received=((1,),))
-        hits = self.mon.on_terminal(None, state(ch))
+        hits = self.mon.on_terminal(ch)
         assert hits and "terminated with" in hits[0][2]
 
 
@@ -123,14 +123,12 @@ class TestRecipientTag:
     def test_reading_your_own_message_is_a_hit(self):
         # fabricated: the guards never let this state arise
         dx = DuplexChannel(side_a=0, side_b=1, content=(1,), dest=1)
-        prev = state(dx, stores=((), ()))
-        hits = self.mon.on_event(None, prev, (0, ("read",), "dx"), prev)
+        hits = self.mon.on_event((0, ("read",), "dx"), dx)
         assert hits and hits[0][0] == "wrong_recipient"
 
     def test_intended_reader_is_fine(self):
         dx = DuplexChannel(side_a=0, side_b=1, content=(1,), dest=1)
-        prev = state(dx, stores=((), ()))
-        assert self.mon.on_event(None, prev, (1, ("read",), "dx"), prev) == ()
+        assert self.mon.on_event((1, ("read",), "dx"), dx) == ()
 
     def test_unreachable_in_the_real_mechanism(self):
         for name in ("duplex-strict", "duplex-last-message"):
@@ -141,17 +139,17 @@ class TestRecipientTag:
 class TestTerminalAssert:
     def test_mismatch_reported(self):
         mon = TerminalAssert({"process": 0, "var": "r", "expected": [3]})
-        hits = mon.on_terminal(None, state(stores=((("r", (2,)),),)))
+        hits = mon.on_terminal(ProcState(pc=0, store=(("r", (2,)),)))
         assert hits and "expected (3,)" in hits[0][2]
 
     def test_unbound_variable_reported(self):
         mon = TerminalAssert({"process": 0, "var": "r", "expected": [3]})
-        hits = mon.on_terminal(None, state(stores=((),)))
+        hits = mon.on_terminal(ProcState(pc=0))
         assert hits and "<unbound>" in hits[0][2]
 
     def test_status_token_expectation(self):
         mon = TerminalAssert({"process": 0, "var": "t", "expected": "empty"})
-        assert mon.on_terminal(None, state(stores=((("t", "empty"),),))) == ()
+        assert mon.on_terminal(ProcState(pc=0, store=(("t", "empty"),))) == ()
 
     def test_a_left_out_expected_is_null(self):
         """validate reads a terminal_assert without ``expected`` as expecting
@@ -167,8 +165,7 @@ class TestLostUnread:
     mon = LostUnread({"mechanism": "m"}, index=0)
 
     def event(self, prev_mech, pid=0):
-        prev = state(prev_mech, stores=((), ()))
-        return self.mon.on_event(None, prev, (pid, ("write", (9,)), "m"), prev)
+        return self.mon.on_event((pid, ("write", (9,)), "m"), prev_mech)
 
     def test_overwriting_an_unread_message(self):
         hits = self.event(MessageCell(content=(1,), read_since_write=False))
@@ -190,6 +187,18 @@ class TestLostUnread:
 
     def test_other_mechanisms_report_plain(self):
         assert self.event(StatusChannel(content=(1,))) == [("lost_message", None, None)]
+
+    def test_a_message_read_twice_is_not_lost(self):
+        """A write over an unread message is flagged, a second read of one is not."""
+        sc = s.Scenario.from_parts("read-twice", 1, [s.message_cell("m")],
+                                   [s.process(0, s.write("m", [1])),
+                                    s.process(1, s.read("m", "a"), s.read("m", "b"))],
+                                   [s.lost_unread("m")])
+        sys = System(sc)
+        report = explore(sys)
+        assert ((1,), (1,)) in terminal_variable_values(sys, report, 1, ("a", "b"))
+        assert "lost_message" not in report.violation_classes
+        assert report.violations == ()
 
 
 class TestCompileMonitors:

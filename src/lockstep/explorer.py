@@ -17,11 +17,13 @@ graph of the states they stood on, so a revisited edge is neither taken
 nor checked again. This is sound because stepping and the monitors are
 pure functions of the states they are shown; neither the graph nor the
 pass is shared with explore(), so a fault in its memo cannot hide from
-the walks. Every strategy and the
-replay step only through ``_Checks``, the one transition layer: no other
-code asks the kernel for a state's edges, takes one or runs a monitor. (When no monitor
-watches events, the layer's ``step`` is the kernel's ``take`` itself.) Strategies key
-their memos on packed states, and only views of them leave a call.
+the walks. The four searches (``explore``, ``_breadth_first``, the walks
+and the replay) step only through the ``System``, the one transition
+layer: ``edges`` expands a state, ``take`` takes an edge, whose event hits
+the search then reads beside its move, ``hits`` judges a state and
+``sink`` a state with no edge. No other code asks the kernel for a state's
+edges, takes one or runs a monitor. Strategies key their memos on packed
+states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted (``_interchangeable``,
 ``_Orbits``), so one entry stands for a whole orbit of states and the
@@ -47,7 +49,6 @@ from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get
 from .machines import KINDS
-from .monitors import compile_monitors
 from .scenarios import bounds_problems
 
 _IN_PROGRESS = object()
@@ -158,82 +159,6 @@ def resolve_bounds(sys: System, override=None) -> Bounds:
 def _classes(hits):
     """The class strings of a list of monitor hits."""
     return {_class_of(*hit) for hit in hits}
-
-
-class _Checks:
-    """The transition layer: stepping and monitor fan-out for every strategy.
-
-    Every strategy expands a state with ``edges`` and takes each edge with
-    ``step``, so a rule for every expansion or every step goes here once,
-    such as turning a ``KernelError`` into a violation or counting
-    transitions and time per layer. Only ``edges`` asks the kernel for a
-    state's edges, only ``step`` takes one and runs the event verdicts, and
-    only ``sink`` runs the terminal verdicts. An edge is the kernel's
-    ``[action, move, instruction]``, and a strategy records its action.
-    ``edges`` takes nothing, so a state at the depth bound, whose edges the
-    searches do not take, computes no move. ``step`` returns the post state
-    and refills the list ``hits`` in place with the edge's event hits, so a
-    strategy binds both once and reads ``hits`` right after each step. When
-    no monitor watches events, ``step`` is the kernel's ``take`` itself,
-    one call per edge, and ``hits`` stays empty; a rule added for every
-    step must then replace that binding.
-
-    States come in packed, and each check is a watch over their slots
-    (``monitors``), split once by when it runs. A state or terminal verdict is
-    kept per distinct intern indices at its slots for the life of the layer
-    (one strategy call), as ``System`` keeps offers: a lookup per watch. An
-    event verdict runs afresh on every step. No check builds a view.
-    """
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.take = sys.take
-        self.monitors = monitors = compile_monitors(sys)
-        # by when: (key of a packed state, verdicts by key, slots, verdict), in monitor order
-        watches = [(when, (itemgetter(*slots), {}, slots, verdict)) for m in monitors
-                   for when, slots, verdict in m.watches(sys.n_mechs, sys.n_procs)]
-        self.watches, self.events, self.terminal = (tuple(w for at, w in watches if at == when)
-                                                    for when in ("state", "event", "terminal"))
-        self.hits = []   # the hits on the edge ``step`` took last, refilled in place
-        if not self.events:  # no edge can hit, so a step is the kernel's take
-            self.step = sys.take
-
-    def edges(self, state):
-        """(the state's edges, sink hits); the hits are () unless there are no edges."""
-        edges = self.sys.edges(state)
-        return edges, (() if edges else self.sink(state))
-
-    def step(self, state, edge):
-        """The post state of an edge of ``state``; the edge's hits go in ``hits``."""
-        post = self.take(state, edge)
-        self.hits[:] = self.event(state, edge[0])
-        return post
-
-    def state(self, state, watches=None):
-        """The hits of the state watches, or of ``watches``, on a packed state."""
-        hits = []
-        for key_of, verdicts, slots, verdict in self.watches if watches is None else watches:
-            key = key_of(state)
-            try:
-                got = verdicts[key]
-            except KeyError:
-                got = verdicts[key] = verdict(*self.sys.parts(state, slots))
-            if got:
-                hits += got
-        return hits
-
-    def event(self, state, action):
-        """The hits of the event watches on ``action`` taken at a packed state."""
-        parts = self.sys.parts
-        return [hit for _, _, slots, verdict in self.events
-                for hit in verdict(action, *parts(state, slots))]
-
-    def sink(self, state):
-        """Hits for a state with no enabled action: deadlock or terminal checks."""
-        if self.sys.all_terminated(state):
-            return self.state(state, self.terminal)
-        stuck = ", ".join(f"p{q}" for q in self.sys.live_processes(state))
-        return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
 
 def _interchangeable(sys, monitors):
@@ -391,9 +316,8 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
-    checks = _Checks(sys)
-    orbits = _Orbits(sys, _interchangeable(sys, checks.monitors))
-    key_of, step, edge_hits = orbits.key, checks.step, checks.hits
+    orbits = _Orbits(sys, _interchangeable(sys, sys.monitors))
+    key_of = orbits.key
 
     memo = {}            # key -> maximal-schedule count below its state (None = cut by a bound)
     cut_at = {}          # key whose count is None -> depth its state was expanded from
@@ -423,34 +347,35 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     # edge, key]
     stack = [[init, None, 0, None, root]]
     memo[root] = _IN_PROGRESS
-    record(checks.state(init), None, init)
-    memo_get, size_of, watches = memo.get, orbits.size, checks.watches
-    edges, max_depth, max_states = checks.edges, b.max_depth, b.max_states
+    record(sys.hits(init), None, init)
+    memo_get, size_of, watched = memo.get, orbits.size, sys.state_watches
+    edges, take, hits = sys.edges, sys.take, sys.hits
+    max_depth, max_states = b.max_depth, b.max_states
 
     while stack:
         frame = stack[-1]
         state, actions, acc = frame[0], frame[1], frame[2]
         depth = len(stack)   # of the states this frame reaches
         if actions is None:  # expand the state: its frame was just pushed
-            actions, hits = edges(state)
+            actions = edges(state)
             if not actions:
                 if sys.all_terminated(state):
                     terminals.append(state)
-                record(hits, None, state)
+                record(sys.sink(state), None, state)
                 acc = 1
             elif depth > max_depth:  # at the depth bound: no edge is taken, no move computed
                 bounds_hit = True
                 actions, acc = (), None
             frame[1] = actions = iter(actions)
         for edge in actions:
-            post = step(state, edge)
-            if edge_hits:
-                record(edge_hits, edge[0], post)
+            post = take(state, edge)
+            if edge[3]:
+                record(edge[3], edge[0], post)
             key = key_of(post)
             count = memo_get(key, _UNSEEN)
             if count is _UNSEEN:
-                if watches:
-                    state_hits = checks.state(post)
+                if watched:
+                    state_hits = hits(post)
                     if state_hits:
                         record(state_hits, edge[0], post)
                 size = size_of(key)
@@ -492,7 +417,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     )
 
 
-def _breadth_first(checks, init, max_depth, max_states, parents):
+def _breadth_first(sys, init, max_depth, max_states, parents):
     """Yield each non-empty group of hits as ``(hits, at, ev, state)``: hits
     in ``state``, reached by the trail to ``at`` in ``parents``, then ``ev``.
 
@@ -503,29 +428,29 @@ def _breadth_first(checks, init, max_depth, max_states, parents):
     not stored, and yields ``(None, at, ev, state)``. A state's edges are
     computed once, when it is stored; a state at the depth bound takes none.
     """
-    step, hits, watches = checks.step, checks.hits, checks.watches
+    edges, take, hits, sink, watched = sys.edges, sys.take, sys.hits, sys.sink, sys.state_watches
     parents[init] = None
-    edges, sink = checks.edges(init)
-    for found in (checks.state(init), sink):
+    out = edges(init)
+    for found in (hits(init), () if out else sink(init)):
         if found:
             yield found, init, None, init
-    level = [(init, edges)]   # the states first reached at this depth, with their edges
+    level = [(init, out)]   # the states first reached at this depth, with their edges
     depth = 0
     while level and depth < max_depth:   # a level at the depth bound takes no edge
         below = []
-        for state, edges in level:
-            for edge in edges:
-                post = step(state, edge)
-                if hits:
-                    yield hits, state, edge[0], post
+        for state, out in level:
+            for edge in out:
+                post = take(state, edge)
+                if edge[3]:
+                    yield edge[3], state, edge[0], post
                 if post not in parents:
-                    if watches and (found := checks.state(post)):
+                    if watched and (found := hits(post)):
                         yield found, state, edge[0], post
                     if len(parents) < max_states:
                         parents[post] = (state, edge[0])
-                        post_edges, sink = checks.edges(post)
-                        if sink:
-                            yield sink, post, None, post
+                        post_edges = edges(post)
+                        if not post_edges and (found := sink(post)):
+                            yield found, post, None, post
                         below.append((post, post_edges))
                     else:
                         yield None, state, edge[0], post
@@ -547,8 +472,7 @@ def find_shortest(scenario, kind, bounds=None) -> Violation | None:
     b = resolve_bounds(sys, bounds)
     init = sys.initial_state()
     parents = {}
-    for hits, at, ev, state in _breadth_first(_Checks(sys), init, b.max_depth,
-                                              b.max_states, parents):
+    for hits, at, ev, state in _breadth_first(sys, init, b.max_depth, b.max_states, parents):
         for hk, hn, hd in hits or ():
             if kind in (hk, _class_of(hk, hn, hd)):
                 events = [] if ev is None else [ev]
@@ -567,13 +491,13 @@ class _WalkNode:
 
     def __init__(self, state, edges):
         self.state = state
-        self.edges = edges                  # the state's edges, from checks.edges
+        self.edges = edges                  # the state's edges, from System.edges
         self.n = len(edges)
         self.bits = self.n.bit_length()     # what randrange(n) draws per try
         self.children = [None] * self.n     # edge index -> child node
 
 
-def _walk_classes(checks, init, max_depth, budget):
+def _walk_classes(sys, init, max_depth, budget):
     """Every class a walk from ``init`` could collect, or None once more than
     ``budget`` states would be held: the state and sink classes of each state
     within ``max_depth`` steps, and the event classes of each edge leaving a
@@ -582,7 +506,7 @@ def _walk_classes(checks, init, max_depth, budget):
     if budget < 1:
         return None
     classes = set()
-    for hits, _, _, _ in _breadth_first(checks, init, max_depth, budget, {}):
+    for hits, _, _, _ in _breadth_first(sys, init, max_depth, budget, {}):
         if hits is None:
             return None
         classes.update(_classes(hits))
@@ -628,8 +552,7 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
         raise ValueError(f"walks: must be a non-negative integer, got {walks!r}")
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
-    checks = _Checks(sys)
-    step, hits = checks.step, checks.hits
+    edges, take_edge, hits = sys.edges, sys.take, sys.hits
     draw = random.Random(seed).getrandbits
     classes = set()
     nodes = {}           # state -> _WalkNode, for this call only
@@ -637,18 +560,20 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
     def node_for(state):
         node = nodes.get(state)
         if node is None:
-            classes.update(_classes(checks.state(state)))
-            edges, sink = checks.edges(state)
-            classes.update(_classes(sink))
-            node = _WalkNode(state, edges)
+            classes.update(_classes(hits(state)))
+            out = edges(state)
+            if not out:
+                classes.update(_classes(sys.sink(state)))
+            node = _WalkNode(state, out)
             if len(nodes) < b.max_states:
                 nodes[state] = node
         return node
 
     def take(node, i):
-        post = step(node.state, node.edges[i])
-        if hits:
-            classes.update(_classes(hits))
+        edge = node.edges[i]
+        post = take_edge(node.state, edge)
+        if edge[3]:
+            classes.update(_classes(edge[3]))
         child = node_for(post)
         if post in nodes and nodes.get(node.state) is node:  # an edge of the graph
             node.children[i] = child
@@ -656,7 +581,7 @@ def random_walks(scenario, walks=10_000, seed=0, bounds=None) -> WalkSummary:
 
     init = sys.initial_state()
     root = nodes[init] = node_for(init)   # stored even in a full graph
-    everything = _walk_classes(checks, init, b.max_depth, min(walks, b.max_states))
+    everything = _walk_classes(sys, init, b.max_depth, min(walks, b.max_states))
     depth = range(b.max_depth)
     for _ in range(walks):
         if classes == everything:  # no later walk can add a class
@@ -684,18 +609,18 @@ def replay_with_checks(scenario, events):
     ``NotEnabledAtStep`` with its index and the actions that were enabled.
     """
     sys = as_system(scenario)
-    checks = _Checks(sys)
     state = sys.initial_state()
-    edges, sink = checks.edges(state)
+    edges, last = sys.edges(state), ()   # last: the hits of the final step, if any
     for k, ev in enumerate(events):
         edge = next((edge for edge in edges if edge[0] == ev), None)
         if edge is None:
             raise NotEnabledAtStep(k, ev, [edge[0] for edge in edges])
-        state = checks.step(state, edge)
-        edges, sink = checks.edges(state)
-    classes = _classes(checks.hits)  # of the final step, if any
-    classes.update(_classes(checks.state(state)))
-    classes.update(_classes(sink))
+        state = sys.take(state, edge)
+        edges, last = sys.edges(state), edge[3]
+    classes = _classes(last)
+    classes.update(_classes(sys.hits(state)))
+    if not edges:
+        classes.update(_classes(sys.sink(state)))
     return sys.view(state), classes
 
 

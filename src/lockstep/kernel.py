@@ -11,6 +11,12 @@ System can read. ``System.view`` decodes one into a ``GlobalState`` of the
 parts themselves, which callers of other modules see; a monitor is given
 only the parts at the slots it watches (``System.parts``).
 
+A System is also the one transition layer of the searches in ``explorer``:
+they expand a state with ``edges``, take an edge with ``take`` and read the
+edge's event hits beside its move, judge a state with ``hits`` and a state
+with no edge with ``sink``. The System compiles the scenario's monitors
+once and keeps every verdict for its life, as it keeps its offers.
+
 An action is the tuple ``(process, label, mechanism id)``. Rendezvous on a
 direct channel appears as a single action carrying both parties: the label
 ``("send", value, receiver)`` advances sender and receiver in one step.
@@ -231,15 +237,20 @@ class System:
     receives on its channel) and its offers keyed by what the getter
     returns, parts as indices; the entry is None for an idle ProcState, whose
     heads can offer nothing. An offer is an edge ``[action, move,
-    instruction]``: the head instruction that offers the action, and a move
-    that ``take`` computes from that instruction when the edge is first taken
-    and that then serves every state with that offer key, since the key holds
-    every slot the step reads. So in ``edges`` a warm process costs two
-    subscripts and one getter call, an idle one a subscript, and a miss fills
-    the tables through ``_edges_of``; ``take`` costs a splice.
+    instruction, hits]``: the head instruction that offers the action, and a
+    move and event hits that ``take`` computes when the edge is first taken
+    and that then serve every state with that offer key, since the key holds
+    every slot the step reads, the one slot an event watch reads included.
+    So in ``edges`` a warm process costs two subscripts and one getter call,
+    an idle one a subscript, and a miss fills the tables through
+    ``_edges_of``; ``take`` costs a splice.
     Each table grows with the distinct local views reached, not with the
     global states. A state is its mechanisms' indices, then its processes'.
     A step or offer that raises is not stored, so a fault raises every time.
+
+    Each state and terminal verdict is kept per distinct intern indices at
+    its slots, a lookup per watch. An event verdict is judged once per edge,
+    and only for actions whose instruction touches the mechanism it watches.
     A System validates a scenario that ``validate`` has not checked, and
     takes the programs ``validate`` compiled.
     """
@@ -260,6 +271,18 @@ class System:
         self._views = tuple({} for _ in self.programs)  # per process: ProcState index -> _view entry
         self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
+        from .monitors import compile_monitors  # monitors imports kernel
+        self.monitors = compile_monitors(self)
+        # by when: (key of a packed state, verdicts by key, slots, verdict), in monitor order
+        watches = [(when, (itemgetter(*slots), {}, slots, verdict)) for m in self.monitors
+                   for when, slots, verdict in m.watches(self.n_mechs, self.n_procs)]
+        self.state_watches, self._terminal = (tuple(w for at, w in watches if at == when)
+                                              for when in ("state", "terminal"))
+        self._events = {}   # mechanism slot -> the event verdicts that watch it, in monitor order
+        for when, (_, _, slots, verdict) in watches:
+            if when == "event":
+                (slot,) = slots   # an event watch names one mechanism slot
+                self._events.setdefault(slot, []).append(verdict)
 
     def _intern(self, x):
         i = self._index.get(x)
@@ -301,11 +324,34 @@ class System:
         view = state if isinstance(state, GlobalState) else self.view(state)
         return hashlib.sha256(repr(view).encode()).hexdigest()[:16]
 
+    # -- monitors ---------------------------------------------------------------
+
+    def hits(self, state, watches=None):
+        """The hits of the state watches, or of ``watches``, on a packed state."""
+        hits = []
+        for key_of, verdicts, slots, verdict in self.state_watches if watches is None else watches:
+            key = key_of(state)
+            try:
+                got = verdicts[key]
+            except KeyError:
+                got = verdicts[key] = verdict(*self.parts(state, slots))
+            if got:
+                hits += got
+        return hits
+
+    def sink(self, state):
+        """The hits of a state with no edge: its terminal verdicts, or a deadlock."""
+        if self.all_terminated(state):
+            return self.hits(state, self._terminal)
+        stuck = ", ".join(f"p{q}" for q in self.live_processes(state))
+        return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
+
     # -- enabledness ---------------------------------------------------------
 
     def edges(self, state):
         """Every edge the state offers: each process's sorted offers, in pid order.
-        An edge is ``[action, move, instruction]``; ``take`` fills its move."""
+        An edge is ``[action, move, instruction, hits]``; ``take`` fills the
+        move and the hits."""
         edges = []
         for p, ps in enumerate(state[self.n_mechs:]):
             try:
@@ -367,13 +413,13 @@ class System:
         for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
             if ins.op == "send":
                 value = self._value(ps.store, ins.expr, allow_none=True)
-                edges += [[(p, ("send", value, q), ins.mech_id), None, ins]
+                edges += [[(p, ("send", value, q), ins.mech_id), None, ins, None]
                           for q in range(self.n_procs) if self.n_mechs + q in read
                           and self._receiver(q, read[self.n_mechs + q].pc, ins.mech_id)]
             elif ins.op != "receive":  # a receive is engaged from the sending side
                 label = self._offer(p, ps, read.get(ins.mech), ins)
                 if label is not None:
-                    edges.append([(p, label, ins.mech_id), None, ins])
+                    edges.append([(p, label, ins.mech_id), None, ins, None])
         edges.sort(key=lambda edge: _action_sort_key(edge[0]))
         return tuple(edges)
 
@@ -437,11 +483,17 @@ class System:
 
     def take(self, state, edge) -> tuple:
         """The post state of an edge of ``state`` (from ``edges``): the state
-        with the edge's move ``(j, part, i, part)`` spliced in, filled by
-        ``_move`` when the edge is first taken. A step that raises stores no move."""
+        with the edge's move ``(j, part, i, part)`` spliced in. When the edge
+        is first taken, ``_move`` fills its move and the event verdicts that
+        watch the mechanism its instruction touches fill its hits, ``edge[3]``,
+        each judging the action and that mechanism's part before the step; the
+        offer key fixes both. A step that raises stores neither."""
         move = edge[1]
-        if move is None:
-            move = edge[1] = self._move(state, edge)
+        if move is None:  # a loop: a generator here would make every take build closure cells
+            move, ins, hits = self._move(state, edge), edge[2], []
+            for verdict in self._events.get(ins.mech, ()):
+                hits += verdict(edge[0], self._parts[state[ins.mech]])
+            edge[3], edge[1] = tuple(hits), move
         j, pj, i, pi = move
         out = list(state)
         out[j], out[i] = pj, pi
@@ -463,7 +515,7 @@ class System:
         receiver (``j`` again when only the process changes), each with the
         intern index of its next part. It is exact for every state that shares
         the edge's offer key, since that key holds every slot the step reads."""
-        (p, label, mech_id), _, ins = edge
+        (p, label, mech_id), _, ins, _ = edge
         j = self.n_mechs + p
         ps, op = self._parts[state[j]], ins.op
         if op == "send":

@@ -10,10 +10,13 @@ Every check is a *watch*, a triple ``(when, slots, verdict)``. The slots
 index a state's parts as a ``System`` packs them: its mechanisms, then its
 processes. A ``"state"`` verdict judges every state, a ``"terminal"`` one
 every state where all processes have stopped, as ``verdict(*parts)`` of the
-parts at its slots; an ``"event"`` one every step, as ``verdict(action,
-*parts)`` of the parts at its slots before it. A verdict returns a tuple of
-hits and depends on nothing else, so a state or terminal verdict can be kept
-per distinct parts it reads. No monitor is shown a whole state.
+parts at its slots. An ``"event"`` watch names exactly one mechanism slot,
+and its verdict judges every step whose instruction touches that mechanism,
+as ``verdict(action, part)`` of the mechanism's part before the step. A
+verdict returns a tuple of hits and depends on nothing else, so the
+``System`` keeps a state or terminal verdict per distinct parts it reads,
+and an event verdict per edge, beside the edge's move. No monitor is shown
+a whole state.
 
 A monitor that reads or reports a process by its pid says so through
 ``named()``: pairs ``(pid, signature)``. Two processes can swap places
@@ -94,11 +97,10 @@ class MutualExclusion(Monitor):
 
 class MechanismMonitor(Monitor):
     """A monitor of one mechanism, built with the mechanism's slot, ``index``.
-    Unless it declares other watches, it judges each event by ``on_event``
-    on the mechanism's snapshot before the step."""
+    Unless it declares other watches, it judges each step on the mechanism
+    by ``on_event`` on the mechanism's snapshot before the step."""
 
     def __init__(self, doc, index):
-        self.mech_id = doc["mechanism"]
         self.index = index
 
     def watches(self, n_mechs, n_procs):
@@ -162,8 +164,8 @@ class RecipientTag(MechanismMonitor):
     """A message must be consumed by the side it was addressed to."""
 
     def on_event(self, event, m):
-        pid, label, mech_id = event
-        if mech_id != self.mech_id or label[0] != "read":
+        pid, label, _ = event
+        if label[0] != "read":
             return ()
         if m.pending_writer() == pid:  # validate admits only a duplex_channel
             return [("wrong_recipient", None,
@@ -202,8 +204,8 @@ class LostUnread(MechanismMonitor):
     """
 
     def on_event(self, event, m):
-        pid, label, mech_id = event
-        if mech_id != self.mech_id or label[0] != "write" or m.content is None:
+        pid, label, _ = event
+        if label[0] != "write" or m.content is None:
             return ()
         if isinstance(m, MessageCell) and m.read_since_write:
             return ()

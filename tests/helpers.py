@@ -12,7 +12,7 @@ from collections import Counter
 from itertools import product
 
 from lockstep import scenarios
-from lockstep.explorer import Violation, _Checks, _classes
+from lockstep.explorer import Violation, _classes
 from lockstep.kernel import NotEnabledAtStep, System, Trace
 from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
@@ -152,7 +152,7 @@ def offers_by_process(sys, state):
     but the process's own in view, so no table and no idleness test is read.
     Each offer is an (action, instruction) pair."""
     n = sys.n_mechs
-    return [[(action, ins) for action, _, ins in
+    return [[(action, ins) for action, _, ins, _ in
              sys._local_offers(p, state[n + p], state,
                                tuple(i for i in range(len(state)) if i != n + p))]
             for p in range(sys.n_procs)]
@@ -265,8 +265,9 @@ def walkable_classes(sys, max_depth):
     Each reachable state's distance from the initial one is found by
     relaxing every edge until no distance shrinks, not breadth-first. A walk
     stands on the states within ``max_depth`` steps, where it collects state
-    and sink classes, and takes the edges of those nearer than that."""
-    checks = _Checks(sys)
+    and sink classes, and takes the edges of those nearer than that. Event
+    verdicts are judged on views by ``view_hits``."""
+    monitors = compile_monitors(sys)
     init, states = sys.initial_state(), reachable(sys)
     succ = {s: [(a, sys.apply(s, a)) for a in sys.enabled_actions(s)] for s in states}
     dist = dict.fromkeys(states, len(states))
@@ -281,12 +282,12 @@ def walkable_classes(sys, max_depth):
     near = [s for s in states if dist[s] <= max_depth]
     classes = set()
     for s in near:
-        classes |= _classes(checks.state(s))
+        classes |= _classes(sys.hits(s))
         if not succ[s]:
-            classes |= _classes(checks.sink(s))
+            classes |= _classes(sys.sink(s))
         if dist[s] < max_depth:
             for a, _ in succ[s]:
-                classes |= _classes(checks.event(s, a))
+                classes |= _classes(view_hits(sys, monitors, "event", sys.view(s), a))
     return classes, len(near)
 
 
@@ -310,15 +311,20 @@ def maximal_schedule_count(sys):
     return go(sys.initial_state())
 
 
-def view_hits(monitors, when, view, action=None):
+def view_hits(sys, monitors, when, view, action=None):
     """The hits of every ``when`` watch (``"state"``, ``"event"`` or
-    ``"terminal"``) of ``monitors`` on a view, in monitor order, each verdict
-    run afresh on the parts at its slots. An event verdict is given
-    ``action`` first, and ``view`` is the state before it."""
-    parts = view.mechs + view.procs
-    given = (action,) if when == "event" else ()
+    ``"terminal"``) of ``monitors`` on a view of a state of ``sys``, in
+    monitor order, each verdict run afresh on the parts at its slots. An
+    event verdict is given ``action`` first, and ``view`` is the state before
+    it; it is judged only when its one slot is that of the action's
+    mechanism, found by the mechanism's place among the scenario's."""
+    parts, given, only = view.mechs + view.procs, (), None
+    if when == "event":
+        ids = [m["id"] for m in sys.scenario.mechanisms]
+        given, only = (action,), (ids.index(action[2]),) if action[2] in ids else ()
     return [hit for m in monitors
-            for w, slots, verdict in m.watches(len(view.mechs), len(view.procs)) if w == when
+            for w, slots, verdict in m.watches(len(view.mechs), len(view.procs))
+            if w == when and only in (None, slots)
             for hit in verdict(*given, *map(parts.__getitem__, slots))]
 
 
@@ -344,11 +350,11 @@ def first_witnesses(sys):
             kept.setdefault(v.cls, v)
 
     def state_hits(state):
-        return view_hits(monitors, "state", sys.view(state))
+        return view_hits(sys, monitors, "state", sys.view(state))
 
     def sink_hits(state):
         if sys.all_terminated(state):
-            return view_hits(monitors, "terminal", sys.view(state))
+            return view_hits(sys, monitors, "terminal", sys.view(state))
         stuck = ", ".join(f"p{q}" for q in sys.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
 
@@ -359,7 +365,7 @@ def first_witnesses(sys):
         for a in actions:
             post = sys.apply(state, a)
             step = path + (a,)
-            keep(view_hits(monitors, "event", sys.view(state), a), step, post)
+            keep(view_hits(sys, monitors, "event", sys.view(state), a), step, post)
             if post not in seen:
                 seen.add(post)
                 keep(state_hits(post), step, post)
@@ -394,11 +400,11 @@ def shortest_lengths(sys):
 
     def at_end(state, length):
         view = sys.view(state)
-        keep(view_hits(monitors, "state", view), length)
+        keep(view_hits(sys, monitors, "state", view), length)
         if sys.enabled_actions(state):
             return
         if sys.all_terminated(state):
-            keep(view_hits(monitors, "terminal", view), length)
+            keep(view_hits(sys, monitors, "terminal", view), length)
         else:
             keep([("deadlock", None, "")], length)
 
@@ -412,7 +418,7 @@ def shortest_lengths(sys):
         for state in prefixes:
             for a in sys.enabled_actions(state):
                 post = sys.apply(state, a)
-                keep(view_hits(monitors, "event", sys.view(state), a), length)
+                keep(view_hits(sys, monitors, "event", sys.view(state), a), length)
                 if post not in seen:
                     seen.add(post)
                     at_end(post, length)
@@ -524,10 +530,10 @@ def fold(sys, events):
 def reference_replay_with_checks(sys, events):
     """replay_with_checks by its own loop: it asks the kernel for the enabled
     actions and applies each step, remembering the last edge, then runs the
-    event, state and sink checks after the replay ends. Returns (the final
-    state's view, classes) and raises the kernel's NotEnabledAtStep on a stale
-    step, as replay_with_checks does."""
-    checks = _Checks(sys)
+    event, state and sink checks after the replay ends, the event verdicts
+    judged on a view by ``view_hits``. Returns (the final state's view,
+    classes) and raises the kernel's NotEnabledAtStep on a stale step, as
+    replay_with_checks does."""
     state = sys.initial_state()
     last = None  # (state before, event) of the final step
     for k, ev in enumerate(events):
@@ -535,8 +541,11 @@ def reference_replay_with_checks(sys, events):
         if ev not in enabled:
             raise NotEnabledAtStep(k, ev, enabled)
         last, state = (state, ev), sys.apply(state, ev)
-    classes = set(_classes(checks.event(*last))) if last else set()
-    classes.update(_classes(checks.state(state)))
+    classes = set()
+    if last:
+        classes |= _classes(view_hits(sys, compile_monitors(sys), "event",
+                                      sys.view(last[0]), last[1]))
+    classes.update(_classes(sys.hits(state)))
     if not sys.enabled_actions(state):
-        classes.update(_classes(checks.sink(state)))
+        classes.update(_classes(sys.sink(state)))
     return sys.view(state), classes

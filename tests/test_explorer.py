@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import lockstep.scenarios as s
 from lockstep import catalog, explorer, monitors, serialize
 from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
-                               _Checks, explore, find_shortest, random_walks,
+                               explore, find_shortest, random_walks,
                                replay_with_checks, resolve_bounds,
                                terminal_mechanism_states, terminal_variable_values,
                                verify_violation)
@@ -236,9 +236,11 @@ class TestRandomWalks:
 
 def reference_walks(sys, walks, seed, bounds=None):
     """The uncached walker that random_walks replaced: every step computes the
-    enabled actions, applies the chosen one and runs every monitor afresh."""
+    enabled actions and applies the chosen one. Each state a walk stands on is
+    judged by the System's ``hits`` and ``sink``, and each step's event
+    verdicts afresh on a view (``view_hits``)."""
     b = resolve_bounds(sys, bounds)
-    checks = _Checks(sys)
+    made = monitors.compile_monitors(sys)
     rng = random.Random(seed)
     classes = set()
 
@@ -249,19 +251,19 @@ def reference_walks(sys, walks, seed, bounds=None):
     init = sys.initial_state()
     for _ in range(walks):
         state = init
-        collect(checks.state(state))
+        collect(sys.hits(state))
         steps = 0
         while True:
             edges = sys.enabled_actions(state)
             if not edges:
-                collect(checks.sink(state))
+                collect(sys.sink(state))
                 break
             if steps >= b.max_depth:
                 break
             ev = edges[rng.randrange(len(edges))]
             post = sys.apply(state, ev)
-            collect(checks.event(state, ev))
-            collect(checks.state(post))
+            collect(view_hits(sys, made, "event", sys.view(state), ev))
+            collect(sys.hits(post))
             state = post
             steps += 1
     return WalkSummary(walks=walks, classes=frozenset(classes))
@@ -296,7 +298,7 @@ def pass_before_the_walks(sys, walks, bounds=None):
     """What ``random_walks(sys, walks, bounds=bounds)``'s pass before its
     first walk returns: the classes every walk could collect, or None."""
     b = resolve_bounds(sys, bounds)
-    return explorer._walk_classes(_Checks(sys), sys.initial_state(), b.max_depth,
+    return explorer._walk_classes(sys, sys.initial_state(), b.max_depth,
                                   min(walks, b.max_states))
 
 
@@ -458,12 +460,11 @@ def test_the_pass_before_the_walks_finds_what_brute_force_does(sc):
     distance, and gives up exactly when the states within that depth
     outnumber its budget."""
     sys = System(sc)
-    checks = _Checks(sys)
     for depth in (None, 0, 1, 2, 3):
         max_depth = resolve_bounds(sys, None if depth is None else {"max_depth": depth}).max_depth
         want, held = walkable_classes(sys, max_depth)
         for budget, got in ((held - 1, None), (held, want), (held + 1, want)):
-            assert explorer._walk_classes(checks, sys.initial_state(), max_depth,
+            assert explorer._walk_classes(sys, sys.initial_state(), max_depth,
                                           budget) == got, (depth, budget)
 
 
@@ -509,10 +510,9 @@ def root_deadlock():
                          ids=lambda sc: sc.name)
 def test_no_walk_finds_nothing_and_a_depth_0_walk_checks_only_the_root(sc):
     sys = System(sc)
-    checks = _Checks(sys)
     init = sys.initial_state()
     root = {Violation(*hit, None, "").cls
-            for hit in checks.state(init) + list(checks.edges(init)[1])}
+            for hit in sys.hits(init) + ([] if sys.edges(init) else sys.sink(init))}
     for seed in (0, 1, 2):
         assert random_walks(sys, walks=0, seed=seed) == WalkSummary(0, frozenset())
         got = random_walks(sys, walks=1, seed=seed, bounds=Bounds(max_depth=0))
@@ -700,15 +700,17 @@ class TestWitnessCost:
         """A view is built only for a kept witness's hash and a terminal state
         of the report. Each state watch's verdict runs once per distinct parts
         it reads, and each terminal watch's once per distinct parts it reads
-        in a terminal state; each event watch's runs once per edge taken, on
-        the action and the parts it reads in the state before the edge."""
+        in a terminal state; each event watch's runs once per kernel edge
+        taken whose action is on the mechanism it watches, on the action and
+        that mechanism's part in the state the edge was first taken at."""
         views = []
         decode = System.view
         monkeypatch.setattr(System, "view", lambda sys, st: views.append(st) or decode(sys, st))
         runs = []  # (monitor index, when, slots, what the verdict is given) of each verdict run
+        compile_monitors = monitors.compile_monitors
 
         def counted(sys):
-            made = monitors.compile_monitors(sys)
+            made = compile_monitors(sys)
             for k, m in enumerate(made):
                 def watches(n_mechs, n_procs, inner=m.watches, k=k):
                     return [(when, slots, lambda *given, when=when, slots=slots, verdict=verdict:
@@ -717,10 +719,11 @@ class TestWitnessCost:
                 m.watches = watches
             return made
 
-        monkeypatch.setattr(explorer, "compile_monitors", counted)
-        sys = CountingSystem(scenario)
+        monkeypatch.setattr(monitors, "compile_monitors", counted)
+        sys = EdgeRecordingSystem(scenario)
         report = explore(sys)
-        taken = Counter(sys.applied)
+        # what explore ran and took: ``reachable`` below may take more edges
+        ran, first = list(runs), list(sys.first.values())
         assert len(views) <= len(report.violations) + report.distinct_terminal_states
         monkeypatch.undo()
 
@@ -735,16 +738,19 @@ class TestWitnessCost:
                     at = tuple(map(parts.__getitem__, slots))
                     if when == "state" or when == "terminal" and sink:
                         expected.add((k, when, slots, at))
-                    elif when == "event":
-                        for (prev, action), n in taken.items():
-                            if prev == state:
-                                events[k, when, slots, (action, *at)] += n
-        judged = [run for run in runs if run[1] != "event"]
+        ids = [m["id"] for m in scenario.mechanisms]
+        for (action, _, _, _), state in first:
+            on = ids.index(action[2]) if action[2] in ids else None
+            for k, m in enumerate(made):
+                for when, slots, _ in m.watches(sys.n_mechs, sys.n_procs):
+                    if when == "event" and slots == (on,):
+                        events[k, when, slots, (action, sys.view(state).mechs[on])] += 1
+        judged = [run for run in ran if run[1] != "event"]
         assert len(judged) == len(set(judged))
         assert set(judged) == expected
-        assert Counter(run for run in runs if run[1] == "event") == events
+        assert Counter(run for run in ran if run[1] == "event") == events
         # every kind of watch the monitors declare ran
-        assert {run[1] for run in runs} == {when for m in made
+        assert {run[1] for run in ran} == {when for m in made
                                             for when, _, _ in m.watches(sys.n_mechs, sys.n_procs)}
 
 
@@ -834,26 +840,31 @@ LAYER_SCENARIOS = _layer_scenarios()
 @pytest.mark.parametrize("scenario", LAYER_SCENARIOS, ids=lambda sc: sc.name)
 def test_edges_then_step_is_the_kernel_then_the_hooks(scenario):
     """At every reachable state, ``edges`` gives the kernel's edges, whose
-    actions are its enabled actions in its order, and takes nothing, with
-    sink hits only where there is no edge; ``step`` on each edge takes it
-    once and gives the kernel's post state for its action and every
-    monitor's event hits on that edge, in monitor order, in ``hits``, as
-    ``view_hits`` judges them on the view of the state before it."""
+    actions are its enabled actions in its order, and takes nothing; where
+    there is no edge, ``sink`` gives the terminal hits or one deadlock hit
+    naming the live processes. ``take`` on each edge takes it once and gives
+    the kernel's post state for its action, and the edge then holds, in
+    ``edge[3]``, every monitor's event hits on that edge, in monitor order,
+    as ``view_hits`` judges them on the view of the state before it."""
     sys = CountingSystem(scenario)
     states = reachable(sys)
-    checks = _Checks(sys)
+    made = monitors.compile_monitors(sys)
     for state in states:
         sys.applied.clear()
-        edges, sink = checks.edges(state)
+        edges = sys.edges(state)
         assert [edge[0] for edge in edges] == System.enabled_actions(sys, state)
-        assert sink == (() if edges else checks.sink(state))
+        if not edges:
+            live = ", ".join(f"p{q}" for q in sys.live_processes(state))
+            assert sys.sink(state) == (
+                view_hits(sys, made, "terminal", sys.view(state)) if not live
+                else [("deadlock", None, f"no action enabled, {live} not terminated")])
         assert not sys.applied
         for edge in edges:
             ev = edge[0]
-            post = checks.step(state, edge)
+            post = sys.take(state, edge)
             assert sys.applied == {(state, ev): 1}
             assert post == System.apply(sys, state, ev)
-            assert list(checks.hits) == view_hits(checks.monitors, "event", sys.view(state), ev)
+            assert list(edge[3]) == view_hits(sys, made, "event", sys.view(state), ev)
             sys.applied.clear()
 
 
@@ -862,20 +873,21 @@ DIFFERENTIAL_SCENARIOS = LAYER_SCENARIOS + [event_monitors(3, 2, 2, 2)]
 
 @pytest.mark.parametrize("scenario", DIFFERENTIAL_SCENARIOS, ids=lambda sc: sc.name)
 def test_the_layer_gives_the_hits_of_the_uncached_view_helper(scenario):
-    """On every reachable state, edge and terminal sink, one layer, which
-    keeps state and terminal verdicts per parts throughout, gives the hits
-    that ``view_hits`` gives by judging every watch afresh on views."""
+    """On every reachable state, edge and terminal sink, one System, which
+    keeps state and terminal verdicts per parts and event hits per edge
+    throughout, gives the hits that ``view_hits`` gives by judging every
+    watch afresh on views."""
     sys = System(scenario)
-    checks = _Checks(sys)
+    made = monitors.compile_monitors(sys)
     for state in reachable(sys):
         view = sys.view(state)
-        assert checks.state(state) == view_hits(checks.monitors, "state", view)
-        edges, sink = checks.edges(state)
+        assert sys.hits(state) == view_hits(sys, made, "state", view)
+        edges = sys.edges(state)
         if not edges and sys.all_terminated(state):
-            assert sink == view_hits(checks.monitors, "terminal", view)
+            assert sys.sink(state) == view_hits(sys, made, "terminal", view)
         for edge in edges:
-            checks.step(state, edge)
-            assert checks.hits == view_hits(checks.monitors, "event", view, edge[0])
+            sys.take(state, edge)
+            assert list(edge[3]) == view_hits(sys, made, "event", view, edge[0])
 
 
 def test_the_differential_sees_event_and_terminal_hits():
@@ -884,17 +896,77 @@ def test_the_differential_sees_event_and_terminal_hits():
     seen = set()
     for scenario in DIFFERENTIAL_SCENARIOS:
         sys = System(scenario)
-        checks = _Checks(sys)
         for state in reachable(sys):
-            edges, sink = checks.edges(state)
+            edges = sys.edges(state)
             if not edges and sys.all_terminated(state):
-                seen.update(("terminal", kind, name) for kind, name, _ in sink)
+                seen.update(("terminal", kind, name) for kind, name, _ in sys.sink(state))
             for edge in edges:
-                checks.step(state, edge)
-                seen.update(("event", kind, name) for kind, name, _ in checks.hits)
+                sys.take(state, edge)
+                seen.update(("event", kind, name) for kind, name, _ in edge[3])
     assert seen == {("event", "lost_message", None),
                     ("terminal", "monitor_assert", "sent_received_order"),
                     ("terminal", "monitor_assert", "terminal_assert")}
+
+
+def test_event_verdicts_run_once_per_kernel_edge_on_their_own_cell(monkeypatch):
+    """On two message cells, each under a ``lost_unread`` monitor, every
+    strategy run on one System judges each monitor's verdict only for
+    actions on its own cell, and once per kernel edge on that cell, on the
+    cell's snapshot where the edge was first taken, however often the
+    strategies take the edge."""
+    calls = []   # (the monitor's slot, action, snapshot) of each verdict run
+    on_event = monitors.LostUnread.on_event
+    monkeypatch.setattr(monitors.LostUnread, "on_event", lambda self, event, m: (
+        calls.append((self.index, event, m)) or on_event(self, event, m)))
+    scenario = event_monitors(3, 2, 2, 2)
+    ids = [m["id"] for m in scenario.mechanisms]
+    assert ids == ["mc", "mc2"]
+    sys = EdgeRecordingSystem(scenario)
+    report = explore(sys)
+    for v in report.violations:
+        assert find_shortest(sys, v.cls) is not None
+        replay_with_checks(sys, v.trace)
+    random_walks(sys, walks=100, seed=3)
+    assert {slot for slot, _, _ in calls} == {0, 1}
+    assert all(slot == ids.index(action[2]) for slot, action, _ in calls)
+    on_cells = [(edge[0], sys.view(state).mechs[ids.index(edge[0][2])])
+                for edge, state in sys.first.values() if edge[0][2] in ids]
+    assert Counter(calls) == Counter((ids.index(action[2]), action, m) for action, m in on_cells)
+    assert sum(sys.applied.values()) > len(sys.first)   # edges were taken again
+
+
+def strategy_calls(scenario):
+    """Each strategy, as a function of a System of ``scenario`` to its
+    answers: explore's document, with witness traces and hashes;
+    find_shortest's witness of each class explore finds; same-seed
+    random_walks summaries; and the classes replay_with_checks finds at the
+    end of each witness. The classes and witnesses asked about are those of
+    a System that nothing else runs on."""
+    report = explore(System(scenario))
+
+    def shortest(sys):
+        found = {c: find_shortest(sys, c) for c in sorted(report.violation_classes)}
+        return {c: v and v.to_doc() for c, v in found.items()}
+
+    return {"explore": lambda sys: explore(sys).to_doc(),
+            "find_shortest": shortest,
+            "random_walks": lambda sys: [random_walks(sys, walks=walks, seed=seed, bounds=b)
+                                         for seed in (1, 2026) for walks in (1, 100)
+                                         for b in (None, Bounds(max_depth=2))],
+            "replay_with_checks": lambda sys: [replay_with_checks(sys, v.trace)[1]
+                                               for v in report.violations]}
+
+
+@pytest.mark.parametrize("scenario", DIFFERENTIAL_SCENARIOS, ids=lambda sc: sc.name)
+def test_a_reused_system_answers_as_fresh_ones(scenario):
+    """Every strategy run on one System, in either of two orders, answers as
+    it does on a System of its own: the tables a System keeps for its life,
+    verdicts and edge hits included, change no answer."""
+    calls = strategy_calls(scenario)
+    fresh = {name: call(System(scenario)) for name, call in calls.items()}
+    for order in (list(calls), list(reversed(calls))):
+        sys = System(scenario)
+        assert {name: calls[name](sys) for name in order} == fresh, order
 
 
 def test_the_scaled_event_monitor_document_is_built_by_its_helper():
@@ -934,73 +1006,96 @@ def test_warm_offer_tables_answer_as_cold_ones(scenario):
     assert pairs.keys() == states
 
 
-class CallerRecordingSystem(System):
-    """Records, for every call that asks the kernel for a state's edges or
-    takes one, the calling function's name and whether it is a method of the
-    transition layer (Python 3.10 has no ``co_qualname``)."""
+class EdgeRecordingSystem(CountingSystem):
+    """Records each kernel edge taken, by identity, with the state at which
+    it was first taken, and counts takes as ``CountingSystem`` does."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self.callers = set()
-
-    def _record(self):
-        frame = _sys._getframe(2)
-        self.callers.add((frame.f_code.co_name,
-                          isinstance(frame.f_locals.get("self"), explorer._Checks)))
+        self.first = {}   # id(edge) -> (edge, the state it was first taken at)
 
     def take(self, state, edge):
-        self._record()
+        self.first.setdefault(id(edge), (edge, state))
         return super().take(state, edge)
 
-    def edges(self, state):
-        self._record()
-        return super().edges(state)
 
-
-def test_every_strategy_steps_only_through_the_transition_layer():
-    """With an event watch to run, every step is the layer's ``step``. (With
-    none, ``step`` is the kernel's ``take`` itself, called by the strategy.)"""
-    system = CallerRecordingSystem(catalog.get("lost-message-basic"))
-    assert _Checks(system).events
-    explore(system)
-    witness = find_shortest(system, "lost_message")
-    random_walks(system, walks=50, seed=1)
-    replay_with_checks(system, witness.trace)
-    assert system.callers == {("edges", True), ("step", True)}
-
-
-KERNEL_STEPS = {"take", "edges", "apply", "enabled_actions"}
+# The transition layer: the System's methods that only the searches call.
+LAYER = ("edges", "take", "hits", "sink")
+# The kernel's other stepping interface, which no module but the kernel calls.
+KERNEL_STEPS = {"apply", "enabled_actions"}
 # The functions that expand states and take edges: one depth-first search, one
 # breadth-first search, the walks and the replay.
 SEARCHES = {"explore", "_breadth_first", "random_walks", "replay_with_checks"}
 
 
+class CallerRecordingSystem(System):
+    """Records, for every call of a method of the transition layer from
+    outside the System, the calling function's name and the method's."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.callers = set()
+
+    def _record(self, method):
+        frame = _sys._getframe(2)
+        if frame.f_locals.get("self") is not self:   # not the System's own call, as sink's
+            self.callers.add((frame.f_code.co_name, method))
+
+    def edges(self, state):
+        self._record("edges")
+        return super().edges(state)
+
+    def take(self, state, edge):
+        self._record("take")
+        return super().take(state, edge)
+
+    def hits(self, state, watches=None):
+        self._record("hits")
+        return super().hits(state, watches)
+
+    def sink(self, state):
+        self._record("sink")
+        return super().sink(state)
+
+
+def test_every_strategy_steps_only_through_the_transition_layer():
+    """The only callers of ``edges``, ``take``, ``hits`` and ``sink`` are the
+    four searches, with the walks' calls made by their inner ``node_for`` and
+    ``take``: every step is the System's ``take``."""
+    system = CallerRecordingSystem(catalog.get("lost-message-basic"))
+    explore(system)
+    witness = find_shortest(system, "lost_message")   # an event hit
+    assert witness is not None
+    random_walks(system, walks=50, seed=1)
+    replay_with_checks(system, witness.trace)
+    schedule, state = [], system.initial_state()   # a maximal one, which ends in a sink
+    while actions := system.enabled_actions(state):
+        schedule.append(actions[0])
+        state = system.apply(state, actions[0])
+    replay_with_checks(system, schedule)
+    assert system.callers == {(f, m) for f in ("explore", "_breadth_first", "replay_with_checks")
+                              for m in LAYER} | {("node_for", "edges"), ("node_for", "hits"),
+                                                 ("node_for", "sink"), ("take", "take")}
+
+
 def kernel_steps_outside_the_layer(source):
-    """Each ``(line, text)`` in ``source`` outside class ``_Checks`` that calls
-    ``take``, ``edges``, ``apply`` or ``enabled_actions`` on anything but a
-    ``_Checks`` (named ``checks``), or reads one of them off a System
-    (named ``sys`` or ``<...>.sys``), which would let a strategy step by an
-    alias. Also each read of a ``_Checks``' ``edges`` or ``step`` outside
-    the top-level functions ``SEARCHES``, so a further search loop, such
-    as a second breadth-first one, is found."""
+    """Each ``(line, text)`` in ``source`` that calls ``apply`` or
+    ``enabled_actions`` on anything, or reads one of them off a System (named
+    ``sys`` or ``<...>.sys``), which would let a strategy step by an alias;
+    and each such call or read of ``edges``, ``take``, ``hits`` or ``sink``
+    outside the top-level functions ``SEARCHES``, so a further search loop,
+    such as a second breadth-first one, is found."""
     found, todo = [], [(ast.parse(source), None)]
     while todo:
         node, within = todo.pop()   # within: the name of the top-level def, if any
-        if isinstance(node, ast.ClassDef) and node.name == "_Checks":
-            continue
         if within is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             within = node.name
         todo.extend((child, within) for child in ast.iter_child_nodes(node))
-        if (isinstance(node, ast.Attribute) and node.attr in ("edges", "step")
-                and isinstance(node.value, ast.Name) and node.value.id == "checks"
-                and within not in SEARCHES):
-            found.append((node.lineno, ast.unparse(node)))
+        names = KERNEL_STEPS if within in SEARCHES else KERNEL_STEPS.union(LAYER)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            called, of = node.func, node.func.value
-            if called.attr in KERNEL_STEPS and not (isinstance(of, ast.Name)
-                                                    and of.id == "checks"):
-                found.append((called.lineno, ast.unparse(called)))
-        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_STEPS:
+            if node.func.attr in names:
+                found.append((node.func.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             of = node.value
             if (isinstance(of, ast.Name) and of.id == "sys") or (
                     isinstance(of, ast.Attribute) and of.attr == "sys"):
@@ -1009,9 +1104,10 @@ def kernel_steps_outside_the_layer(source):
 
 
 def test_no_code_outside_the_transition_layer_steps_the_kernel():
-    """The static half of the pin above, which also covers a System with no
-    event watch: no module of the package but the kernel, which defines them,
-    asks a System for a state's edges or takes one, except in ``_Checks``."""
+    """The static half of the pin above: no module of the package but the
+    kernel, which defines them, calls ``apply`` or ``enabled_actions``, and
+    none asks a System for a state's edges, takes one or runs its monitors
+    outside the four searches."""
     package = pathlib.Path(explorer.__file__).parent
     for path in sorted(package.glob("*.py")):
         if path.name != "kernel.py":
@@ -1020,27 +1116,32 @@ def test_no_code_outside_the_transition_layer_steps_the_kernel():
 
 
 def test_the_static_pin_finds_a_strategy_that_steps_the_kernel():
+    """Of the five functions that open with ``sys = as_system(scenario)``,
+    ``apply`` or ``enabled_actions`` is found in each, and a read of the
+    layer off a System in the two that are not searches, ``find_shortest``
+    and ``verify_violation``."""
     source = pathlib.Path(explorer.__file__).read_text(encoding="utf-8")
-    for bypass in ("step = sys.take", "post = sys.apply(state, ev)",
-                   "edges = self.sys.edges(state)", "acts = node.enabled_actions(state)"):
+    for bypass, where in (("step = sys.take", 2), ("post = sys.apply(state, ev)", 5),
+                          ("edges = self.sys.edges(state)", 2), ("found = sys.hits(state)", 2),
+                          ("found = sys.sink(state)", 2), ("acts = node.enabled_actions(state)", 5)):
         tree = source.replace("    sys = as_system(scenario)\n",
                               f"    sys = as_system(scenario)\n    {bypass}\n")
-        assert len(kernel_steps_outside_the_layer(tree)) >= 5, bypass
+        assert len(kernel_steps_outside_the_layer(tree)) == where, bypass
 
 
 def test_the_static_pin_finds_a_search_loop_outside_the_searches():
-    """A ``_Checks``' ``edges`` or ``step`` read in ``find_shortest`` or
+    """An ``edges`` or ``take`` read in ``find_shortest`` or
     ``verify_violation`` (two of the five functions that open with
     ``sys = as_system(scenario)``), or in a new function, is found."""
     source = pathlib.Path(explorer.__file__).read_text(encoding="utf-8")
-    for bypass in ("step = checks.step", "edges, sink = checks.edges(init)"):
+    for bypass in ("take = sys.take", "edges = sys.edges(init)"):
         tree = source.replace("    sys = as_system(scenario)\n",
                               f"    sys = as_system(scenario)\n    {bypass}\n")
         assert len(kernel_steps_outside_the_layer(tree)) == 2, bypass
-    third = ("\n\ndef _levels(checks, level):\n"
+    third = ("\n\ndef _levels(sys, level):\n"
              "    for state, edges in level:\n"
-             "        yield [(post, checks.edges(post)[0]) for post in\n"
-             "               (checks.step(state, edge) for edge in edges)]\n")
+             "        yield [(post, sys.edges(post)) for post in\n"
+             "               (sys.take(state, edge) for edge in edges)]\n")
     assert len(kernel_steps_outside_the_layer(source + third)) == 2
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import lockstep.scenarios as s
 from lockstep import catalog, cli, kernel, machines
-from lockstep.explorer import (_Checks, _interchangeable, explore, replay_with_checks,
+from lockstep.explorer import (_interchangeable, explore, replay_with_checks,
                                terminal_mechanism_states)
 from lockstep.monitors import compile_monitors
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
@@ -188,19 +188,20 @@ class TestEnabledness:
 
     def test_a_faulting_step_stores_no_move(self):
         """p0's step faults and p1's offer faults. The edge whose step raised
-        keeps no move, so taking it raises again, and ``apply`` computes only
-        the acting process's offers, so p1's fault does not reach p2's step."""
+        keeps neither a move nor hits, so taking it raises again, and
+        ``apply`` computes only the acting process's offers, so p1's fault
+        does not reach p2's step."""
         sys = make("oops", 1, [s.message_cell("mc")],
                    [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
                     s.process(1, s.read("mc", "v"), s.write("mc", s.var("v"))),
                     s.process(2, s.local("x", [1]))])
         st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
         edge = sys.edges(st1)[0]
-        assert edge[:2] == [(0, ("local",), None), None]
+        assert edge[:2] == [(0, ("local",), None), None] and edge[3] is None
         for _ in range(2):
             with pytest.raises(KernelError, match="cannot apply inc"):
                 sys.take(st1, edge)
-            assert edge[1] is None
+            assert edge[1] is None and edge[3] is None
         st2 = sys.apply(st1, (1, ("read",), "mc"))  # v is None
         with pytest.raises(KernelError, match="empty indicator"):
             sys.edges(st2)
@@ -225,7 +226,7 @@ class TestEnabledness:
         sys = System(scenario)
         for state in reachable(sys):
             procs = sys.view(state).procs
-            for (p, label, mech_id), _, ins in sys.edges(state):
+            for (p, label, mech_id), _, ins, _ in sys.edges(state):
                 assert ins is head_for(sys, p, procs[p].pc, label, mech_id)
                 if label[0] == "send":
                     q = label[2]
@@ -424,10 +425,9 @@ class TestStepping:
         for name in ("status-channel-exact", "duplex-last-message",
                      "deadlock-fixed-indirect"):
             sys = System(catalog.get(name))
-            checks = _Checks(sys)
             for state in reachable(sys):
                 for edge in sys.edges(state):
-                    assert checks.step(state, edge) == sys.apply(state, edge[0])
+                    assert sys.take(state, edge) == sys.apply(state, edge[0])
 
     def test_assert_local_failure_is_sticky(self):
         sys = make("af", 1, [s.message_cell("mc")],
@@ -577,7 +577,7 @@ class CountingSystem(System):
 
     def _move(self, state, edge):
         """Counted by (action, acting ProcState index, touched part's index or None)."""
-        (p, label, _), _, ins = edge
+        (p, label, _), _, ins, _ = edge
         i = self.n_mechs + label[2] if label[0] == "send" else ins.mech
         self.steps[(edge[0], state[self.n_mechs + p], None if i is None else state[i])] += 1
         return super()._move(state, edge)

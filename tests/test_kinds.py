@@ -139,6 +139,49 @@ def test_the_tables_name_the_same_kinds():
     assert set(monitors.KINDS) == {*MONITOR_ACCEPTS, "terminal_assert"}
 
 
+def contract_doc(monitor, kind):
+    """``monitor_doc`` with a message cell ``o`` declared before ``m``, so
+    that ``m`` is slot 1, and written by process 1."""
+    doc = monitor_doc(monitor, kind)
+    doc["mechanisms"].insert(0, {"id": "o", "kind": "message_cell"})
+    doc["processes"][1]["steps"].insert(0, {"op": "write", "mechanism": "o", "value": [0]})
+    return doc
+
+
+def event_watches(sys):
+    """(monitor kind, slots, the slot of the monitor's mechanism by its place
+    among the scenario's) for each event watch the scenario's monitors declare."""
+    ids = [m["id"] for m in sys.scenario.mechanisms]
+    made = monitors.compile_monitors(sys)[1:]   # after the built-in LocalAsserts
+    return [(doc["kind"], slots, (ids.index(doc["mechanism"]),))
+            for doc, m in zip(sys.scenario.monitors, made)
+            for when, slots, _ in m.watches(sys.n_mechs, sys.n_procs) if when == "event"]
+
+
+MONITOR_CASES = [(monitor, kind) for monitor, kind, accepted in cases(MONITOR_ACCEPTS)
+                 if accepted] + [("terminal_assert", "message_cell")]
+
+
+@pytest.mark.parametrize("monitor, kind", MONITOR_CASES)
+def test_an_event_watch_names_its_own_mechanism_s_slot_alone(monitor, kind):
+    """The System judges an event verdict only for steps on the one slot its
+    watch names, so that slot must be the monitor's own mechanism's."""
+    sys = System(scenario(contract_doc(monitor, kind)))
+    assert [(slots, own) for _, slots, own in event_watches(sys)] == [
+        ((1,), (1,))] * (monitor in ("lost_unread", "recipient_tag"))
+
+
+def test_the_contract_finds_an_event_watch_on_a_second_slot(monkeypatch):
+    """A ``lost_unread`` that also watches slot 0 breaks the contract, and a
+    System refuses it."""
+    sys = System(scenario(contract_doc("lost_unread", "message_cell")))
+    monkeypatch.setattr(monitors.LostUnread, "watches", lambda self, n_mechs, n_procs: [
+        ("event", (self.index, 0), self.on_event)])
+    assert [(slots, own) for _, slots, own in event_watches(sys)] == [((1, 0), (1,))]
+    with pytest.raises(ValueError):
+        System(sys.scenario)
+
+
 def all_kinds():
     """A scenario that declares one mechanism of every kind, each referenced."""
     mechs = [{"id": "raw", "kind": "raw_cell", "initial": [1, 2]},

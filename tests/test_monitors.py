@@ -7,7 +7,7 @@ import pytest
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import _Checks, explore, terminal_variable_values
+from lockstep.explorer import explore, terminal_variable_values
 from lockstep.kernel import GlobalState, ProcState, System
 from lockstep.machines import DuplexChannel, MessageCell, StatusChannel
 from lockstep.monitors import (LostUnread, MutualExclusion, RecipientTag,
@@ -253,29 +253,27 @@ def _watched_scenarios():
 class TestWatches:
     @pytest.mark.parametrize("scenario", _watched_scenarios(), ids=lambda sc: sc.name)
     def test_cached_verdicts_are_the_hits_on_views(self, scenario):
-        """One transition layer keeps each verdict per parts it reads; on
-        every reachable state it gives the hits, in order, that every
-        monitor's on_state gives on the state's view."""
+        """A System keeps each verdict per parts it reads; on every
+        reachable state it gives the hits, in order, that every monitor's
+        on_state gives on the state's view."""
         sys = System(scenario)
-        checks, monitors = _Checks(sys), compile_monitors(sys)
+        monitors = compile_monitors(sys)
         for state in reachable(sys):
             view = sys.view(state)
-            assert checks.state(state) == [h for m in monitors for h in m.on_state(sys, view)]
+            assert sys.hits(state) == [h for m in monitors for h in m.on_state(sys, view)]
 
     def test_the_differential_sees_hits_of_every_state_monitor(self):
         seen = set()
         for scenario in _watched_scenarios():
             sys = System(scenario)
-            checks = _Checks(sys)
             seen.update((kind, name) for state in reachable(sys)
-                        for kind, name, _ in checks.state(state))
+                        for kind, name, _ in sys.hits(state))
         assert seen == {("monitor_assert", "assert_local"), ("torn_read", None),
                         ("monitor_assert", "mutual_exclusion"),
                         ("monitor_assert", "sent_received_order")}
 
     def test_hits_keep_pid_order_then_monitor_order(self):
         sys = System(unguarded_sections())
-        checks = _Checks(sys)
         everyone = [("monitor_assert", "assert_local", f"p{p}.cs") for p in range(3)] + [
             ("monitor_assert", "mutual_exclusion", "p0, p1, p2 inside together")]
-        assert everyone in [checks.state(st) for st in reachable(sys)]
+        assert everyone in [sys.hits(st) for st in reachable(sys)]

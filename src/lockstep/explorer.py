@@ -359,9 +359,9 @@ def explore(scenario, bounds=None) -> ExplorationReport:
         if actions is None:  # expand the state: its frame was just pushed
             actions = edges(state)
             if not actions:
-                if sys.all_terminated(state):
+                if done := sys.all_terminated(state):
                     terminals.append(state)
-                record(sys.sink(state), None, state)
+                record(sys.sink(state, done), None, state)
                 acc = 1
             elif depth > max_depth:  # at the depth bound: no edge is taken, no move computed
                 bounds_hit = True

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import machines
 # compile_program is not called here; bench/tracer.py wraps kernel.compile_program by name
@@ -55,8 +56,7 @@ class NotEnabledAtStep(KernelError):
 
 # -- states ----------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class ProcState:
+class ProcState(NamedTuple):  # built and hashed in C; state hashes read its repr
     pc: int
     store: tuple = ()          # sorted (name, value) pairs
     failed: str | None = None  # first failed assert_local, sticky
@@ -86,7 +86,7 @@ def store_get(store, name, default=_UNBOUND):
 def store_set(store, name, value):
     out = [(n, v) for n, v in store if n != name]
     out.append((name, value))
-    out.sort(key=lambda item: item[0])
+    out.sort()  # names are unique, so no value is ever compared
     return tuple(out)
 
 
@@ -230,13 +230,16 @@ class System:
     addresses (or, in a rendezvous, its partner's), so a step's result and a
     process's offers depend only on that local view. A System therefore keeps
     its tables for its lifetime: an intern table giving an index to each
-    distinct ``ProcState`` and mechanism snapshot it has produced, and one
-    view table per process, keyed by its ProcState index. A view's entry
-    holds a getter of the state slots its offers read (the mechanisms its
-    head instructions touch and, for a send, every other process that
-    receives on its channel) and its offers keyed by what the getter
-    returns, parts as indices; the entry is None for an idle ProcState, whose
-    heads can offer nothing. An offer is an edge ``[action, move,
+    distinct ``ProcState`` and mechanism snapshot it has produced, and per
+    process a position table, keyed by program position, and a view table,
+    keyed by ProcState index. A position's entry, computed once for every
+    ProcState there, holds the state slots its heads' offers read (the
+    mechanisms they touch and, for a send, every other process that receives
+    on its channel), a getter of them, and its receive heads by channel. A
+    view's entry holds that getter and the ProcState's own offers keyed by
+    what the getter returns, parts as indices; it is None for an idle
+    ProcState, whose heads can offer nothing. Offers are sorted only when a
+    process has two or more. An offer is an edge ``[action, move,
     instruction, hits]``: the head instruction that offers the action, and a
     move and event hits that ``take`` computes when the edge is first taken
     and that then serve every state with that offer key, since the key holds
@@ -268,6 +271,7 @@ class System:
         self.n_mechs = len(self.mech_index)
         self._parts = []    # intern index -> ProcState or mechanism snapshot
         self._index = {}    # part -> intern index
+        self._positions = tuple({} for _ in self.programs)  # per process: pc -> _position entry
         self._views = tuple({} for _ in self.programs)  # per process: ProcState index -> _view entry
         self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
@@ -339,9 +343,10 @@ class System:
                 hits += got
         return hits
 
-    def sink(self, state):
-        """The hits of a state with no edge: its terminal verdicts, or a deadlock."""
-        if self.all_terminated(state):
+    def sink(self, state, terminated=None):
+        """The hits of a state with no edge: its terminal verdicts, or a
+        deadlock. ``terminated`` is ``all_terminated(state)``, if known."""
+        if self.all_terminated(state) if terminated is None else terminated:
             return self.hits(state, self._terminal)
         stuck = ", ".join(f"p{q}" for q in self.live_processes(state))
         return [("deadlock", None, f"no action enabled, {stuck} not terminated")]
@@ -383,31 +388,46 @@ class System:
         return got
 
     def _view(self, p, ps):
-        """The table entry of process ``p`` at ProcState index ``ps``: a getter
-        of the state slots its offers read, its offers keyed by what the getter
-        returns, and the slots themselves; or None when its heads can offer
-        nothing (it has terminated, or its every head is a receive, which is
-        engaged from the sending side). The slots are the mechanisms its
-        heads touch and, for a send, every other process that receives on its
-        channel; a send's or receive's direct channel holds nothing, so it is no slot."""
-        program, slots = self.programs[p], set()
-        heads = [program.instrs[i] for i in program.heads[self._parts[ps].pc]]
-        if all(ins.op == "receive" for ins in heads):
-            return None
+        """The table entry of process ``p`` at ProcState index ``ps``: its position's
+        getter, its own offers keyed by what that returns, and the slots; or None if idle."""
+        read, slots, _ = self._at(p, self._parts[ps].pc)
+        return None if read is None else (read, {}, slots)
+
+    def _at(self, p, pc):
+        """The ``_position`` entry of process ``p`` at ``pc``, computed on first use."""
+        got = self._positions[p].get(pc)
+        if got is None:
+            got = self._positions[p][pc] = self._position(p, pc)
+        return got
+
+    def _position(self, p, pc):
+        """The table entry of process ``p`` at position ``pc``: a getter of the
+        state slots its offers read, the slots, and its receive head on each
+        channel (``choose`` allows one at most). The getter is None when its
+        heads can offer nothing (it has terminated, or every head is a
+        receive, engaged from the sending side). The slots are the mechanisms
+        its heads touch and, for a send, every other process that receives on
+        its channel; a direct channel holds nothing, so it is no slot."""
+        program, slots, receives = self.programs[p], set(), {}
+        heads = [program.instrs[i] for i in program.heads[pc]]
         for ins in heads:
-            if ins.op == "send":
+            if ins.op == "receive":
+                receives[ins.mech_id] = ins
+            elif ins.op == "send":
                 slots.update(self.n_mechs + q for q, other in enumerate(self.programs) if q != p
                              and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))
-            elif ins.mech is not None and ins.op != "receive":
+            elif ins.mech is not None:
                 slots.add(ins.mech)
+        if all(ins.op == "receive" for ins in heads):
+            return None, (), receives
         slots = tuple(sorted(slots))
         # a view that reads no slot is keyed by len(state), the same for every state
-        return (itemgetter(*slots) if slots else len), {}, slots
+        return (itemgetter(*slots) if slots else len), slots, receives
 
     def _local_offers(self, p, ps, state, slots):
         """Uncached edges of process ``p`` at ``state`` (ProcState index ``ps``, view
-        ``slots``), sorted, each with no move and the head that offers it. A send's
-        value is computed first, so a value that faults raises even with no receiver ready."""
+        ``slots``), sorted if two or more, each with no move and the head that offers
+        it. A send's value is computed first, so it faults even with no receiver ready."""
         ps, read = self._parts[ps], {s: self._parts[state[s]] for s in slots}
         program, edges = self.programs[p], []
         for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
@@ -420,14 +440,13 @@ class System:
                 label = self._offer(p, ps, read.get(ins.mech), ins)
                 if label is not None:
                     edges.append([(p, label, ins.mech_id), None, ins, None])
-        edges.sort(key=lambda edge: _action_sort_key(edge[0]))
+        if len(edges) > 1:
+            edges.sort(key=lambda edge: _action_sort_key(edge[0]))
         return tuple(edges)
 
     def _receiver(self, q, pc, mech_id):
         """The head of process ``q`` at ``pc`` that receives on ``mech_id``, or None."""
-        program = self.programs[q]
-        return next((ins for ins in map(program.instrs.__getitem__, program.heads[pc])
-                     if ins.op == "receive" and ins.mech_id == mech_id), None)
+        return self._at(q, pc)[2].get(mech_id)
 
     def _offer(self, p, ps, m, ins):
         """The label ``ins`` offers with its mechanism at ``m``, or None: the

@@ -1,10 +1,11 @@
 """Guarded state machines for inter-process communication.
 
 Each mechanism is an immutable snapshot: guards are ``can_*`` predicates and
-transitions return fresh instances, so snapshots can be shared freely between
-exploration branches. Channel variants carry small sent/received logs, which
-lets delivery properties be phrased against a single state instead of a
-schedule history; the logs never influence any guard.
+transitions return fresh instances, each built by its class's constructor,
+so snapshots can be shared freely between exploration branches. Channel
+variants carry small sent/received logs, which lets delivery properties be
+phrased against a single state instead of a schedule history; the logs
+never influence any guard.
 
 Every guard and transition takes the acting pid first; a mechanism that
 does not care who acts ignores it. A transition is named by the action-label
@@ -18,7 +19,7 @@ a lock (locked cell, shared register) share ``Lockable``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 WORD_DOMAIN = 8  # every word is in 0..7
 
@@ -61,7 +62,7 @@ class RawCell:
 class Lockable:
     """The lock protocol of a mechanism whose ``owner`` field holds the pid
     of the lock holder, or None: a free lock goes to whoever takes it, and
-    only its holder releases it."""
+    only its holder releases it. ``_owned(owner)`` is it with another holder."""
 
     __slots__ = ()
 
@@ -72,10 +73,10 @@ class Lockable:
         return self.owner == pid
 
     def lock(self, pid: int):
-        return replace(self, owner=pid)
+        return self._owned(pid)
 
     def unlock(self, pid: int):
-        return replace(self, owner=None)
+        return self._owned(None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +96,11 @@ class LockedCell(Lockable):
     def can_access(self, pid: int) -> bool:
         return self.owner == pid if self.encapsulated else True
 
+    def _owned(self, owner):
+        return LockedCell(self.words, owner, self.encapsulated)
+
     def write_word(self, pid: int, index: int, word: int) -> "LockedCell":
-        return replace(self, words=_set(self.words, index, word))
+        return LockedCell(_set(self.words, index, word), self.owner, self.encapsulated)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,14 +124,13 @@ class MessageCell:
         return True
 
     def write(self, pid: int, value: tuple) -> "MessageCell":
-        return replace(self, content=value, read_since_write=False,
-                       sent=self.sent + (value,))
+        return MessageCell(value, False, self.sent + (value,), self.received)
 
     def read(self, pid: int) -> tuple:
         if self.content is None:
-            return None, replace(self, read_since_write=True)
-        return self.content, replace(self, read_since_write=True,
-                                     received=self.received + (self.content,))
+            return None, MessageCell(None, True, self.sent, self.received)
+        return self.content, MessageCell(self.content, True, self.sent,
+                                         self.received + (self.content,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,11 +156,11 @@ class StatusChannel:
         return "empty" if self.content is None else "full"
 
     def write(self, pid: int, value: tuple) -> "StatusChannel":
-        return replace(self, content=value, sent=self.sent + (value,))
+        return type(self)(value, self.sent + (value,), self.received)
 
     def read(self, pid: int) -> tuple:
         v = self.content
-        return v, replace(self, content=None, received=self.received + (v,))
+        return v, type(self)(None, self.sent, self.received + (v,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,13 +223,13 @@ class DuplexChannel:
         return "full" if self.dest == pid else "full-other"
 
     def write(self, pid: int, value: tuple) -> "DuplexChannel":
-        return replace(self, content=value, dest=self.other(pid),
-                       sent=self.sent + (value,))
+        return DuplexChannel(self.side_a, self.side_b, self.last_message, value,
+                             self.other(pid), self.sent + (value,), self.received)
 
     def read(self, pid: int) -> tuple:
         v = self.content
-        return v, replace(self, content=None, dest=None,
-                          received=self.received + (v,))
+        return v, DuplexChannel(self.side_a, self.side_b, self.last_message, None, None,
+                                self.sent, self.received + (v,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,14 +251,17 @@ class SharedRegister(Lockable):
     # reads, writes and updates all share the one ownership guard
     can_read = can_write = can_access
 
+    def _owned(self, owner):
+        return SharedRegister(self.content, owner)
+
     def write(self, pid: int, value: tuple) -> "SharedRegister":
-        return replace(self, content=value)
+        return SharedRegister(value, self.owner)
 
     def read(self, pid: int) -> tuple:
         return self.content, self  # reading leaves the register as it is
 
     def update(self, pid: int, fn: tuple) -> "SharedRegister":
-        return replace(self, content=apply_update(fn, self.content))
+        return SharedRegister(apply_update(fn, self.content), self.owner)
 
 
 @dataclass(frozen=True, slots=True)

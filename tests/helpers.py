@@ -13,7 +13,7 @@ from itertools import product
 
 from lockstep import scenarios
 from lockstep.explorer import Violation, _classes
-from lockstep.kernel import NotEnabledAtStep, System, Trace
+from lockstep.kernel import NotEnabledAtStep, System, Trace, _action_sort_key
 from lockstep.machines import apply_update
 from lockstep.monitors import compile_monitors
 from lockstep.programs import LABEL_KIND
@@ -49,12 +49,18 @@ def event_monitors(writes, reads, writes2, reads2):
 class CountingSystem(System):
     """A System that counts every ``edges`` call per state and every
     ``take`` per (state, action). ``enabled_actions`` and ``apply`` go
-    through these two, so they are counted too."""
+    through these two, so they are counted too. It also counts the cold
+    calls that fill its tables: each position entry computed, per (p, pc);
+    each process's offers computed, per (p, ProcState index, *the parts at
+    the view's slots); and each move computed, per (state, action)."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.offered = Counter()
         self.applied = Counter()
+        self.positions = Counter()
+        self.local_offers = Counter()
+        self.moves = Counter()
 
     def edges(self, state):
         self.offered[state] += 1
@@ -63,6 +69,69 @@ class CountingSystem(System):
     def take(self, state, edge):
         self.applied[(state, edge[0])] += 1
         return super().take(state, edge)
+
+    def _position(self, p, pc):
+        self.positions[(p, pc)] += 1
+        return super()._position(p, pc)
+
+    def _local_offers(self, p, ps, state, slots):
+        self.local_offers[(p, ps, *map(state.__getitem__, slots))] += 1
+        return super()._local_offers(p, ps, state, slots)
+
+    def _move(self, state, edge):
+        self.moves[(state, edge[0])] += 1
+        return super()._move(state, edge)
+
+
+def reference_view(sys, p, ps):
+    """The view entry of process ``p`` at ProcState index ``ps`` as the kernel
+    computed it per process state, before it kept one entry per program
+    position: (its slots, idle) with the slots sorted, or ((), True) when its
+    heads can offer nothing."""
+    program, slots = sys.programs[p], set()
+    heads = [program.instrs[i] for i in program.heads[sys._parts[ps].pc]]
+    if all(ins.op == "receive" for ins in heads):
+        return (), True
+    for ins in heads:
+        if ins.op == "send":
+            slots.update(sys.n_mechs + q for q, other in enumerate(sys.programs) if q != p
+                         and any(i.op == "receive" and i.mech == ins.mech for i in other.instrs))
+        elif ins.mech is not None and ins.op != "receive":
+            slots.add(ins.mech)
+    return tuple(sorted(slots)), False
+
+
+def reference_receiver(sys, q, pc, mech_id):
+    """The head of process ``q`` at ``pc`` that receives on ``mech_id``, or
+    None, by a scan of its heads on every call."""
+    program = sys.programs[q]
+    return next((ins for ins in map(program.instrs.__getitem__, program.heads[pc])
+                 if ins.op == "receive" and ins.mech_id == mech_id), None)
+
+
+def reference_edges(sys, state):
+    """Every (action, instruction) a state offers, each process's offers
+    computed afresh from ``reference_view`` and ``reference_receiver`` and
+    always sorted by ``_action_sort_key``, in pid order."""
+    out = []
+    for p, ps in enumerate(state[sys.n_mechs:]):
+        slots, idle = reference_view(sys, p, ps)
+        if idle:
+            continue
+        local, read = sys._parts[ps], {i: sys._parts[state[i]] for i in slots}
+        program, offers = sys.programs[p], []
+        for ins in map(program.instrs.__getitem__, program.heads[local.pc]):
+            if ins.op == "send":
+                value = sys._value(local.store, ins.expr, allow_none=True)
+                offers += [((p, ("send", value, q), ins.mech_id), ins)
+                           for q in range(sys.n_procs) if sys.n_mechs + q in read
+                           and reference_receiver(sys, q, read[sys.n_mechs + q].pc, ins.mech_id)]
+            elif ins.op != "receive":
+                label = sys._offer(p, local, read.get(ins.mech), ins)
+                if label is not None:
+                    offers.append(((p, label, ins.mech_id), ins))
+        out += sorted(offers, key=lambda offer: _action_sort_key(offer[0]))
+    return out
 
 
 def reachable(sys):

@@ -1053,9 +1053,9 @@ class CallerRecordingSystem(System):
         self._record("hits")
         return super().hits(state, watches)
 
-    def sink(self, state):
+    def sink(self, state, terminated=None):
         self._record("sink")
-        return super().sink(state)
+        return super().sink(state, terminated)
 
 
 def test_every_strategy_steps_only_through_the_transition_layer():

@@ -14,8 +14,11 @@ only the parts at the slots it watches (``System.parts``).
 A System is also the one transition layer of the searches in ``explorer``:
 they expand a state with ``edges``, take an edge with ``take`` and read the
 edge's event hits beside its move, judge a state with ``hits`` and a state
-with no edge with ``sink``. The System compiles the scenario's monitors
-once and keeps every verdict for its life, as it keeps its offers.
+with no edge with ``sink``. An edge is built whole when its offer is first
+computed, so ``take`` only splices its move in. The System compiles the
+scenario's monitors once and keeps every verdict for its life, as it keeps
+its offers. A step whose value faults raises ``KernelError`` from ``edges``
+at every state where the step is offered, and nothing of it is kept.
 
 An action is the tuple ``(process, label, mechanism id)``. Rendezvous on a
 direct channel appears as a single action carrying both parties: the label
@@ -239,21 +242,23 @@ class System:
     view's entry holds that getter and the ProcState's own offers keyed by
     what the getter returns, parts as indices; it is None for an idle
     ProcState, whose heads can offer nothing. Offers are sorted only when a
-    process has two or more. An offer is an edge ``[action, move,
-    instruction, hits]``: the head instruction that offers the action, and a
-    move and event hits that ``take`` computes when the edge is first taken
-    and that then serve every state with that offer key, since the key holds
-    every slot the step reads, the one slot an event watch reads included.
-    So in ``edges`` a warm process costs two subscripts and one getter call,
-    an idle one a subscript, and a miss fills the tables through
-    ``_edges_of``; ``take`` costs a splice.
-    Each table grows with the distinct local views reached, not with the
-    global states. A state is its mechanisms' indices, then its processes'.
-    A step or offer that raises is not stored, so a fault raises every time.
+    process has two or more. An offer is an immutable edge ``(action, move,
+    instruction, hits)``, built whole by ``_local_offers``: the head
+    instruction that offers the action, the move, and the event hits, which
+    serve every state with that offer key, since the key holds every slot
+    the step reads, the one slot an event watch reads included. So in
+    ``edges`` a warm process costs two subscripts and one getter call, an
+    idle one a subscript, and a miss fills the tables through ``_edges_of``;
+    ``take`` costs a splice. Each table grows with the distinct local views
+    reached, not with the global states. A state is its mechanisms' indices,
+    then its processes'. A process's offers are stored only once every one
+    of them is built, so a fault in a label, a move or a verdict raises at
+    every state where its step is offered.
 
     Each state and terminal verdict is kept per distinct intern indices at
     its slots, a lookup per watch. An event verdict is judged once per edge,
-    and only for actions whose instruction touches the mechanism it watches.
+    when the edge is built, and only for actions whose instruction touches
+    the mechanism it watches.
     A System validates a scenario that ``validate`` has not checked, and
     takes the programs ``validate`` compiled.
     """
@@ -272,7 +277,7 @@ class System:
         self._parts = []    # intern index -> ProcState or mechanism snapshot
         self._index = {}    # part -> intern index
         self._positions = tuple({} for _ in self.programs)  # per process: pc -> _position entry
-        self._views = tuple({} for _ in self.programs)  # per process: ProcState index -> _view entry
+        self._views = tuple({} for _ in self.programs)  # per process: ProcState index -> view entry
         self._mech_init = tuple(self._intern(machines.KINDS[m["kind"]][0](m))
                                 for m in scenario.mechanisms)
         from .monitors import compile_monitors  # monitors imports kernel
@@ -354,9 +359,8 @@ class System:
     # -- enabledness ---------------------------------------------------------
 
     def edges(self, state):
-        """Every edge the state offers: each process's sorted offers, in pid order.
-        An edge is ``[action, move, instruction, hits]``; ``take`` fills the
-        move and the hits."""
+        """Every edge the state offers: each process's sorted offers, in pid
+        order. An edge is ``(action, move, instruction, hits)``."""
         edges = []
         for p, ps in enumerate(state[self.n_mechs:]):
             try:
@@ -376,8 +380,9 @@ class System:
     def _edges_of(self, p, ps, state):
         """The edges process ``p`` offers at ``state``, whose ProcState index is ``ps``."""
         view = self._views[p].get(ps, _UNBOUND)
-        if view is _UNBOUND:
-            view = self._views[p][ps] = self._view(p, ps)
+        if view is _UNBOUND:  # its position's getter, its own offers keyed by that, the slots
+            read, slots, _ = self._at(p, self._parts[ps].pc)
+            view = self._views[p][ps] = None if read is None else (read, {}, slots)
         if view is None:  # idle
             return ()
         read, offers, slots = view
@@ -386,12 +391,6 @@ class System:
         if got is None:
             got = offers[key] = self._local_offers(p, ps, state, slots)
         return got
-
-    def _view(self, p, ps):
-        """The table entry of process ``p`` at ProcState index ``ps``: its position's
-        getter, its own offers keyed by what that returns, and the slots; or None if idle."""
-        read, slots, _ = self._at(p, self._parts[ps].pc)
-        return None if read is None else (read, {}, slots)
 
     def _at(self, p, pc):
         """The ``_position`` entry of process ``p`` at ``pc``, computed on first use."""
@@ -426,20 +425,32 @@ class System:
 
     def _local_offers(self, p, ps, state, slots):
         """Uncached edges of process ``p`` at ``state`` (ProcState index ``ps``, view
-        ``slots``), sorted if two or more, each with no move and the head that offers
-        it. A send's value is computed first, so it faults even with no receiver ready."""
+        ``slots``), sorted if two or more. Each edge is built whole here from the
+        parts at the slots: its action, its move, the head that offers it and
+        its event hits, each verdict judging the action and the touched
+        mechanism's part before the step. A send's value is computed first, so
+        it faults even with no receiver ready; a fault raises here, every time."""
         ps, read = self._parts[ps], {s: self._parts[state[s]] for s in slots}
         program, edges = self.programs[p], []
         for ins in map(program.instrs.__getitem__, program.heads[ps.pc]):
-            if ins.op == "send":
+            if ins.op == "send":  # no event watch is on a direct channel, so no hits
                 value = self._value(ps.store, ins.expr, allow_none=True)
-                edges += [[(p, ("send", value, q), ins.mech_id), None, ins, None]
-                          for q in range(self.n_procs) if self.n_mechs + q in read
-                          and self._receiver(q, read[self.n_mechs + q].pc, ins.mech_id)]
+                for q in range(self.n_procs):
+                    i = self.n_mechs + q
+                    recv = i in read and self._receiver(q, read[i].pc, ins.mech_id)
+                    if recv:
+                        label = ("send", value, q)
+                        edges.append(((p, label, ins.mech_id),
+                                      self._move(p, ps, ins, label, i, read[i], recv), ins, ()))
             elif ins.op != "receive":  # a receive is engaged from the sending side
-                label = self._offer(p, ps, read.get(ins.mech), ins)
+                m = read.get(ins.mech)
+                label = self._offer(p, ps, m, ins)
                 if label is not None:
-                    edges.append([(p, label, ins.mech_id), None, ins, None])
+                    action, hits = (p, label, ins.mech_id), []
+                    move = self._move(p, ps, ins, label, ins.mech, m)
+                    for verdict in self._events.get(ins.mech, ()):
+                        hits += verdict(action, m)
+                    edges.append((action, move, ins, tuple(hits)))
         if len(edges) > 1:
             edges.sort(key=lambda edge: _action_sort_key(edge[0]))
         return tuple(edges)
@@ -467,6 +478,43 @@ class System:
             else:  # index, fn
                 label += (getattr(ins, name),)
         return label
+
+    def _move(self, p, ps, ins, label, i, m, recv=None):
+        """The move of process ``p`` at ProcState ``ps`` when its head ``ins`` takes
+        ``label``: its slot ``j`` and the slot ``i`` (``j`` again when only the
+        process changes) of the part ``m`` that ``ins`` touches or, for a send,
+        of the receiver, whose head is ``recv``, each with its next part's index."""
+        j, op = self.n_mechs + p, ins.op
+        if op == "send":
+            return (j, self._intern(ProcState(ins.succ, ps.store, ps.failed)), i,
+                    self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
+                                           m.failed)))
+        # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
+        pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
+
+        if op == "local":
+            v = self._value(ps.store, ins.expr, allow_none=True)
+        elif op == "assert_local":
+            if store_get(ps.store, ins.var) != ins.expected and failed is None:
+                failed = f"p{p}.{ins.var}"
+        elif op == "read":
+            v, m2 = m.read(p)
+        elif op == "read_word":
+            v = m.words[ins.index]
+        elif op == "if_word":
+            if m.words[ins.index] != ins.word:
+                pc = ins.succ_else
+        elif op == "check":
+            v = m.status_token(p)
+        elif op == "if_status":
+            if m.status_token(p) != "full":
+                pc = ins.succ_else
+        elif op != "wait_word":  # write, write_word, lock, unlock, update: its kind's transition
+            m2 = getattr(m, label[0])(p, *label[1:])
+
+        store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
+        pj = self._intern(ProcState(pc, store, failed))
+        return (j, pj, j, pj) if m2 is m else (j, pj, i, self._intern(m2))
 
     # -- expression evaluation ----------------------------------------------
 
@@ -502,18 +550,8 @@ class System:
 
     def take(self, state, edge) -> tuple:
         """The post state of an edge of ``state`` (from ``edges``): the state
-        with the edge's move ``(j, part, i, part)`` spliced in. When the edge
-        is first taken, ``_move`` fills its move and the event verdicts that
-        watch the mechanism its instruction touches fill its hits, ``edge[3]``,
-        each judging the action and that mechanism's part before the step; the
-        offer key fixes both. A step that raises stores neither."""
-        move = edge[1]
-        if move is None:  # a loop: a generator here would make every take build closure cells
-            move, ins, hits = self._move(state, edge), edge[2], []
-            for verdict in self._events.get(ins.mech, ()):
-                hits += verdict(edge[0], self._parts[state[ins.mech]])
-            edge[3], edge[1] = tuple(hits), move
-        j, pj, i, pi = move
+        with the edge's move ``(j, part, i, part)`` spliced in."""
+        j, pj, i, pi = edge[1]
         out = list(state)
         out[j], out[i] = pj, pi
         return tuple(out)
@@ -527,48 +565,3 @@ class System:
                 if edge[0] == action:
                     return self.take(state, edge)
         raise ChoiceNotEnabled(action)
-
-    def _move(self, state, edge):
-        """The move of an edge of ``state``: the acting process's slot ``j`` and
-        the slot ``i`` of the mechanism its instruction touches or of a send's
-        receiver (``j`` again when only the process changes), each with the
-        intern index of its next part. It is exact for every state that shares
-        the edge's offer key, since that key holds every slot the step reads."""
-        (p, label, mech_id), _, ins, _ = edge
-        j = self.n_mechs + p
-        ps, op = self._parts[state[j]], ins.op
-        if op == "send":
-            i = self.n_mechs + label[2]
-            m = self._parts[state[i]]
-            recv = self._receiver(label[2], m.pc, mech_id)
-            return (j, self._intern(ProcState(ins.succ, ps.store, ps.failed)), i,
-                    self._intern(ProcState(recv.succ, store_set(m.store, recv.var, label[1]),
-                                           m.failed)))
-        i = ins.mech
-        m = None if i is None else self._parts[state[i]]
-        # each op sets only what it changes (wait_word: nothing); ``v`` goes to ``ins.var``
-        pc, failed, v, m2 = ins.succ, ps.failed, _UNBOUND, m
-
-        if op == "local":
-            v = self._value(ps.store, ins.expr, allow_none=True)
-        elif op == "assert_local":
-            if store_get(ps.store, ins.var) != ins.expected and failed is None:
-                failed = f"p{p}.{ins.var}"
-        elif op == "read":
-            v, m2 = m.read(p)
-        elif op == "read_word":
-            v = m.words[ins.index]
-        elif op == "if_word":
-            if m.words[ins.index] != ins.word:
-                pc = ins.succ_else
-        elif op == "check":
-            v = m.status_token(p)
-        elif op == "if_status":
-            if m.status_token(p) != "full":
-                pc = ins.succ_else
-        elif op != "wait_word":  # write, write_word, lock, unlock, update: its kind's transition
-            m2 = getattr(m, label[0])(p, *label[1:])
-
-        store = ps.store if v is _UNBOUND else store_set(ps.store, ins.var, v)
-        pj = self._intern(ProcState(pc, store, failed))
-        return (j, pj, j, pj) if m2 is m else (j, pj, i, self._intern(m2))

@@ -69,12 +69,9 @@ class Scenario:
         if unknown:
             raise ValidationError([f"document: unknown field '{k}'" for k in sorted(unknown)])
         doc = _plain(doc)
-        for key in ("mechanisms", "processes"):
-            if not isinstance(doc[key], list):
-                raise ValidationError([f"{key}: must be a list"])
         monitors = doc.get("monitors", [])
-        if not isinstance(monitors, list):
-            raise ValidationError(["monitors: must be a list"])
+        if problems := _shape_problems(doc["mechanisms"], doc["processes"], monitors):
+            raise ValidationError(problems)
         return cls(name=doc["name"], word_width=doc["word_width"],
                    mechanisms=tuple(doc["mechanisms"]), processes=tuple(doc["processes"]),
                    monitors=tuple(monitors), bounds=doc.get("bounds"))
@@ -89,6 +86,13 @@ class Scenario:
 
     def serialize(self) -> str:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
+
+
+def _shape_problems(mechanisms, processes, monitors):
+    """``<field>: must be a list`` for each of the three that is no list or tuple."""
+    return [f"{key}: must be a list" for key, v in
+            (("mechanisms", mechanisms), ("processes", processes), ("monitors", monitors))
+            if not isinstance(v, (list, tuple))]
 
 
 def _plain(x):
@@ -125,7 +129,8 @@ def load_file(path) -> Scenario:
 
 def validate(scenario: Scenario) -> None:
     """Check every scenario rule; raise ValidationError listing all problems."""
-    errors = []
+    if errors := _shape_problems(scenario.mechanisms, scenario.processes, scenario.monitors):
+        raise ValidationError(errors)  # a Scenario built directly: nothing below can iterate it
     if not isinstance(scenario.name, str) or not scenario.name:
         errors.append("name: must be a non-empty string")
     width_ok = type(scenario.word_width) is int and 1 <= scenario.word_width <= 4

@@ -51,8 +51,9 @@ class CountingSystem(System):
     ``take`` per (state, action). ``enabled_actions`` and ``apply`` go
     through these two, so they are counted too. It also counts the cold
     calls that fill its tables: each position entry computed, per (p, pc);
-    each process's offers computed, per (p, ProcState index, *the parts at
-    the view's slots); and each move computed, per (state, action)."""
+    each process's offers computed, per offer key (p, ProcState index, *the
+    parts at the view's slots); and each move computed, per (offer key,
+    action), since ``_local_offers`` computes every move it offers."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -75,12 +76,13 @@ class CountingSystem(System):
         return super()._position(p, pc)
 
     def _local_offers(self, p, ps, state, slots):
-        self.local_offers[(p, ps, *map(state.__getitem__, slots))] += 1
+        self.offer_key = (p, ps, *map(state.__getitem__, slots))
+        self.local_offers[self.offer_key] += 1
         return super()._local_offers(p, ps, state, slots)
 
-    def _move(self, state, edge):
-        self.moves[(state, edge[0])] += 1
-        return super()._move(state, edge)
+    def _move(self, p, ps, ins, label, i, m, recv=None):
+        self.moves[(self.offer_key, (p, label, ins.mech_id))] += 1
+        return super()._move(p, ps, ins, label, i, m, recv)
 
 
 def reference_view(sys, p, ps):

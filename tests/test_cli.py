@@ -21,6 +21,7 @@ from test_scenarios import _deleted, _fields, _replaced
 
 CLEAN, VIOLATIONS, BOUNDS, ERROR = 0, 1, 2, 3
 INVALID = pathlib.Path(__file__).parent / "data" / "invalid"
+FAULTS = pathlib.Path(__file__).parent / "data" / "faults"
 
 
 def run(capsys, *argv):
@@ -128,6 +129,18 @@ class TestExplore:
         code, out, err = run(capsys, "explore", "--file", str(doc))
         assert (code, out) == (ERROR, "")
         assert err == doc.with_suffix(".txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("doc", sorted(FAULTS.glob("*.json")), ids=lambda p: p.stem)
+    def test_a_program_fault_prints_its_recorded_message(self, capsys, tmp_path, doc):
+        """Each document under tests/data/faults/ faults at the state after
+        p0's read, so ``explore`` exits 3 with the message in the .txt beside
+        it, and so do ``run`` and ``replay`` of the schedule that reads."""
+        want = (ERROR, "", doc.with_suffix(".txt").read_text(encoding="utf-8"))
+        assert run(capsys, "explore", "--file", str(doc)) == want
+        schedule = tmp_path / "read.json"
+        schedule.write_text(json.dumps(Trace(((0, ("read",), "mc"),)).to_doc()))
+        for command in ("run", "replay"):
+            assert run(capsys, command, "--file", str(doc), "--schedule", str(schedule)) == want
 
     @pytest.mark.parametrize("section, field, where", [
         ("monitors", "mechanism", "monitors[0].mechanism"),

@@ -29,6 +29,8 @@ from test_golden import FIXTURE, _cases, _op_scenarios
 from test_kernel import SCENARIOS
 from test_monitors import unguarded_sections
 
+FAULTS = pathlib.Path(__file__).parent / "data" / "faults"
+
 
 def two_independent():
     """Two processes of three local steps each; nothing shared."""
@@ -702,7 +704,9 @@ class TestWitnessCost:
         it reads, and each terminal watch's once per distinct parts it reads
         in a terminal state; each event watch's runs once per kernel edge
         taken whose action is on the mechanism it watches, on the action and
-        that mechanism's part in the state the edge was first taken at."""
+        that mechanism's part where the edge was built, which the state it
+        was first taken at shares, since ``explore`` takes every edge it is
+        offered."""
         views = []
         decode = System.view
         monkeypatch.setattr(System, "view", lambda sys, st: views.append(st) or decode(sys, st))
@@ -769,14 +773,43 @@ def test_a_reachable_fault_does_not_abort_explore():
 
 
 def test_a_state_at_the_depth_bound_applies_nothing():
-    """The faulting step leaves depth 1, so a search cut at depth 1 never
-    applies it, and one cut at depth 2 does."""
+    """The faulting step is offered at depth 1, so a search cut at depth 0
+    never reaches it, and one cut at depth 1 does."""
     sc = fault_on_unwritten_read()
-    assert explore(sc, Bounds(max_depth=1)).bounds_hit
-    assert find_shortest(sc, "deadlock", Bounds(max_depth=1)) is None
+    assert explore(sc, Bounds(max_depth=0)).bounds_hit
+    assert find_shortest(sc, "deadlock", Bounds(max_depth=0)) is None
     for search in (lambda b: explore(sc, b), lambda b: find_shortest(sc, "deadlock", b)):
         with pytest.raises(KernelError, match="cannot apply inc"):
-            search(Bounds(max_depth=2))
+            search(Bounds(max_depth=1))
+
+
+@pytest.mark.parametrize("op", ["local", "write", "write_word", "send"])
+def test_a_faulting_value_raises_in_edges_where_it_is_the_next_step(op):
+    """In each document under tests/data/faults/, p0 reads a cell no process
+    writes, and the value of its next step, an ``op``, then faults. ``edges``
+    raises the message recorded beside the document on every call, so
+    nothing is cached; ``apply`` for p1 still succeeds; and every search on
+    the same System raises it too."""
+    doc = FAULTS / f"{op}.json"
+    message = doc.with_suffix(".txt").read_text(encoding="utf-8")
+    message = message.removeprefix("error: ").removesuffix("\n")
+    sys = System(s.load_file(doc))
+    read = (0, ("read",), "mc")
+    st1 = sys.apply(sys.initial_state(), read)
+    assert sys.programs[0].instrs[1].op == op
+    got = []
+    for _ in range(3):
+        with pytest.raises(KernelError) as fault:
+            sys.edges(st1)
+        got.append(str(fault.value))
+    assert got == [message] * 3
+    assert sys.view(sys.apply(st1, (1, ("local",), None))).procs[1].pc == 1
+    for search in (explore, lambda sys: find_shortest(sys, "deadlock"),
+                   lambda sys: random_walks(sys, walks=10, seed=1),
+                   lambda sys: replay_with_checks(sys, [read])):
+        with pytest.raises(KernelError) as fault:
+            search(sys)
+        assert str(fault.value) == message
 
 
 # -- the transition layer --------------------------------------------------------
@@ -912,8 +945,8 @@ def test_event_verdicts_run_once_per_kernel_edge_on_their_own_cell(monkeypatch):
     """On two message cells, each under a ``lost_unread`` monitor, every
     strategy run on one System judges each monitor's verdict only for
     actions on its own cell, and once per kernel edge on that cell, on the
-    cell's snapshot where the edge was first taken, however often the
-    strategies take the edge."""
+    cell's snapshot where the edge was built, which the state it was first
+    taken at shares, however often the strategies take the edge."""
     calls = []   # (the monitor's slot, action, snapshot) of each verdict run
     on_event = monitors.LostUnread.on_event
     monkeypatch.setattr(monitors.LostUnread, "on_event", lambda self, event, m: (

@@ -22,9 +22,9 @@ from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnab
                              event_to_doc, label_from_doc, label_to_doc,
                              store_get, store_set)
 
-from helpers import (bench_families, fold, head_for, offered_sends, offers_by_process,
-                     reachable, reachable_edges, reference_offer, reference_sort_key,
-                     schedules_to)
+from helpers import (CountingSystem, bench_families, fold, head_for, offered_sends,
+                     offers_by_process, reachable, reachable_edges, reference_offer,
+                     reference_sort_key, schedules_to)
 from test_golden import _op_scenarios
 
 
@@ -178,33 +178,36 @@ class TestEnabledness:
                 sys.enabled_actions(st1)
 
     def test_a_fault_inside_apply_is_not_cached(self):
+        """A local whose value faults raises where it is the next step, in
+        ``enabled_actions`` as in ``apply``, every time."""
         sys = make("oops", 1, [s.message_cell("mc")],
                    [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t")))])
         st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
-        assert sys.enabled_actions(st1) == [(0, ("local",), None)]
         for _ in range(2):
+            with pytest.raises(KernelError, match="cannot apply inc"):
+                sys.enabled_actions(st1)
             with pytest.raises(KernelError, match="cannot apply inc"):
                 sys.apply(st1, (0, ("local",), None))
 
     def test_a_faulting_step_stores_no_move(self):
-        """p0's step faults and p1's offer faults. The edge whose step raised
-        keeps neither a move nor hits, so taking it raises again, and
-        ``apply`` computes only the acting process's offers, so p1's fault
-        does not reach p2's step."""
+        """p0's step faults and p1's offer faults. Each raises in ``edges``,
+        which stores no offer for it and so no move, so it raises again; and
+        ``apply`` computes only the acting process's offers, so neither fault
+        reaches p2's step."""
         sys = make("oops", 1, [s.message_cell("mc")],
                    [s.process(0, s.read("mc", "t"), s.local("g", s.applied("inc", "t"))),
                     s.process(1, s.read("mc", "v"), s.write("mc", s.var("v"))),
                     s.process(2, s.local("x", [1]))])
+        n = sys.n_mechs
         st1 = sys.apply(sys.initial_state(), (0, ("read",), "mc"))  # t is None
-        edge = sys.edges(st1)[0]
-        assert edge[:2] == [(0, ("local",), None), None] and edge[3] is None
         for _ in range(2):
             with pytest.raises(KernelError, match="cannot apply inc"):
-                sys.take(st1, edge)
-            assert edge[1] is None and edge[3] is None
+                sys.edges(st1)
+            assert sys._views[0][st1[n]][1] == {}
         st2 = sys.apply(st1, (1, ("read",), "mc"))  # v is None
         with pytest.raises(KernelError, match="empty indicator"):
-            sys.edges(st2)
+            sys.apply(st2, (1, ("write", (0,)), "mc"))
+        assert sys._views[1][st2[n + 1]][1] == {}
         assert sys.view(sys.apply(st2, (2, ("local",), None))).procs[2].pc == 1
         with pytest.raises(KernelError, match="cannot apply inc"):
             sys.apply(st2, (0, ("local",), None))
@@ -567,27 +570,6 @@ class TestHashing:
         assert done.returncode == 0, done.stderr
 
 
-class CountingSystem(System):
-    """Counts every uncached local step and every uncached offer computation."""
-
-    def __init__(self, scenario):
-        super().__init__(scenario)
-        self.steps = Counter()
-        self.offers = Counter()
-
-    def _move(self, state, edge):
-        """Counted by (action, acting ProcState index, touched part's index or None)."""
-        (p, label, _), _, ins, _ = edge
-        i = self.n_mechs + label[2] if label[0] == "send" else ins.mech
-        self.steps[(edge[0], state[self.n_mechs + p], None if i is None else state[i])] += 1
-        return super()._move(state, edge)
-
-    def _local_offers(self, p, ps, state, slots):
-        """Counted by (p, ProcState index, *the parts at the view's slots)."""
-        self.offers[(p, ps, *map(state.__getitem__, slots))] += 1
-        return super()._local_offers(p, ps, state, slots)
-
-
 class TestCaches:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
     def test_warm_caches_answer_as_cold_ones(self, scenario):
@@ -624,8 +606,9 @@ class TestCaches:
         assert report.schedules_complete == 924  # C(12, 6)
         reg, n = sys.mech_index["reg"], sys.n_mechs
         edges = reachable_edges(sys)
-        # the caches key on intern indices: a packed state is the mechanisms', then the processes'
-        steps = {(a, pre[n + a[0]], pre[reg] if a[2] else None)
+        # the caches key on intern indices: a packed state is the mechanisms', then the
+        # processes'; a step reads the register's slot if it names a mechanism, else none
+        steps = {((a[0], pre[n + a[0]], pre[reg]) if a[2] else (a[0], pre[n + a[0]]), a)
                  for pre, a, _ in edges}
         offers = set()  # a process at a terminated head is idle and computes no offers
         for state in reachable(sys):
@@ -634,8 +617,8 @@ class TestCaches:
                 if ps.pc < len(instrs):
                     touches = instrs[ps.pc].op != "local"
                     offers.add((p, state[n + p], state[reg]) if touches else (p, state[n + p]))
-        assert sys.steps.keys() == steps and set(sys.steps.values()) == {1}
-        assert sys.offers.keys() == offers and set(sys.offers.values()) == {1}
+        assert sys.moves.keys() == steps and set(sys.moves.values()) == {1}
+        assert sys.local_offers.keys() == offers and set(sys.local_offers.values()) == {1}
         assert len(steps) < len(edges) / 3 and len(offers) < report.states_visited
 
 

@@ -74,6 +74,24 @@ class TestParsing:
         with pytest.raises(ValidationError, match="unknown field 'extra'"):
             Scenario.from_doc(doc_with(extra=1))
 
+    @pytest.mark.parametrize("fields, errors", [
+        ({"mechanisms": 5}, ["mechanisms: must be a list"]),
+        ({"processes": "p0"}, ["processes: must be a list"]),
+        ({"monitors": 3}, ["monitors: must be a list"]),
+        ({"mechanisms": None, "monitors": {}},
+         ["mechanisms: must be a list", "monitors: must be a list"])])
+    def test_a_directly_built_scenario_of_the_wrong_shape_is_rejected(self, fields, errors):
+        """A Scenario built without ``from_doc`` reaches ``validate`` through
+        ``System``, which names each field that is no list or tuple with the
+        message ``from_doc`` gives for the same document."""
+        with pytest.raises(ValidationError) as ei:
+            Scenario.from_doc(doc_with(**fields))
+        assert list(ei.value.errors) == errors
+        with pytest.raises(ValidationError) as ei:
+            System(Scenario(**{"name": "x", "word_width": 1, "mechanisms": (),
+                               "processes": (), **fields}))
+        assert list(ei.value.errors) == errors
+
     def test_unrepresentable_value_rejected(self):
         with pytest.raises(ValidationError, match="not JSON-representable"):
             Scenario.from_doc(doc_with(mechanisms={1, 2}))

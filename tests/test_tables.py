@@ -48,7 +48,7 @@ class TestPositionTables:
     @pytest.mark.parametrize("scenario", TABLE_SCENARIOS, ids=lambda sc: sc.name)
     def test_each_state_reads_as_the_per_state_tables_did(self, scenario):
         """At every reachable state, each process's view entry has the slots
-        and the idle verdict the per-state ``_view`` gave, its getter reads
+        and the idle verdict the per-state tables gave, its getter reads
         those slots, each receive head is the one a scan finds, and the
         edges are the reference's, in the same order."""
         sys = System(scenario)

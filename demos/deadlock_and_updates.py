@@ -13,7 +13,7 @@ Run: python3 demos/deadlock_and_updates.py
 from lockstep import System, explore, find_shortest
 from lockstep.catalog import get
 from lockstep.cli import format_event
-from lockstep.explorer import terminal_mechanism_states
+from lockstep.explorer import terminal_values
 
 
 def main():
@@ -34,8 +34,7 @@ def main():
     print("\n== divisible increments lose updates ==")
     sys = System(get("register-lost-update"))
     report = explore(sys)
-    values = sorted(m.content[0]
-                    for m in terminal_mechanism_states(sys, report, "reg"))
+    values = sorted(content[0] for (content,) in terminal_values(sys, report, "reg", ("content",)))
     print(f"  2 processes x 3 increments, spelled read / generate / write")
     print(f"  {report.schedules_complete} schedules, terminal register values: {values}")
     print(f"  worst case {values[0]}: each +1 of one side overwrites the other's")
@@ -43,8 +42,7 @@ def main():
     print("\n== indivisible updates ==")
     sys = System(get("register-atomic-update"))
     report = explore(sys)
-    values = sorted(m.content[0]
-                    for m in terminal_mechanism_states(sys, report, "reg"))
+    values = sorted(content[0] for (content,) in terminal_values(sys, report, "reg", ("content",)))
     print(f"  the same increments as single update steps")
     print(f"  {report.schedules_complete} schedules, terminal register values: {values}")
 

@@ -12,7 +12,7 @@ Run: python3 demos/torn_reads.py
 from lockstep import System, explore, find_shortest
 from lockstep.catalog import get
 from lockstep.cli import format_event
-from lockstep.explorer import terminal_variable_values
+from lockstep.explorer import terminal_values
 
 
 def show_witness(title, scenario, kind):
@@ -26,7 +26,7 @@ def show_witness(title, scenario, kind):
 def reader_values(name):
     sys = System(get(name))
     report = explore(sys)
-    values = terminal_variable_values(sys, report, 2, ("a", "b"))
+    values = terminal_values(sys, report, 2, ("a", "b"))
     return report, sorted(values)
 
 

@@ -2,9 +2,11 @@
 
 Fourteen small scenarios, each exercising one communication mechanism or
 one failure mode, with the outcome exhaustive exploration must produce:
-the exact set of violation classes, plus per-entry checks where the
-interesting fact is a value (terminal register contents, delivery
-sequences, equivalence of two formulations) rather than a violation.
+the exact set of violation classes, plus facts where the interesting fact
+is a count or a value rather than a violation. Each fact is data of one of
+three kinds: an exact schedule count, a ceiling on the states visited, or
+an ``Observation`` of the terminal states (delivery logs, register
+contents, or the equivalence of two formulations).
 
 catalog_check() explores every entry and compares against these
 expectations; the CLI exposes it as the ``catalog-check`` subcommand.
@@ -15,8 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import scenarios as s
-from .explorer import (explore, terminal_mechanism_states, terminal_variable_values)
+from .explorer import explore, terminal_values
 from .kernel import System
+
+
+@dataclass(frozen=True)
+class Observation:
+    """What ``names`` of ``source`` (a pid or a mechanism id) hold over the terminal states."""
+    source: int | str
+    names: tuple
+    values: frozenset = frozenset()   # exactly these,
+    like: tuple | None = None         # or, given (entry name, source), those it holds there
 
 
 @dataclass(frozen=True)
@@ -26,7 +37,9 @@ class CatalogEntry:
     outcome: str
     expected_classes: frozenset
     build: callable = field(repr=False)
-    extra: callable | None = field(default=None, repr=False)
+    schedules: int | None = None       # the exact count of maximal schedules
+    state_ceiling: int | None = None   # states_visited stays below it
+    observe: Observation | None = None
 
 
 # -- scenario builders --------------------------------------------------------
@@ -189,68 +202,6 @@ def _decomposition_equivalence():
                    s.receive("d_out", "r3"))])
 
 
-# -- per-entry checks beyond the violation-class comparison --------------------
-
-
-def _check_status_exact(sys, report):
-    want = ((1,), (2,), (3,))
-    problems = []
-    for m in terminal_mechanism_states(sys, report, "ch"):
-        if m.sent != want or m.received != want:
-            problems.append(f"terminal channel logs sent={m.sent!r} received={m.received!r}, "
-                            f"expected {want!r} both ways")
-    if report.states_visited >= 10_000:
-        problems.append(f"visited {report.states_visited} states, expected well under 10000")
-    return problems
-
-
-def _check_single_schedule(sys, report):
-    if report.schedules_complete != 1:
-        return [f"{report.schedules_complete} schedules, expected exactly 1 "
-                "(the guards force strict alternation)"]
-    return []
-
-
-def _check_final_read(sys, report):
-    got = terminal_variable_values(sys, report, 1, ("r",))
-    if got != {((3,),)}:
-        return [f"final reads {sorted(got, key=repr)}, expected always (3,)"]
-    return []
-
-
-def _check_atomic_total(sys, report):
-    got = {m.content for m in terminal_mechanism_states(sys, report, "reg")}
-    if got != {(6,)}:
-        return [f"terminal register contents {sorted(got)}, expected exactly (6,)"]
-    return []
-
-
-def _check_lost_update_range(sys, report):
-    words = sorted(m.content[0] for m in terminal_mechanism_states(sys, report, "reg"))
-    problems = []
-    if not words or min(words) != 2:
-        problems.append(f"worst terminal value is {words[:1]}, expected the minimum to be 2")
-    if not words or max(words) != 6:
-        problems.append(f"best terminal value is {words[-1:]}, expected the maximum to be 6")
-    return problems
-
-
-def _reader_sequences(sys, report, pid):
-    return terminal_variable_values(sys, report, pid, ("r1", "r2", "r3"))
-
-
-def _check_decomposition(sys, report):
-    base_sys = System(_lost_message_basic())
-    base = explore(base_sys)
-    direct_two_step = _reader_sequences(sys, report, 2)
-    one_cell = _reader_sequences(base_sys, base, 1)
-    if direct_two_step != one_cell:
-        only_a = sorted(direct_two_step - one_cell, key=repr)  # None is unordered
-        only_b = sorted(one_cell - direct_two_step, key=repr)
-        return [f"observable reader sequences differ: relay-only {only_a}, cell-only {only_b}"]
-    return []
-
-
 # -- the catalog ---------------------------------------------------------------
 
 
@@ -279,7 +230,8 @@ CATALOG = (
         "status-channel-exact",
         "the same traffic through an empty/full gated channel",
         "no violations; delivery is exactly-once in order, one schedule only",
-        frozenset(), _status_channel_exact, _check_status_exact),
+        frozenset(), _status_channel_exact, state_ceiling=10_000,
+        observe=Observation("ch", ("sent", "received"), frozenset({(((1,), (2,), (3,)),) * 2}))),
     CatalogEntry(
         "deadlock-direct-duplex",
         "two processes that each send before receiving on direct channels",
@@ -294,7 +246,7 @@ CATALOG = (
         "duplex-strict",
         "one slot serving both directions, writes require it empty",
         "no violations; each side only ever consumes what was meant for it",
-        frozenset(), _duplex_strict, _check_single_schedule),
+        frozenset(), _duplex_strict, schedules=1),
     CatalogEntry(
         "duplex-last-message",
         "both-direction slot where a side may replace its own unread message",
@@ -304,17 +256,20 @@ CATALOG = (
         "last-message-unidirectional",
         "three writes overwrite freely, the reader is signalled afterwards",
         "no violations; the final read always observes the last value",
-        frozenset(), _last_message_unidirectional, _check_final_read),
+        frozenset(), _last_message_unidirectional,
+        observe=Observation(1, ("r",), frozenset({((3,),)}))),
     CatalogEntry(
         "register-atomic-update",
         "two processes each apply three indivisible increments",
         "no violations; every schedule ends with the register at 6",
-        frozenset(), _register_atomic_update, _check_atomic_total),
+        frozenset(), _register_atomic_update,
+        observe=Observation("reg", ("content",), frozenset({((6,),)}))),
     CatalogEntry(
         "register-lost-update",
         "the same increments spelled out as read, generate, write",
         "no violation class, but interleavings lose updates: terminal values range 2..6",
-        frozenset(), _register_lost_update, _check_lost_update_range),
+        frozenset(), _register_lost_update,
+        observe=Observation("reg", ("content",), frozenset({((k,),) for k in range(2, 7)}))),
     CatalogEntry(
         "dekker-mutex",
         "two-process mutual exclusion from raw flags and a turn word",
@@ -324,7 +279,8 @@ CATALOG = (
         "decomposition-equivalence",
         "a one-slot cell re-expressed as a relay between two rendezvous",
         "no violations; the reader observes exactly the sequences the cell allows",
-        frozenset(), _decomposition_equivalence, _check_decomposition),
+        frozenset(), _decomposition_equivalence,
+        observe=Observation(2, ("r1", "r2", "r3"), like=("lost-message-basic", 1))),
 )
 
 _BY_NAME = {e.name: e for e in CATALOG}
@@ -349,6 +305,29 @@ def get(name) -> s.Scenario:
     return get_entry(name).build()
 
 
+def fact_problems(entry, sys, report):
+    """The facts of ``entry`` that ``report``, explored on ``sys``, breaks."""
+    label = lambda source, names: f"{'p' * isinstance(source, int)}{source}.{'/'.join(names)}"
+    n, ceiling = report.schedules_complete, entry.state_ceiling
+    problems = []
+    if entry.schedules not in (None, n):
+        problems.append(f"{n} schedules, expected exactly {entry.schedules}")
+    if ceiling is not None and report.states_visited >= ceiling:
+        problems.append(f"visited {report.states_visited} states, expected fewer than {ceiling}")
+    if ob := entry.observe:
+        got, want, where = terminal_values(sys, report, ob.source, ob.names), ob.values, "expected"
+        if ob.like:
+            other, source = ob.like  # explored afresh, so a row is the same checked alone
+            other_sys = System(get(other))
+            want = terminal_values(other_sys, explore(other_sys), source, ob.names)
+            where = f"in {other} {label(source, ob.names)}"
+        if got != want:  # sorted by repr, since None and tuples do not compare
+            problems.append(f"terminal {label(ob.source, ob.names)} not as {where}: "
+                            f"unexpected {sorted(got - want, key=repr)}, "
+                            f"missing {sorted(want - got, key=repr)}")
+    return problems
+
+
 @dataclass(frozen=True)
 class CheckRow:
     name: str
@@ -366,9 +345,7 @@ def catalog_check(only=None, bounds=None):
     for name in only or ():
         get_entry(name)
     rows = []
-    for entry in CATALOG:
-        if only and entry.name not in only:
-            continue
+    for entry in [e for e in CATALOG if not only or e.name in only]:
         sys = System(entry.build())
         report = explore(sys, bounds)
         problems = []
@@ -377,8 +354,8 @@ def catalog_check(only=None, bounds=None):
                             f"!= expected {sorted(entry.expected_classes)}")
         if report.bounds_hit:
             problems.append("exploration hit its bounds; the verdict is incomplete")
-        if entry.extra is not None and not problems:
-            problems.extend(entry.extra(sys, report))
+        if not problems:
+            problems.extend(fact_problems(entry, sys, report))
         rows.append(CheckRow(
             name=entry.name, ok=not problems,
             expected=tuple(sorted(entry.expected_classes)),

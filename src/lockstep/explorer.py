@@ -27,7 +27,7 @@ states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted (``_interchangeable``,
 ``_Orbits``), so one entry stands for a whole orbit of states and the
-report stays exact.
+report stays exact, down to the terminal states ``terminal_values`` reads.
 
 Every strategy reads ``max_states`` one way: the initial state is always
 stored, and a new state is stored only while fewer than ``max_states`` are
@@ -632,16 +632,11 @@ def verify_violation(scenario, violation: Violation) -> bool:
     return violation.cls in classes and sys.state_hash(final) == violation.state_hash
 
 
-def terminal_variable_values(sys, report, pid, names):
-    """The set of value tuples a process's variables hold across completed runs."""
-    out = set()
-    for state in report.terminal_states:
-        store = state.procs[pid].store
-        out.add(tuple(store_get(store, n, None) for n in names))
-    return out
-
-
-def terminal_mechanism_states(sys, report, mech_id):
-    """The set of snapshots one mechanism ends in across completed runs."""
-    index = sys.mech_index[mech_id]
-    return {state.mechs[index] for state in report.terminal_states}
+def terminal_values(sys, report, source, names):
+    """The set of tuples ``names`` hold over the report's terminal states: variables of
+    process ``source`` if it is a pid (an unbound one reads None), else mechanism fields."""
+    if isinstance(source, int):
+        return {tuple(store_get(t.procs[source].store, n, None) for n in names)
+                for t in report.terminal_states}
+    index = sys.mech_index[source]
+    return {tuple(getattr(t.mechs[index], n) for n in names) for t in report.terminal_states}

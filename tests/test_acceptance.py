@@ -13,9 +13,8 @@ import pytest
 
 import lockstep.scenarios as s
 from lockstep.catalog import CATALOG, catalog_check, get
-from lockstep.explorer import (explore, find_shortest, random_walks,
-                               terminal_mechanism_states,
-                               terminal_variable_values, verify_violation)
+from lockstep.explorer import (explore, find_shortest, random_walks, terminal_values,
+                               verify_violation)
 from lockstep.kernel import System
 
 WALK_SEED = 20260815
@@ -90,21 +89,21 @@ def test_criterion_03_solution_verification(reports):
 def test_criterion_04_exactly_once_in_order(systems, reports):
     report = reports["status-channel-exact"]
     want = ((1,), (2,), (3,))
-    chans = terminal_mechanism_states(systems["status-channel-exact"], report, "ch")
+    logs = terminal_values(systems["status-channel-exact"], report, "ch", ("sent", "received"))
     ok = (not report.bounds_hit
           and report.states_visited < 10_000
-          and all(m.received == m.sent == want for m in chans))
+          and all(received == sent == want for sent, received in logs))
     verdict(4, ok, f"status channel delivers exactly-once in order over the full "
                    f"graph ({report.states_visited} states < 10000)")
 
 
 def test_criterion_05_lost_update_oracle(systems, reports):
-    lost = terminal_mechanism_states(systems["register-lost-update"],
-                                     reports["register-lost-update"], "reg")
-    lost_values = {m.content[0] for m in lost}
-    atomic = terminal_mechanism_states(systems["register-atomic-update"],
-                                       reports["register-atomic-update"], "reg")
-    atomic_values = {m.content[0] for m in atomic}
+    lost = terminal_values(systems["register-lost-update"],
+                           reports["register-lost-update"], "reg", ("content",))
+    lost_values = {content[0] for (content,) in lost}
+    atomic = terminal_values(systems["register-atomic-update"],
+                             reports["register-atomic-update"], "reg", ("content",))
+    atomic_values = {content[0] for (content,) in atomic}
     ok = min(lost_values) == 2 and max(lost_values) == 6 and atomic_values == {6}
     verdict(5, ok, f"divisible increments reach terminal values "
                    f"{sorted(lost_values)} (min 2, max 6, emergent from "
@@ -134,12 +133,10 @@ def test_criterion_07_dekker_verification(reports):
 
 
 def test_criterion_08_decomposition_equivalence(systems, reports):
-    relay = terminal_variable_values(systems["decomposition-equivalence"],
-                                     reports["decomposition-equivalence"],
-                                     2, ("r1", "r2", "r3"))
-    cell = terminal_variable_values(systems["lost-message-basic"],
-                                    reports["lost-message-basic"],
-                                    1, ("r1", "r2", "r3"))
+    relay = terminal_values(systems["decomposition-equivalence"],
+                            reports["decomposition-equivalence"], 2, ("r1", "r2", "r3"))
+    cell = terminal_values(systems["lost-message-basic"],
+                           reports["lost-message-basic"], 1, ("r1", "r2", "r3"))
     ok = relay == cell and len(relay) == 20
     verdict(8, ok, f"reader-observed sequence sets for the one-slot cell and "
                    f"the two-rendezvous relay are equal ({len(relay)} sequences)")

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from lockstep import catalog, machines
-from lockstep.catalog import CATALOG, catalog_check, entries, get, get_entry, names
-from lockstep.explorer import Bounds, explore, terminal_mechanism_states
+from lockstep.catalog import (CATALOG, catalog_check, entries, fact_problems, get, get_entry,
+                              names)
+from lockstep.explorer import Bounds, explore, terminal_values
 from lockstep.kernel import System
 
 from helpers import (brute_cell_reader_sequences, brute_lost_updates,
@@ -91,33 +92,28 @@ class TestFrozenCounts:
 class TestValueOracles:
     def test_torn_read_raw_matches_word_level_brute_force(self, reports):
         sys = System(get("torn-read-raw"))
-        from lockstep.explorer import terminal_variable_values
-        explored = terminal_variable_values(sys, reports["torn-read-raw"], 2, ("a", "b"))
+        explored = terminal_values(sys, reports["torn-read-raw"], 2, ("a", "b"))
         brute = brute_torn_reads([[(0, 1), (1, 1)], [(0, 2), (1, 2)]], [0, 1], width=2)
         assert explored == brute
         assert not brute <= {(0, 0), (1, 1), (2, 2)}  # some assembly is torn
 
     def test_torn_read_locked_reads_only_whole_values(self, reports):
         sys = System(get("torn-read-locked"))
-        from lockstep.explorer import terminal_variable_values
-        explored = terminal_variable_values(sys, reports["torn-read-locked"], 2, ("a", "b"))
+        explored = terminal_values(sys, reports["torn-read-locked"], 2, ("a", "b"))
         assert explored <= {(0, 0), (1, 1), (2, 2)}
 
     def test_lost_update_terminal_values_match_brute_force(self, reports):
-        regs = terminal_mechanism_states(System(get("register-lost-update")),
-                                         reports["register-lost-update"], "reg")
-        explored = {m.content[0] for m in regs}
+        regs = terminal_values(System(get("register-lost-update")),
+                               reports["register-lost-update"], "reg", ("content",))
+        explored = {content[0] for (content,) in regs}
         assert explored == brute_lost_updates(2, 3) == {2, 3, 4, 5, 6}
 
     def test_decomposition_matches_the_overwrite_cell_model(self, reports):
-        from lockstep.explorer import terminal_variable_values
         model = brute_cell_reader_sequences([1, 2, 3], 3)
-        relay = terminal_variable_values(System(get("decomposition-equivalence")),
-                                         reports["decomposition-equivalence"],
-                                         2, ("r1", "r2", "r3"))
-        cell = terminal_variable_values(System(get("lost-message-basic")),
-                                        reports["lost-message-basic"],
-                                        1, ("r1", "r2", "r3"))
+        relay = terminal_values(System(get("decomposition-equivalence")),
+                                reports["decomposition-equivalence"], 2, ("r1", "r2", "r3"))
+        cell = terminal_values(System(get("lost-message-basic")),
+                               reports["lost-message-basic"], 1, ("r1", "r2", "r3"))
         assert relay == cell == model
         # and the model has a closed combinatorial form: monotone progress counts
         def v(k):
@@ -132,41 +128,89 @@ def _start(sys):
     return (sys.view(sys.initial_state()),)
 
 
-# (entry, the report fields to replace, the problem its extra check must
-# report then): each fact an entry's extra check holds, failed once
+def _without(report, content):
+    """The report's terminal states but those whose register holds ``content``."""
+    return tuple(t for t in report.terminal_states if t.mechs[0].content != content)
+
+
+# (entry, the report fields to replace, the problem fact_problems must report
+# then): each fact an entry holds, failed once
 BROKEN_FACTS = [
     ("status-channel-exact", lambda sys, r: {"terminal_states": _start(sys)},
-     "terminal channel logs sent=() received=()"),
+     "terminal ch.sent/received not as expected: unexpected [((), ())], "
+     "missing [(((1,), (2,), (3,)), ((1,), (2,), (3,)))]"),
     ("status-channel-exact", lambda sys, r: {"states_visited": 10_000},
-     "visited 10000 states, expected well under 10000"),
+     "visited 10000 states, expected fewer than 10000"),
     ("duplex-strict", lambda sys, r: {"schedules_complete": 2},
      "2 schedules, expected exactly 1"),
     ("last-message-unidirectional", lambda sys, r: {"terminal_states": _start(sys)},
-     "final reads [(None,)]"),
+     "terminal p1.r not as expected: unexpected [(None,)], missing [((3,),)]"),
     ("last-message-unidirectional",
      lambda sys, r: {"terminal_states": r.terminal_states + _start(sys)},
-     "final reads [((3,),), (None,)]"),
+     "terminal p1.r not as expected: unexpected [(None,)], missing []"),
     ("register-atomic-update", lambda sys, r: {"terminal_states": _start(sys)},
-     "terminal register contents [(0,)]"),
+     "terminal reg.content not as expected: unexpected [((0,),)], missing [((6,),)]"),
     ("register-lost-update", lambda sys, r: {"terminal_states": _start(sys)},
-     "worst terminal value is [0]"),
-    ("register-lost-update", lambda sys, r: {"terminal_states": _start(sys)},
-     "best terminal value is [0]"),
+     "terminal reg.content not as expected: unexpected [((0,),)], "
+     "missing [((2,),), ((3,),), ((4,),), ((5,),), ((6,),)]"),
+    ("register-lost-update", lambda sys, r: {"terminal_states": _without(r, (6,))},
+     "terminal reg.content not as expected: unexpected [], missing [((6,),)]"),
     ("register-lost-update", lambda sys, r: {"terminal_states": ()},
-     "worst terminal value is []"),
+     "terminal reg.content not as expected: unexpected [], "
+     "missing [((2,),), ((3,),), ((4,),), ((5,),), ((6,),)]"),
+    # the missing sequences mix None and tuples, which only sort by repr
     ("decomposition-equivalence", lambda sys, r: {"terminal_states": r.terminal_states[:1]},
-     "observable reader sequences differ"),
+     "terminal p2.r1/r2/r3 not as in lost-message-basic p1.r1/r2/r3: unexpected [], "
+     "missing [((1,), (1,), (1,)), ((1,), (1,), (2,)), "),
 ]
 
 
 @pytest.mark.parametrize("name,change,problem", BROKEN_FACTS)
-def test_each_extra_check_reports_its_fact_failing(reports, name, change, problem):
+def test_each_fact_reports_its_failure(reports, name, change, problem):
     entry = get_entry(name)
     sys = System(entry.build())
-    assert entry.extra(sys, reports[name]) == []
+    assert fact_problems(entry, sys, reports[name]) == []
     broken = dataclasses.replace(reports[name], **change(sys, reports[name]))
-    problems = entry.extra(sys, broken)
+    problems = fact_problems(entry, sys, broken)
     assert any(p.startswith(problem) for p in problems), problems
+
+
+def test_the_facts_name_what_their_entries_have():
+    """Each observed variable is one its process's program uses, each observed
+    field one of its mechanism's snapshot, and each cross-entry reference names
+    a catalog entry and a source that entry has; an observation gives either
+    a literal set or a reference."""
+    def assert_has(name, source, observed):
+        sys = System(get(name))
+        if isinstance(source, int):
+            assert 0 <= source < sys.n_procs, (name, source)
+            assert set(observed) <= sys.programs[source].vars, (name, source, observed)
+        else:
+            assert source in sys.mech_index, (name, source)
+            mech = sys.view(sys.initial_state()).mechs[sys.mech_index[source]]
+            fields = {f.name for f in dataclasses.fields(mech)}
+            assert set(observed) <= fields, (name, source, observed)
+
+    observing = [e for e in CATALOG if e.observe]
+    assert len(observing) == 5
+    for e in observing:
+        ob = e.observe
+        assert ob.names and bool(ob.values) != bool(ob.like), e.name
+        assert_has(e.name, ob.source, ob.names)
+        if ob.like:
+            other, source = ob.like
+            assert other in names() and other != e.name, e.name
+            assert_has(other, source, ob.names)
+
+
+@pytest.fixture(scope="module")
+def full_rows():
+    return {row.name: row for row in catalog_check()}
+
+
+@pytest.mark.parametrize("name", names())
+def test_an_entry_checked_alone_gives_its_full_run_row(full_rows, name):
+    assert catalog_check(only=[name]) == [full_rows[name]]
 
 
 class TestCatalogCheck:

@@ -1,6 +1,7 @@
 """Exploration tests: counting, witnesses, bounds, cross-validation."""
 
 import ast
+import dataclasses
 import json
 import math
 import pathlib
@@ -17,8 +18,7 @@ import lockstep.scenarios as s
 from lockstep import catalog, explorer, monitors, serialize
 from lockstep.explorer import (Bounds, ExplorationReport, Violation, WalkSummary,
                                explore, find_shortest, random_walks,
-                               replay_with_checks, resolve_bounds,
-                               terminal_mechanism_states, terminal_variable_values,
+                               replay_with_checks, resolve_bounds, terminal_values,
                                verify_violation)
 from lockstep.kernel import KernelError, NotEnabledAtStep, System
 
@@ -553,19 +553,38 @@ class TestTerminalQueries:
     def test_variable_values(self):
         sys = System(catalog.get("status-channel-exact"))
         report = explore(sys)
-        got = terminal_variable_values(sys, report, 1, ("r1", "r2", "r3"))
+        got = terminal_values(sys, report, 1, ("r1", "r2", "r3"))
         assert got == {((1,), (2,), (3,))}
 
     def test_unbound_names_read_as_none(self):
         sys = System(catalog.get("status-channel-exact"))
         report = explore(sys)
-        assert terminal_variable_values(sys, report, 0, ("nope",)) == {(None,)}
+        assert terminal_values(sys, report, 0, ("nope",)) == {(None,)}
 
     def test_mechanism_states(self):
         sys = System(catalog.get("register-atomic-update"))
         report = explore(sys)
-        regs = terminal_mechanism_states(sys, report, "reg")
-        assert {m.content for m in regs} == {(6,)}
+        assert terminal_values(sys, report, "reg", ("content",)) == {((6,),)}
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda sc: sc.name)
+    def test_projections_match_brute_force_terminal_states(self, scenario):
+        """Each process's variables and each mechanism's fields hold over
+        explore's terminal states, orbit images included, exactly what they
+        hold over the terminal states a brute-force search reaches."""
+        sys = System(scenario)
+        report = explore(sys)
+        assert not report.bounds_hit
+        terminals = [sys.view(t) for t in reachable(sys)
+                     if not sys.enabled_actions(t) and sys.all_terminated(t)]
+        for pid, program in enumerate(sys.programs):
+            names = tuple(sorted(program.vars))
+            assert terminal_values(sys, report, pid, names) == {
+                tuple(dict(t.procs[pid].store).get(n) for n in names) for t in terminals}
+        init = sys.view(sys.initial_state())
+        for mech_id, index in sys.mech_index.items():
+            names = tuple(f.name for f in dataclasses.fields(init.mechs[index]))
+            assert terminal_values(sys, report, mech_id, names) == {
+                dataclasses.astuple(t.mechs[index]) for t in terminals}
 
 
 class TestDeterminism:

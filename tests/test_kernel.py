@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import lockstep.scenarios as s
 from lockstep import catalog, cli, kernel, machines
 from lockstep.explorer import (_interchangeable, explore, replay_with_checks,
-                               terminal_mechanism_states)
+                               terminal_values)
 from lockstep.monitors import compile_monitors
 from lockstep.kernel import (ChoiceNotEnabled, GlobalState, KernelError, NotEnabledAtStep,
                              ProcState, System, Trace, _action_sort_key, event_from_doc,
@@ -475,7 +475,7 @@ class TestLocksAndOperands:
         assert sys.enabled_actions(st3) == [(1, ("lock",), "r")]
         report = explore(sys)
         assert report.schedules_complete == 2 and not report.violations
-        assert terminal_mechanism_states(sys, report, "r") == {machines.SharedRegister((2,))}
+        assert terminal_values(sys, report, "r", ("content", "owner")) == {((2,), None)}
         # an owner is a pid, so processes that lock are never interchangeable
         assert _interchangeable(sys, compile_monitors(sys)) == ()
 

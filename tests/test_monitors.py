@@ -7,7 +7,7 @@ import pytest
 
 import lockstep.scenarios as s
 from lockstep import catalog
-from lockstep.explorer import explore, terminal_variable_values
+from lockstep.explorer import explore, terminal_values
 from lockstep.kernel import GlobalState, ProcState, System
 from lockstep.machines import DuplexChannel, MessageCell, StatusChannel
 from lockstep.monitors import (LostUnread, MutualExclusion, RecipientTag,
@@ -196,7 +196,7 @@ class TestLostUnread:
                                    [s.lost_unread("m")])
         sys = System(sc)
         report = explore(sys)
-        assert ((1,), (1,)) in terminal_variable_values(sys, report, 1, ("a", "b"))
+        assert ((1,), (1,)) in terminal_values(sys, report, 1, ("a", "b"))
         assert "lost_message" not in report.violation_classes
         assert report.violations == ()
 

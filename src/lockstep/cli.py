@@ -15,6 +15,7 @@ from .catalog import catalog_check as _catalog_check
 from .catalog import entries as _catalog_entries
 from .catalog import get as _catalog_get
 from .catalog import get_entry as _catalog_entry
+from .catalog import names as _catalog_names
 from .explorer import Violation, explore, replay_with_checks, verify_violation
 from .kernel import KernelError, NotEnabledAtStep, System, Trace, format_event
 from .scenarios import ParseError, ValidationError, bounds_problems, load_file
@@ -221,7 +222,7 @@ def cmd_catalog_check(args, bounds):
                 "schedules_complete": r.schedules_complete} for r in rows]
         print(json.dumps(doc, indent=2))
     else:
-        width = max(len(r.name) for r in rows)
+        width = max(map(len, _catalog_names()))  # a row reads the same alone as in the full run
         for r in rows:
             mark = "ok " if r.ok else "FAIL"
             found = ", ".join(r.found) or "none"

@@ -25,9 +25,11 @@ the search then reads beside its move, ``hits`` judges a state and
 edges, takes one or runs a monitor. Strategies key their memos on packed
 states, and only views of them leave a call.
 ``explore`` keys its memo by a representative state in which the slots of
-each group of interchangeable processes are sorted (``_interchangeable``,
-``_Orbits``), so one entry stands for a whole orbit of states and the
-report stays exact, down to the terminal states ``terminal_values`` reads.
+each group of interchangeable processes are sorted, and the members of a
+data group, which differ only in the words they write, are permuted with
+their words to the least image (``_interchangeable``, ``_Orbits``), so one
+entry stands for a whole orbit of states and the report stays exact, down
+to the terminal states ``terminal_values`` reads.
 
 Every strategy reads ``max_states`` one way: the initial state is always
 stored, and a new state is stored only while fewer than ``max_states`` are
@@ -43,12 +45,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations, product
 from math import factorial
 from operator import itemgetter
 
 from .kernel import NotEnabledAtStep, System, Trace, store_get
-from .machines import KINDS
+from .machines import KINDS, WORD_DOMAIN, renamed
 from .scenarios import bounds_problems
 
 _IN_PROGRESS = object()
@@ -161,18 +164,65 @@ def _classes(hits):
     return {_class_of(*hit) for hit in hits}
 
 
-def _interchangeable(sys, monitors):
-    """The groups of processes of ``sys`` that can swap places, as sorted pid
-    tuples, given its compiled monitors.
+def _words_in(x):
+    """The words in a literal: a word, a tuple of words, or none."""
+    return (x,) if type(x) is int else x if type(x) is tuple else ()
 
-    Processes form a group when they have equal compiled programs, touch
-    only ``pooled`` mechanisms (``machines.KINDS``), which they never lock
-    or unlock (an owner is a pid), and the monitors map onto themselves
-    under the swap: each monitor's ``named()`` gives them equal signatures,
-    none of them None.
+
+def _data(sys):
+    """Each pid's data: the words only its program names, each only as a
+    literal it writes, writes as a word or sends, and in no initial value, in
+    the order it first names them. No word is a datum when a program applies
+    an update function, which does not commute with renaming (``inc`` takes 2
+    to 3, but a renamed 5 to 6), or when a mechanism's kind cannot rename its
+    value (``machines.KINDS``: pooled kinds can)."""
+    if not all("pooled" in KINDS[kind][1] for kind in sys.mech_kind.values()):
+        return {}
+    named, used, written = {}, {w for m in sys.scenario.mechanisms
+                               for w in m.get("initial", ())}, {}
+    for p, program in enumerate(sys.programs):
+        for ins in program.instrs:
+            if ins.op == "update" or ins.expr is not None and ins.expr[0] == "fn":
+                return {}
+            lit = _words_in(ins.expr[1]) if ins.expr is not None and ins.expr[0] == "lit" else ()
+            if ins.op in ("write", "write_word", "send"):
+                written.setdefault(p, []).extend(lit)
+            else:  # a local literal, a guard's word, an expected value
+                lit = (*lit, *_words_in(ins.word), *_words_in(ins.expected))
+                used.update(lit)
+            for w in lit:
+                named.setdefault(w, set()).add(p)
+    return {p: tuple(w for w in dict.fromkeys(ws) if w not in used and len(named[w]) == 1)
+            for p, ws in written.items()}
+
+
+def _renaming(groups, to):
+    """The word table that renames the data of each member ``i`` of each data
+    group ``g`` to that of member ``t[i]``, for ``t`` the group's permutation
+    in ``to``, word by word; every other word is kept."""
+    words = list(range(WORD_DOMAIN))
+    for g, t in zip(groups, to):
+        for (_, ws), i in zip(g, t):
+            for w, v in zip(ws, g[i][1]):
+                words[w] = v
+    return tuple(words)
+
+
+def _interchangeable(sys, monitors):
+    """The groups of processes of ``sys`` that can swap places, given its
+    compiled monitors: a pid group as a sorted pid tuple, a data group as a
+    tuple of ``(pid, its data)`` pairs by pid.
+
+    Processes form a group when they have equal compiled programs once each
+    one's data (``_data``) is renamed to placeholders, touch only ``pooled``
+    mechanisms (``machines.KINDS``), which they never lock or unlock (an
+    owner is a pid), and the monitors map onto themselves under the swap:
+    each monitor's ``named()`` gives them equal signatures, none of them None.
     (``LocalAsserts`` names every process with an ``assert_local``, whose
-    failure names the pid.) Swapping two members' slots then maps
-    reachable states, actions and monitor classes onto themselves.
+    failure names the pid.) Swapping two members' slots then maps reachable
+    states, actions and monitor classes onto themselves. Members with data
+    form a data group, whose swap also renames their data everywhere, and
+    every monitor must be ``invariant`` under that renaming.
     """
     signature = {}     # pid -> the signatures monitors name it with, None if one allows no swap
     for monitor in monitors:
@@ -182,6 +232,7 @@ def _interchangeable(sys, monitors):
                 signature[pid] = None
             elif sigs is not None:
                 sigs.append(sig)
+    data = _data(sys)
     groups = {}
     for p, program in enumerate(sys.programs):
         sig = signature.get(p, [])
@@ -191,9 +242,27 @@ def _interchangeable(sys, monitors):
                     and "pooled" not in KINDS[sys.mech_kind[ins.mech_id]][1])
                 for ins in program.instrs):
             continue
-        groups.setdefault((program.instrs, program.heads, frozenset(Counter(sig).items())),
+        instrs = program.instrs
+        if data.get(p):   # each datum becomes a placeholder, -1 for the first
+            words = list(range(WORD_DOMAIN))
+            for j, w in enumerate(data[p]):
+                words[w] = -1 - j
+            instrs = tuple(replace(ins, expr=("lit", renamed(ins.expr[1], words)))
+                           if ins.expr is not None and ins.expr[0] == "lit" else ins
+                           for ins in instrs)
+        groups.setdefault((instrs, program.heads, frozenset(Counter(sig).items())),
                           []).append(p)
-    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
+    out = []
+    for g in groups.values():
+        if len(g) > 1 and not data.get(g[0]):
+            out.append(tuple(g))
+        elif len(g) > 1:
+            members = tuple((p, data[p]) for p in g)
+            swaps = [_renaming([members], [(*range(i), i + 1, i, *range(i + 2, len(g)))])
+                     for i in range(len(g) - 1)]   # neighbour swaps generate every permutation
+            if all(m.invariant(words) for words in swaps for m in monitors):
+                out.append(members)
+    return tuple(out)
 
 
 def _next_arrangement(values):
@@ -226,11 +295,15 @@ class _Orbits:
     repeated intern index among the group's slots, so a lone pair's orbit
     has size 1 when its two slots are equal and 2 otherwise, and its images
     are found by the same compare. With no group, a key is the state itself
-    and its orbit is that one state.
+    and its orbit is that one state. With a data group, a permutation of its
+    members also renames their data, and a key is the least such key of an
+    image (``_permute_data``).
     """
 
     def __init__(self, sys, groups):
-        self.slots = slots = [tuple(sys.n_mechs + p for p in g) for g in groups]
+        data = [g for g in groups if type(g[0]) is tuple]
+        self.slots = slots = [tuple(sys.n_mechs + p for p in g)
+                              for g in groups if type(g[0]) is int]
         self._gets = gets = [(g, itemgetter(*g)) for g in slots]  # a group has 2+ slots
         self.images = self._images
         if not slots:
@@ -256,6 +329,70 @@ class _Orbits:
             self._grouped = itemgetter(*(i for g in slots for i in g))
             self._sizes = {}   # the group slots of a key -> its orbit size
             self.size = self._size
+        if data:
+            self._permute_data(sys, data)
+
+    def _permute_data(self, sys, data):
+        """Key, size and images up to the data groups' permutations too: each
+        one moves the members' slots and renames their data in every part, by
+        a table from intern index to the index of the renamed part, filled on
+        first use. The pid groups' key, size and images then serve each image.
+
+        A key is the least pid key of an image. Permutations never move a
+        mechanism slot, so only those whose renamed mechanism slots are least
+        need a whole image; they are kept per distinct mechanism slots. The
+        orbit size is the number of permutations over the number whose image
+        of the key has the key as its pid key, times the key's pid orbit size.
+        """
+        n, pid_key, pid_size, pid_images = sys.n_mechs, self.key, self.size, self.images
+        perms = []   # (renaming table, the image of a state), the identity first
+        for to in product(*(permutations(range(len(g))) for g in data)):
+            src = list(range(n + sys.n_procs))   # image slot -> the slot it renames
+            for g, t in zip(data, to):
+                for (p, _), i in zip(g, t):
+                    src[n + g[i][0]] = n + p
+            words = _renaming(data, to)
+            table = _RenameTable(sys, words)
+            if words == tuple(range(WORD_DOMAIN)):
+                image = tuple   # the identity: a state is its own image
+            else:
+                def image(state, ren=table.__getitem__, get=itemgetter(*src)):
+                    return tuple(map(ren, get(state)))
+            perms.append((table, image))
+        tied = {}   # mechanism slots -> the images whose renamed mechanism slots are least
+
+        def least(state):
+            prefix = state[:n]
+            got = tied.get(prefix)
+            if got is None:
+                prefixes = [tuple(map(table.__getitem__, prefix)) for table, _ in perms]
+                low = min(prefixes)
+                got = tied[prefix] = tuple(image for (_, image), r in zip(perms, prefixes)
+                                           if r == low)
+            return got
+
+        def key(state):
+            got = tied.get(state[:n]) or least(state)
+            if len(got) == 1:
+                return pid_key(got[0](state))
+            return min([pid_key(image(state)) for image in got])
+
+        def size(key):
+            got = tied.get(key[:n]) or least(key)   # the identity is one of them
+            fixed = 1 if len(got) == 1 else sum(pid_key(image(key)) == key for image in got)
+            return len(perms) // fixed * pid_size(key)
+
+        def images(state):
+            out, keys = [], set()
+            for _, image in perms:
+                arranged = image(state)
+                k = pid_key(arranged)
+                if k not in keys:
+                    keys.add(k)
+                    out += pid_images(arranged)
+            return out
+
+        self.key, self.size, self.images = key, size, images
 
     def _size(self, key):
         """How many states share the key ``key``, cached by its group slots."""
@@ -295,6 +432,19 @@ class _Orbits:
                 return out
 
 
+class _RenameTable(dict):
+    """Intern index -> the index of its part with each word w renamed to
+    ``words[w]`` (``System.renamed``), filled on first use."""
+
+    def __init__(self, sys, words):
+        self.renamed = sys.renamed
+        self.words = words
+
+    def __missing__(self, i):
+        j = self[i] = self.renamed(i, self.words)
+        return j
+
+
 def explore(scenario, bounds=None) -> ExplorationReport:
     """Visit every reachable state within bounds; report one witness per class.
 
@@ -309,10 +459,12 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     the memo is keyed by ``_Orbits.key``, and a state whose key is stored
     is not searched again, because swapping the members maps its schedules
     one to one onto those of the stored state and keeps every violation
-    class. The report stays exact: ``states_visited`` adds up orbit sizes,
-    each terminal state stands for its orbit, and the search order up to
-    each skipped state is unchanged, so the witnesses are too. Without a
-    group the key is the state itself and every orbit is that one state.
+    class; a data group's swap also renames the members' words, under which
+    every monitor is invariant. The report stays exact: ``states_visited``
+    adds up orbit sizes, each terminal state stands for its orbit, and the
+    search order up to each skipped state is unchanged, so the witnesses are
+    too. Without a group the key is the state itself and every orbit is that
+    one state.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)

@@ -327,6 +327,18 @@ class System:
     def live_processes(self, state):
         return [p for p in range(self.n_procs) if not self.terminated(state, p)]
 
+    def renamed(self, i, words) -> int:
+        """The intern index of part ``i`` with each word ``w`` in it renamed to
+        ``words[w]``: a process state's stored values, or a mechanism's value
+        by its kind's ``renamed``."""
+        part = self._parts[i]
+        if isinstance(part, ProcState):
+            part = part._replace(store=tuple((n, machines.renamed(v, words))
+                                             for n, v in part.store))
+        else:
+            part = part.renamed(words)
+        return self._intern(part)
+
     def state_hash(self, state) -> str:
         """Of a packed state of this System, or of a view: from the view's repr."""
         import hashlib  # loaded on first use: a run that records no violation never hashes

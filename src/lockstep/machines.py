@@ -12,7 +12,9 @@ does not care who acts ignores it. A transition is named by the action-label
 kind that takes it, and gets the label's fields after the pid:
 ``write(pid, value)``, ``write_word(pid, index, word)``, ``lock(pid)``,
 ``unlock(pid)`` and ``update(pid, fn)`` return the next mechanism, and
-``read(pid)`` returns ``(value, mechanism)``. The whole-value mechanisms
+``read(pid)`` returns ``(value, mechanism)``. A pooled kind also has
+``renamed(words)``: the snapshot with each word ``w`` of its value renamed to
+``words[w]``, which ``explore``'s data symmetry applies. The whole-value mechanisms
 share ``can_write``, ``can_read``, ``write`` and ``read``, and the two with
 a lock (locked cell, shared register) share ``Lockable``.
 """
@@ -40,6 +42,16 @@ def apply_update(fn: tuple, value: tuple) -> tuple:
     raise ValueError(f"unknown update function: {fn!r}")
 
 
+def renamed(value, words):
+    """``value`` with each word ``w`` in it renamed to ``words[w]``: a word or a
+    tuple of words; anything else (None, a status token) is unchanged."""
+    if type(value) is int:
+        return words[value]
+    if type(value) is tuple:
+        return tuple(map(words.__getitem__, value))
+    return value
+
+
 def _set(words: tuple, index: int, word: int) -> tuple:
     out = list(words)
     out[index] = word
@@ -57,6 +69,9 @@ class RawCell:
 
     def write_word(self, pid: int, index: int, word: int) -> "RawCell":
         return RawCell(_set(self.words, index, word))
+
+    def renamed(self, words) -> "RawCell":
+        return RawCell(renamed(self.words, words))
 
 
 class Lockable:
@@ -263,6 +278,9 @@ class SharedRegister(Lockable):
     def update(self, pid: int, fn: tuple) -> "SharedRegister":
         return SharedRegister(apply_update(fn, self.content), self.owner)
 
+    def renamed(self, words) -> "SharedRegister":
+        return SharedRegister(renamed(self.content, words), self.owner)  # an owner is a pid
+
 
 @dataclass(frozen=True, slots=True)
 class DirectChannel:
@@ -272,7 +290,7 @@ class DirectChannel:
 # mechanism kind -> (its initial snapshot built from the mechanism's document,
 # the families it serves, the fields its document may have besides id and kind).
 # A family is a group of ops or monitors that may address the kind; a pooled
-# kind holds no pid of a process that never locks it.
+# kind holds no pid of a process that never locks it, and can rename its value.
 KINDS = {
     "raw_cell": (lambda doc: RawCell(tuple(doc["initial"])), ("word", "pooled"), ("initial",)),
     "locked_cell": (lambda doc: LockedCell(tuple(doc["initial"]),

@@ -21,13 +21,15 @@ a whole state.
 A monitor that reads or reports a process by its pid says so through
 ``named()``: pairs ``(pid, signature)``. Two processes can swap places
 without changing what the monitors see only when they are named with equal
-signatures; a signature of None allows no swap.
+signatures; a signature of None allows no swap. A monitor that compares what
+it reads with a word of its own says through ``invariant(words)`` whether
+renaming every word ``w`` to ``words[w]`` maps it onto itself.
 """
 
 from __future__ import annotations
 
 from .kernel import store_get
-from .machines import DuplexChannel, MessageCell
+from .machines import DuplexChannel, MessageCell, renamed
 
 
 class Monitor:
@@ -38,6 +40,11 @@ class Monitor:
     def named(self):
         """The (pid, signature) pairs of the processes this monitor reads or reports by pid."""
         return ()
+
+    def invariant(self, words):
+        """Whether renaming each word w to words[w] keeps every verdict; a monitor
+        that compares values only with each other is kept."""
+        return True
 
     def on_state(self, sys, state):
         """The hits on a view: each state watch's verdict on the parts it reads, in order."""
@@ -82,6 +89,9 @@ class MutualExclusion(Monitor):
 
     def named(self):
         return tuple((pid, None) for pid, _ in self.markers)
+
+    def invariant(self, words):
+        return words[1] == 1   # inside means a first word of 1
 
     def verdict(self, *procs):
         inside = []
@@ -144,6 +154,9 @@ class TornValue(Monitor):
         """Readers with equal variables, allowed values and mechanism may swap."""
         return ((self.pid, (tuple(self.names), frozenset(self.allowed), self.mech_id)),)
 
+    def invariant(self, words):
+        return {renamed(v, words) for v in self.allowed} == self.allowed
+
     def scan(self, store):
         """The hits for one reader store, as a tuple."""
         got = []
@@ -187,6 +200,9 @@ class TerminalAssert(Monitor):
 
     def named(self):
         return ((self.pid, None),)
+
+    def invariant(self, words):
+        return renamed(self.expected, words) == self.expected
 
     def on_terminal(self, ps):
         got = store_get(ps.store, self.var, "<unbound>")

@@ -5,16 +5,17 @@ logic with different algorithms (plain BFS, recursive path DP, brute-force
 sequence merging) so agreement with the explorer means something.
 """
 
+import dataclasses
 import pathlib
 import sys as _sys
 import types
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 from lockstep import scenarios
 from lockstep.explorer import Violation, _classes
-from lockstep.kernel import NotEnabledAtStep, System, Trace, _action_sort_key
-from lockstep.machines import apply_update
+from lockstep.kernel import NotEnabledAtStep, ProcState, System, Trace, _action_sort_key
+from lockstep.machines import RawCell, SharedRegister, apply_update
 from lockstep.monitors import compile_monitors
 from lockstep.programs import LABEL_KIND
 
@@ -317,6 +318,43 @@ def reference_images(slots, state):
                 image[i] = v
         if tuple(image) != state:
             out.append(tuple(image))
+    return out
+
+
+# the value fields a data renaming renames, by mechanism class; an owner is a pid
+_RENAMED_FIELDS = {RawCell: "words", SharedRegister: "content"}
+
+
+def reference_orbit(sys, groups, state):
+    """The orbit of a packed state under ``explore``'s groups, built apart from
+    ``explorer._Orbits`` and with no intern table: every permutation of the
+    members of each group, pid group or data group, applied to the decoded
+    ``GlobalState`` parts directly. A data group's permutation also renames
+    each member's data, word by word, to the data of the member it moves to,
+    in every process store and in each raw cell's words and shared
+    register's content. Returns the distinct images as a set, each packed
+    again by the System's intern indices to compare with its states."""
+    view = sys.view(state)
+    members = [[m if isinstance(m, tuple) else (m, ()) for m in g] for g in groups]
+    out = set()
+    for choice in product(*(permutations(range(len(g))) for g in members)):
+        procs, words = list(view.procs), {}
+        for g, to in zip(members, choice):
+            for (p, data), i in zip(g, to):
+                q, their = g[i]
+                procs[q] = view.procs[p]
+                words.update(zip(data, their))
+
+        def rename(v):
+            if isinstance(v, int):
+                return words.get(v, v)
+            return tuple(words.get(w, w) for w in v) if isinstance(v, tuple) else v
+
+        procs = [ProcState(ps.pc, tuple((n, rename(v)) for n, v in ps.store), ps.failed)
+                 for ps in procs]
+        mechs = [dataclasses.replace(m, **{f: rename(getattr(m, f))})
+                 if (f := _RENAMED_FIELDS.get(type(m))) else m for m in view.mechs]
+        out.add(tuple(sys._index[part] for part in (*mechs, *procs)))
     return out
 
 

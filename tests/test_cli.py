@@ -445,6 +445,17 @@ class TestCatalogCheck:
         assert code == CLEAN
         assert "1/1 entries match" in out
 
+    def test_an_entry_checked_alone_prints_its_full_run_row(self, capsys):
+        """The name column is padded to the longest catalog name, so each
+        entry's ``--only`` row equals its row of the full run, byte for byte."""
+        code, full, _ = run(capsys, "catalog-check")
+        rows = {line.split()[1]: line for line in full.splitlines()[:-1]
+                if not line.startswith("     !")}
+        assert code == CLEAN and sorted(rows) == sorted(catalog.names())
+        for name, row in rows.items():
+            code, out, _ = run(capsys, "catalog-check", "--only", name)
+            assert code == CLEAN and out.splitlines()[0] == row
+
     def test_unknown_only_exits_three(self, capsys):
         code, out, err = run(capsys, "catalog-check", "--only", "dekker-mutex", "--only", "bogus")
         assert code == ERROR and out == ""

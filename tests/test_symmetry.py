@@ -20,7 +20,7 @@ from lockstep.kernel import System
 from lockstep.monitors import compile_monitors
 
 from helpers import (CountingSystem, bench_families, maximal_schedule_count, reachable,
-                     reference_images, sorted_groups_form, swapped)
+                     reference_images, reference_orbit, sorted_groups_form, swapped)
 from test_golden import _op_scenarios
 
 families = bench_families()
@@ -36,6 +36,13 @@ def _groups(sys):
 
 def _family(name, args, seed=0):
     return getattr(families, name)(*args, random.Random(seed))
+
+
+def _writers(scenario, pids):
+    """The data group of the writers ``pids``, each of which writes one word
+    of its own, as the first step of its document names it."""
+    steps = {doc["id"]: doc["steps"] for doc in scenario.processes}
+    return tuple((p, (steps[p][0]["word"],)) for p in pids)
 
 
 def _differential_cases():
@@ -97,12 +104,12 @@ def test_the_state_bound_counts_orbits():
 
 
 def test_the_differential_runs_reduce():
-    """Every bench family case and two catalog entries have a group, so the
+    """Every bench family case and three catalog entries have a group, so the
     differential above compares runs that really differ."""
     for name, args in FAMILY_CASES:
         assert _groups(System(_family(name, args)))
     assert [name for name in catalog.names() if _groups(System(catalog.get(name)))] \
-        == ["register-atomic-update", "register-lost-update"]
+        == ["torn-read-raw", "register-atomic-update", "register-lost-update"]
 
 
 # -- group detection ---------------------------------------------------------------
@@ -113,10 +120,15 @@ def test_lost_update_groups_the_equal_programs():
     assert _groups(System(_family("lost_update", ((3, 3, 2),)))) == ((0, 1),)
 
 
-def test_torn_read_groups_the_readers_not_the_writers():
-    """The writers write different words; the readers have equal programs
-    and equal torn_value monitors."""
-    assert _groups(System(_family("torn_read", (3, 2, 2)))) == ((3, 4),)
+@pytest.mark.parametrize("args", [(2, 2, 2), (3, 2, 2)], ids=["2x2x2", "3x2x2"])
+def test_torn_read_groups_the_writers_by_data_and_the_readers_by_pid(args):
+    """The writers write different words, so they form a data group; the
+    readers have equal programs and equal torn_value monitors, whose allowed
+    values the renaming keeps."""
+    writers, _, readers = args
+    scenario = _family("torn_read", args)
+    assert _groups(System(scenario)) == (_writers(scenario, range(writers)),
+                                         tuple(range(writers, writers + readers)))
 
 
 def _pair(steps, monitors=(), mechanisms=None):
@@ -126,6 +138,26 @@ def _pair(steps, monitors=(), mechanisms=None):
 
 
 RACE = [s.read("reg", "t"), s.local("g", s.applied("inc", "t")), s.write("reg", s.var("g"))]
+
+
+def _two_writers(writer=lambda w: (), reader=(), monitors=(), initial=(0, 0), mechanism="cell"):
+    """Two writers, of word 1 and word 2, each followed by the steps
+    ``writer(word)``, on a two-word raw cell or, given ``mechanism="reg"``, a
+    one-word shared register; and a reader p2 with ``reader`` steps, if any."""
+    if mechanism == "cell":
+        mechanisms = [s.raw_cell("cell", list(initial))]
+        steps = lambda w: [s.write_word("cell", 0, w), s.write_word("cell", 1, w), *writer(w)]
+    else:
+        mechanisms = [s.shared_register("reg", list(initial[:1]))]
+        steps = lambda w: [s.write("reg", [w]), *writer(w)]
+    procs = [s.process(p, *steps(w)) for p, w in enumerate((1, 2))]
+    if reader:
+        procs.append(s.process(2, *reader))
+    return System(s.Scenario.from_parts("writers", 2 if mechanism == "cell" else 1, mechanisms,
+                                        procs, list(monitors)))
+
+
+READ = [s.read_word("cell", 0, "a"), s.read_word("cell", 1, "b")]
 
 
 def test_an_unlocked_race_is_a_group():
@@ -140,9 +172,43 @@ def test_an_unlocked_race_is_a_group():
     pytest.param(lambda: _pair(RACE, [s.terminal_assert(1, "g", [1])]), id="terminal_assert"),
     pytest.param(lambda: _pair([s.write("mc", [1])], mechanisms=[s.message_cell("mc")]),
                  id="message_cell"),
+    # each case below breaks one part of the data-group rule for two writers
+    # whose programs differ only in their words
+    pytest.param(lambda: _two_writers(lambda w: [s.if_word("cell", 0, w, [s.local("x", None)])]),
+                 id="if_word"),
+    pytest.param(lambda: _two_writers(lambda w: [s.wait_word("cell", 1, w)]), id="wait_word"),
+    pytest.param(lambda: _two_writers(reader=[s.wait_word("cell", 0, 1)]),
+                 id="another-program"),
+    pytest.param(lambda: _two_writers(lambda w: [s.write_word("cell", 1, 3 - w)]),
+                 id="one-word-two-writers"),
+    pytest.param(lambda: _two_writers(initial=(0, 1)), id="initial"),
+    pytest.param(lambda: _two_writers(reader=[*READ, s.assert_local("a", 1)]),
+                 id="assert_local-expected"),
+    pytest.param(lambda: _two_writers(reader=READ, monitors=[s.terminal_assert(2, "a", 1)]),
+                 id="terminal_assert-expected"),
+    pytest.param(lambda: _two_writers(
+        reader=[s.read("reg", "t"), s.local("g", s.applied("inc", "t"))], mechanism="reg"),
+        id="inc"),
+    pytest.param(lambda: _two_writers(reader=[s.update("reg", "inc")], mechanism="reg"),
+                 id="update"),
+    pytest.param(lambda: _two_writers(reader=READ, monitors=[
+        s.torn_value("cell", [[0, 0], [1, 1]], 2, ["a", "b"])]), id="torn_value-allowed"),
+    pytest.param(lambda: _two_writers(reader=[s.read("reg", "t"), s.read("reg", "u")], monitors=[
+        s.mutual_exclusion([(2, "t"), (2, "u")])], mechanism="reg"), id="mutual_exclusion-word"),
+    pytest.param(lambda: _two_writers(lambda w: [s.lock("reg"), s.unlock("reg")],
+                                      mechanism="reg"), id="writer-locks"),
 ])
 def test_no_group(system):
     assert _groups(system()) == ()
+
+
+def test_writers_of_their_own_words_form_a_data_group():
+    assert _groups(System(catalog.get("torn-read-raw"))) == (((0, (1,)), (1, (2,))),)
+    assert _groups(_two_writers()) == (((0, (1,)), (1, (2,))),)
+    assert _groups(_two_writers(mechanism="reg")) == (((0, (1,)), (1, (2,))),)
+    assert _groups(_two_writers(reader=READ, monitors=[
+        s.torn_value("cell", [[0, 0], [1, 1], [2, 2]], 2, ["a", "b"])])) \
+        == (((0, (1,)), (1, (2,))),)
 
 
 def _readers(allowed_1):
@@ -176,18 +242,29 @@ def test_torn_value_monitors_must_be_equal():
 # -- orbits --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name, args, groups", [
-    pytest.param("lost_update", ((2, 2, 1),), ((0, 1),), id="one-pair"),
-    pytest.param("lost_update", ((2, 2, 2),), ((0, 1, 2),), id="group-of-three"),
-    pytest.param("lost_update", ((1, 1, 2, 2),), ((0, 1), (2, 3)), id="two-pairs"),
-    pytest.param("torn_read", (2, 2, 2), ((2, 3),), id="readers-pair")])
-def test_orbits_partition_the_reachable_states(name, args, groups):
+@pytest.mark.parametrize("build, groups", [
+    pytest.param(lambda: _family("lost_update", ((2, 2, 1),)), lambda sc: ((0, 1),),
+                 id="one-pair"),
+    pytest.param(lambda: _family("lost_update", ((2, 2, 2),)), lambda sc: ((0, 1, 2),),
+                 id="group-of-three"),
+    pytest.param(lambda: _family("lost_update", ((1, 1, 2, 2),)), lambda sc: ((0, 1), (2, 3)),
+                 id="two-pairs"),
+    pytest.param(lambda: _family("torn_read", (2, 2, 2)),
+                 lambda sc: (_writers(sc, (0, 1)), (2, 3)), id="writers-and-readers"),
+    pytest.param(lambda: _family("torn_read", (2, 2, 1)), lambda sc: (_writers(sc, (0, 1)),),
+                 id="writers"),
+    pytest.param(lambda: catalog.get("torn-read-raw"), lambda sc: (_writers(sc, (0, 1)),),
+                 id="torn-read-raw")])
+def test_orbits_partition_the_reachable_states(build, groups):
     """Each reachable state's key is one of its images, which share that key,
     number its orbit size, and are reachable; two states share a key exactly
-    when they share the sorted-groups form; the orbits of the distinct keys
-    cover every state once."""
-    sys = System(_family(name, args))
+    when they share a form built apart from ``_Orbits``, the sorted-groups
+    form or, with a data group, the reference orbit; the orbits of the
+    distinct keys cover every state once."""
+    scenario = build()
+    sys, groups = System(scenario), groups(scenario)
     assert _groups(sys) == groups
+    data = any(type(g[0]) is tuple for g in groups)
     orbits = _Orbits(sys, groups)
     states = reachable(sys)
     keys = {}
@@ -201,7 +278,9 @@ def test_orbits_partition_the_reachable_states(name, args, groups):
         assert set(images) <= states
         assert len(images) == orbits.size(key)
         keys[key] = len(images)
-        by_form.setdefault(sorted_groups_form(sys, groups, state), set()).add(key)
+        form = frozenset(reference_orbit(sys, groups, state)) if data \
+            else sorted_groups_form(sys, groups, state)
+        by_form.setdefault(form, set()).add(key)
     assert sum(keys.values()) == len(states)
     assert all(len(form_keys) == 1 for form_keys in by_form.values())
     assert len(by_form) == len(keys)
@@ -249,7 +328,7 @@ def test_a_lone_pair_swaps_as_the_list_swap_did(name, args):
     """Differential against the list-built swap the lone pair's ``itemgetter``
     replaced: at every reachable state, the key and the images agree."""
     sys = System(_family(name, args))
-    (pair,) = _groups(sys)
+    (pair,) = [g for g in _groups(sys) if type(g[0]) is int]   # torn_read's readers
     orbits = _Orbits(sys, (pair,))
     a, b = (sys.n_mechs + p for p in pair)
     for state in reachable(sys):
@@ -277,7 +356,7 @@ def test_a_large_group_of_equal_slots_lists_its_one_terminal_at_once(step):
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("name, args, expanded, applied", [
     pytest.param("lost_update", ((3, 3, 2),), 25_441, 56_917, id="lost_update-3-3-2"),
-    pytest.param("torn_read", (3, 2, 2), 7_842, 12_950, id="torn_read-3x2x2")])
+    pytest.param("torn_read", (3, 2, 2), 1_375, 2_344, id="torn_read-3x2x2")])
 def test_explore_expands_each_entry_once_and_applies_each_edge_once(
         name, args, expanded, applied, seed):
     """``explore`` asks the kernel for the edges of each stored entry once,
@@ -286,6 +365,33 @@ def test_explore_expands_each_entry_once_and_applies_each_edge_once(
     explore(sys)
     assert (sum(sys.offered.values()), sum(sys.applied.values())) == (expanded, applied)
     assert max(sys.offered.values()) == max(sys.applied.values()) == 1
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _family("torn_read", (2, 2, 2)), id="torn_read-2x2x2"),
+    pytest.param(lambda: _family("torn_read", (3, 2, 2)), id="torn_read-3x2x2"),
+    pytest.param(lambda: catalog.get("torn-read-raw"), id="torn-read-raw")])
+def test_data_group_keys_are_the_least_reference_images(build):
+    """Differential against ``helpers.reference_orbit``, which renames decoded
+    parts with no intern table: at every reachable state, the key is the least
+    reference image, the orbit size is the number of distinct images, and the
+    images are exactly those, the state first."""
+    sys = System(build())
+    groups = _groups(sys)
+    assert any(type(g[0]) is tuple for g in groups)
+    orbits = _Orbits(sys, groups)
+    states = reachable(sys)
+    left = set(states)
+    while left:   # one reference orbit serves each of its states
+        orbit = reference_orbit(sys, groups, next(iter(left)))
+        assert orbit <= left
+        least = min(orbit)
+        assert orbits.size(least) == len(orbit)
+        for state in orbit:
+            images = orbits.images(state)
+            assert orbits.key(state) == least
+            assert images[0] == state and len(images) == len(orbit) and set(images) == orbit
+        left -= orbit
 
 
 def test_a_four_process_group_stores_one_entry_per_orbit():

@@ -25,7 +25,7 @@ def main():
     report = explore(sys)
     print(f"  {report.schedules_complete} schedules, classes: "
           f"{sorted(report.violation_classes)}")
-    seqs = sorted(terminal_values(sys, report, 1, ("r1", "r2", "r3")), key=repr)
+    seqs = sorted(terminal_values(sys, 1, ("r1", "r2", "r3")), key=repr)
     print(f"  the reader can observe {len(seqs)} different sequences, e.g.")
     for sq in seqs[:4]:
         print(f"    {sq}")
@@ -35,7 +35,7 @@ def main():
     banner("status channel: write needs empty, read needs full")
     sys = System(get("status-channel-exact"))
     report = explore(sys)
-    (sent, received), = terminal_values(sys, report, "ch", ("sent", "received"))
+    (sent, received), = terminal_values(sys, "ch", ("sent", "received"))
     print(f"  {report.schedules_complete} schedule (the guards force alternation)")
     print(f"  sent     = {sent}")
     print(f"  received = {received}")
@@ -44,7 +44,7 @@ def main():
     banner("last-message channel: only the newest value matters")
     sys = System(get("last-message-unidirectional"))
     report = explore(sys)
-    final = terminal_values(sys, report, 1, ("r",))
+    final = terminal_values(sys, 1, ("r",))
     print(f"  three writes race ahead, the reader is signalled afterwards")
     print(f"  final read across all schedules: {sorted(final)} — always the last write")
 

@@ -34,7 +34,7 @@ def main():
     print("\n== divisible increments lose updates ==")
     sys = System(get("register-lost-update"))
     report = explore(sys)
-    values = sorted(content[0] for (content,) in terminal_values(sys, report, "reg", ("content",)))
+    values = sorted(content[0] for (content,) in terminal_values(sys, "reg", ("content",)))
     print(f"  2 processes x 3 increments, spelled read / generate / write")
     print(f"  {report.schedules_complete} schedules, terminal register values: {values}")
     print(f"  worst case {values[0]}: each +1 of one side overwrites the other's")
@@ -42,7 +42,7 @@ def main():
     print("\n== indivisible updates ==")
     sys = System(get("register-atomic-update"))
     report = explore(sys)
-    values = sorted(content[0] for (content,) in terminal_values(sys, report, "reg", ("content",)))
+    values = sorted(content[0] for (content,) in terminal_values(sys, "reg", ("content",)))
     print(f"  the same increments as single update steps")
     print(f"  {report.schedules_complete} schedules, terminal register values: {values}")
 

@@ -26,7 +26,7 @@ def show_witness(title, scenario, kind):
 def reader_values(name):
     sys = System(get(name))
     report = explore(sys)
-    values = terminal_values(sys, report, 2, ("a", "b"))
+    values = terminal_values(sys, 2, ("a", "b"))
     return report, sorted(values)
 
 

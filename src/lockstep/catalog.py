@@ -315,11 +315,10 @@ def fact_problems(entry, sys, report):
     if ceiling is not None and report.states_visited >= ceiling:
         problems.append(f"visited {report.states_visited} states, expected fewer than {ceiling}")
     if ob := entry.observe:
-        got, want, where = terminal_values(sys, report, ob.source, ob.names), ob.values, "expected"
+        got, want, where = terminal_values(sys, ob.source, ob.names), ob.values, "expected"
         if ob.like:
-            other, source = ob.like  # explored afresh, so a row is the same checked alone
-            other_sys = System(get(other))
-            want = terminal_values(other_sys, explore(other_sys), source, ob.names)
+            other, source = ob.like  # searched afresh, so a row is the same checked alone
+            want = terminal_values(System(get(other)), source, ob.names)
             where = f"in {other} {label(source, ob.names)}"
         if got != want:  # sorted by repr, since None and tuples do not compare
             problems.append(f"terminal {label(ob.source, ob.names)} not as {where}: "

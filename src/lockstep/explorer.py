@@ -23,13 +23,15 @@ layer: ``edges`` expands a state, ``take`` takes an edge, whose event hits
 the search then reads beside its move, ``hits`` judges a state and
 ``sink`` a state with no edge. No other code asks the kernel for a state's
 edges, takes one or runs a monitor. Strategies key their memos on packed
-states, and only views of them leave a call.
+states, and the one state that leaves a call is the view of
+``replay_with_checks``'s final state.
 ``explore`` keys its memo by a representative state in which the slots of
 each group of interchangeable processes are sorted, and the members of a
 data group, which differ only in the words they write, are permuted with
 their words to the least image (``_interchangeable``, ``_Orbits``), so one
-entry stands for a whole orbit of states and the report stays exact, down
-to the terminal states ``terminal_values`` reads.
+entry stands for a whole orbit of states and the report stays exact: an
+orbit is counted by its size, never listed. ``terminal_values`` reads the
+terminal states themselves from the store of a breadth-first search.
 
 Every strategy reads ``max_states`` one way: the initial state is always
 stored, and a new state is stored only while fewer than ``max_states`` are
@@ -120,7 +122,6 @@ class ExplorationReport:
     schedules_complete: int | None
     violations: tuple
     bounds_hit: bool
-    terminal_states: tuple = ()
 
     @property
     def violation_classes(self) -> frozenset:
@@ -265,22 +266,6 @@ def _interchangeable(sys, monitors):
     return tuple(out)
 
 
-def _next_arrangement(values):
-    """Step the list ``values`` in place to its next distinct ordering in
-    sorted order. From the last ordering it wraps to the first, the sorted
-    one, and returns False."""
-    i = len(values) - 2
-    while i >= 0 and values[i] >= values[i + 1]:
-        i -= 1
-    if i >= 0:
-        j = len(values) - 1
-        while values[j] <= values[i]:
-            j -= 1
-        values[i], values[j] = values[j], values[i]
-    values[i + 1:] = values[i + 1:][::-1]
-    return i >= 0
-
-
 class _Orbits:
     """Packed states up to swaps of interchangeable processes.
 
@@ -293,19 +278,17 @@ class _Orbits:
     ``b`` exchanged. A key's orbit is the set of states with that key; its
     size is ``|G|! / prod(m!)`` per group ``G``, where each ``m`` counts one
     repeated intern index among the group's slots, so a lone pair's orbit
-    has size 1 when its two slots are equal and 2 otherwise, and its images
-    are found by the same compare. With no group, a key is the state itself
-    and its orbit is that one state. With a data group, a permutation of its
-    members also renames their data, and a key is the least such key of an
-    image (``_permute_data``).
+    has size 1 when its two slots are equal and 2 otherwise. With no group,
+    a key is the state itself and its orbit is that one state. With a data
+    group, a permutation of its members also renames their data, and a key
+    is the least such key of an image (``_permute_data``). An orbit is only
+    counted, never listed: ``explore`` needs its size, not its states.
     """
 
     def __init__(self, sys, groups):
         data = [g for g in groups if type(g[0]) is tuple]
         self.slots = slots = [tuple(sys.n_mechs + p for p in g)
                               for g in groups if type(g[0]) is int]
-        self._gets = gets = [(g, itemgetter(*g)) for g in slots]  # a group has 2+ slots
-        self.images = self._images
         if not slots:
             self.key = tuple   # a state is a tuple, so this returns the state itself
             self.size = lambda key: 1
@@ -316,8 +299,9 @@ class _Orbits:
             swap = itemgetter(*order)   # the state with slots a and b exchanged
             self.key = lambda state: state if state[a] <= state[b] else swap(state)
             self.size = lambda key: 1 if key[a] == key[b] else 2
-            self.images = lambda state: [state] if state[a] == state[b] else [state, swap(state)]
         else:
+            gets = [(g, itemgetter(*g)) for g in slots]  # a group has 2+ slots
+
             def key(state):
                 out = list(state)
                 for g, members in gets:
@@ -333,10 +317,10 @@ class _Orbits:
             self._permute_data(sys, data)
 
     def _permute_data(self, sys, data):
-        """Key, size and images up to the data groups' permutations too: each
-        one moves the members' slots and renames their data in every part, by
-        a table from intern index to the index of the renamed part, filled on
-        first use. The pid groups' key, size and images then serve each image.
+        """Key and size up to the data groups' permutations too: each one
+        moves the members' slots and renames their data in every part, by a
+        table from intern index to the index of the renamed part, filled on
+        first use. The pid groups' key and size then serve each image.
 
         A key is the least pid key of an image. Permutations never move a
         mechanism slot, so only those whose renamed mechanism slots are least
@@ -344,7 +328,7 @@ class _Orbits:
         orbit size is the number of permutations over the number whose image
         of the key has the key as its pid key, times the key's pid orbit size.
         """
-        n, pid_key, pid_size, pid_images = sys.n_mechs, self.key, self.size, self.images
+        n, pid_key, pid_size = sys.n_mechs, self.key, self.size
         perms = []   # (renaming table, the image of a state), the identity first
         for to in product(*(permutations(range(len(g))) for g in data)):
             src = list(range(n + sys.n_procs))   # image slot -> the slot it renames
@@ -382,17 +366,7 @@ class _Orbits:
             fixed = 1 if len(got) == 1 else sum(pid_key(image(key)) == key for image in got)
             return len(perms) // fixed * pid_size(key)
 
-        def images(state):
-            out, keys = [], set()
-            for _, image in perms:
-                arranged = image(state)
-                k = pid_key(arranged)
-                if k not in keys:
-                    keys.add(k)
-                    out += pid_images(arranged)
-            return out
-
-        self.key, self.size, self.images = key, size, images
+        self.key, self.size = key, size
 
     def _size(self, key):
         """How many states share the key ``key``, cached by its group slots."""
@@ -407,29 +381,6 @@ class _Orbits:
                 at += len(g)
             self._sizes[tail] = n
         return n
-
-    def _images(self, state):
-        """Every state in the orbit of ``state``, starting with ``state`` itself.
-
-        Each group's slots run through their distinct orders from sorted,
-        the last group fastest, so the work is the orbit's size, never
-        ``|G|!`` per group.
-        """
-        out = [state]
-        image = list(state)
-        groups = [(g, sorted(members(state))) for g, members in self._gets]
-        while True:
-            for g, values in groups:
-                for i, v in zip(g, values):
-                    image[i] = v
-            arranged = tuple(image)
-            if arranged != state:
-                out.append(arranged)
-            for _, values in reversed(groups):
-                if _next_arrangement(values):
-                    break
-            else:
-                return out
 
 
 class _RenameTable(dict):
@@ -461,10 +412,11 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     one to one onto those of the stored state and keeps every violation
     class; a data group's swap also renames the members' words, under which
     every monitor is invariant. The report stays exact: ``states_visited``
-    adds up orbit sizes, each terminal state stands for its orbit, and the
-    search order up to each skipped state is unchanged, so the witnesses are
-    too. Without a group the key is the state itself and every orbit is that
-    one state.
+    adds up orbit sizes, ``distinct_terminal_states`` adds up the orbit size
+    of each terminal sink's key, and the search order up to each skipped
+    state is unchanged, so the witnesses are too. Without a group the key is
+    the state itself and every orbit is that one state. No state is decoded
+    but a witness's, for its ``state_hash``.
     """
     sys = as_system(scenario)
     b = resolve_bounds(sys, bounds)
@@ -474,7 +426,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
     memo = {}            # key -> maximal-schedule count below its state (None = cut by a bound)
     cut_at = {}          # key whose count is None -> depth its state was expanded from
     violations = {}      # class -> first Violation, in discovery order
-    terminals = []       # each sink is closed once, so each terminal key is listed once
+    terminals = 0        # the terminal states: each sink is closed once, and counts its orbit
     bounds_hit = False
 
     def trail(extra=None):
@@ -512,7 +464,7 @@ def explore(scenario, bounds=None) -> ExplorationReport:
             actions = edges(state)
             if not actions:
                 if done := sys.all_terminated(state):
-                    terminals.append(state)
+                    terminals += size_of(frame[4])
                 record(sys.sink(state, done), None, state)
                 acc = 1
             elif depth > max_depth:  # at the depth bound: no edge is taken, no move computed
@@ -556,16 +508,14 @@ def explore(scenario, bounds=None) -> ExplorationReport:
                 parent = stack[-1]
                 parent[2] = None if (parent[2] is None or acc is None) else parent[2] + acc
 
-    terminals = [image for state in terminals for image in orbits.images(state)]
     total = memo[root]
     return ExplorationReport(
         scenario=sys.scenario.name,
         states_visited=held,
-        distinct_terminal_states=len(terminals),
+        distinct_terminal_states=terminals,
         schedules_complete=None if bounds_hit else total,
         violations=tuple(violations.values()),
         bounds_hit=bounds_hit,
-        terminal_states=tuple(map(sys.view, terminals)),
     )
 
 
@@ -784,11 +734,17 @@ def verify_violation(scenario, violation: Violation) -> bool:
     return violation.cls in classes and sys.state_hash(final) == violation.state_hash
 
 
-def terminal_values(sys, report, source, names):
-    """The set of tuples ``names`` hold over the report's terminal states: variables of
-    process ``source`` if it is a pid (an unbound one reads None), else mechanism fields."""
+def terminal_values(sys, source, names):
+    """The set of tuples ``names`` hold over the terminal states that
+    ``_breadth_first`` stores within the scenario's bounds, each met itself,
+    not as an orbit: variables of process ``source`` if it is a pid (an
+    unbound one reads None), else mechanism fields, read off that one part."""
+    b = resolve_bounds(sys)
+    parents = {}
+    for _ in _breadth_first(sys, sys.initial_state(), b.max_depth, b.max_states, parents):
+        pass
+    slot = sys.n_mechs + source if isinstance(source, int) else sys.mech_index[source]
+    parts = [sys.parts(state, (slot,))[0] for state in parents if sys.all_terminated(state)]
     if isinstance(source, int):
-        return {tuple(store_get(t.procs[source].store, n, None) for n in names)
-                for t in report.terminal_states}
-    index = sys.mech_index[source]
-    return {tuple(getattr(t.mechs[index], n) for n in names) for t in report.terminal_states}
+        return {tuple(store_get(ps.store, n, None) for n in names) for ps in parts}
+    return {tuple(getattr(m, n) for n in names) for m in parts}

@@ -86,10 +86,11 @@ def golden_doc(scenario, classes):
     for cls in sorted(classes):
         v = find_shortest(sys, cls)
         shortest[cls] = None if v is None else v.to_doc()
-    hashes = sorted(sys.state_hash(st) for st in reachable(sys))
+    states = reachable(sys)
+    hashes = sorted(sys.state_hash(st) for st in states)
     return {
         "report": report.to_doc(),
-        "terminal_hashes": sorted(sys.state_hash(st) for st in report.terminal_states),
+        "terminal_hashes": sorted(sys.state_hash(st) for st in states if sys.all_terminated(st)),
         "reachable_states": len(hashes),
         "reachable_digest": hashlib.sha256("\n".join(hashes).encode()).hexdigest(),
         "shortest": shortest,

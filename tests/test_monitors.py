@@ -196,7 +196,7 @@ class TestLostUnread:
                                    [s.lost_unread("m")])
         sys = System(sc)
         report = explore(sys)
-        assert ((1,), (1,)) in terminal_values(sys, report, 1, ("a", "b"))
+        assert ((1,), (1,)) in terminal_values(sys, 1, ("a", "b"))
         assert "lost_message" not in report.violation_classes
         assert report.violations == ()
 

@@ -292,6 +292,35 @@ def swapped(state, a, b):
     return tuple(out)
 
 
+def arrangements(counts):
+    """The distinct orderings of a multiset, given as a value -> count Counter,
+    in sorted order, by recursion on the first value."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for v in sorted(counts):
+        if counts[v]:
+            counts[v] -= 1
+            for rest in arrangements(counts):
+                yield (v, *rest)
+            counts[v] += 1
+
+
+def reference_images(slots, state):
+    """The orbit of ``state`` under rearranging each group of ``slots``, listed
+    with no knowledge of ``_Orbits``: ``state`` first, then every other image
+    with the groups' orderings taken as a product, the last group fastest."""
+    out = [state]
+    for choice in product(*(list(arrangements(Counter(state[i] for i in g))) for g in slots)):
+        image = list(state)
+        for g, values in zip(slots, choice):
+            for i, v in zip(g, values):
+                image[i] = v
+        if tuple(image) != state:
+            out.append(tuple(image))
+    return out
+
+
 # the value fields a data renaming renames, by mechanism class; an owner is a pid
 _RENAMED_FIELDS = {RawCell: "words", SharedRegister: "content"}
 

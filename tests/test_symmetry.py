@@ -9,6 +9,7 @@ reports, and check the counts against the independent oracles.
 
 import math
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from lockstep.kernel import System
 from lockstep.monitors import compile_monitors
 
 from helpers import (CountingSystem, bench_families, maximal_schedule_count, reachable,
-                     reference_orbit, sorted_groups_form, swapped)
+                     reference_images, reference_orbit, sorted_groups_form, swapped)
 from test_golden import _op_scenarios
 
 families = bench_families()
@@ -280,6 +281,52 @@ def test_orbits_partition_the_reachable_states(build, groups):
         assert orbits.size(key) == n
     assert all(len(form_keys) == 1 for form_keys in by_form.values())
     assert len(by_form) == len(keys)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_keys_and_sizes_match_the_recursive_arrangements(seed):
+    """Differential against the ``Counter``, recursive-arrangement and
+    ``product`` listing of an orbit: one to three groups of 2-6 slots, at
+    states with repeated values. Every image has the least image as its key,
+    and that key's size is the number of images. A lone pair, drawn alone,
+    takes the compare-and-swap path."""
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 6) for _ in range(rng.randint(1, 2))] + [2] * rng.randint(0, 1)
+    n_mechs, n_procs = rng.randint(0, 2), sum(sizes) + rng.randint(0, 2)
+    pids = rng.sample(range(n_procs), sum(sizes))
+    groups, at = [], 0
+    for size in sizes:
+        groups.append(tuple(sorted(pids[at:at + size])))
+        at += size
+    sys = types.SimpleNamespace(n_mechs=n_mechs, n_procs=n_procs)
+    orbits = _Orbits(sys, groups)
+    for _ in range(10):
+        hi = rng.randint(0, 2)
+        state = tuple(rng.randint(0, hi) for _ in range(n_mechs + n_procs))
+        images = reference_images(orbits.slots, state)
+        least = min(images)
+        assert {orbits.key(image) for image in images} == {least}
+        assert orbits.size(least) == len(images)
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param("lost_update", ((2, 2, 1),), id="one-pair"),
+    pytest.param("lost_update", ((2, 2, 2),), id="group-of-three"),
+    pytest.param("lost_update", ((1, 1, 2, 2),), id="two-pairs"),
+    pytest.param("torn_read", (3, 2, 2), id="readers-pair")])
+def test_keys_and_sizes_of_the_families_match_the_recursive_arrangements(name, args):
+    """At every reachable state of a family, under its pid groups alone, the
+    reference images are reachable, share the least of them as their key,
+    and number that key's size."""
+    sys = System(_family(name, args))
+    orbits = _Orbits(sys, [g for g in _groups(sys) if type(g[0]) is int])
+    states = reachable(sys)
+    for state in states:
+        images = reference_images(orbits.slots, state)
+        least = min(images)
+        assert set(images) <= states
+        assert {orbits.key(image) for image in images} == {least}
+        assert orbits.size(least) == len(images)
 
 
 @pytest.mark.parametrize("name, args", [
